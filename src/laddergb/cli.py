@@ -25,36 +25,25 @@ import argparse
 import json
 import sys
 
-from .complexes import (
-    SimplicialComplex,
-    is_vertex_decomposable,
-    replay_certificate,
-)
 from .errors import BudgetExceeded, LadderError, PreconditionError
-from .families import conventional_order, natural_generators
+from .families import natural_generators
 from .fields import field_by_name
 from .ladders import errors_of, ladder_from_json
 from .linkage import (
     Chain,
     chain_certificate,
+    groebner_checks,
+    height_check,
+    initial_ideal,
     replay_chain,
+    squarefree_check,
     vd_cert_to_json,
+    vd_checks,
     verify_family,
+    vertex_decomposition,
 )
-from .monomials import MonomialIdeal, minimalize
-from .poly import (
-    antidiagonal_order,
-    buchberger_reduced,
-    cell_id,
-    diagonal_order,
-    freeze,
-    is_reduced_groebner,
-    leading_term,
-    mono_text,
-    p_degree,
-    p_monic,
-    poly_text,
-)
+from .matrices import order_for
+from .poly import leading_term, mono_text, p_degree, poly_text
 
 _ORDER_KINDS = {"diag": "diagonal", "antidiag": "antidiagonal"}
 
@@ -90,26 +79,26 @@ def _checked_ladder(path):
 
 
 def _resolve_order(ladder, flag):
-    if flag is None:
-        return conventional_order(ladder)
-    kind = _ORDER_KINDS[flag]
+    kind = ladder.order_kind if flag is None else _ORDER_KINDS[flag]
     if kind != ladder.order_kind:
         _warn(
             "order %s is not the conventional order for family %s; "
             "Groebner claims are stated for the %s order"
             % (kind, ladder.family, ladder.order_kind)
         )
-    cells = ladder.variables()
-    if kind == "diagonal":
-        return diagonal_order(cells)
-    return antidiagonal_order(cells)
+    return order_for(ladder.shape(), kind)
 
 
-def _initial_ideal(ladder, order, field):
+def _instance(args):
+    """Validated instance, term order and field named by the arguments."""
+    ladder = _checked_ladder(args.instance)
+    return ladder, _resolve_order(ladder, args.order), field_by_name(args.field)
+
+
+def _initial(args):
+    ladder, order, field = _instance(args)
     gens = natural_generators(ladder, field, order)
-    lead = {leading_term(g, order)[0] for g in gens}
-    ambient = [cell_id(i, j) for (i, j) in ladder.variables()]
-    return MonomialIdeal(minimalize(lead), ambient)
+    return ladder, order, initial_ideal(ladder, gens, order)
 
 
 def _report(ladder, checks):
@@ -187,9 +176,7 @@ def _cmd_validate(args):
 
 
 def _cmd_generators(args):
-    ladder = _checked_ladder(args.instance)
-    order = _resolve_order(ladder, args.order)
-    field = field_by_name(args.field)
+    ladder, order, field = _instance(args)
     gens = natural_generators(ladder, field, order)
     doc = {
         "schema": "laddergb-report/1",
@@ -215,42 +202,19 @@ def _cmd_generators(args):
 
 
 def _cmd_groebner_check(args):
-    ladder = _checked_ladder(args.instance)
-    order = _resolve_order(ladder, args.order)
-    field = field_by_name(args.field)
+    ladder, order, field = _instance(args)
     gens = natural_generators(ladder, field, order)
-    monic = [p_monic(g, order, field) for g in gens]
-    basis = buchberger_reduced(gens, order, field, max_spairs=args.budget_spairs)
-    fixed = {freeze(g) for g in monic} == {freeze(g) for g in basis}
-    checks = [
-        {
-            "name": "groebner-fixed-point",
-            "pass": fixed,
-            "detail": "%d generators, %d basis elements" % (len(gens), len(basis)),
-        },
-        {
-            "name": "reduced-basis-predicate",
-            "pass": is_reduced_groebner(monic, order, field),
-            "detail": "",
-        },
-    ]
+    checks = groebner_checks(gens, order, field, args.budget_spairs)
     doc = _report(ladder, checks)
     _emit(doc, args, _check_lines(checks))
     return _exit_from(doc)
 
 
 def _cmd_initial(args):
-    ladder = _checked_ladder(args.instance)
-    order = _resolve_order(ladder, args.order)
-    field = field_by_name(args.field)
-    ideal = _initial_ideal(ladder, order, field)
-    checks = [
-        {
-            "name": "initial-squarefree",
-            "pass": ideal.is_squarefree(),
-            "detail": "%d minimal generators" % len(ideal.gens),
-        }
-    ]
+    ladder, order, ideal = _initial(args)
+    check = squarefree_check(ideal)
+    check["detail"] = "%d minimal generators" % len(ideal.gens)
+    checks = [check]
     doc = _report(ladder, checks)
     doc["initial"] = sorted(mono_text(g) for g in ideal.gens)
     lines = ["initial ideal (%s order): %d minimal generators" % (order.kind, len(ideal.gens))]
@@ -261,46 +225,21 @@ def _cmd_initial(args):
 
 
 def _cmd_height(args):
-    ladder = _checked_ladder(args.instance)
-    order = _resolve_order(ladder, args.order)
-    field = field_by_name(args.field)
-    ideal = _initial_ideal(ladder, order, field)
-    cx = SimplicialComplex.from_squarefree(ideal)
-    codim = cx.codimension()
-    h = ladder.height_formula()
-    checks = [
-        {
-            "name": "codim-equals-height",
-            "pass": codim == h,
-            "detail": "codim %d, formula %d" % (codim, h),
-        }
-    ]
+    ladder, _, ideal = _initial(args)
+    check, codim = height_check(ladder, ideal)
+    checks = [check]
     doc = _report(ladder, checks)
-    doc["height"] = h
+    doc["height"] = ladder.height_formula()
     doc["codimension"] = codim
     _emit(doc, args, _check_lines(checks))
     return _exit_from(doc)
 
 
 def _cmd_vd(args):
-    ladder = _checked_ladder(args.instance)
-    order = _resolve_order(ladder, args.order)
-    field = field_by_name(args.field)
-    ideal = _initial_ideal(ladder, order, field)
-    cx = SimplicialComplex.from_squarefree(ideal)
-    ok, cert = is_vertex_decomposable(cx, max_faces=args.budget_faces)
-    checks = [
-        {
-            "name": "vertex-decomposable",
-            "pass": ok,
-            "detail": "%d facets" % len(cx.facets),
-        }
-    ]
-    if ok:
-        rep_ok, why = replay_certificate(cx, cert)
-        checks.append({"name": "certificate-replay", "pass": rep_ok, "detail": why})
+    ladder, _, ideal = _initial(args)
+    checks, cert = vd_checks(ideal, args.budget_faces)
     doc = _report(ladder, checks)
-    if ok:
+    if cert is not None:
         doc["certificate"] = vd_cert_to_json(cert)
     _emit(doc, args, _check_lines(checks))
     return _exit_from(doc)
@@ -312,9 +251,9 @@ def _cmd_chain(args):
         _warn("chain verification always uses the family's conventional order")
     field = field_by_name(args.field)
     chain = Chain(ladder, field)
-    cx = SimplicialComplex.from_squarefree(chain.initial_ideal(ladder.canon()))
-    ok, cert = is_vertex_decomposable(cx, max_faces=args.budget_faces)
-    doc = chain_certificate(chain, cert if ok else None)
+    top_ideal = chain.initial_ideal(ladder.canon())
+    _, cert = vertex_decomposition(top_ideal, args.budget_faces)
+    doc = chain_certificate(chain, cert)
     lines = ["chain with %d nodes (%d steps)" % (len(chain.sequence), len(chain.steps()))]
     for node in doc["nodes"]:
         tag = "terminal" if node["terminal"] else "corner (%d, %d)" % tuple(node["cell"])
@@ -351,7 +290,7 @@ def _cmd_replay(args):
             "not a chain certificate (expected schema laddergb-chain/1)"
         )
     field = field_by_name(args.field)
-    report = replay_chain(cert, field, max_faces=args.budget_faces)
+    report = replay_chain(cert, field)
     lines = _check_lines(report["checks"])
     lines.append("VERDICT: %s" % ("pass" if report["pass"] else "FAIL"))
     _emit(report, args, lines)

@@ -131,9 +131,6 @@ class MaxMinors:
             )
         return out
 
-    def has_generators(self):
-        return self.n >= self.m
-
     def is_terminal(self):
         return self.split() is None
 

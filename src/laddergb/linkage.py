@@ -120,12 +120,9 @@ class Chain:
             )
         return self._gens_cache[canon]
 
-    def initial_ideal(self, canon, ambient=None):
-        node = self.nodes[canon]
-        if ambient is None:
-            ambient = _ambient(node.ladder)
-        gens = _initial_set(self.generators(canon), self.order)
-        return MonomialIdeal(gens, ambient)
+    def initial_ideal(self, canon):
+        ladder = self.nodes[canon].ladder
+        return initial_ideal(ladder, self.generators(canon), self.order)
 
     def oracle_basis(self, canon, max_spairs=None):
         """Reduced basis of the node's ideal, recomputed from scratch by
@@ -145,44 +142,85 @@ def _check(name, ok, detail=""):
     return {"name": name, "pass": bool(ok), "detail": detail}
 
 
-def verify_node_groebner(chain, canon, max_spairs=None):
-    """The natural generators must be a Buchberger fixed point: running
-    the completion returns them unchanged (up to scaling), and they pass
-    the reduced-basis predicate."""
-    gens = chain.generators(canon)
-    monic = [p_monic(g, chain.order, chain.field) for g in gens]
-    out = []
-    gb = buchberger_reduced(gens, chain.order, chain.field, max_spairs=max_spairs)
-    same = {freeze(g) for g in monic} == {freeze(g) for g in gb}
-    out.append(
+def initial_ideal(ladder, gens, order):
+    """Monomial ideal of the leading monomials of gens under order, in
+    the ladder's own ambient ring."""
+    return MonomialIdeal(_initial_set(gens, order), _ambient(ladder))
+
+
+def groebner_checks(gens, order, field, max_spairs=None, basis=None):
+    """The generators must be a Buchberger fixed point: the reduced
+    basis of their ideal is the generators themselves (up to scaling),
+    and they pass the reduced-basis predicate.  basis is that reduced
+    basis when the caller already has it; it is computed otherwise."""
+    if basis is None:
+        basis = buchberger_reduced(gens, order, field, max_spairs=max_spairs)
+    monic = [p_monic(g, order, field) for g in gens]
+    same = {freeze(g) for g in monic} == {freeze(g) for g in basis}
+    return [
         _check(
             "groebner-fixed-point",
             same,
-            "%d generators, %d basis elements" % (len(gens), len(gb)),
-        )
-    )
-    out.append(
+            "%d generators, %d basis elements" % (len(gens), len(basis)),
+        ),
         _check(
             "reduced-basis-predicate",
-            is_reduced_groebner(monic, chain.order, chain.field),
-        )
+            is_reduced_groebner(monic, order, field, max_spairs=max_spairs),
+        ),
+    ]
+
+
+def squarefree_check(ideal):
+    return _check("initial-squarefree", ideal.is_squarefree())
+
+
+def height_check(ladder, ideal):
+    """Codimension of the squarefree ideal's complex against the
+    ladder's closed height formula; returns (check, codimension)."""
+    codim = SimplicialComplex.from_squarefree(ideal).codimension()
+    h = ladder.height_formula()
+    detail = "codim %d, formula %d" % (codim, h)
+    return _check("codim-equals-height", codim == h, detail), codim
+
+
+def vertex_decomposition(ideal, max_faces=None):
+    """(complex, shedding certificate) of the squarefree ideal; the
+    certificate is None when the complex is not vertex decomposable."""
+    cx = SimplicialComplex.from_squarefree(ideal)
+    _, cert = is_vertex_decomposable(cx, max_faces=max_faces)
+    return cx, cert
+
+
+def vd_checks(ideal, max_faces=None):
+    """Vertex decomposability of the squarefree ideal's complex, and a
+    replay of the shedding certificate found.  Returns (checks,
+    certificate) as vertex_decomposition does."""
+    cx, cert = vertex_decomposition(ideal, max_faces)
+    detail = "%d facets" % len(cx.facets)
+    checks = [_check("vertex-decomposable", cert is not None, detail)]
+    if cert is not None:
+        ok, why = replay_certificate(cx, cert)
+        checks.append(_check("certificate-replay", ok, why))
+    return checks, cert
+
+
+def verify_node_groebner(chain, canon, max_spairs=None):
+    """groebner_checks on a node's natural generators, against the
+    chain's oracle basis (computed once per node and shared with the
+    oracle route of verify_step)."""
+    basis = chain.oracle_basis(canon, max_spairs=max_spairs)
+    return groebner_checks(
+        chain.generators(canon), chain.order, chain.field, max_spairs, basis
     )
-    return out
 
 
 def verify_node_initial(chain, canon):
     """Squarefreeness and the codimension/height agreement of the
     initial ideal, in the instance's own ambient ring."""
-    node = chain.nodes[canon]
     ideal = chain.initial_ideal(canon)
-    out = [_check("initial-squarefree", ideal.is_squarefree())]
-    cx = SimplicialComplex.from_squarefree(ideal)
-    codim = cx.codimension()
-    h = node.ladder.height_formula()
-    out.append(
-        _check("codim-equals-height", codim == h, "codim %d, formula %d" % (codim, h))
-    )
-    return out
+    squarefree = squarefree_check(ideal)
+    height, _ = height_check(chain.nodes[canon].ladder, ideal)
+    return [squarefree, height]
 
 
 def _hilbert_identity(c_ideal, a_ideal, b_ideal, dmax):
@@ -310,37 +348,19 @@ def verify_family(top, field=QQ, dmax=None, max_spairs=None, max_faces=None):
     step they participate in."""
     chain = Chain(top, field)
     checks = []
-    for c in verify_node_groebner(chain, top.canon(), max_spairs):
-        c["instance"] = top.canon()
-        checks.append(c)
+
+    def add(canon, found):
+        for c in found:
+            c["instance"] = canon
+            checks.append(c)
+
+    add(top.canon(), verify_node_groebner(chain, top.canon(), max_spairs))
     for canon in chain.sequence:
-        for c in verify_node_initial(chain, canon):
-            c["instance"] = canon
-            checks.append(c)
+        add(canon, verify_node_initial(chain, canon))
     for canon in chain.steps():
-        for c in verify_step(chain, canon, dmax, max_spairs):
-            c["instance"] = canon
-            checks.append(c)
-    cx = SimplicialComplex.from_squarefree(chain.initial_ideal(top.canon()))
-    ok, cert = is_vertex_decomposable(cx, max_faces=max_faces)
-    checks.append(
-        {
-            "name": "vertex-decomposable",
-            "pass": ok,
-            "detail": "%d facets" % len(cx.facets),
-            "instance": top.canon(),
-        }
-    )
-    if ok:
-        rep_ok, why = replay_certificate(cx, cert)
-        checks.append(
-            {
-                "name": "certificate-replay",
-                "pass": rep_ok,
-                "detail": why,
-                "instance": top.canon(),
-            }
-        )
+        add(canon, verify_step(chain, canon, dmax, max_spairs))
+    vd, cert = vd_checks(chain.initial_ideal(top.canon()), max_faces)
+    add(top.canon(), vd)
     report = {
         "schema": "laddergb-report/1",
         "instance": top.to_json(),
@@ -348,7 +368,7 @@ def verify_family(top, field=QQ, dmax=None, max_spairs=None, max_faces=None):
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }
-    return report, chain, cert if ok else None
+    return report, chain, cert
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +436,25 @@ def chain_certificate(chain, vd_cert=None):
     return out
 
 
-def replay_chain(cert, field=QQ, max_faces=None):
-    """Recompute a chain from its certificate's top instance and check
-    every recorded fact.  Returns a report dict."""
-    checks = []
+def replay_chain(cert, field=QQ):
+    """Recompute a chain from its certificate's top instance over field
+    and check every recorded fact, the field and term order included.
+    Returns a report dict."""
     top = ladder_from_json(cert.get("top", {}))
     chain = Chain(top, field)
     recorded = {n["id"]: n for n in cert.get("nodes", [])}
+    checks = [
+        _check(
+            "certificate-field",
+            cert.get("field") == field.name,
+            "recorded %s, replayed over %s" % (cert.get("field"), field.name),
+        ),
+        _check(
+            "certificate-order",
+            cert.get("order") == top.order_kind,
+            "recorded %s, conventional %s" % (cert.get("order"), top.order_kind),
+        ),
+    ]
     checks.append(
         _check(
             "node-set",

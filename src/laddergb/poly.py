@@ -91,9 +91,6 @@ class TermOrder:
             return 1
         return 0
 
-    def max_mono(self, monos):
-        return max(monos, key=self.key)
-
     def __repr__(self):
         return "TermOrder(%s, %d vars)" % (self.kind, len(self.sequence))
 
@@ -176,10 +173,6 @@ def p_mul(p, q, field):
     return out
 
 
-def p_eq(p, q) -> bool:
-    return p == q
-
-
 def p_is_zero(p) -> bool:
     return not p
 
@@ -194,10 +187,6 @@ def p_degree(p) -> int:
 def freeze(p):
     """Canonical hashable form (sorted term tuple) for sets and dedup."""
     return tuple(sorted(p.items()))
-
-
-def unfreeze(t):
-    return dict(t)
 
 
 def leading_term(p, order: TermOrder):

@@ -1,15 +1,17 @@
 """Command-line interface: subcommands, exit codes, JSON contracts."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from laddergb import cli
+import laddergb
+from laddergb import cli, ladder_from_json
 
 from conftest import write_instance
-from corpus import MAXMINORS, NEGATIVE_INSTANCES, ONESIDED
+from corpus import MAXMINORS, NEGATIVE_INSTANCES, ONESIDED, PFAFFIAN, SYMMETRIC
 
 MM23 = {"family": "maxminors", "m": 2, "n": 3}
 MM34 = {"family": "maxminors", "m": 3, "n": 4}
@@ -113,6 +115,36 @@ def test_chain_then_replay(tmp_path, capsys):
     assert "VERDICT: pass" in out
 
 
+@pytest.mark.parametrize(
+    "data",
+    [MAXMINORS[4], PFAFFIAN[4], SYMMETRIC[5], ONESIDED[3]],
+    ids=lambda d: d["family"],
+)
+def test_cli_checks_match_verify_family(tmp_path, capsys, corpus_reports, data):
+    path = write_instance(tmp_path, data)
+    canon = ladder_from_json(data).canon()
+    report = corpus_reports[canon][0]
+    top = {c["name"]: c for c in report["checks"] if c["instance"] == canon}
+    seen = set()
+    for sub in ("groebner-check", "initial", "height", "vd"):
+        code, out, _ = run(capsys, [sub, path, "--json"])
+        assert code == 0
+        for c in json.loads(out)["checks"]:
+            seen.add(c["name"])
+            assert c["pass"] == top[c["name"]]["pass"]
+            # `initial` reports the generator count in its detail
+            if c["name"] != "initial-squarefree":
+                assert c["detail"] == top[c["name"]]["detail"]
+    assert seen == {
+        "groebner-fixed-point",
+        "reduced-basis-predicate",
+        "initial-squarefree",
+        "codim-equals-height",
+        "vertex-decomposable",
+        "certificate-replay",
+    }
+
+
 # ---------------------------------------------------------------------------
 # exit code 1: a verified claim fails
 
@@ -128,6 +160,25 @@ def test_replay_tampered_certificate(tmp_path, capsys):
     code, out, _ = run(capsys, ["replay", str(cert_path)])
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "key, value", [("field", "gf:7"), ("order", "antidiagonal")]
+)
+def test_replay_rejects_edited_field_or_order(tmp_path, capsys, key, value):
+    path = write_instance(tmp_path, MM23)
+    cert_path = tmp_path / "cert.json"
+    argv = ["chain", path, "--field", "gf:32003", "--json", "--out", str(cert_path)]
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    code, _, _ = run(capsys, ["replay", str(cert_path), "--field", "gf:32003"])
+    assert code == 0
+    cert = json.loads(cert_path.read_text())
+    cert[key] = value
+    cert_path.write_text(json.dumps(cert))
+    code, out, _ = run(capsys, ["replay", str(cert_path), "--field", "gf:32003"])
+    assert code == 1
+    assert "FAIL certificate-%s" % key in out
 
 
 @pytest.mark.parametrize(
@@ -270,10 +321,15 @@ def test_field_flag_reaches_report(tmp_path, capsys):
 
 def test_console_script_smoke(tmp_path):
     path = write_instance(tmp_path, MM23)
+    # the child must import the same laddergb as this process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(laddergb.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "laddergb.cli", "height", path, "--json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["height"] == 2

@@ -15,6 +15,7 @@ from laddergb import (
     QQ,
     chain_certificate,
     conventional_order,
+    field_by_name,
     ladder_from_json,
     localization_maps,
     natural_generators,
@@ -86,6 +87,27 @@ def test_oracle_basis_is_cached():
     chain = Chain(MaxMinors(2, 3))
     canon = chain.top.canon()
     assert chain.oracle_basis(canon) is chain.oracle_basis(canon)
+
+
+def test_verify_family_computes_each_basis_once(monkeypatch):
+    from laddergb import linkage
+
+    calls = []
+    real = linkage.buchberger_reduced
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linkage, "buchberger_reduced", counting)
+    top = PfaffianLadder(5, [(1, 4), (2, 5)], [2, 2])
+    report, chain, _ = verify_family(top)
+    assert report["pass"]
+    touched = {top.canon()}
+    for canon in chain.steps():
+        node = chain.nodes[canon]
+        touched |= {canon, node.middle, node.reduced}
+    assert len(calls) == len(touched)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +230,31 @@ def test_replay_detects_edited_shedding_vertex():
     report = replay_chain(cert)
     failing = {c["name"] for c in report["checks"] if not c["pass"]}
     assert failing == {"vd-replay"}
+
+
+@pytest.mark.parametrize(
+    "key, value, check",
+    [
+        ("field", "gf:7", "certificate-field"),
+        ("order", "antidiagonal", "certificate-order"),
+    ],
+)
+def test_replay_detects_edited_field_or_order(key, value, check):
+    cert = build_cert(MaxMinors(2, 3))
+    assert cert[key] != value
+    cert[key] = value
+    report = replay_chain(cert)
+    failing = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert failing == {check}
+
+
+def test_replay_checks_the_field_it_runs_over():
+    gf = field_by_name("gf:32003")
+    report, chain, cert = verify_family(MaxMinors(2, 3), gf)
+    cert = chain_certificate(chain, cert)
+    assert replay_chain(cert, gf)["pass"]
+    failing = {c["name"] for c in replay_chain(cert)["checks"] if not c["pass"]}
+    assert failing == {"certificate-field"}
 
 
 def test_replay_detects_rewired_structure():

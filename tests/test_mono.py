@@ -1,16 +1,14 @@
-"""Monomial kernel: algebraic properties and backend agreement.
+"""Monomial kernel: algebraic properties.
 
 Monomials are flat tuples (v1, e1, v2, e2, ...) with strictly
-increasing variable ids and positive exponents; () is 1.  The compiled
-kernel must agree with the pure-Python one on every operation.
+increasing variable ids and positive exponents; () is 1.
 """
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from laddergb import mono
-from laddergb._mono_py import coprime, deg, div, divides, lcm, mul
+from laddergb.mono import coprime, deg, div, divides, lcm, mul
 
 
 def monomials(max_vars=6, max_exp=4):
@@ -87,45 +85,5 @@ def test_representation_is_canonical():
     assert deg((1, 2, 7, 3)) == 5
 
 
-# ---------------------------------------------------------------------------
-# backend agreement
-
-
-needs_c = pytest.mark.skipif(
-    "c" not in mono.available_backends(), reason="compiled kernel not built"
-)
-
-
-@needs_c
-@settings(max_examples=300)
-@given(monomials(max_vars=8, max_exp=5), monomials(max_vars=8, max_exp=5))
-def test_backends_agree(a, b):
-    from laddergb import _mono_py, _speedups
-
-    assert _speedups.mul(a, b) == _mono_py.mul(a, b)
-    assert _speedups.divides(a, b) == _mono_py.divides(a, b)
-    assert _speedups.lcm(a, b) == _mono_py.lcm(a, b)
-    assert _speedups.coprime(a, b) == _mono_py.coprime(a, b)
-    assert _speedups.deg(a) == _mono_py.deg(a)
-    if _mono_py.divides(b, a):
-        assert _speedups.div(a, b) == _mono_py.div(a, b)
-
-
-@needs_c
-def test_backend_switch_rebinds_module_functions():
-    from laddergb import _mono_py, _speedups
-
-    original = mono.BACKEND
-    try:
-        mono.use_backend("python")
-        assert mono.BACKEND == "python"
-        assert mono.mul is _mono_py.mul
-        mono.use_backend("c")
-        assert mono.BACKEND == "c"
-        assert mono.mul is _speedups.mul
-    finally:
-        mono.use_backend(original)
-
-
-def test_available_backends_lists_python():
-    assert "python" in mono.available_backends()
+def test_backend_is_python():
+    assert mono.BACKEND == "python"
