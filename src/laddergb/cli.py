@@ -310,6 +310,20 @@ _COMMANDS = {
 }
 
 
+# Integer flags, and the subcommands that read them.
+_INT_FLAGS = {
+    "--dmax": "degree cutoff for Hilbert identities",
+    "--budget-spairs": "abort Buchberger passes after this many S-pair reductions",
+    "--budget-faces": "abort decomposability search after visiting this many complexes",
+}
+_READS = {
+    "groebner-check": ("--budget-spairs",),
+    "vd": ("--budget-faces",),
+    "chain": ("--budget-faces",),
+    "verify": ("--dmax", "--budget-spairs", "--budget-faces"),
+}
+
+
 def _parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -322,24 +336,9 @@ def _parser():
         help="term order override (default: the family's conventional order)",
     )
     common.add_argument(
-        "--dmax", type=int, default=None, help="degree cutoff for Hilbert identities"
-    )
-    common.add_argument(
         "--field",
         default="q",
         help="coefficient field: q (rationals) or gf:P (prime field)",
-    )
-    common.add_argument(
-        "--budget-spairs",
-        type=int,
-        default=None,
-        help="abort Buchberger passes after this many S-pairs",
-    )
-    common.add_argument(
-        "--budget-faces",
-        type=int,
-        default=None,
-        help="abort decomposability search after visiting this many complexes",
     )
     common.add_argument("--out", default=None, help="write the JSON document here")
     common.add_argument(
@@ -363,16 +362,18 @@ def _parser():
         "replay": "re-check a previously written chain certificate",
     }
     for name in _COMMANDS:
-        sub.add_parser(name, parents=[common], help=helps[name])
+        cmd = sub.add_parser(name, parents=[common], help=helps[name])
+        for flag in _READS.get(name, ()):
+            cmd.add_argument(flag, type=int, default=None, help=_INT_FLAGS[flag])
     return p
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    for flag in ("dmax", "budget_spairs", "budget_faces"):
-        value = getattr(args, flag)
+    for flag in _INT_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None and value <= 0:
-            _warn("--%s must be positive" % flag.replace("_", "-"))
+            _warn("%s must be positive" % flag)
             return 2
     try:
         return _COMMANDS[args.subcommand](args)

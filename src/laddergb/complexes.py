@@ -184,13 +184,14 @@ def check_shedding(cx, v):
     return not bad, bad
 
 
-_VD_MEMO = {}
-
-
 class _Budget:
+    """State of one decomposability search: the face budget and the
+    verdicts found so far, keyed by the cone-stripped complex."""
+
     def __init__(self, limit):
         self.limit = limit
         self.spent = 0
+        self.memo = {}
 
     def tick(self):
         self.spent += 1
@@ -215,13 +216,13 @@ def _vd(cx, budget):
     budget.tick()
     stripped, cones = cx.strip_cones()
     key = stripped.facet_key()
-    if key in _VD_MEMO:
-        ok, sub = _VD_MEMO[key]
+    if key in budget.memo:
+        ok, sub = budget.memo[key]
         if not ok:
             return False, None
         return True, {"cone": list(cones), **sub}
     ok, sub = _vd_core(stripped, budget)
-    _VD_MEMO[key] = (ok, sub)
+    budget.memo[key] = (ok, sub)
     if not ok:
         return False, None
     return True, {"cone": list(cones), **sub}

@@ -633,11 +633,12 @@ def verify_localization(ladder, cell, field=QQ, max_spairs=None, max_power=3):
                 ok = False
     checks.append(_check("inverse-pair", ok, "composition fixes every variable"))
 
+    gens = natural_generators(ladder, field, order)
     hat_gens = localized_ideal_generators(ladder, cell, field)
     hat_gb = buchberger_reduced(hat_gens, order, field, max_spairs=max_spairs)
     fwd_ok = True
     fwd_detail = ""
-    for g in natural_generators(ladder, field, order):
+    for g in gens:
         num, _ = substitute(g, phi, uv, field)
         if not _member_with_saturation(num, hat_gb, order, field, uv, max_power):
             fwd_ok = False
@@ -645,9 +646,7 @@ def verify_localization(ladder, cell, field=QQ, max_spairs=None, max_power=3):
             break
     checks.append(_check("forward-membership", fwd_ok, fwd_detail))
 
-    lad_gb = buchberger_reduced(
-        natural_generators(ladder, field, order), order, field, max_spairs=max_spairs
-    )
+    lad_gb = buchberger_reduced(gens, order, field, max_spairs=max_spairs)
     rev_ok = True
     rev_detail = ""
     for g in hat_gens:

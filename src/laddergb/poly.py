@@ -10,10 +10,12 @@ reads each row right to left.  Either realizes the property that leading
 terms of minors are their (anti-)diagonal products; that property is
 asserted by tests, not assumed here.
 
-The Buchberger loop uses the product criterion and the normal selection
-strategy (S-pairs by increasing lcm degree); reduction always picks the
-reducer with the smallest index whose leading monomial divides.  All
-results are deterministic.
+Buchberger's algorithm and the reduced-basis predicate share one S-pair
+loop.  It takes pairs in the normal selection order (increasing lcm
+degree) and skips those that the product criterion or Buchberger's chain
+criterion proves redundant; a budget counts the reductions it performs.
+Reduction always picks the reducer with the smallest index whose leading
+monomial divides.  All results are deterministic.
 """
 
 import heapq
@@ -301,47 +303,67 @@ def _interreduce(G, order, field):
     return out
 
 
-def buchberger_reduced(F: Iterable[dict], order: TermOrder, field, max_spairs=None):
-    """Reduced Groebner basis of ideal(F).
+def _nonzero_remainders(G, order: TermOrder, field, max_spairs=None):
+    """Reduce the S-pairs of the list G and yield every nonzero remainder.
 
-    Product criterion S-pairs are skipped; the queue is ordered by lcm
-    degree, then by the lcm monomial and pair indices for determinism.
-    Raises BudgetExceeded when max_spairs S-pair reductions are spent.
+    The caller may append to G before resuming the generator; the pairs of
+    every appended element join the queue.  Pairs are taken in the normal
+    selection order: by lcm degree, then by the lcm monomial and the pair
+    indices, for determinism.  A pair is settled once it is reduced or
+    skipped, and two criteria skip a pair (i, j) without reducing it: the
+    product criterion (lm_i and lm_j coprime), and Buchberger's chain
+    criterion (some lm_k divides lcm(lm_i, lm_j) while the pairs (i, k)
+    and (j, k) are both settled; Cox-Little-O'Shea, Ideals, Varieties,
+    and Algorithms, section 2.10).  Either way the S-polynomial has a
+    standard representation, so G is a Groebner basis exactly when the
+    generator ends without yielding.  Raises BudgetExceeded when a
+    reduction would exceed max_spairs performed reductions.
     """
-    G = [p_monic(dict(f), order, field) for f in F if f]
-    if not G:
-        return []
-    lms = [leading_term(g, order)[0] for g in G]
+    lms = []
+    settled = []  # settled[i]: the k with (i, k) reduced or skipped
     heap = []
-    counter = 0
-
-    def push(i, j):
-        nonlocal counter
-        li, lj = lms[i], lms[j]
-        if mono.coprime(li, lj):
-            return
-        l = mono.lcm(li, lj)
-        counter += 1
-        heapq.heappush(heap, (mono.deg(l), order.key(l), i, j, counter))
-
-    for i in range(len(G)):
-        for j in range(i):
-            push(j, i)
-
     spent = 0
-    while heap:
-        _, _, i, j, _ = heapq.heappop(heap)
+    while True:
+        for new in range(len(lms), len(G)):
+            lm = leading_term(G[new], order)[0]
+            done = set()
+            for k, lk in enumerate(lms):
+                if mono.coprime(lk, lm):
+                    done.add(k)
+                    settled[k].add(new)
+                else:
+                    l = mono.lcm(lk, lm)
+                    heapq.heappush(heap, (mono.deg(l), order.key(l), k, new, l))
+            lms.append(lm)
+            settled.append(done)
+        if not heap:
+            return
+        _, _, i, j, l = heapq.heappop(heap)
+        chained = any(mono.divides(lms[k], l) for k in settled[i] & settled[j])
+        settled[i].add(j)
+        settled[j].add(i)
+        if chained:
+            continue
         if max_spairs is not None and spent >= max_spairs:
             raise BudgetExceeded("buchberger S-pairs", max_spairs)
         spent += 1
         s = s_polynomial(G[i], G[j], order, field)
         r = normal_form(s, G, order, field)
         if r:
-            G.append(p_monic(r, order, field))
-            lms.append(leading_term(G[-1], order)[0])
-            new = len(G) - 1
-            for k in range(new):
-                push(k, new)
+            yield r
+
+
+def buchberger_reduced(F: Iterable[dict], order: TermOrder, field, max_spairs=None):
+    """Reduced Groebner basis of ideal(F).
+
+    Every nonzero S-pair remainder joins the basis; pairs that the
+    product or the chain criterion settles are never reduced.  Raises
+    BudgetExceeded when max_spairs S-pair reductions have been performed
+    and another is due.
+    """
+    G = [p_monic(dict(f), order, field) for f in F if f]
+    for r in _nonzero_remainders(G, order, field, max_spairs):
+        G.append(p_monic(r, order, field))
     return _interreduce(G, order, field)
 
 
@@ -349,7 +371,9 @@ def is_reduced_groebner(G, order: TermOrder, field, max_spairs=None) -> bool:
     """True iff G is exactly the reduced Groebner basis of ideal(G):
     monic, interreduced (no leading monomial divides another, no tail
     monomial divisible by any leading monomial), and every S-polynomial
-    reduces to zero."""
+    reduces to zero.  S-pairs settled by the product or the chain
+    criterion are not reduced; max_spairs bounds the reductions
+    performed, as in buchberger_reduced."""
     G = [dict(g) for g in G]
     if any(not g for g in G):
         return False
@@ -368,17 +392,8 @@ def is_reduced_groebner(G, order: TermOrder, field, max_spairs=None) -> bool:
                 continue
             if any(mono.divides(lts[j][0], m) for j in range(len(G))):
                 return False
-    spent = 0
-    for i in range(len(G)):
-        for j in range(i):
-            if mono.coprime(lts[i][0], lts[j][0]):
-                continue
-            if max_spairs is not None and spent >= max_spairs:
-                raise BudgetExceeded("buchberger S-pairs", max_spairs)
-            spent += 1
-            s = s_polynomial(G[i], G[j], order, field)
-            if normal_form(s, G, order, field):
-                return False
+    for _ in _nonzero_remainders(G, order, field, max_spairs):
+        return False
     return True
 
 

@@ -242,6 +242,18 @@ def test_nonpositive_budget(tmp_path, capsys):
         assert "positive" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [("replay", "--budget-faces"), ("height", "--budget-spairs")],
+)
+def test_flag_the_subcommand_does_not_read_is_rejected(tmp_path, capsys, command, flag):
+    path = write_instance(tmp_path, MM23)
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, path, flag, "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit code 3: budget exhausted
 
@@ -254,19 +266,14 @@ def test_spair_budget_exhausted(tmp_path, capsys):
 
 
 def test_face_budget_exhausted(tmp_path, capsys):
-    # a fresh CLI process starts with a cold decomposition cache; clear
-    # the in-process one so the budget is actually charged
-    from laddergb.complexes import _VD_MEMO
-
+    # the outcome must not depend on history: an unbudgeted search in the
+    # same process does not pre-pay a later budgeted one
     path = write_instance(tmp_path, MM34)
-    saved = dict(_VD_MEMO)
-    _VD_MEMO.clear()
-    try:
-        code, _, err = run(capsys, ["vd", path, "--budget-faces", "1"])
-    finally:
-        _VD_MEMO.clear()
-        _VD_MEMO.update(saved)
+    code, _, err = run(capsys, ["vd", path, "--budget-faces", "1"])
     assert code == 3
+    assert "laddergb:" in err
+    assert run(capsys, ["vd", path])[0] == 0
+    assert run(capsys, ["vd", path, "--budget-faces", "1"])[0] == 3
 
 
 # ---------------------------------------------------------------------------

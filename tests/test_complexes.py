@@ -238,16 +238,8 @@ def test_octahedron_boundary_is_decomposable():
 def test_budget_exhaustion():
     facets = [{a, b, c} for a in (0, 1) for b in (2, 3) for c in (4, 5)]
     cx = SimplicialComplex(facets, tuple(range(6)))
-    from laddergb.complexes import _VD_MEMO
-
-    saved = dict(_VD_MEMO)
-    _VD_MEMO.clear()
-    try:
-        with pytest.raises(BudgetExceeded):
-            is_vertex_decomposable(cx, max_faces=2)
-    finally:
-        _VD_MEMO.clear()
-        _VD_MEMO.update(saved)
+    with pytest.raises(BudgetExceeded):
+        is_vertex_decomposable(cx, max_faces=2)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laddergb import BudgetExceeded, MaxMinors, QQ, natural_generators
+from laddergb import (
+    BudgetExceeded,
+    MaxMinors,
+    QQ,
+    ladder_from_json,
+    mono,
+    natural_generators,
+)
+from laddergb import poly
+from laddergb.families import conventional_order
 from laddergb.fields import PrimeField
 from laddergb.poly import (
     antidiagonal_order,
@@ -37,6 +46,8 @@ from laddergb.poly import (
     s_polynomial,
 )
 
+from corpus import CORPUS, NEGATIVE_INSTANCES
+
 GRID = [(i, j) for i in range(1, 4) for j in range(1, 4)]
 DIAG = diagonal_order(GRID)
 ANTI = antidiagonal_order(GRID)
@@ -46,9 +57,9 @@ def x(i, j, field=QQ):
     return p_var(cell_id(i, j), field)
 
 
-def polys(field=QQ, max_terms=4):
-    cells = st.sampled_from([cell_id(i, j) for (i, j) in GRID])
-    monos = st.dictionaries(cells, st.integers(1, 3), max_size=3).map(
+def polys(field=QQ, max_terms=4, grid=GRID, max_exp=3):
+    cells = st.sampled_from([cell_id(i, j) for (i, j) in grid])
+    monos = st.dictionaries(cells, st.integers(1, max_exp), max_size=3).map(
         lambda d: tuple(x for v in sorted(d) for x in (v, d[v]))
     )
     coeffs = st.integers(-5, 5).filter(bool).map(field.of)
@@ -98,8 +109,6 @@ def test_order_multiplicative_on_leading_terms(p, q):
     mq, _ = leading_term(q, DIAG)
     prod = p_mul(p, q, QQ)
     if prod:
-        from laddergb import mono
-
         assert DIAG.compare(leading_term(prod, DIAG)[0], mono.mul(mp, mq)) <= 0
 
 
@@ -166,8 +175,6 @@ def test_division_certificate(p, G):
         acc = p_add(acc, p_mul(q, g, QQ), QQ)
     assert acc == p
     lms = [leading_term(g, DIAG)[0] for g in G]
-    from laddergb import mono
-
     for m in r:
         assert not any(mono.divides(lm, m) for lm in lms)
 
@@ -190,8 +197,6 @@ def test_s_polynomial_cancels_leading_terms():
     s = s_polynomial(f, g, DIAG, QQ)
     lf = leading_term(f, DIAG)[0]
     lg = leading_term(g, DIAG)[0]
-    from laddergb import mono
-
     l = mono.lcm(lf, lg)
     assert all(DIAG.compare(m, l) < 0 for m in s)
 
@@ -233,6 +238,27 @@ def test_buchberger_respects_budget():
     assert basis
 
 
+def test_spair_budget_counts_performed_reductions(monkeypatch):
+    top = MaxMinors(3, 5)
+    order = diagonal_order(top.cells())
+    gens = [p_monic(g, order, QQ) for g in natural_generators(top, QQ, order)]
+    calls = []
+    real = poly.s_polynomial
+    monkeypatch.setattr(
+        poly, "s_polynomial", lambda *args: calls.append(args) or real(*args)
+    )
+    assert is_reduced_groebner(gens, order, QQ)
+    performed = len(calls)
+    lms = [leading_term(g, order)[0] for g in gens]
+    candidates = sum(
+        not mono.coprime(lms[i], lms[j]) for i in range(len(lms)) for j in range(i)
+    )
+    assert 0 < performed < candidates  # the chain criterion skipped some
+    assert is_reduced_groebner(gens, order, QQ, max_spairs=performed)
+    with pytest.raises(BudgetExceeded):
+        is_reduced_groebner(gens, order, QQ, max_spairs=performed - 1)
+
+
 def test_reduced_predicate_rejects_redundancy():
     a = p_var(cell_id(1, 1), QQ)
     b = p_mul(a, p_var(cell_id(1, 2), QQ), QQ)  # leading term divisible by a
@@ -241,6 +267,75 @@ def test_reduced_predicate_rejects_redundancy():
     assert not is_reduced_groebner([two_a], DIAG, QQ)  # not monic
     assert is_reduced_groebner([a], DIAG, QQ)
     assert not is_reduced_groebner([a, p_zero()], DIAG, QQ)
+
+
+def all_pairs_reduced_groebner(G, order, field):
+    """Reference for is_reduced_groebner: the same definition, checked by
+    reducing every S-pair, with no criterion skipping any."""
+    if any(not g for g in G):
+        return False
+    lts = [leading_term(g, order) for g in G]
+    if any(not field.eq(c, field.one) for _, c in lts):
+        return False
+    lms = [m for m, _ in lts]
+    for i, g in enumerate(G):
+        for m in g:
+            for j, lm in enumerate(lms):
+                if (m != lms[i] or j != i) and mono.divides(lm, m):
+                    return False
+    return all(
+        not normal_form(s_polynomial(G[i], G[j], order, field), G, order, field)
+        for i in range(len(G))
+        for j in range(i)
+    )
+
+
+def _monic_generators(data, field=QQ):
+    top = ladder_from_json(data)
+    order = conventional_order(top)
+    gens = natural_generators(top, field, order)
+    return [p_monic(g, order, field) for g in gens], order
+
+
+def test_reduced_predicate_matches_reference_on_corpus():
+    for data in CORPUS + NEGATIVE_INSTANCES:
+        gens, order = _monic_generators(data)
+        for G in (gens, buchberger_reduced(gens, order, QQ)):
+            assert is_reduced_groebner(G, order, QQ) == all_pairs_reduced_groebner(
+                G, order, QQ
+            ), data
+
+
+# top generators of known t=3 defects: not the reduced basis of their ideal
+T3_DEFECTS = [
+    {"family": "onesided", "m": 5, "n": 5, "points": [[3, 1], [5, 3]], "t": [2, 3]},
+    {"family": "symmetric", "n": 5, "points": [[5, 5]], "t": [3]},
+]
+
+
+def test_reduced_predicate_matches_reference_on_t3_defects():
+    for data in T3_DEFECTS:
+        gens, order = _monic_generators(data)
+        assert not is_reduced_groebner(gens, order, QQ)
+        assert not all_pairs_reduced_groebner(gens, order, QQ)
+
+
+GF7 = PrimeField(7)
+SMALL = [(1, 1), (1, 2), (2, 1)]
+SMALL_ORDER = diagonal_order(SMALL)
+
+
+@given(st.lists(polys(GF7, 3, SMALL, 2), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_reduced_predicate_matches_reference_on_random_sets(F):
+    # a reduced basis minus one element is still monic and interreduced,
+    # so the S-pair stage decides it
+    basis = buchberger_reduced(F, SMALL_ORDER, GF7)
+    dropped = [basis[:k] + basis[k + 1 :] for k in range(len(basis))]
+    for G in [F, basis] + dropped:
+        assert is_reduced_groebner(G, SMALL_ORDER, GF7) == all_pairs_reduced_groebner(
+            G, SMALL_ORDER, GF7
+        )
 
 
 def test_buchberger_over_prime_field_matches_rationals_here():
