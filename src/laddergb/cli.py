@@ -310,17 +310,39 @@ _COMMANDS = {
 }
 
 
-# Integer flags, and the subcommands that read them.
-_INT_FLAGS = {
-    "--dmax": "degree cutoff for Hilbert identities",
-    "--budget-spairs": "abort Buchberger passes after this many S-pair reductions",
-    "--budget-faces": "abort decomposability search after visiting this many complexes",
+# Options that some subcommands take, and the subcommands that read them;
+# any other subcommand rejects them.
+_FLAGS = {
+    "--order": {
+        "choices": sorted(_ORDER_KINDS),
+        "help": "term order override (default: the family's conventional order)",
+    },
+    "--field": {
+        "default": "q",
+        "help": "coefficient field: q (rationals) or gf:P (prime field)",
+    },
+    "--dmax": {"type": int, "help": "degree cutoff for Hilbert identities"},
+    "--budget-spairs": {
+        "type": int,
+        "help": "abort Buchberger passes after this many S-pair reductions",
+    },
+    "--budget-faces": {
+        "type": int,
+        "help": "abort decomposability search after visiting this many complexes",
+    },
 }
+_INT_FLAGS = ("--dmax", "--budget-spairs", "--budget-faces")
+_RING = ("--order", "--field")
 _READS = {
-    "groebner-check": ("--budget-spairs",),
-    "vd": ("--budget-faces",),
-    "chain": ("--budget-faces",),
-    "verify": ("--dmax", "--budget-spairs", "--budget-faces"),
+    "validate": (),
+    "generators": _RING,
+    "groebner-check": _RING + ("--budget-spairs",),
+    "initial": _RING,
+    "height": _RING,
+    "vd": _RING + ("--budget-faces",),
+    "chain": _RING + ("--budget-faces",),
+    "verify": _RING + ("--dmax", "--budget-spairs", "--budget-faces"),
+    "replay": ("--field",),
 }
 
 
@@ -328,17 +350,6 @@ def _parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "instance", help="path to a JSON instance (or certificate, for replay)"
-    )
-    common.add_argument(
-        "--order",
-        choices=sorted(_ORDER_KINDS),
-        default=None,
-        help="term order override (default: the family's conventional order)",
-    )
-    common.add_argument(
-        "--field",
-        default="q",
-        help="coefficient field: q (rationals) or gf:P (prime field)",
     )
     common.add_argument("--out", default=None, help="write the JSON document here")
     common.add_argument(
@@ -363,8 +374,8 @@ def _parser():
     }
     for name in _COMMANDS:
         cmd = sub.add_parser(name, parents=[common], help=helps[name])
-        for flag in _READS.get(name, ()):
-            cmd.add_argument(flag, type=int, default=None, help=_INT_FLAGS[flag])
+        for flag in _READS[name]:
+            cmd.add_argument(flag, **_FLAGS[flag])
     return p
 
 

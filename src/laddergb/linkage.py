@@ -59,6 +59,7 @@ from .poly import (
     p_var,
     p_zero,
     freeze,
+    reducers,
 )
 
 
@@ -90,6 +91,8 @@ class Chain:
         self.nodes = {}
         self.sequence = []
         self._gens_cache = {}
+        self._lead_cache = {}
+        self._initial_cache = {}
         self._oracle_cache = {}
         self._build(top)
 
@@ -120,9 +123,21 @@ class Chain:
             )
         return self._gens_cache[canon]
 
+    def leading_monomials(self, canon):
+        """Set of the leading monomials of the node's natural generators
+        (cached)."""
+        if canon not in self._lead_cache:
+            self._lead_cache[canon] = _initial_set(self.generators(canon), self.order)
+        return self._lead_cache[canon]
+
     def initial_ideal(self, canon):
-        ladder = self.nodes[canon].ladder
-        return initial_ideal(ladder, self.generators(canon), self.order)
+        """The ideal of leading_monomials(canon) in the node's own ambient
+        ring (cached: it is built once per chain)."""
+        if canon not in self._initial_cache:
+            self._initial_cache[canon] = MonomialIdeal(
+                self.leading_monomials(canon), _ambient(self.nodes[canon].ladder)
+            )
+        return self._initial_cache[canon]
 
     def oracle_basis(self, canon, max_spairs=None):
         """Reduced basis of the node's ideal, recomputed from scratch by
@@ -246,14 +261,15 @@ def verify_step(chain, canon, dmax=None, max_spairs=None):
     f = (cell_id(*node.cell), 1)
     out = []
 
-    c_raw = _initial_set(chain.generators(canon), order)
-    a_raw = _initial_set(chain.generators(node.middle), order)
-    b_raw = _initial_set(chain.generators(node.reduced), order)
+    c_raw = chain.leading_monomials(canon)
+    a_raw = chain.leading_monomials(node.middle)
+    b_raw = chain.leading_monomials(node.reduced)
+    c_ideal = chain.initial_ideal(canon)
     shifted = {mono.mul(f, g) for g in b_raw}
     # Compare minimal generating sets: when a region untouched by the
     # removal contributes to both children, the union picks up corner
     # multiples of its leading terms, which minimalization absorbs.
-    lhs_min = set(minimalize(c_raw))
+    lhs_min = set(c_ideal.gens)
     rhs_min = set(minimalize(a_raw | shifted))
     out.append(
         _check(
@@ -282,7 +298,6 @@ def verify_step(chain, canon, dmax=None, max_spairs=None):
 
     a_ideal = MonomialIdeal(a_raw, amb)
     b_ideal = MonomialIdeal(b_raw, amb)
-    c_ideal = MonomialIdeal(c_raw, amb)
     try:
         linked = basic_double_link(a_ideal, b_ideal, f)
         out.append(
@@ -636,22 +651,24 @@ def verify_localization(ladder, cell, field=QQ, max_spairs=None, max_power=3):
     gens = natural_generators(ladder, field, order)
     hat_gens = localized_ideal_generators(ladder, cell, field)
     hat_gb = buchberger_reduced(hat_gens, order, field, max_spairs=max_spairs)
+    hat_table = reducers(hat_gb, order)
     fwd_ok = True
     fwd_detail = ""
     for g in gens:
         num, _ = substitute(g, phi, uv, field)
-        if not _member_with_saturation(num, hat_gb, order, field, uv, max_power):
+        if not _member_with_saturation(num, hat_gb, hat_table, order, field, uv, max_power):
             fwd_ok = False
             fwd_detail = "a generator image escapes the localized ideal"
             break
     checks.append(_check("forward-membership", fwd_ok, fwd_detail))
 
     lad_gb = buchberger_reduced(gens, order, field, max_spairs=max_spairs)
+    lad_table = reducers(lad_gb, order)
     rev_ok = True
     rev_detail = ""
     for g in hat_gens:
         num, _ = substitute(g, psi, uv, field)
-        if not _member_with_saturation(num, lad_gb, order, field, uv, max_power):
+        if not _member_with_saturation(num, lad_gb, lad_table, order, field, uv, max_power):
             rev_ok = False
             rev_detail = "a localized generator image escapes the ladder ideal"
             break
@@ -666,12 +683,14 @@ def verify_localization(ladder, cell, field=QQ, max_spairs=None, max_power=3):
     }
 
 
-def _member_with_saturation(p, gb, order, field, uv, max_power):
+def _member_with_saturation(p, gb, table, order, field, uv, max_power):
+    """Whether uv^e * p reduces to zero modulo the Groebner basis gb for
+    some e <= max_power; table is reducers(gb, order)."""
     if p_is_zero(p):
         return True
     work = dict(p)
     for _ in range(max_power + 1):
-        if p_is_zero(normal_form(work, gb, order, field)):
+        if p_is_zero(normal_form(work, gb, order, field, table)):
             return True
         work = p_term_mul(work, (uv, 1), field.one, field)
     return False

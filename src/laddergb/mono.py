@@ -128,3 +128,17 @@ def coprime(a, b):
 def deg(a):
     """Total degree."""
     return sum(a[1::2])
+
+
+def support(a):
+    """Bitmask of the variables of a monomial: bit v is set when v occurs.
+
+    When a divides b, every variable of a occurs in b, so a nonzero
+    support(a) & ~support(b) proves that a does not divide b without
+    reading the exponents (the short exponent-vector test of Bachmann and
+    Schoenemann, ISSAC 1998, with one bit per variable).
+    """
+    s = 0
+    for v in a[::2]:
+        s |= 1 << v
+    return s

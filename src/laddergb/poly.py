@@ -10,12 +10,20 @@ reads each row right to left.  Either realizes the property that leading
 terms of minors are their (anti-)diagonal products; that property is
 asserted by tests, not assumed here.
 
+Division runs against a reducer table (see reducers): the leading
+monomial, leading coefficient and variable-support bitmask of every basis
+element, built once by whoever owns the basis and extended as the basis
+grows.  The mask rules a reducer out before its exponents are compared
+(a divisor's support lies in the support of the monomial it divides), and
+each reduction step subtracts its multiple of the reducer from the work
+polynomial in place.  Neither changes the result: reduction always picks
+the reducer with the smallest index whose leading monomial divides.
+
 Buchberger's algorithm and the reduced-basis predicate share one S-pair
 loop.  It takes pairs in the normal selection order (increasing lcm
 degree) and skips those that the product criterion or Buchberger's chain
 criterion proves redundant; a budget counts the reductions it performs.
-Reduction always picks the reducer with the smallest index whose leading
-monomial divides.  All results are deterministic.
+All results are deterministic.
 """
 
 import heapq
@@ -213,49 +221,101 @@ def p_monic(p, order, field):
 # division and normal forms
 
 
-def division(p, G, order, field):
+def reducers(G, order):
+    """The reducer table of the list G: one (lm, lc, mask) per element,
+    its leading monomial, leading coefficient and mono.support(lm).
+
+    Whoever owns a basis builds this once and hands it to every division
+    by that basis, so the leading terms are not searched for again on each
+    call.  Entry i describes G[i]; a table for a growing list is extended
+    by appending the entries of the new elements.
+    """
+    out = []
+    for g in G:
+        lm, lc = leading_term(g, order)
+        out.append((lm, lc, mono.support(lm)))
+    return out
+
+
+def _reduce(p, G, table, order, field, quotients=None):
+    """The division loop of division and normal_form; returns the
+    remainder and, when quotients is a list of dicts, adds each quotient
+    term to quotients[i].
+
+    The largest monomial m of the work polynomial is reduced by the first
+    entry of table that divides it.  An entry whose mask has a bit outside
+    support(m) is passed over without calling mono.divides; this never
+    changes which reducer is chosen.  The multiple qc*qm*G[i] is
+    subtracted from the work polynomial in place, term by term.
+    """
+    remainder = {}
+    work = dict(p)
+    key = order.key
+    divides, dv, mul, support = mono.divides, mono.div, mono.mul, mono.support
+    fadd, fmul, is_zero = field.add, field.mul, field.is_zero
+    while work:
+        m = max(work, key=key)
+        c = work[m]
+        outside = ~support(m)
+        for idx, (lm, lc, mask) in enumerate(table):
+            if not mask & outside and divides(lm, m):
+                break
+        else:
+            remainder[m] = c
+            del work[m]
+            continue
+        qm = dv(m, lm)
+        qc = field.div(c, lc)
+        if quotients is not None:
+            q = quotients[idx]
+            acc = q.get(qm)
+            if acc is None:
+                q[qm] = qc
+            else:
+                s = fadd(acc, qc)
+                if is_zero(s):
+                    del q[qm]
+                else:
+                    q[qm] = s
+        nqc = field.neg(qc)
+        for k, a in G[idx].items():
+            t = mul(k, qm)
+            v = fmul(a, nqc)
+            acc = work.get(t)
+            if acc is None:
+                work[t] = v
+            else:
+                s = fadd(acc, v)
+                if is_zero(s):
+                    del work[t]
+                else:
+                    work[t] = s
+    return remainder
+
+
+def division(p, G, order, field, table=None):
     """Divide p by the list G; returns (remainder, quotients).
 
     Deterministic: at each step the largest not-yet-final monomial of the
     work polynomial is reduced by the first listed reducer whose leading
     monomial divides it.  The invariant p = sum(q_i g_i) + r holds
-    exactly and is exercised by tests.
+    exactly and is exercised by tests.  table is reducers(G, order) when
+    the caller keeps one; it is built here otherwise.  The support-mask
+    filter and the in-place update of the work polynomial leave the
+    choice of reducer, and so the result, as it is without them.
     """
-    lts = [leading_term(g, order) for g in G]
+    if table is None:
+        table = reducers(G, order)
     quotients = [{} for _ in G]
-    remainder = {}
-    work = dict(p)
-    divides = mono.divides
-    dv = mono.div
-    while work:
-        m = max(work, key=order.key)
-        c = work[m]
-        for idx, (lm, lc) in enumerate(lts):
-            if divides(lm, m):
-                qm = dv(m, lm)
-                qc = field.div(c, lc)
-                q = quotients[idx]
-                acc = q.get(qm)
-                if acc is None:
-                    q[qm] = qc
-                else:
-                    s = field.add(acc, qc)
-                    if field.is_zero(s):
-                        del q[qm]
-                    else:
-                        q[qm] = s
-                work = p_sub(work, p_term_mul(G[idx], qm, qc, field), field)
-                break
-        else:
-            remainder[m] = c
-            del work[m]
-    return remainder, quotients
+    return _reduce(p, G, table, order, field, quotients), quotients
 
 
-def normal_form(p, G, order, field):
-    """Remainder of p on division by G."""
-    r, _ = division(p, G, order, field)
-    return r
+def normal_form(p, G, order, field, table=None):
+    """Remainder of p on division by G, as division computes it (table
+    as there), without keeping the quotients."""
+    if table is None:
+        table = reducers(G, order)
+    return _reduce(p, G, table, order, field)
 
 
 def s_polynomial(f, g, order, field):
@@ -272,74 +332,81 @@ def s_polynomial(f, g, order, field):
 # Buchberger
 
 
-def _interreduce(G, order, field):
-    """Minimal, tail-reduced, monic basis from G; keeps determinism by
-    processing in decreasing leading-monomial order."""
-    G = [g for g in G if g]
-    G.sort(key=lambda g: order.key(leading_term(g, order)[0]), reverse=True)
+def _interreduce(G, table, order, field):
+    """Minimal, tail-reduced basis from the monic list G and its reducer
+    table; keeps determinism by processing in decreasing leading-monomial
+    order."""
+    ranked = sorted(zip(G, table), key=lambda e: order.key(e[1][0]), reverse=True)
     # drop generators whose leading monomial is divisible by another's
-    lms = [leading_term(g, order)[0] for g in G]
-    keep = []
-    for i, g in enumerate(G):
-        mi = lms[i]
+    gens, kept = [], []
+    for i, (g, entry) in enumerate(ranked):
+        mi, _, si = entry
+        outside = ~si
         redundant = False
-        for j in range(len(G)):
-            if j == i:
+        for j, (_, (mj, _, sj)) in enumerate(ranked):
+            if j == i or sj & outside:
                 continue
-            mj = lms[j]
             if mono.divides(mj, mi) and (mj != mi or j < i):
                 redundant = True
                 break
         if not redundant:
-            keep.append(g)
-    # tail-reduce each against the others
+            gens.append(g)
+            kept.append(entry)
+    # tail-reduce each against the others; the leading terms stay, so the
+    # result is monic and still in decreasing leading-monomial order
     out = []
-    for i, g in enumerate(keep):
-        rest = keep[:i] + keep[i + 1 :]
-        if rest:
-            g = normal_form(g, rest, order, field)
-        out.append(p_monic(g, order, field))
-    out.sort(key=lambda g: order.key(leading_term(g, order)[0]), reverse=True)
+    for i, g in enumerate(gens):
+        if len(gens) > 1:
+            rest = gens[:i] + gens[i + 1 :]
+            g = normal_form(g, rest, order, field, kept[:i] + kept[i + 1 :])
+        out.append(g)
     return out
 
 
-def _nonzero_remainders(G, order: TermOrder, field, max_spairs=None):
+def _nonzero_remainders(G, table, order: TermOrder, field, max_spairs=None):
     """Reduce the S-pairs of the list G and yield every nonzero remainder.
 
-    The caller may append to G before resuming the generator; the pairs of
-    every appended element join the queue.  Pairs are taken in the normal
-    selection order: by lcm degree, then by the lcm monomial and the pair
-    indices, for determinism.  A pair is settled once it is reduced or
-    skipped, and two criteria skip a pair (i, j) without reducing it: the
-    product criterion (lm_i and lm_j coprime), and Buchberger's chain
-    criterion (some lm_k divides lcm(lm_i, lm_j) while the pairs (i, k)
-    and (j, k) are both settled; Cox-Little-O'Shea, Ideals, Varieties,
-    and Algorithms, section 2.10).  Either way the S-polynomial has a
-    standard representation, so G is a Groebner basis exactly when the
-    generator ends without yielding.  Raises BudgetExceeded when a
-    reduction would exceed max_spairs performed reductions.
+    table is the reducer table of G (see reducers), possibly empty or
+    short; it is extended to cover G, also when the caller appends to G
+    before resuming the generator.  The pairs of every appended element
+    join the queue.  Pairs are taken in the normal selection order: by lcm
+    degree, then by the lcm monomial and the pair indices, for
+    determinism.  A pair is settled once it is reduced or skipped, and two
+    criteria skip a pair (i, j) without reducing it: the product criterion
+    (lm_i and lm_j coprime), and Buchberger's chain criterion (some lm_k
+    divides lcm(lm_i, lm_j) while the pairs (i, k) and (j, k) are both
+    settled; Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, section
+    2.10).  Either way the S-polynomial has a standard representation, so
+    G is a Groebner basis exactly when the generator ends without
+    yielding.  Raises BudgetExceeded when a reduction would exceed
+    max_spairs performed reductions.
     """
-    lms = []
     settled = []  # settled[i]: the k with (i, k) reduced or skipped
     heap = []
     spent = 0
     while True:
-        for new in range(len(lms), len(G)):
-            lm = leading_term(G[new], order)[0]
+        table.extend(reducers(G[len(table) :], order))
+        for new in range(len(settled), len(G)):
+            lm = table[new][0]
             done = set()
-            for k, lk in enumerate(lms):
+            for k in range(new):
+                lk = table[k][0]
                 if mono.coprime(lk, lm):
                     done.add(k)
                     settled[k].add(new)
                 else:
                     l = mono.lcm(lk, lm)
                     heapq.heappush(heap, (mono.deg(l), order.key(l), k, new, l))
-            lms.append(lm)
             settled.append(done)
         if not heap:
             return
         _, _, i, j, l = heapq.heappop(heap)
-        chained = any(mono.divides(lms[k], l) for k in settled[i] & settled[j])
+        # the support of lcm(lm_i, lm_j) is the union of the two masks
+        outside = ~(table[i][2] | table[j][2])
+        chained = any(
+            not table[k][2] & outside and mono.divides(table[k][0], l)
+            for k in settled[i] & settled[j]
+        )
         settled[i].add(j)
         settled[j].add(i)
         if chained:
@@ -348,7 +415,7 @@ def _nonzero_remainders(G, order: TermOrder, field, max_spairs=None):
             raise BudgetExceeded("buchberger S-pairs", max_spairs)
         spent += 1
         s = s_polynomial(G[i], G[j], order, field)
-        r = normal_form(s, G, order, field)
+        r = normal_form(s, G, order, field, table)
         if r:
             yield r
 
@@ -357,14 +424,16 @@ def buchberger_reduced(F: Iterable[dict], order: TermOrder, field, max_spairs=No
     """Reduced Groebner basis of ideal(F).
 
     Every nonzero S-pair remainder joins the basis; pairs that the
-    product or the chain criterion settles are never reduced.  Raises
-    BudgetExceeded when max_spairs S-pair reductions have been performed
-    and another is due.
+    product or the chain criterion settles are never reduced.  One reducer
+    table follows the basis as it grows and serves the final
+    interreduction.  Raises BudgetExceeded when max_spairs S-pair
+    reductions have been performed and another is due.
     """
     G = [p_monic(dict(f), order, field) for f in F if f]
-    for r in _nonzero_remainders(G, order, field, max_spairs):
+    table = []
+    for r in _nonzero_remainders(G, table, order, field, max_spairs):
         G.append(p_monic(r, order, field))
-    return _interreduce(G, order, field)
+    return _interreduce(G, table, order, field)
 
 
 def is_reduced_groebner(G, order: TermOrder, field, max_spairs=None) -> bool:
@@ -373,26 +442,26 @@ def is_reduced_groebner(G, order: TermOrder, field, max_spairs=None) -> bool:
     monomial divisible by any leading monomial), and every S-polynomial
     reduces to zero.  S-pairs settled by the product or the chain
     criterion are not reduced; max_spairs bounds the reductions
-    performed, as in buchberger_reduced."""
+    performed, as in buchberger_reduced.  One reducer table serves every
+    check."""
     G = [dict(g) for g in G]
     if any(not g for g in G):
         return False
-    lts = [leading_term(g, order) for g in G]
-    for _, c in lts:
-        if not field.eq(c, field.one):
-            return False
-    for i, (mi, _) in enumerate(lts):
-        for j, (mj, _) in enumerate(lts):
-            if i != j and mono.divides(mj, mi):
-                return False
+    table = reducers(G, order)
+    if any(not field.eq(lc, field.one) for _, lc, _ in table):
+        return False
+    # no leading monomial divides another element's leading monomial, nor
+    # any tail monomial of its own or another element
     for i, g in enumerate(G):
-        lm = lts[i][0]
+        lm = table[i][0]
         for m in g:
-            if m == lm:
-                continue
-            if any(mono.divides(lts[j][0], m) for j in range(len(G))):
+            outside = ~mono.support(m)
+            if any(
+                (j != i or m != lm) and not sj & outside and mono.divides(mj, m)
+                for j, (mj, _, sj) in enumerate(table)
+            ):
                 return False
-    for _ in _nonzero_remainders(G, order, field, max_spairs):
+    for _ in _nonzero_remainders(G, table, order, field, max_spairs):
         return False
     return True
 

@@ -244,12 +244,19 @@ def test_nonpositive_budget(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, flag",
-    [("replay", "--budget-faces"), ("height", "--budget-spairs")],
+    [
+        ("replay", "--budget-faces"),
+        ("height", "--budget-spairs"),
+        ("validate", "--field"),
+        ("validate", "--order"),
+        ("replay", "--order"),
+    ],
 )
 def test_flag_the_subcommand_does_not_read_is_rejected(tmp_path, capsys, command, flag):
     path = write_instance(tmp_path, MM23)
+    value = {"--field": "gf:4", "--order": "antidiag"}.get(flag, "1")
     with pytest.raises(SystemExit) as info:
-        cli.main([command, path, flag, "1"])
+        cli.main([command, path, flag, value])
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

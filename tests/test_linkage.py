@@ -257,6 +257,26 @@ def test_replay_checks_the_field_it_runs_over():
     assert failing == {"certificate-field"}
 
 
+def test_replay_builds_each_initial_ideal_once(monkeypatch):
+    from laddergb import linkage
+
+    cert = build_cert(PfaffianLadder(5, [(1, 4), (2, 5)], [2, 2]))
+    built = []
+    real = linkage.MonomialIdeal
+
+    def counting(gens, ambient):
+        built.append(frozenset(gens))
+        return real(gens, ambient)
+
+    monkeypatch.setattr(linkage, "MonomialIdeal", counting)
+    report = replay_chain(cert)
+    assert report["pass"]
+    assert len(built) == len(cert["nodes"])
+    chain = Chain(ladder_from_json(cert["top"]))
+    canon = chain.top.canon()
+    assert chain.initial_ideal(canon) is chain.initial_ideal(canon)
+
+
 def test_replay_detects_rewired_structure():
     cert = build_cert(MaxMinors(2, 3))
     cert["nodes"][0]["middle"], cert["nodes"][0]["reduced"] = (

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from laddergb import mono
-from laddergb.mono import coprime, deg, div, divides, lcm, mul
+from laddergb.mono import coprime, deg, div, divides, lcm, mul, support
 
 
 def monomials(max_vars=6, max_exp=4):
@@ -69,6 +69,21 @@ def test_divides_means_componentwise(a, b):
     da, db = dict(zip(a[::2], a[1::2])), dict(zip(b[::2], b[1::2]))
     expected = all(v in db and db[v] >= e for v, e in da.items())
     assert divides(a, b) == expected
+
+
+@given(monomials(), monomials())
+def test_divisor_support_lies_in_the_support(a, b):
+    if divides(a, b):
+        assert support(a) & ~support(b) == 0
+    m = mul(a, b)
+    assert divides(a, m) and support(a) & ~support(m) == 0
+
+
+@given(monomials(), monomials())
+def test_support_of_lcm_and_coprimality(a, b):
+    assert support(lcm(a, b)) == support(a) | support(b)
+    assert coprime(a, b) == (support(a) & support(b) == 0)
+    assert support(a) == sum(1 << v for v in a[::2])
 
 
 def test_representation_is_canonical():

@@ -51,6 +51,7 @@ from corpus import CORPUS, NEGATIVE_INSTANCES
 GRID = [(i, j) for i in range(1, 4) for j in range(1, 4)]
 DIAG = diagonal_order(GRID)
 ANTI = antidiagonal_order(GRID)
+GF7 = PrimeField(7)
 
 
 def x(i, j, field=QQ):
@@ -177,6 +178,66 @@ def test_division_certificate(p, G):
     lms = [leading_term(g, DIAG)[0] for g in G]
     for m in r:
         assert not any(mono.divides(lm, m) for lm in lms)
+
+
+def reference_division(p, G, order, field):
+    """Reference for division: the textbook loop with no reducer table,
+    no support-mask filter and a fresh work polynomial on every step."""
+    lts = [leading_term(g, order) for g in G]
+    quotients = [{} for _ in G]
+    remainder = {}
+    work = dict(p)
+    while work:
+        m = max(work, key=order.key)
+        c = work[m]
+        for idx, (lm, lc) in enumerate(lts):
+            if mono.divides(lm, m):
+                qm, qc = mono.div(m, lm), field.div(c, lc)
+                quotients[idx] = p_add(quotients[idx], {qm: qc}, field)
+                work = p_sub(work, p_mul({qm: qc}, G[idx], field), field)
+                break
+        else:
+            remainder[m] = c
+            del work[m]
+    return remainder, quotients
+
+
+@given(
+    polys(GF7),
+    st.lists(polys(GF7).filter(bool), min_size=1, max_size=4),
+    st.sampled_from([DIAG, ANTI]),
+)
+@settings(max_examples=150)
+def test_division_with_a_reducer_table(p, G, order):
+    table = poly.reducers(G, order)
+    assert [(lm, lc) for lm, lc, _ in table] == [leading_term(g, order) for g in G]
+    assert [mask for _, _, mask in table] == [mono.support(lm) for lm, _, _ in table]
+    r, quotients = division(p, G, order, GF7, table)
+    assert (r, quotients) == division(p, G, order, GF7)
+    assert (r, quotients) == reference_division(p, G, order, GF7)
+    assert normal_form(p, G, order, GF7, table) == r
+    assert normal_form(p, G, order, GF7) == r
+    acc = dict(r)
+    for q, g in zip(quotients, G):
+        acc = p_add(acc, p_mul(q, g, GF7), GF7)
+    assert acc == p
+
+
+def test_normal_form_with_a_table_finds_no_leading_term(monkeypatch):
+    top = MaxMinors(2, 4)
+    order = diagonal_order(top.cells())
+    gens = natural_generators(top, QQ, order)
+    table = poly.reducers(gens, order)
+    p = p_mul(p_mul(x(1, 1), x(2, 2), QQ), x(1, 3), QQ)
+    calls = []
+    real = poly.leading_term
+    monkeypatch.setattr(
+        poly, "leading_term", lambda *args: calls.append(args) or real(*args)
+    )
+    r = normal_form(p, gens, order, QQ, table)
+    assert r and not calls
+    assert normal_form(p, gens, order, QQ) == r
+    assert len(calls) == len(gens)
 
 
 def test_normal_form_examples():
