@@ -73,12 +73,19 @@ _GENS = {
 }
 
 
-def natural_generators(ladder, field=QQ, order=None):
+def natural_generators(ladder, field=QQ, order=None, shape=None):
     """Defining generators, deduplicated, sorted by (degree, leading
-    monomial) under the given order (conventional order by default)."""
+    monomial) under the given order (conventional order by default).
+
+    shape is the matrix the minors/pfaffians are read from, ladder.shape()
+    by default.  A caller may pass a larger shape of the same kind (a
+    chain passes its top instance's to every node): positions mean the
+    same entries in it, and its memo then serves every ladder read from
+    it."""
     if order is None:
         order = conventional_order(ladder)
-    shape = ladder.shape()
+    if shape is None:
+        shape = ladder.shape()
     seen = set()
     out = []
     for g in _GENS[ladder.family](ladder, shape, field):

@@ -81,13 +81,18 @@ class ChainNode:
 
 
 class Chain:
-    """Corner-removal DAG of an instance, with the term order and field
-    shared by every node."""
+    """Corner-removal DAG of an instance, with the term order, field and
+    matrix shape shared by every node.
+
+    Every node's minors/pfaffians are read from the top instance's shape:
+    a node's indices lie inside the top matrix and name the same entries
+    there, so the shape's memo expands each index set once per chain."""
 
     def __init__(self, top, field=QQ):
         self.top = top
         self.field = field
         self.order = conventional_order(top)
+        self.shape = top.shape()
         self.nodes = {}
         self.sequence = []
         self._gens_cache = {}
@@ -119,7 +124,7 @@ class Chain:
     def generators(self, canon):
         if canon not in self._gens_cache:
             self._gens_cache[canon] = natural_generators(
-                self.nodes[canon].ladder, self.field, self.order
+                self.nodes[canon].ladder, self.field, self.order, self.shape
             )
         return self._gens_cache[canon]
 
@@ -592,13 +597,15 @@ def substitute(p, mapping, uv, field=QQ):
     return total, maxden
 
 
-def localized_ideal_generators(ladder, cell, field=QQ):
+def localized_ideal_generators(ladder, cell, field=QQ, shape=None):
     """Generators of the ideal seen after inverting the cell: affected
     regions lose the cell's row and column and drop one minor size,
-    untouched regions keep their minors."""
+    untouched regions keep their minors.  shape is read as in
+    natural_generators (ladder.shape() by default)."""
     u, v = cell
     hit = set(_affected_range(ladder, cell))
-    shape = ladder.shape()
+    if shape is None:
+        shape = ladder.shape()
     import itertools as _it
 
     seen = set()
@@ -648,8 +655,9 @@ def verify_localization(ladder, cell, field=QQ, max_spairs=None, max_power=3):
                 ok = False
     checks.append(_check("inverse-pair", ok, "composition fixes every variable"))
 
-    gens = natural_generators(ladder, field, order)
-    hat_gens = localized_ideal_generators(ladder, cell, field)
+    shape = ladder.shape()
+    gens = natural_generators(ladder, field, order, shape)
+    hat_gens = localized_ideal_generators(ladder, cell, field, shape)
     hat_gb = buchberger_reduced(hat_gens, order, field, max_spairs=max_spairs)
     hat_table = reducers(hat_gb, order)
     fwd_ok = True

@@ -3,8 +3,15 @@
 A shape resolves positions to signed variables: symmetric matrices store
 only cells with i <= j and reflect, skew-symmetric matrices store i < j,
 vanish on the diagonal and negate below it.  Minors are computed by
-cofactor expansion memoized on (rows, cols); pfaffians by the standard
-expansion along the first index, pf() = 1, pf(i, j) = x[i,j].
+cofactor expansion, pfaffians by the standard expansion along the first
+index, pf() = 1, pf(i, j) = x[i,j].
+
+Each shape object carries one memo of the minors and one of the
+pfaffians it has expanded, keyed by the index tuples and the field's
+name, so every caller that shares a shape (a whole corner-removal chain
+shares its top instance's) expands each index set once per field.  The
+memo is looked up first; indices are validated only on a miss, before
+anything is stored, so a key in the memo is always a valid one.
 """
 
 from . import poly
@@ -115,19 +122,19 @@ def minor(shape, rows, cols, field):
     """Determinant of the submatrix on rows x cols, as a polynomial.
 
     rows and cols are strictly increasing index tuples of equal length.
-    Memoized on (rows, cols) per shape (rational coefficients are reused
-    across fields only when the field is the same object).
+    Memoized in the shape on (rows, cols, field name): the polynomial is
+    built once per shape and field, and shared by every later call.
     """
     rows = tuple(rows)
     cols = tuple(cols)
+    key = (rows, cols, field.name)
+    cached = shape._minors.get(key)
+    if cached is not None:
+        return cached
     if len(rows) != len(cols):
         raise PreconditionError("minor needs equally many rows and columns")
     _check_indices(rows, shape.m, "rows")
     _check_indices(cols, shape.n, "columns")
-    key = (rows, cols, id(field))
-    cached = shape._minors.get(key)
-    if cached is not None:
-        return cached
     if not rows:
         out = {(): field.one}
     elif len(rows) == 1:
@@ -146,7 +153,7 @@ def minor(shape, rows, cols, field):
                     term = poly.p_scale(term, field.neg(field.one), field)
                 out = poly.p_add(out, term, field)
             sign = -sign
-        shape._minors[key] = out
+    shape._minors[key] = out
     return out
 
 
@@ -154,18 +161,19 @@ def pfaffian(shape, indices, field):
     """Pfaffian of the principal skew submatrix on the given indices.
 
     Expansion along the first index with alternating signs; the square
-    of the result is the determinant of the same submatrix.
+    of the result is the determinant of the same submatrix.  Memoized in
+    the shape on (indices, field name), like minor.
     """
     if shape.kind != "skew":
         raise PreconditionError("pfaffian requires a skew-symmetric shape")
     indices = tuple(indices)
-    _check_indices(indices, shape.n, "indices")
-    if len(indices) % 2 != 0:
-        raise PreconditionError("pfaffian needs an even number of indices")
-    key = (indices, id(field))
+    key = (indices, field.name)
     cached = shape._pf.get(key)
     if cached is not None:
         return cached
+    _check_indices(indices, shape.n, "indices")
+    if len(indices) % 2 != 0:
+        raise PreconditionError("pfaffian needs an even number of indices")
     if not indices:
         out = {(): field.one}
     elif len(indices) == 2:
@@ -183,7 +191,7 @@ def pfaffian(shape, indices, field):
             if (pos + 1) % 2 == 1:
                 term = poly.p_scale(term, field.neg(field.one), field)
             out = poly.p_add(out, term, field)
-        shape._pf[key] = out
+    shape._pf[key] = out
     return out
 
 

@@ -31,11 +31,19 @@ def _gcd_mono(a, b):
 
 
 def minimalize(gens):
-    """Minimal generating set: drop monomials divisible by another one."""
-    gens = sorted(set(gens), key=lambda m: (mono.deg(m), m))
+    """Minimal generating set: drop monomials divisible by another one.
+
+    Candidates are scanned by increasing degree, and each is tested only
+    against the kept monomials of strictly lower degree: two distinct
+    monomials of the same degree never divide each other."""
     out = []
-    for g in gens:
-        if not any(mono.divides(h, g) for h in out):
+    lower = 0  # out[:lower] are the kept monomials of lower degree
+    d = None
+    for dg, g in sorted((mono.deg(m), m) for m in set(gens)):
+        if dg != d:
+            d = dg
+            lower = len(out)
+        if not any(mono.divides(h, g) for h in itertools.islice(out, lower)):
             out.append(g)
     return out
 

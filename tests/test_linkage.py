@@ -12,6 +12,7 @@ from laddergb import (
     OneSidedLadder,
     PfaffianLadder,
     PreconditionError,
+    PrimeField,
     QQ,
     chain_certificate,
     conventional_order,
@@ -32,7 +33,9 @@ from laddergb.linkage import (
 )
 from laddergb.poly import cell_id, freeze, p_term_mul, p_var
 
-from corpus import NEGATIVE_INSTANCES
+from laddergb import matrices
+
+from corpus import CORPUS, NEGATIVE_INSTANCES
 
 
 def by_name(checks):
@@ -40,6 +43,45 @@ def by_name(checks):
     for c in checks:
         out.setdefault(c["name"], []).append(c)
     return out
+
+
+# ---------------------------------------------------------------------------
+# one matrix shape per chain
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["qq", "gf32003"])
+def test_shared_shape_gives_the_same_generators(field):
+    for data in CORPUS + NEGATIVE_INSTANCES:
+        chain = Chain(ladder_from_json(data), field)
+        for canon in chain.sequence:
+            ladder = chain.nodes[canon].ladder
+            fresh = natural_generators(ladder, field, chain.order)
+            assert natural_generators(ladder, field, chain.order, chain.shape) == fresh
+            assert chain.generators(canon) == fresh
+
+
+def test_chain_expands_each_index_set_once(monkeypatch):
+    # Expanding a minor on k columns reads k entries (one for k = 1), a
+    # pfaffian on k indices reads k - 1; so the entry reads of a chain add
+    # up to one expansion per memo key exactly when no key is expanded twice.
+    reads = [0]
+    entry_poly = matrices.entry_poly
+
+    def counting(*args):
+        reads[0] += 1
+        return entry_poly(*args)
+
+    monkeypatch.setattr(matrices, "entry_poly", counting)
+    field = PrimeField(32003)
+    for data in CORPUS + NEGATIVE_INSTANCES:
+        chain = Chain(ladder_from_json(data), field)
+        reads[0] = 0
+        for canon in chain.sequence:
+            chain.generators(canon)
+        shape = chain.shape
+        once = sum(len(cols) for _, cols, _ in shape._minors)
+        once += sum(max(len(idx) - 1, 0) for idx, _ in getattr(shape, "_pf", {}))
+        assert reads[0] > 0 and reads[0] == once
 
 
 # ---------------------------------------------------------------------------

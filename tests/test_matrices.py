@@ -13,6 +13,7 @@ import pytest
 
 from laddergb import QQ
 from laddergb.errors import PreconditionError
+from laddergb.fields import PrimeField
 from laddergb.matrices import (
     GenericShape,
     SkewShape,
@@ -165,6 +166,51 @@ def test_pfaffian_rejects_bad_input():
         pfaffian(s, (2, 1), QQ)
     with pytest.raises(PreconditionError):
         pfaffian(GenericShape(4, 4), (1, 2), QQ)
+
+
+def test_warm_memo_still_rejects_bad_indices():
+    # Validation runs on a memo miss only; a warm shape must still refuse
+    # every malformed index set instead of answering from the memo.
+    s = GenericShape(3, 3)
+    for rows in itertools.combinations(range(1, 4), 2):
+        for cols in itertools.combinations(range(1, 4), 2):
+            minor(s, rows, cols, QQ)
+    minor(s, (1, 2, 3), (1, 2, 3), QQ)
+    for rows, cols in [
+        ((1, 2), (1,)),  # unequal lengths
+        ((2, 1), (1, 2)),  # not increasing
+        ((1, 1), (1, 2)),  # repeated index
+        ((1, 4), (1, 2)),  # row out of range
+        ((1, 2), (0, 1)),  # column out of range
+    ]:
+        with pytest.raises(PreconditionError):
+            minor(s, rows, cols, QQ)
+    k = SkewShape(5)
+    for size in (2, 4):
+        for indices in itertools.combinations(range(1, 6), size):
+            pfaffian(k, indices, QQ)
+    for indices in [(1, 2, 3), (2, 1), (1, 3, 2, 4), (1, 1), (0, 1), (4, 6)]:
+        with pytest.raises(PreconditionError):
+            pfaffian(k, indices, QQ)
+
+
+def test_memo_is_keyed_by_field_name():
+    # Two fields alive at different times can share an id(); the memo must
+    # tell GF(3) from GF(5) by name, and share entries between two objects
+    # of the same field.
+    s = GenericShape(2, 2)
+    assert minor(s, (1, 2), (1, 2), PrimeField(3)) == brute_det(
+        s, (1, 2), (1, 2), PrimeField(3)
+    )
+    gf5 = brute_det(s, (1, 2), (1, 2), PrimeField(5))
+    assert sorted(gf5.values()) == [1, 4]
+    assert minor(s, (1, 2), (1, 2), PrimeField(5)) == gf5
+    assert minor(s, (1, 2), (1, 2), PrimeField(5)) is minor(
+        s, (1, 2), (1, 2), PrimeField(5)
+    )
+    k = SkewShape(4)
+    assert sorted(pfaffian(k, (1, 2, 3, 4), PrimeField(3)).values()) == [1, 1, 2]
+    assert sorted(pfaffian(k, (1, 2, 3, 4), PrimeField(5)).values()) == [1, 1, 4]
 
 
 def test_odd_skew_determinant_vanishes():

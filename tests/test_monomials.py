@@ -66,6 +66,26 @@ def test_minimalize_is_minimal_and_equivalent(gens):
         assert ideal.contains_monomial(g)
 
 
+def all_pairs_minimalize(gens):
+    """Reference: keep g unless some other generator divides it."""
+    from laddergb import mono
+
+    gens = set(gens)
+    kept = [g for g in gens if not any(h != g and mono.divides(h, g) for h in gens)]
+    return sorted(kept, key=lambda m: (mono.deg(m), m))
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.one_of(st.just(()), monomials(max_vars=3), monomials(max_vars=4, max_exp=2)),
+        max_size=10,
+    )
+)
+def test_minimalize_matches_all_pairs_reference(gens):
+    assert minimalize(gens) == all_pairs_minimalize(gens)
+
+
 # ---------------------------------------------------------------------------
 # ideal operations
 
