@@ -11,12 +11,12 @@ instance it can
   predicate;
 * unfold the corner-removal recursion into a chain of smaller
   instances, checking at every step a basic-double-link identity, a
-  two-route Hilbert-function identity, height bookkeeping, and a
-  shedding condition;
+  two-route Hilbert-series identity in every degree, height
+  bookkeeping, and a shedding condition;
 * certify vertex decomposability of the initial complex with a
   replayable certificate;
-* compare the closed height formula with the Stanley-Reisner
-  codimension of the initial ideal.
+* compare the closed height formula with the codimension of the
+  initial ideal, read off its Hilbert series.
 
 All arithmetic is exact; no floating point is used anywhere.
 """

@@ -11,7 +11,7 @@ Subcommands:
 * generators      list the natural generators
 * groebner-check  fixed-point and reduced-basis verdicts
 * initial         minimalized initial ideal and squarefree flag
-* height          closed height formula against complex codimension
+* height          closed height formula against the initial codimension
 * vd              vertex-decomposability verdict plus certificate
 * chain           corner-removal chain certificate
 * verify          the full verification report for one instance
@@ -226,7 +226,7 @@ def _cmd_initial(args):
 
 def _cmd_height(args):
     ladder, _, ideal = _initial(args)
-    check, codim = height_check(ladder, ideal)
+    check, codim = height_check(ladder, ideal, {})
     checks = [check]
     doc = _report(ladder, checks)
     doc["height"] = ladder.height_formula()
@@ -273,7 +273,6 @@ def _cmd_verify(args):
     report, _, _ = verify_family(
         ladder,
         field,
-        dmax=args.dmax,
         max_spairs=args.budget_spairs,
         max_faces=args.budget_faces,
     )
@@ -321,7 +320,6 @@ _FLAGS = {
         "default": "q",
         "help": "coefficient field: q (rationals) or gf:P (prime field)",
     },
-    "--dmax": {"type": int, "help": "degree cutoff for Hilbert identities"},
     "--budget-spairs": {
         "type": int,
         "help": "abort Buchberger passes after this many S-pair reductions",
@@ -331,7 +329,7 @@ _FLAGS = {
         "help": "abort decomposability search after visiting this many complexes",
     },
 }
-_INT_FLAGS = ("--dmax", "--budget-spairs", "--budget-faces")
+_INT_FLAGS = ("--budget-spairs", "--budget-faces")
 _RING = ("--order", "--field")
 _READS = {
     "validate": (),
@@ -341,7 +339,7 @@ _READS = {
     "height": _RING,
     "vd": _RING + ("--budget-faces",),
     "chain": _RING + ("--budget-faces",),
-    "verify": _RING + ("--dmax", "--budget-spairs", "--budget-faces"),
+    "verify": _RING + ("--budget-spairs", "--budget-faces"),
     "replay": ("--field",),
 }
 
@@ -366,7 +364,7 @@ def _parser():
         "generators": "list the natural generators",
         "groebner-check": "fixed-point and reduced-basis verdicts",
         "initial": "minimalized initial ideal and squarefree flag",
-        "height": "height formula against complex codimension",
+        "height": "height formula against the initial codimension",
         "vd": "vertex-decomposability verdict plus certificate",
         "chain": "corner-removal chain certificate",
         "verify": "full verification report for one instance",

@@ -10,13 +10,11 @@ Verification is deliberately two-route.  The combinatorial route takes
 the raw leading monomials of the natural generators; the oracle route
 recomputes initial ideals through an independent Buchberger pass over
 the actual polynomial generators.  Both routes must satisfy the Hilbert
-function identity
-
-    H(R/C, d) = H(R/B, d-1) + H(R/A, d) - H(R/A, d-1)
-
-degree by degree, and the two routes must agree on the initial ideal of
-every instance.  Heights are checked against the cell count of the
-shifted ladder, codimensions against the Stanley-Reisner complex, and
+series identity HS(R/C) = z HS(R/B) + (1 - z) HS(R/A), checked on the
+numerators as K_C = z K_B + (1 - z) K_A, which covers every degree
+at once, and the two routes must agree on the initial ideal of every
+instance.  Heights are checked against the cell count of the shifted
+ladder, codimensions against the pole of the Hilbert series, and
 shedding conditions at every removed corner.
 
 The localization section implements the coordinate change used to pass
@@ -41,6 +39,7 @@ from .fields import QQ
 from .ladders import OneSidedLadder, ladder_from_json
 from .matrices import minor
 from .monomials import MonomialIdeal, basic_double_link, minimalize
+from .monomials import codim_by_series, hilbert_numerator, series_add, series_mul
 from .poly import (
     buchberger_reduced,
     cell_id,
@@ -50,7 +49,6 @@ from .poly import (
     mono_text,
     normal_form,
     p_add,
-    p_degree,
     p_is_zero,
     p_monic,
     p_mul,
@@ -99,6 +97,7 @@ class Chain:
         self._lead_cache = {}
         self._initial_cache = {}
         self._oracle_cache = {}
+        self.hilbert_memo = {}  # numerators depend only on the generators
         self._build(top)
 
     def _build(self, ladder):
@@ -194,10 +193,14 @@ def squarefree_check(ideal):
     return _check("initial-squarefree", ideal.is_squarefree())
 
 
-def height_check(ladder, ideal):
-    """Codimension of the squarefree ideal's complex against the
-    ladder's closed height formula; returns (check, codimension)."""
-    codim = SimplicialComplex.from_squarefree(ideal).codimension()
+def height_check(ladder, ideal, memo):
+    """Codimension of the squarefree ideal, read off its Hilbert series
+    (the (1-z)-adic order of the numerator), against the ladder's closed
+    height formula; returns (check, codimension).  memo is a Hilbert
+    numerator memo, as Chain.hilbert_memo."""
+    if not ideal.is_squarefree():
+        raise PreconditionError("ideal is not squarefree")
+    codim = codim_by_series(ideal, memo)
     h = ladder.height_formula()
     detail = "codim %d, formula %d" % (codim, h)
     return _check("codim-equals-height", codim == h, detail), codim
@@ -238,25 +241,25 @@ def verify_node_initial(chain, canon):
     """Squarefreeness and the codimension/height agreement of the
     initial ideal, in the instance's own ambient ring."""
     ideal = chain.initial_ideal(canon)
-    squarefree = squarefree_check(ideal)
-    height, _ = height_check(chain.nodes[canon].ladder, ideal)
-    return [squarefree, height]
+    height, _ = height_check(chain.nodes[canon].ladder, ideal, chain.hilbert_memo)
+    return [squarefree_check(ideal), height]
 
 
-def _hilbert_identity(c_ideal, a_ideal, b_ideal, dmax):
-    for d in range(0, dmax + 1):
-        lhs = c_ideal.hilbert_function(d)
-        rhs = (
-            b_ideal.hilbert_function(d - 1)
-            + a_ideal.hilbert_function(d)
-            - a_ideal.hilbert_function(d - 1)
-        )
-        if lhs != rhs:
-            return False, "fails at degree %d: %d vs %d" % (d, lhs, rhs)
-    return True, "degrees 0..%d" % dmax
+def _hilbert_identity(c_ideal, a_ideal, b_ideal, memo):
+    """K_C = z K_B + (1 - z) K_A for the Hilbert numerators.  The lowest
+    power of z where the two sides differ is the lowest degree where the
+    Hilbert functions do."""
+    k_a, k_b, k_c = (
+        hilbert_numerator(i.gens, memo) for i in (a_ideal, b_ideal, c_ideal)
+    )
+    rhs = series_add(series_mul((0, 1), k_b), series_mul((1, -1), k_a))
+    diff = series_add(k_c, series_mul((-1,), rhs))
+    if not diff:
+        return True, "every degree"
+    return False, "fails at degree %d" % next(d for d, c in enumerate(diff) if c)
 
 
-def verify_step(chain, canon, dmax=None, max_spairs=None):
+def verify_step(chain, canon, max_spairs=None):
     """All checks tied to one corner removal L -> (A, B, f)."""
     node = chain.nodes[canon]
     if node.cell is None:
@@ -311,10 +314,7 @@ def verify_step(chain, canon, dmax=None, max_spairs=None):
     except PreconditionError as e:
         out.append(_check("basic-double-link", False, str(e)))
 
-    if dmax is None:
-        degs = [p_degree(g) for g in chain.generators(canon)]
-        dmax = 2 * max(degs, default=1) + 2
-    ok, detail = _hilbert_identity(c_ideal, a_ideal, b_ideal, dmax)
+    ok, detail = _hilbert_identity(c_ideal, a_ideal, b_ideal, chain.hilbert_memo)
     out.append(_check("hilbert-identity-combinatorial", ok, detail))
 
     # independent route: initial ideals from a Buchberger pass
@@ -338,7 +338,7 @@ def verify_step(chain, canon, dmax=None, max_spairs=None):
         )
     )
     ok, detail = _hilbert_identity(
-        oracle[canon], oracle[node.middle], oracle[node.reduced], dmax
+        oracle[canon], oracle[node.middle], oracle[node.reduced], chain.hilbert_memo
     )
     out.append(_check("hilbert-identity-oracle", ok, detail))
 
@@ -354,7 +354,7 @@ def verify_step(chain, canon, dmax=None, max_spairs=None):
     return out
 
 
-def verify_family(top, field=QQ, dmax=None, max_spairs=None, max_faces=None):
+def verify_family(top, field=QQ, max_spairs=None, max_faces=None):
     """Full verification run for one instance: reduced-basis status of
     the instance itself, squarefreeness and codimension at every node,
     all per-step checks, plus decomposability of the top complex.
@@ -378,7 +378,7 @@ def verify_family(top, field=QQ, dmax=None, max_spairs=None, max_faces=None):
     for canon in chain.sequence:
         add(canon, verify_node_initial(chain, canon))
     for canon in chain.steps():
-        add(canon, verify_step(chain, canon, dmax, max_spairs))
+        add(canon, verify_step(chain, canon, max_spairs))
     vd, cert = vd_checks(chain.initial_ideal(top.canon()), max_faces)
     add(top.canon(), vd)
     report = {

@@ -1,14 +1,14 @@
 """Monomial ideal algebra: minimal generators, colons, the basic double
-link construction, Hilbert functions.
+link construction, Hilbert series.
 
-Hilbert functions of quotients R/I come in two independent flavours: a
-pivot recursion (split on a frequently used variable x via the exact
-sequence relating I, I:x and I+(x)) and a brute-force count of standard
-monomials, kept as a cross-check oracle for small degrees.
+The Hilbert series of R/I is K(z)/(1-z)^n, and the numerator K comes from
+a pivot recursion (split on a frequently used variable x via the exact
+sequence relating I, I:x and I+(x); Bigatti, JPAA 1997).  The Hilbert
+function in every degree and the codimension are read off K.  A brute-force
+count of standard monomials is kept as a cross-check oracle for small degrees.
 """
 
 import itertools
-import math
 
 from . import mono
 from .errors import PreconditionError
@@ -61,7 +61,6 @@ class MonomialIdeal:
                         "generator uses a variable outside the ambient ring"
                     )
         self.gens = tuple(minimalize(gens))
-        self._hilbert_cache = {}
 
     def is_zero(self):
         return not self.gens
@@ -96,13 +95,15 @@ class MonomialIdeal:
         return MonomialIdeal([mono.mul(f, g) for g in self.gens], self.ambient)
 
     def hilbert_function(self, d):
-        """Number of degree-d monomials of the ambient ring not in I."""
+        """Number of degree-d monomials of the ambient ring not in I: the
+        coefficient of z^d in K(z) / (1-z)^n, one prefix sum per variable."""
         if d < 0:
             return 0
-        key = d
-        if key not in self._hilbert_cache:
-            self._hilbert_cache[key] = _hilbert(frozenset(self.gens), self.ambient, d)
-        return self._hilbert_cache[key]
+        coeffs = hilbert_numerator(self.gens, {})[: d + 1]
+        coeffs += (0,) * (d + 1 - len(coeffs))
+        for _ in self.ambient:
+            coeffs = tuple(itertools.accumulate(coeffs))
+        return coeffs[d]
 
     def __eq__(self, other):
         return (
@@ -133,78 +134,77 @@ def basic_double_link(a_ideal, b_ideal, f):
 
 
 # ---------------------------------------------------------------------------
-# Hilbert functions
+# Hilbert series: a numerator K is the tuple of its integer coefficients
+# (K_0, K_1, ...) without trailing zeros; () is the zero polynomial.
 
 
-def _free_count(nvars, d):
-    if d < 0:
-        return 0
-    if nvars == 0:
-        return 1 if d == 0 else 0
-    return math.comb(d + nvars - 1, d)
+def series_add(p, q):
+    out = [a + b for a, b in itertools.zip_longest(p, q, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
-def _pure_power_series(exps, free, d):
-    # product of (1 + z + ... + z^(e-1)) over pure power exponents,
-    # convolved with the free polynomial ring series, coefficient of z^d
-    coeffs = [0] * (d + 1)
-    for k in range(d + 1):
-        coeffs[k] = _free_count(free, k)
-    for e in exps:
-        nxt = [0] * (d + 1)
-        for k in range(d + 1):
-            total = 0
-            for j in range(0, min(e - 1, k) + 1):
-                total += coeffs[k - j]
-            nxt[k] = total
-        coeffs = nxt
-    return coeffs[d]
+def series_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
 
 
-_HILBERT_MEMO = {}
-
-
-def _hilbert(gens, ambient, d):
-    key = (gens, len(ambient), d)
-    if key in _HILBERT_MEMO:
-        return _HILBERT_MEMO[key]
-    out = _hilbert_raw(gens, ambient, d)
-    _HILBERT_MEMO[key] = out
+def hilbert_numerator(gens, memo):
+    """K(z) with HS(R/I) = K(z) / (1-z)^n, for I generated by the minimal
+    generators gens (in minimalize order, as MonomialIdeal.gens holds them).
+    K does not depend on n, so memo, a dict from generator tuples to
+    numerators, can serve every ideal built from the same variables."""
+    gens = tuple(gens)
+    if gens in memo:
+        return memo[gens]
+    # degree-1 generators kill their variable: a factor (1-z) each; the
+    # remaining generators avoid killed variables by minimality
+    rest = tuple(g for g in gens if not (len(g) == 2 and g[1] == 1))
+    if () in gens:
+        out = ()
+    elif len(rest) < len(gens):
+        out = hilbert_numerator(rest, memo)
+        for _ in range(len(gens) - len(rest)):
+            out = series_mul(out, (1, -1))
+    elif all(len(g) == 2 for g in gens):
+        # pure powers (none at all for the zero ideal): the product of (1 - z^e)
+        out = (1,)
+        for g in gens:
+            out = series_mul(out, (1,) + (0,) * (g[1] - 1) + (-1,))
+    else:
+        # K(I) = K(I + (x)) + z K(I : x), split on the most used variable;
+        # every candidate sits in a generator of degree at least 2, so
+        # both branches shrink
+        used = {}
+        for g in gens:
+            for k in range(0, len(g), 2):
+                used[g[k]] = used.get(g[k], 0) + 1
+        x = max(sorted(used), key=lambda v: used[v])
+        colon = minimalize([mono.div(g, _gcd_mono(g, (x, 1))) for g in gens])
+        added = minimalize(list(gens) + [(x, 1)])
+        out = series_add(
+            hilbert_numerator(added, memo),
+            series_mul((0, 1), hilbert_numerator(colon, memo)),
+        )
+    memo[gens] = out
     return out
 
 
-def _hilbert_raw(gens, ambient, d):
-    if d < 0:
-        return 0
-    if () in gens:
-        return 0
-    if not gens:
-        return _free_count(len(ambient), d)
-    # degree-1 generators kill their variable outright
-    killed = {g[0] for g in gens if len(g) == 2 and g[1] == 1}
-    if killed:
-        # the remaining generators avoid killed variables by minimality
-        rest = frozenset(g for g in gens if not (len(g) == 2 and g[1] == 1))
-        amb2 = tuple(v for v in ambient if v not in killed)
-        return _hilbert(rest, amb2, d)
-    used = {}
-    pure = True
-    for g in gens:
-        if len(g) > 2:
-            pure = False
-        for k in range(0, len(g), 2):
-            used[g[k]] = used.get(g[k], 0) + 1
-    if pure:
-        exps = [g[1] for g in gens]
-        free = len(ambient) - len(gens)
-        return _pure_power_series(exps, free, d)
-    # split on the most used variable; every candidate sits in a
-    # generator of degree at least 2, so both branches shrink
-    x = max(sorted(used), key=lambda v: used[v])
-    xm = (x, 1)
-    colon = frozenset(minimalize([mono.div(g, _gcd_mono(g, xm)) for g in gens]))
-    added = frozenset(minimalize(list(gens) + [xm]))
-    return _hilbert(colon, ambient, d - 1) + _hilbert(added, ambient, d)
+def codim_by_series(ideal, memo):
+    """Codimension of R/I: the (1-z)-adic order of its Hilbert
+    numerator, which is n minus the pole order of HS at z = 1."""
+    k = hilbert_numerator(ideal.gens, memo)
+    if not k:
+        raise PreconditionError("unit ideal has no codimension")
+    codim = 0
+    while sum(k) == 0:
+        k = tuple(itertools.accumulate(k))[:-1]  # k / (1-z)
+        codim += 1
+    return codim
 
 
 def hilbert_function_brute(ideal, d):

@@ -236,7 +236,7 @@ def test_replay_on_non_certificate(tmp_path, capsys):
 
 def test_nonpositive_budget(tmp_path, capsys):
     path = write_instance(tmp_path, MM23)
-    for flag in ("--budget-spairs", "--budget-faces", "--dmax"):
+    for flag in ("--budget-spairs", "--budget-faces"):
         code, _, err = run(capsys, ["verify", path, flag, "0"])
         assert code == 2
         assert "positive" in err
@@ -250,6 +250,7 @@ def test_nonpositive_budget(tmp_path, capsys):
         ("validate", "--field"),
         ("validate", "--order"),
         ("replay", "--order"),
+        ("verify", "--dmax"),
     ],
 )
 def test_flag_the_subcommand_does_not_read_is_rejected(tmp_path, capsys, command, flag):

@@ -16,7 +16,11 @@ from laddergb.complexes import (
     minimal_transversals,
     replay_certificate,
 )
-from laddergb.monomials import MonomialIdeal
+from laddergb.linkage import Chain
+from laddergb.ladders import ladder_from_json
+from laddergb.monomials import MonomialIdeal, codim_by_series
+
+from corpus import CORPUS, NEGATIVE_INSTANCES
 
 
 def brute_transversals(supports):
@@ -117,7 +121,7 @@ def test_cone_points_and_strip():
 
 
 # ---------------------------------------------------------------------------
-# codimension, two routes
+# codimension, three routes: complex, vertex cover, Hilbert series
 
 
 @given(
@@ -134,12 +138,28 @@ def test_codim_routes_agree(supports):
     if ideal.is_unit():
         return
     cx = SimplicialComplex.from_squarefree(ideal)
-    assert cx.codimension() == codim_by_cover(ideal)
+    assert cx.codimension() == codim_by_cover(ideal) == codim_by_series(ideal, {})
+
+
+def test_codim_routes_agree_on_corpus_chains():
+    nodes = 0
+    for data in CORPUS + NEGATIVE_INSTANCES:
+        chain = Chain(ladder_from_json(data))
+        for canon in chain.sequence:
+            ideal = chain.initial_ideal(canon)
+            cx = SimplicialComplex.from_squarefree(ideal)
+            series = codim_by_series(ideal, chain.hilbert_memo)
+            assert series == cx.codimension() == codim_by_cover(ideal), canon
+            nodes += 1
+    assert nodes > len(CORPUS)
 
 
 def test_codim_by_cover_rejects_unit():
+    unit = MonomialIdeal([()], (0, 1))
     with pytest.raises(PreconditionError):
-        codim_by_cover(MonomialIdeal([()], (0, 1)))
+        codim_by_cover(unit)
+    with pytest.raises(PreconditionError):
+        codim_by_series(unit, {})
 
 
 # ---------------------------------------------------------------------------

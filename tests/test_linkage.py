@@ -25,12 +25,14 @@ from laddergb import (
     verify_localization,
 )
 from laddergb.linkage import (
+    _hilbert_identity,
     localized_ideal_generators,
     substitute,
     verify_node_groebner,
     verify_node_initial,
     verify_step,
 )
+from laddergb.monomials import MonomialIdeal, hilbert_function_brute
 from laddergb.poly import cell_id, freeze, p_term_mul, p_var
 
 from laddergb import matrices
@@ -181,6 +183,25 @@ def test_step_checks_pass_and_cover_all_claims(subtests=None):
     ]
     for c in checks:
         assert c["pass"], c
+
+
+def test_hilbert_identity_holds_in_every_degree_not_up_to_a_cutoff():
+    # In k[x,y], C = A = (x) and B = (x, y^10): H(R/C, d) = H(R/B, d-1)
+    # + H(R/A, d) - H(R/A, d-1) holds in degrees 0..10 and fails from
+    # degree 11 on, so a per-degree check with a small cutoff passes.
+    x, y10 = (0, 1), (1, 10)
+    ring = (0, 1)
+    a = c = MonomialIdeal([x], ring)
+    b = MonomialIdeal([x, y10], ring)
+
+    def holds(d):
+        h = hilbert_function_brute
+        return h(c, d) == h(b, d - 1) + h(a, d) - h(a, d - 1)
+
+    assert all(holds(d) for d in range(11))
+    assert not holds(11) and not holds(12)
+    assert _hilbert_identity(c, a, b, {}) == (False, "fails at degree 11")
+    assert _hilbert_identity(c, a, a, {}) == (True, "every degree")
 
 
 def test_step_on_terminal_node_raises():

@@ -1,5 +1,5 @@
 """Monomial ideal algebra: minimal generators, colons, the basic double
-link, and the two-route Hilbert function."""
+link, and the Hilbert series against a brute-force count."""
 
 import math
 
@@ -12,7 +12,10 @@ from laddergb.monomials import (
     MonomialIdeal,
     basic_double_link,
     hilbert_function_brute,
+    hilbert_numerator,
     minimalize,
+    series_add,
+    series_mul,
 )
 
 AMBIENT = tuple(range(6))
@@ -174,7 +177,7 @@ def test_basic_double_link_preconditions():
 
 
 # ---------------------------------------------------------------------------
-# Hilbert functions, two routes
+# Hilbert series and functions, against enumeration
 
 
 def test_hilbert_free_ring():
@@ -213,6 +216,31 @@ def test_hilbert_additive_along_colon_sequence():
         assert ideal.hilbert_function(d) == colon.hilbert_function(
             d - 1
         ) + added.hilbert_function(d)
+
+
+def numerator(ideal):
+    return hilbert_numerator(ideal.gens, {})
+
+
+def test_numerator_base_cases():
+    assert series_mul((1, -1), (1, 1)) == (1, 0, -1)
+    assert series_add((1, 0, -1), (0, 0, 1)) == (1,)
+    assert numerator(MonomialIdeal([()], AMBIENT)) == ()
+    assert numerator(MonomialIdeal([], AMBIENT)) == (1,)
+    # two killed variables: (1 - z)^2
+    assert numerator(MonomialIdeal([(0, 1), (1, 1)], AMBIENT)) == (1, -2, 1)
+    # pure powers x^2, y^3: (1 - z^2)(1 - z^3)
+    assert numerator(MonomialIdeal([(0, 2), (1, 3)], AMBIENT)) == (1, 0, -1, -1, 0, 1)
+
+
+@given(ideals(), st.integers(min_value=0, max_value=len(AMBIENT) - 1))
+@settings(max_examples=100, deadline=None)
+def test_numerator_additive_along_colon_sequence(ideal, v):
+    # K(I) = K(I + (x)) + z K(I : x), the pivot step, for any variable x
+    x = (v, 1)
+    assert numerator(ideal) == series_add(
+        numerator(ideal.plus([x])), series_mul((0, 1), numerator(ideal.colon(x)))
+    )
 
 
 def test_brute_force_standalone():
