@@ -4,6 +4,19 @@ A squarefree ideal determines the complex whose faces are the subsets
 of variables containing no generator's support.  Facets are computed as
 complements of minimal transversals of the support hypergraph.
 
+A complex stores its facets as int bit masks over one sorted vertex
+tuple: vertex verts[i] is bit 1 << i, so a subset test is a & b == a
+and a face's size is a.bit_count().  The tuple is fixed where a complex
+is built and shared by every complex derived from it, so masks of
+related complexes compare directly.  The facets always form an
+antichain.  Only the public constructor, which takes arbitrary facets,
+has to discard non-maximal ones; the other constructors keep an
+antichain by construction: from_squarefree takes complements of minimal
+transversals, link and strip_cones remove vertices every affected facet
+contains, and deletion(v) tests only the facets F - v with v in F
+against the facets that lack v.  The facets attribute is a read-only
+frozenset-of-frozensets view of the masks.
+
 Vertex decomposability is decided recursively: after removing cone
 points, a complex is accepted if it is a single simplex, or if some
 vertex has a pure link and deletion of the expected dimensions and both
@@ -14,70 +27,141 @@ codim_by_cover is an independent route to the codimension (smallest
 vertex cover of the supports), used to cross-check the height formulas.
 """
 
+import functools
 import itertools
+import operator
 
 from .errors import BudgetExceeded, PreconditionError
 
 
-def _minimal_sets(sets):
+def _bits(mask):
+    """Indices of the set bits of mask, lowest first."""
     out = []
-    for s in sorted(set(sets), key=len):
-        if not any(t <= s for t in out):
-            out.append(s)
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
+
+
+def _transversal_masks(supports):
+    """Berge's algorithm on masks: all minimal hitting sets of the
+    support masks.
+
+    A transversal that hits the next support s stays minimal.  Each one
+    that misses s gives the candidates t | v for v in s.  A candidate
+    meets s only in v, so every transversal inside it contains v.  That
+    is never another candidate t' | v, since t' < t cannot hold between
+    minimal transversals; so a candidate is tested only against the
+    kept transversals that contain v, and no candidate repeats."""
+    trans = [0]
+    for s in supports:
+        kept = [t for t in trans if t & s]
+        missed = [t for t in trans if not t & s]
+        trans = list(kept)
+        for i in _bits(s):
+            v = 1 << i
+            own = [k for k in kept if k & v]
+            for t in missed:
+                c = t | v
+                if not any(k & c == k for k in own):
+                    trans.append(c)
+    return trans
 
 
 def minimal_transversals(supports):
     """All minimal hitting sets of a family of vertex sets."""
-    trans = [frozenset()]
-    for s in supports:
-        nxt = set()
-        for t in trans:
-            if t & s:
-                nxt.add(t)
-            else:
-                for v in s:
-                    nxt.add(t | {v})
-        trans = _minimal_sets(nxt)
-    return trans
+    supports = [frozenset(s) for s in supports]
+    verts = sorted(set().union(*supports))
+    index = {v: i for i, v in enumerate(verts)}
+    masks = [sum(1 << index[v] for v in s) for s in supports]
+    return [frozenset(verts[i] for i in _bits(t)) for t in _transversal_masks(masks)]
 
 
 class SimplicialComplex:
+    """Facets as an antichain of masks over the vertex tuple verts,
+    inside an ambient vertex set (which link, deletion and strip_cones
+    shrink while verts stays)."""
+
+    __slots__ = ("verts", "masks", "ambient", "_index")
+
     def __init__(self, facets, ambient):
         facets = [frozenset(f) for f in facets]
-        self.facets = frozenset(_minimal_sets([]) if not facets else _max_sets(facets))
-        self.ambient = tuple(sorted(set(ambient)))
+        ambient = set(ambient)
+        verts = tuple(sorted(ambient.union(*facets)))
+        index = {v: i for i, v in enumerate(verts)}
+        kept = []
+        for m in sorted(
+            {sum(1 << index[v] for v in f) for f in facets},
+            key=int.bit_count,
+            reverse=True,
+        ):
+            if not any(m & k == m for k in kept):
+                kept.append(m)
+        self._set(verts, index, frozenset(kept), tuple(sorted(ambient)))
+
+    def _set(self, verts, index, masks, ambient):
+        self.verts = verts
+        self._index = index
+        self.masks = masks
+        self.ambient = ambient
+
+    def _derive(self, masks, drop):
+        """Complex over the same vertex tuple whose facet masks are
+        already an antichain; drop is removed from the ambient set."""
+        out = object.__new__(SimplicialComplex)
+        out._set(
+            self.verts,
+            self._index,
+            frozenset(masks),
+            tuple(v for v in self.ambient if v not in drop),
+        )
+        return out
 
     @classmethod
     def from_squarefree(cls, ideal):
         if not ideal.is_squarefree():
             raise PreconditionError("ideal is not squarefree")
-        if ideal.is_unit():
-            return cls([], ideal.ambient)
-        supports = [frozenset(g[k] for k in range(0, len(g), 2)) for g in ideal.gens]
-        trans = minimal_transversals(supports)
-        verts = frozenset(ideal.ambient)
-        return cls([verts - t for t in trans], ideal.ambient)
+        verts = ideal.ambient
+        index = {v: i for i, v in enumerate(verts)}
+        masks = ()
+        if not ideal.is_unit():
+            supports = [
+                sum(1 << index[g[k]] for k in range(0, len(g), 2)) for g in ideal.gens
+            ]
+            full = (1 << len(verts)) - 1
+            masks = (full ^ t for t in _transversal_masks(supports))
+        out = object.__new__(cls)
+        out._set(verts, index, frozenset(masks), verts)
+        return out
+
+    @property
+    def facets(self):
+        """The facets as a frozenset of frozensets of vertices."""
+        return frozenset(frozenset(self._vertices(m)) for m in self.masks)
+
+    def _vertices(self, mask):
+        """The vertices of mask, sorted."""
+        return [self.verts[i] for i in _bits(mask)]
+
+    def _bit(self, v):
+        """Mask of vertex v; 0 when v is not in the vertex tuple."""
+        i = self._index.get(v)
+        return 0 if i is None else 1 << i
 
     def vertices(self):
-        out = set()
-        for f in self.facets:
-            out |= f
-        return sorted(out)
+        return self._vertices(functools.reduce(operator.or_, self.masks, 0))
 
     def is_void(self):
-        return not self.facets
+        return not self.masks
 
     def dim(self):
         if self.is_void():
             raise PreconditionError("the void complex has no dimension")
-        return max(len(f) for f in self.facets) - 1
+        return max(m.bit_count() for m in self.masks) - 1
 
     def is_pure(self):
-        if self.is_void():
-            return True
-        sizes = {len(f) for f in self.facets}
-        return len(sizes) == 1
+        return len({m.bit_count() for m in self.masks}) <= 1
 
     def codimension(self):
         """Codimension of the face ring inside the ambient polynomial
@@ -85,31 +169,31 @@ class SimplicialComplex:
         return len(self.ambient) - (self.dim() + 1)
 
     def link(self, v):
-        fs = [f - {v} for f in self.facets if v in f]
-        return SimplicialComplex(fs, set(self.ambient) - {v})
+        bit = self._bit(v)
+        return self._derive([m ^ bit for m in self.masks if m & bit], (v,))
 
     def deletion(self, v):
-        fs = [f - {v} for f in self.facets]
-        return SimplicialComplex(fs, set(self.ambient) - {v})
+        bit = self._bit(v)
+        without = [m for m in self.masks if not m & bit]
+        cut = [
+            c
+            for c in (m ^ bit for m in self.masks if m & bit)
+            if not any(c & m == c for m in without)
+        ]
+        return self._derive(without + cut, (v,))
+
+    def _common(self):
+        return functools.reduce(operator.and_, self.masks) if self.masks else 0
 
     def cone_points(self):
-        if self.is_void():
-            return []
-        common = None
-        for f in self.facets:
-            common = f if common is None else common & f
-        return sorted(common)
+        return self._vertices(self._common())
 
     def strip_cones(self):
-        cones = self.cone_points()
-        if not cones:
+        common = self._common()
+        if not common:
             return self, []
-        cs = set(cones)
-        fs = [f - cs for f in self.facets]
-        return SimplicialComplex(fs, set(self.ambient) - cs), cones
-
-    def facet_key(self):
-        return tuple(sorted(tuple(sorted(f)) for f in self.facets))
+        cones = self._vertices(common)
+        return self._derive([m ^ common for m in self.masks], set(cones)), cones
 
     def __eq__(self, other):
         return (
@@ -123,17 +207,9 @@ class SimplicialComplex:
 
     def __repr__(self):
         return "SimplicialComplex(%d facets, dim %s)" % (
-            len(self.facets),
+            len(self.masks),
             "void" if self.is_void() else self.dim(),
         )
-
-
-def _max_sets(sets):
-    out = []
-    for s in sorted(set(sets), key=len, reverse=True):
-        if not any(s <= t for t in out):
-            out.append(s)
-    return out
 
 
 def codim_by_cover(ideal):
@@ -166,9 +242,10 @@ def check_shedding(cx, v):
         return False, ["void complex"]
     if not cx.is_pure():
         bad.append("complex not pure")
-    if not any(v in f for f in cx.facets):
+    bit = cx._bit(v)
+    if not any(m & bit for m in cx.masks):
         return False, bad + ["not a vertex"]
-    if all(v in f for f in cx.facets):
+    if all(m & bit for m in cx.masks):
         return False, bad + ["cone point"]
     d = cx.dim()
     dele = cx.deletion(v)
@@ -186,7 +263,8 @@ def check_shedding(cx, v):
 
 class _Budget:
     """State of one decomposability search: the face budget and the
-    verdicts found so far, keyed by the cone-stripped complex."""
+    verdicts found so far, keyed by the facet masks of the cone-stripped
+    complex (every complex of one search shares one vertex tuple)."""
 
     def __init__(self, limit):
         self.limit = limit
@@ -215,7 +293,7 @@ def is_vertex_decomposable(cx, max_faces=None):
 def _vd(cx, budget):
     budget.tick()
     stripped, cones = cx.strip_cones()
-    key = stripped.facet_key()
+    key = stripped.masks
     if key in budget.memo:
         ok, sub = budget.memo[key]
         if not ok:
@@ -231,9 +309,8 @@ def _vd(cx, budget):
 def _vd_core(cx, budget):
     if cx.is_void():
         return False, None
-    if len(cx.facets) == 1:
-        facet = sorted(next(iter(cx.facets)))
-        return True, {"kind": "leaf", "facet": facet}
+    if len(cx.masks) == 1:
+        return True, {"kind": "leaf", "facet": cx.vertices()}
     if not cx.is_pure():
         return False, None
     for v in cx.vertices():
@@ -262,10 +339,9 @@ def replay_certificate(cx, node):
     if sorted(node.get("cone", [])) != sorted(cones):
         return False, "cone points differ"
     if node.get("kind") == "leaf":
-        if len(stripped.facets) != 1:
+        if len(stripped.masks) != 1:
             return False, "leaf node but complex is not a simplex"
-        facet = sorted(next(iter(stripped.facets)))
-        if facet != list(node.get("facet", [])):
+        if stripped.vertices() != list(node.get("facet", [])):
             return False, "leaf facet differs"
         return True, "ok"
     if node.get("kind") != "split":

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, JSON contracts."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -113,6 +114,51 @@ def test_chain_then_replay(tmp_path, capsys):
     code, out, _ = run(capsys, ["replay", cert_path])
     assert code == 0
     assert "VERDICT: pass" in out
+
+
+# sha256 of the stdout of `chain --json` and of `replay --json` on its
+# certificate, recorded before complexes moved to bit masks: a change to
+# the complexes or the search must leave certificates byte-identical.
+PINNED_OUTPUTS = [
+    (
+        MAXMINORS[4],
+        "5a130f77a0658d65f0a238c91b43e2aa6b444b03010b276355161f84ca08750f",
+        "033f38f641ae8d3dc1577b28bfca3c2d67f03f5556f014aecb3a86de85e4f713",
+    ),
+    (
+        PFAFFIAN[4],
+        "e01aa258d154c7d7a6d543b1fb51e6242cdec3cbcd6a6d67e62584be6e5c48b9",
+        "2a80b394c304a2b2cc8b0001979f5fd3c316397446f8aa71c6852df7b9c3c172",
+    ),
+    (
+        SYMMETRIC[5],
+        "550f4a3b20053a4de66e6b824bd550fe67f405cd545f2298c9e404314f6dc62a",
+        "78344453f13fe22a4ca3510b1e5a75725b1718f42c917667fa4dc9b77caa2588",
+    ),
+    (
+        ONESIDED[3],
+        "b910aece28f38985101c4060b9d91bc985df6f551703289f018cc5b281f549af",
+        "9a3653b3425569ff67b19c2ea1ce5734959a0f57340bb37d7d8b9fbe17474935",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "data, chain_sha, replay_sha",
+    PINNED_OUTPUTS,
+    ids=[data["family"] for data, _, _ in PINNED_OUTPUTS],
+)
+def test_chain_and_replay_json_are_pinned(
+    tmp_path, capsys, data, chain_sha, replay_sha
+):
+    path = write_instance(tmp_path, data)
+    cert_path = str(tmp_path / "cert.json")
+    code, out, _ = run(capsys, ["chain", path, "--json", "--out", cert_path])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == chain_sha
+    code, out, _ = run(capsys, ["replay", cert_path, "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == replay_sha
 
 
 @pytest.mark.parametrize(

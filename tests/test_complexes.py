@@ -23,6 +23,114 @@ from laddergb.monomials import MonomialIdeal, codim_by_series
 from corpus import CORPUS, NEGATIVE_INSTANCES
 
 
+# ---------------------------------------------------------------------------
+# frozenset reference for the mask-based complexes: a complex is a pair
+# (facets, ambient), facets a frozenset of frozensets
+
+
+def ref_max(sets):
+    sets = set(map(frozenset, sets))
+    return frozenset(s for s in sets if not any(s < t for t in sets))
+
+
+def ref_from_supports(supports, ambient):
+    faces = [
+        frozenset(c)
+        for k in range(len(ambient) + 1)
+        for c in itertools.combinations(ambient, k)
+        if not any(s <= set(c) for s in supports)
+    ]
+    return ref_max(faces), tuple(ambient)
+
+
+def ref_link(cx, v):
+    facets, amb = cx
+    return ref_max(f - {v} for f in facets if v in f), tuple(w for w in amb if w != v)
+
+
+def ref_deletion(cx, v):
+    facets, amb = cx
+    return ref_max(f - {v} for f in facets), tuple(w for w in amb if w != v)
+
+
+def ref_cone_points(cx):
+    facets, _ = cx
+    return sorted(frozenset.intersection(*facets)) if facets else []
+
+
+def ref_strip_cones(cx):
+    facets, amb = cx
+    cones = ref_cone_points(cx)
+    stripped = frozenset(f - set(cones) for f in facets)
+    return (stripped, tuple(w for w in amb if w not in cones)), cones
+
+
+def ref_dim(cx):
+    return max(len(f) for f in cx[0]) - 1
+
+
+def ref_is_pure(cx):
+    return len({len(f) for f in cx[0]}) <= 1
+
+
+def ref_check_shedding(cx, v):
+    facets, _ = cx
+    if not facets:
+        return False, ["void complex"]
+    bad = [] if ref_is_pure(cx) else ["complex not pure"]
+    if not any(v in f for f in facets):
+        return False, bad + ["not a vertex"]
+    if all(v in f for f in facets):
+        return False, bad + ["cone point"]
+    d = ref_dim(cx)
+    dele, lk = ref_deletion(cx, v), ref_link(cx, v)
+    if not dele[0] or ref_dim(dele) != d:
+        bad.append("deletion drops dimension")
+    elif not ref_is_pure(dele):
+        bad.append("deletion not pure")
+    if not lk[0] or ref_dim(lk) != d - 1:
+        bad.append("link has wrong dimension")
+    elif not ref_is_pure(lk):
+        bad.append("link not pure")
+    return not bad, bad
+
+
+def ref_vd(cx, limit):
+    """Pass/fail of the decomposability search under a face budget, or
+    "budget" when the search visits more than limit complexes."""
+    spent = [0]
+    memo = {}
+
+    def vd(cx):
+        spent[0] += 1
+        if spent[0] > limit:
+            raise BudgetExceeded("face-budget exhausted", limit)
+        stripped, _ = ref_strip_cones(cx)
+        if stripped[0] not in memo:
+            memo[stripped[0]] = core(stripped)
+        return memo[stripped[0]]
+
+    def core(cx):
+        facets, _ = cx
+        if len(facets) <= 1:
+            return bool(facets)
+        if not ref_is_pure(cx):
+            return False
+        for v in sorted(frozenset.union(*facets)):
+            if (
+                ref_check_shedding(cx, v)[0]
+                and vd(ref_deletion(cx, v))
+                and vd(ref_link(cx, v))
+            ):
+                return True
+        return False
+
+    try:
+        return vd(cx)
+    except BudgetExceeded:
+        return "budget"
+
+
 def brute_transversals(supports):
     verts = sorted(set().union(*supports)) if supports else []
     hitting = [
@@ -118,6 +226,55 @@ def test_cone_points_and_strip():
     assert cones == [4]
     assert stripped.facets == base.facets
     assert base.cone_points() == []
+
+
+def assert_matches_reference(cx, ref):
+    assert (cx.facets, cx.ambient) == ref
+    assert cx.vertices() == sorted(set().union(*ref[0]))
+    assert cx.cone_points() == ref_cone_points(ref)
+    stripped, cones = cx.strip_cones()
+    ref_stripped, ref_cones = ref_strip_cones(ref)
+    assert cones == ref_cones
+    assert (stripped.facets, stripped.ambient) == ref_stripped
+    assert cx.is_pure() == ref_is_pure(ref)
+    if ref[0]:
+        assert cx.dim() == ref_dim(ref)
+    for v in range(VERTS + 1):
+        assert check_shedding(cx, v) == ref_check_shedding(ref, v)
+        lk, dele = cx.link(v), cx.deletion(v)
+        assert (lk.facets, lk.ambient) == ref_link(ref, v)
+        assert (dele.facets, dele.ambient) == ref_deletion(ref, v)
+    for k in (1, 2, 3, 5, 8):
+        try:
+            ok = is_vertex_decomposable(cx, max_faces=k)[0]
+        except BudgetExceeded:
+            ok = "budget"
+        assert ok == ref_vd(ref, k), k
+
+
+VERTS = 6
+vertex_sets = st.frozensets(st.integers(0, VERTS - 1), max_size=VERTS)
+
+
+@given(st.lists(vertex_sets.filter(bool), max_size=5), vertex_sets)
+@settings(max_examples=150)
+def test_from_squarefree_matches_frozenset_reference(supports, extra):
+    ambient = tuple(sorted(set(extra).union(*supports)))
+    gens = [tuple(x for v in sorted(s) for x in (v, 1)) for s in supports]
+    cx = SimplicialComplex.from_squarefree(MonomialIdeal(gens, ambient))
+    ref = ref_from_supports(supports, ambient)
+    assert_matches_reference(cx, ref)
+    # derived complexes share the vertex tuple and stay consistent
+    for v in cx.vertices():
+        assert_matches_reference(cx.link(v), ref_link(ref, v))
+
+
+@given(st.lists(vertex_sets, max_size=6))
+@settings(max_examples=150)
+def test_constructor_matches_frozenset_reference(facets):
+    ambient = tuple(range(VERTS))
+    cx = SimplicialComplex(facets, ambient)
+    assert_matches_reference(cx, (ref_max(facets), ambient))
 
 
 # ---------------------------------------------------------------------------
