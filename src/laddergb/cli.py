@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 
+from .complexes import SimplicialComplex, is_vertex_decomposable
 from .errors import BudgetExceeded, LadderError, PreconditionError
 from .families import natural_generators
 from .fields import field_by_name
@@ -40,7 +41,6 @@ from .linkage import (
     vd_cert_to_json,
     vd_checks,
     verify_family,
-    vertex_decomposition,
 )
 from .matrices import order_for
 from .poly import leading_term, mono_text, p_degree, poly_text
@@ -97,8 +97,7 @@ def _instance(args):
 
 def _initial(args):
     ladder, order, field = _instance(args)
-    gens = natural_generators(ladder, field, order)
-    return ladder, order, initial_ideal(ladder, gens, order)
+    return ladder, order, initial_ideal(ladder, order, field)
 
 
 def _report(ladder, checks):
@@ -237,7 +236,8 @@ def _cmd_height(args):
 
 def _cmd_vd(args):
     ladder, _, ideal = _initial(args)
-    checks, cert = vd_checks(ideal, args.budget_faces)
+    cx = SimplicialComplex.from_squarefree(ideal)
+    checks, cert = vd_checks(cx, args.budget_faces)
     doc = _report(ladder, checks)
     if cert is not None:
         doc["certificate"] = vd_cert_to_json(cert)
@@ -251,8 +251,9 @@ def _cmd_chain(args):
         _warn("chain verification always uses the family's conventional order")
     field = field_by_name(args.field)
     chain = Chain(ladder, field)
-    top_ideal = chain.initial_ideal(ladder.canon())
-    _, cert = vertex_decomposition(top_ideal, args.budget_faces)
+    _, cert = is_vertex_decomposable(
+        chain.node_complex(chain.top_canon), args.budget_faces
+    )
     doc = chain_certificate(chain, cert)
     lines = ["chain with %d nodes (%d steps)" % (len(chain.sequence), len(chain.steps()))]
     for node in doc["nodes"]:

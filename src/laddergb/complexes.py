@@ -237,16 +237,25 @@ def check_shedding(cx, v):
     """Conditions making v a usable shedding vertex of cx: cx pure, v a
     non-cone vertex, deletion pure of the same dimension, link pure one
     dimension lower.  Returns (ok, failed condition names)."""
-    bad = []
+    bad, _, _ = _shedding(cx, v)
+    return not bad, bad
+
+
+def _shedding(cx, v):
+    """check_shedding's failed condition names, with the deletion and
+    link of v it built (None when it stopped before building them), so
+    a search or replay that goes on to recurse into them builds each
+    once."""
     if cx.is_void():
-        return False, ["void complex"]
+        return ["void complex"], None, None
+    bad = []
     if not cx.is_pure():
         bad.append("complex not pure")
     bit = cx._bit(v)
     if not any(m & bit for m in cx.masks):
-        return False, bad + ["not a vertex"]
+        return bad + ["not a vertex"], None, None
     if all(m & bit for m in cx.masks):
-        return False, bad + ["cone point"]
+        return bad + ["cone point"], None, None
     d = cx.dim()
     dele = cx.deletion(v)
     lk = cx.link(v)
@@ -258,7 +267,7 @@ def check_shedding(cx, v):
         bad.append("link has wrong dimension")
     elif not lk.is_pure():
         bad.append("link not pure")
-    return not bad, bad
+    return bad, dele, lk
 
 
 class _Budget:
@@ -314,13 +323,13 @@ def _vd_core(cx, budget):
     if not cx.is_pure():
         return False, None
     for v in cx.vertices():
-        ok, _ = check_shedding(cx, v)
-        if not ok:
+        bad, dele, lk = _shedding(cx, v)
+        if bad:
             continue
-        ok_d, cert_d = _vd(cx.deletion(v), budget)
+        ok_d, cert_d = _vd(dele, budget)
         if not ok_d:
             continue
-        ok_l, cert_l = _vd(cx.link(v), budget)
+        ok_l, cert_l = _vd(lk, budget)
         if not ok_l:
             continue
         return True, {
@@ -347,10 +356,10 @@ def replay_certificate(cx, node):
     if node.get("kind") != "split":
         return False, "malformed node"
     v = node.get("vertex")
-    ok, bad = check_shedding(stripped, v)
-    if not ok:
+    bad, dele, lk = _shedding(stripped, v)
+    if bad:
         return False, "shedding conditions fail at %s: %s" % (v, ", ".join(bad))
-    ok, why = replay_certificate(stripped.deletion(v), node["deletion"])
+    ok, why = replay_certificate(dele, node["deletion"])
     if not ok:
         return False, why
-    return replay_certificate(stripped.link(v), node["link"])
+    return replay_certificate(lk, node["link"])

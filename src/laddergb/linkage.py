@@ -6,16 +6,17 @@ below) and a middle instance (the corner cell removed, written A), with
 the corner variable f as multiplier.  The driving identity is that the
 initial ideal of L is A + f*B, a basic double link of height-1 type.
 
-Verification is deliberately two-route.  The combinatorial route takes
-the raw leading monomials of the natural generators; the oracle route
-recomputes initial ideals through an independent Buchberger pass over
-the actual polynomial generators.  Both routes must satisfy the Hilbert
-series identity HS(R/C) = z HS(R/B) + (1 - z) HS(R/A), checked on the
-numerators as K_C = z K_B + (1 - z) K_A, which covers every degree
-at once, and the two routes must agree on the initial ideal of every
-instance.  Heights are checked against the cell count of the shifted
-ladder, codimensions against the pole of the Hilbert series, and
-shedding conditions at every removed corner.
+Verification is deliberately two-route.  The combinatorial route reads
+the leading monomial of every natural generator off its index set
+(families.leading_monomials) and never expands a minor or pfaffian; the
+oracle route expands the generators and recomputes initial ideals
+through an independent Buchberger pass over them.  Both routes must
+satisfy the Hilbert series identity HS(R/C) = z HS(R/B) + (1 - z)
+HS(R/A), checked on the numerators as K_C = z K_B + (1 - z) K_A, which
+covers every degree at once, and the two routes must agree on the
+initial ideal of every instance.  Heights are checked against the cell
+count of the shifted ladder, codimensions against the pole of the
+Hilbert series, and shedding conditions at every removed corner.
 
 The localization section implements the coordinate change used to pass
 from a one-sided ladder to a smaller one after inverting a cell: an
@@ -35,7 +36,13 @@ from .complexes import (
     replay_certificate,
 )
 from .errors import LadderError, PreconditionError
-from .families import conventional_order, natural_generators
+from .families import (
+    conventional_order,
+    expand,
+    index_sets,
+    leading_monomials,
+    natural_generators,
+)
 from .fields import QQ
 from .ladders import OneSidedLadder, ladder_from_json
 from .matrices import minor
@@ -66,10 +73,6 @@ def _ambient(ladder):
     return [cell_id(i, j) for (i, j) in ladder.variables()]
 
 
-def _initial_set(gens, order):
-    return {leading_term(g, order)[0] for g in gens}
-
-
 @dataclass
 class ChainNode:
     ladder: object
@@ -85,7 +88,9 @@ class Chain:
 
     Every node's minors/pfaffians are read from the top instance's shape:
     a node's indices lie inside the top matrix and name the same entries
-    there, so the shape's memo expands each index set once per chain."""
+    there, so the shape's memos read each index set's leading monomial
+    once per chain, and expand it once per chain where the oracle route
+    asks for the polynomial."""
 
     def __init__(self, top, field=QQ):
         self.top = top
@@ -94,12 +99,15 @@ class Chain:
         self.shape = top.shape()
         self.nodes = {}
         self.sequence = []
+        self._sets_cache = {}
+        self._pairs = {}
         self._gens_cache = {}
         self._lead_cache = {}
         self._initial_cache = {}
         self._oracle_cache = {}
+        self._top_complex = None
         self.hilbert_memo = {}  # numerators depend only on the generators
-        self._build(top)
+        self.top_canon = self._build(top)
 
     def _build(self, ladder):
         canon = ladder.canon()
@@ -121,18 +129,34 @@ class Chain:
     def steps(self):
         return [c for c in self.sequence if self.nodes[c].cell is not None]
 
+    def index_sets(self, canon):
+        """The node's generator index sets with their leading monomials
+        (families.index_sets), which its generators and leading monomials
+        are both read from.  Cached; nodes share most index sets, so each
+        (index set, monomial) pair is kept once per chain."""
+        if canon not in self._sets_cache:
+            pairs = self._pairs
+            self._sets_cache[canon] = [
+                pairs.setdefault(pair[0], pair)
+                for pair in index_sets(
+                    self.nodes[canon].ladder, self.order, self.shape, self.field
+                )
+            ]
+        return self._sets_cache[canon]
+
     def generators(self, canon):
+        """The node's natural generators, expanded (cached)."""
         if canon not in self._gens_cache:
-            self._gens_cache[canon] = natural_generators(
-                self.nodes[canon].ladder, self.field, self.order, self.shape
-            )
+            self._gens_cache[canon] = [
+                expand(self.shape, key, self.field) for key, _ in self.index_sets(canon)
+            ]
         return self._gens_cache[canon]
 
     def leading_monomials(self, canon):
-        """Set of the leading monomials of the node's natural generators
-        (cached)."""
+        """Set of the leading monomials of the node's natural generators,
+        read off their index sets without expanding them (cached)."""
         if canon not in self._lead_cache:
-            self._lead_cache[canon] = _initial_set(self.generators(canon), self.order)
+            self._lead_cache[canon] = {lead for _, lead in self.index_sets(canon)}
         return self._lead_cache[canon]
 
     def initial_ideal(self, canon):
@@ -143,6 +167,17 @@ class Chain:
                 self.leading_monomials(canon), _ambient(self.nodes[canon].ladder)
             )
         return self._initial_cache[canon]
+
+    def node_complex(self, canon):
+        """Simplicial complex of a node's initial ideal.  Only the top
+        instance's is kept: the top step's shedding check and the
+        decomposability search or replay share it."""
+        if canon == self.top_canon and self._top_complex is not None:
+            return self._top_complex
+        cx = SimplicialComplex.from_squarefree(self.initial_ideal(canon))
+        if canon == self.top_canon:
+            self._top_complex = cx
+        return cx
 
     def oracle_basis(self, canon, max_spairs=None):
         """Reduced basis of the node's ideal, recomputed from scratch by
@@ -162,10 +197,14 @@ def _check(name, ok, detail=""):
     return {"name": name, "pass": bool(ok), "detail": detail}
 
 
-def initial_ideal(ladder, gens, order):
-    """Monomial ideal of the leading monomials of gens under order, in
-    the ladder's own ambient ring."""
-    return MonomialIdeal(_initial_set(gens, order), _ambient(ladder))
+def initial_ideal(ladder, order, field=QQ):
+    """Monomial ideal of the leading monomials of the ladder's natural
+    generators under order, in the ladder's own ambient ring.  The
+    monomials are read off the index sets; field is used only where a
+    generator has to be expanded (see families.leading_monomials)."""
+    return MonomialIdeal(
+        set(leading_monomials(ladder, order, field=field)), _ambient(ladder)
+    )
 
 
 def groebner_checks(gens, order, field, max_spairs=None, basis=None):
@@ -207,19 +246,11 @@ def height_check(ladder, ideal, memo):
     return _check("codim-equals-height", codim == h, detail), codim
 
 
-def vertex_decomposition(ideal, max_faces=None):
-    """(complex, shedding certificate) of the squarefree ideal; the
-    certificate is None when the complex is not vertex decomposable."""
-    cx = SimplicialComplex.from_squarefree(ideal)
+def vd_checks(cx, max_faces=None):
+    """Vertex decomposability of a complex, and a replay of the shedding
+    certificate found.  Returns (checks, certificate); the certificate
+    is None when the complex is not vertex decomposable."""
     _, cert = is_vertex_decomposable(cx, max_faces=max_faces)
-    return cx, cert
-
-
-def vd_checks(ideal, max_faces=None):
-    """Vertex decomposability of the squarefree ideal's complex, and a
-    replay of the shedding certificate found.  Returns (checks,
-    certificate) as vertex_decomposition does."""
-    cx, cert = vertex_decomposition(ideal, max_faces)
     detail = "%d facets" % len(cx.masks)
     checks = [_check("vertex-decomposable", cert is not None, detail)]
     if cert is not None:
@@ -322,7 +353,7 @@ def verify_step(chain, canon, max_spairs=None):
     oracle = {}
     for key in (canon, node.middle, node.reduced):
         gb = chain.oracle_basis(key, max_spairs=max_spairs)
-        oracle[key] = MonomialIdeal(_initial_set(gb, order), amb)
+        oracle[key] = MonomialIdeal({leading_term(g, order)[0] for g in gb}, amb)
     # Both sides are minimal generating sets in canonical order in amb.
     same = all(
         oracle[key] == raw_ideal
@@ -344,8 +375,7 @@ def verify_step(chain, canon, max_spairs=None):
     )
     out.append(_check("hilbert-identity-oracle", ok, detail))
 
-    cx = SimplicialComplex.from_squarefree(c_ideal)
-    shed_ok, bad = check_shedding(cx, fvar)
+    shed_ok, bad = check_shedding(chain.node_complex(canon), fvar)
     out.append(
         _check(
             "shedding-at-corner",
@@ -376,13 +406,14 @@ def verify_family(top, field=QQ, max_spairs=None, max_faces=None):
             c["instance"] = canon
             checks.append(c)
 
-    add(top.canon(), verify_node_groebner(chain, top.canon(), max_spairs))
+    root = chain.top_canon
+    add(root, verify_node_groebner(chain, root, max_spairs))
     for canon in chain.sequence:
         add(canon, verify_node_initial(chain, canon))
     for canon in chain.steps():
         add(canon, verify_step(chain, canon, max_spairs))
-    vd, cert = vd_checks(chain.initial_ideal(top.canon()), max_faces)
-    add(top.canon(), vd)
+    vd, cert = vd_checks(chain.node_complex(root), max_faces)
+    add(root, vd)
     report = {
         "schema": "laddergb-report/1",
         "instance": top.to_json(),
@@ -395,10 +426,6 @@ def verify_family(top, field=QQ, max_spairs=None, max_faces=None):
 
 # ---------------------------------------------------------------------------
 # chain certificates
-
-
-def _cells_json(ids):
-    return [list(id_cell(v)) for v in sorted(ids)]
 
 
 def vd_cert_to_json(node):
@@ -502,20 +529,14 @@ def replay_chain(cert, field=QQ):
         checks.append(_check("node-initial", ok, canon))
         ok = node.ladder.height_formula() == rec.get("height")
         checks.append(_check("node-height", ok, canon))
-    top_cx = None  # the top step's shedding check and vd-replay share it
     for canon in chain.steps():
         node = chain.nodes[canon]
-        cx = SimplicialComplex.from_squarefree(chain.initial_ideal(canon))
-        if canon == top.canon():
-            top_cx = cx
-        ok, bad = check_shedding(cx, cell_id(*node.cell))
+        ok, bad = check_shedding(chain.node_complex(canon), cell_id(*node.cell))
         checks.append(
             _check("shedding-at-corner", ok, canon if ok else ", ".join(bad))
         )
     if "vd" in cert:
-        if top_cx is None:
-            top_cx = SimplicialComplex.from_squarefree(chain.initial_ideal(top.canon()))
-        ok, why = replay_certificate(top_cx, vd_cert_from_json(cert["vd"]))
+        ok, why = replay_certificate(chain.node_complex(chain.top_canon), vd_cert_from_json(cert["vd"]))
         checks.append(_check("vd-replay", ok, why))
     return {
         "schema": "laddergb-report/1",

@@ -6,12 +6,22 @@ vanish on the diagonal and negate below it.  Minors are computed by
 cofactor expansion, pfaffians by the standard expansion along the first
 index, pf() = 1, pf(i, j) = x[i,j].
 
+minor_leading and pfaffian_leading give the leading monomial of a minor
+or pfaffian under a lex order without expanding it: they repeatedly take
+the largest variable of the submatrix (for a pfaffian, the largest pair)
+and strike its row and column (its pair).  This is exact whenever that
+variable sits at one position only, which holds for every minor and
+pfaffian the families generate under their conventional orders; in any
+other case minor_leading returns None and the caller expands.
+
 Each shape object carries one memo of the minors and one of the
 pfaffians it has expanded, keyed by the index tuples and the field's
-name, so every caller that shares a shape (a whole corner-removal chain
-shares its top instance's) expands each index set once per field.  The
-memo is looked up first; indices are validated only on a miss, before
-anything is stored, so a key in the memo is always a valid one.
+name, and one memo of leading monomials per term order, keyed by the
+index tuples; so every caller that shares a shape (a whole
+corner-removal chain shares its top instance's) expands each index set
+once per field and reads its leading monomial once per order.  The
+memos are looked up first; indices are validated only on a miss, before
+anything is stored, so a key in a memo is always a valid one.
 """
 
 from . import poly
@@ -29,6 +39,7 @@ class GenericShape:
         self.m = m
         self.n = n
         self._minors = {}
+        self._lead = {}
 
     def cells(self):
         return [(i, j) for i in range(1, self.m + 1) for j in range(1, self.n + 1)]
@@ -56,6 +67,7 @@ class SymmetricShape:
             raise PreconditionError("matrix dimension must be positive")
         self.m = self.n = n
         self._minors = {}
+        self._lead = {}
 
     def cells(self):
         return [(i, j) for i in range(1, self.n + 1) for j in range(i, self.n + 1)]
@@ -83,6 +95,7 @@ class SkewShape:
         self.m = self.n = n
         self._minors = {}
         self._pf = {}
+        self._lead = {}
 
     def cells(self):
         return [(i, j) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)]
@@ -192,6 +205,108 @@ def pfaffian(shape, indices, field):
                 term = poly.p_scale(term, field.neg(field.one), field)
             out = poly.p_add(out, term, field)
     shape._pf[key] = out
+    return out
+
+
+def _lead_memo(shape, order):
+    """The shape's leading-monomial memo for one term order, keyed by
+    the order object itself (a live object, so no other order can reuse
+    its key)."""
+    memo = shape._lead.get(order)
+    if memo is None:
+        memo = shape._lead[order] = {}
+    return memo
+
+
+def _monomial(variables):
+    """The squarefree monomial on distinct variables."""
+    return tuple(x for v in sorted(variables) for x in (v, 1))
+
+
+def minor_leading(shape, rows, cols, order):
+    """Leading monomial of the minor on rows x cols under the lex order,
+    read off the index sets; None when the rule below is not exact.
+
+    Let x be the largest variable of the submatrix.  If x sits at one
+    position (r, c) only, the minor is +-x times the minor without row r
+    and column c, plus terms free of x, and every term with x beats
+    every term without it.  So the leading monomial is x times that of
+    the smaller minor, whose leading coefficient is +-1 by the same
+    argument, over any field.  When x sits at two positions (in a
+    symmetric or skew matrix, both (r, c) and (c, r) are inside) or the
+    submatrix has no variable left, the answer is None and the caller
+    expands the minor.  Memoized in the shape per order on (rows, cols);
+    indices are validated on a miss, as in minor.
+    """
+    rows = tuple(rows)
+    cols = tuple(cols)
+    memo = _lead_memo(shape, order)
+    key = (rows, cols)
+    if key in memo:
+        return memo[key]
+    if len(rows) != len(cols):
+        raise PreconditionError("minor needs equally many rows and columns")
+    _check_indices(rows, shape.m, "rows")
+    _check_indices(cols, shape.n, "columns")
+    rank = order.rank
+    left_rows, left_cols = list(rows), list(cols)
+    picked = []
+    while left_rows:
+        best = None
+        count = 0
+        for r in left_rows:
+            for c in left_cols:
+                sign, cell = shape.entry(r, c)
+                if sign == 0:
+                    continue
+                v = poly.cell_id(*cell)
+                if best is None or rank(v) > rank(best[0]):
+                    best = (v, r, c)
+                    count = 1
+                elif v == best[0]:
+                    count += 1
+        if best is None or count > 1:
+            memo[key] = None
+            return None
+        v, r, c = best
+        picked.append(v)
+        left_rows.remove(r)
+        left_cols.remove(c)
+    out = memo[key] = _monomial(picked)
+    return out
+
+
+def pfaffian_leading(shape, indices, order):
+    """Leading monomial of the pfaffian on the indices under the lex
+    order, read off the index set.
+
+    Every variable x[i,j] of a skew matrix belongs to one pair, so the
+    pfaffian is +-x[i,j] times the pfaffian without i and j plus terms
+    free of x[i,j].  Taking the largest pair and repeating is therefore
+    always exact.  Memoized in the shape per order on (indices,).
+    """
+    if shape.kind != "skew":
+        raise PreconditionError("pfaffian requires a skew-symmetric shape")
+    indices = tuple(indices)
+    memo = _lead_memo(shape, order)
+    key = (indices,)
+    if key in memo:
+        return memo[key]
+    _check_indices(indices, shape.n, "indices")
+    if len(indices) % 2 != 0:
+        raise PreconditionError("pfaffian needs an even number of indices")
+    rank = order.rank
+    left = list(indices)
+    picked = []
+    while left:
+        i, j = max(
+            ((i, j) for k, i in enumerate(left) for j in left[k + 1 :]),
+            key=lambda p: rank(poly.cell_id(*p)),
+        )
+        picked.append(poly.cell_id(i, j))
+        left.remove(i)
+        left.remove(j)
+    out = memo[key] = _monomial(picked)
     return out
 
 

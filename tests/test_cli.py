@@ -116,6 +116,34 @@ def test_chain_then_replay(tmp_path, capsys):
     assert "VERDICT: pass" in out
 
 
+@pytest.mark.parametrize(
+    "data",
+    [MAXMINORS[4], PFAFFIAN[4], SYMMETRIC[5], ONESIDED[3]],
+    ids=lambda d: d["family"],
+)
+def test_chain_and_replay_expand_no_generator(tmp_path, capsys, monkeypatch, data):
+    # Under the conventional order both commands read every leading
+    # monomial off its index set: no minor or pfaffian is expanded.
+    calls = []
+    entry_poly = laddergb.matrices.entry_poly
+
+    def counted(*args):
+        calls.append(args)
+        return entry_poly(*args)
+
+    monkeypatch.setattr(laddergb.matrices, "entry_poly", counted)
+    path = write_instance(tmp_path, data)
+    cert_path = str(tmp_path / "cert.json")
+    code, _, _ = run(capsys, ["chain", path, "--json", "--out", cert_path])
+    assert code == 0
+    code, _, _ = run(capsys, ["replay", cert_path])
+    assert code == 0
+    assert calls == []
+    # the counter does see expansions: verify needs the polynomials
+    run(capsys, ["verify", path])
+    assert calls
+
+
 # sha256 of the stdout of `chain --json` and of `replay --json` on its
 # certificate, recorded before complexes moved to bit masks: a change to
 # the complexes or the search must leave certificates byte-identical.

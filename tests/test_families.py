@@ -1,5 +1,6 @@
 """Natural generators: counts, dedup, degrees, leading monomials."""
 
+import itertools
 import math
 
 from laddergb import (
@@ -13,9 +14,12 @@ from laddergb import (
     ladder_from_json,
     natural_generators,
 )
-from laddergb.poly import cell_id, freeze, leading_term, p_degree
+from laddergb import families, matrices
+from laddergb.fields import PrimeField
+from laddergb.linkage import Chain
+from laddergb.poly import cell_id, freeze, leading_term, p_degree, p_is_zero
 
-from corpus import CORPUS
+from corpus import CORPUS, NEGATIVE_INSTANCES
 
 
 # ---------------------------------------------------------------------------
@@ -137,3 +141,81 @@ def test_initial_generators_sorted():
         monos = initial_generators(l)
         assert monos == sorted(monos, key=order.key)
         assert len(set(monos)) == len(monos)
+
+
+# ---------------------------------------------------------------------------
+# the index-set route against full expansion
+
+
+def ref_index_sets(ladder):
+    """Brute-force enumeration of each family's index sets, region by
+    region: (rows, cols) of a minor, (indices,) of a pfaffian."""
+    combos = itertools.combinations
+    if ladder.family == "maxminors":
+        rows = tuple(range(1, ladder.m + 1))
+        for cols in combos(range(1, ladder.n + 1), ladder.m):
+            yield rows, cols
+        return
+    for region in ladder.regions():
+        t = region.t
+        if ladder.family == "pfaffian":
+            a, b = region.point
+            for idx in combos(range(a, b + 1), 2 * t):
+                yield (idx,)
+        elif ladder.family == "symmetric":
+            n = ladder.n
+            for rows in combos(range(1, n + 1), t):
+                for cols in combos(range(1, n + 1), t):
+                    cells = {(min(r, c), max(r, c)) for r in rows for c in cols}
+                    ordered = all(r <= c for r, c in zip(rows, cols))
+                    if ordered and cells <= region.cells:
+                        yield rows, cols
+        else:
+            a, b = region.point
+            for rows in combos(range(1, a + 1), t):
+                for cols in combos(range(b, ladder.n + 1), t):
+                    yield rows, cols
+
+
+def ref_generators(ladder, field, order, shape):
+    """Every index set expanded, zero and repeated polynomials dropped
+    (by freeze), sorted by (degree, leading monomial)."""
+    seen = set()
+    out = []
+    for key in ref_index_sets(ladder):
+        if len(key) == 1:
+            g = matrices.pfaffian(shape, key[0], field)
+        else:
+            g = matrices.minor(shape, key[0], key[1], field)
+        if p_is_zero(g) or freeze(g) in seen:
+            continue
+        seen.add(freeze(g))
+        out.append(g)
+    out.sort(key=lambda g: (p_degree(g), order.key(leading_term(g, order)[0])))
+    return out
+
+
+def test_index_set_route_matches_expansion_on_every_chain_node():
+    for data in CORPUS + NEGATIVE_INSTANCES:
+        for field in (QQ, PrimeField(2)):
+            chain = Chain(ladder_from_json(data), field)
+            for kind in ("diagonal", "antidiagonal"):
+                order = matrices.order_for(chain.shape, kind)
+                for canon in chain.sequence:
+                    ladder = chain.nodes[canon].ladder
+                    ref = ref_generators(ladder, field, order, ladder.shape())
+                    gens = natural_generators(ladder, field, order, chain.shape)
+                    assert list(map(freeze, gens)) == list(map(freeze, ref))
+                    leads = families.leading_monomials(
+                        ladder, order, chain.shape, field
+                    )
+                    assert leads == [leading_term(g, order)[0] for g in ref]
+            # the chain reads its generators and leading monomials from
+            # one cached list per node
+            for canon in chain.sequence:
+                ladder = chain.nodes[canon].ladder
+                ref = ref_generators(ladder, field, chain.order, ladder.shape())
+                gens = chain.generators(canon)
+                assert list(map(freeze, gens)) == list(map(freeze, ref))
+                leads = {leading_term(g, chain.order)[0] for g in ref}
+                assert chain.leading_monomials(canon) == leads

@@ -10,6 +10,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laddergb import QQ
 from laddergb.errors import PreconditionError
@@ -20,10 +22,12 @@ from laddergb.matrices import (
     SymmetricShape,
     entry_poly,
     minor,
+    minor_leading,
     order_for,
     pfaffian,
+    pfaffian_leading,
 )
-from laddergb.poly import cell_id, p_mul, p_scale, p_sub
+from laddergb.poly import cell_id, leading_term, p_mul, p_scale, p_sub
 
 
 def brute_det(shape, rows, cols, field=QQ):
@@ -230,3 +234,88 @@ def test_order_for_kinds():
     assert order_for(s, "antidiagonal").kind == "antidiagonal"
     with pytest.raises(PreconditionError):
         order_for(s, "weights")
+
+
+# ---------------------------------------------------------------------------
+# leading monomials read off index sets
+
+
+def _subset(draw, n, k):
+    drawn = draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True))
+    return tuple(sorted(drawn))
+
+
+@st.composite
+def leading_cases(draw):
+    """(shape, key, order kind, field): a minor (rows, cols) of a generic,
+    symmetric or skew shape, or a pfaffian (indices,) of a skew shape."""
+    kind = draw(st.sampled_from(["generic", "symmetric", "skew", "pfaffian"]))
+    if kind == "generic":
+        shape = GenericShape(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    elif kind == "symmetric":
+        shape = SymmetricShape(draw(st.integers(1, 6)))
+    else:
+        shape = SkewShape(draw(st.integers(1, 8)))
+    if kind == "pfaffian":
+        t = draw(st.integers(0, shape.n // 2))
+        key = (_subset(draw, shape.n, 2 * t),)
+    else:
+        t = draw(st.integers(0, min(shape.m, shape.n, 4 if kind == "skew" else 6)))
+        key = (_subset(draw, shape.m, t), _subset(draw, shape.n, t))
+    order = draw(st.sampled_from(["diagonal", "antidiagonal"]))
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]))
+    return shape, key, order, field
+
+
+@given(leading_cases())
+@settings(max_examples=300, deadline=None)
+def test_leading_rule_matches_expansion(case):
+    # Whenever the rule answers, its monomial is the expanded polynomial's
+    # leading monomial, over every field: the polynomial is nonzero and
+    # its leading coefficient is +-1.
+    shape, key, kind, field = case
+    order = order_for(shape, kind)
+    if len(key) == 1:
+        lead = pfaffian_leading(shape, key[0], order)
+        g = pfaffian(shape, key[0], field)
+        assert lead is not None  # every pair is its own variable
+    else:
+        lead = minor_leading(shape, key[0], key[1], order)
+        g = minor(shape, key[0], key[1], field)
+    if lead is not None:
+        m, c = leading_term(g, order)
+        assert m == lead
+        assert field.eq(c, field.one) or field.eq(c, field.neg(field.one))
+
+
+def test_symmetric_antidiagonal_minor_falls_back():
+    # [12|12] = x11*x22 - x12^2: under the anti-diagonal order x12 is the
+    # largest variable and sits at (1,2) and (2,1), so the rule declines
+    # and the leading monomial x12^2 only comes from the expansion.
+    s = SymmetricShape(2)
+    anti = order_for(s, "antidiagonal")
+    assert minor_leading(s, (1, 2), (1, 2), anti) is None
+    assert leading_term(minor(s, (1, 2), (1, 2), QQ), anti)[0] == (cell_id(1, 2), 2)
+    diag = order_for(s, "diagonal")
+    assert minor_leading(s, (1, 2), (1, 2), diag) == (
+        cell_id(1, 1), 1, cell_id(2, 2), 1,
+    )
+    # the memo keeps one dict per order object
+    assert minor_leading(s, (1, 2), (1, 2), anti) is None
+    assert set(s._lead) == {anti, diag}
+
+
+def test_leading_rule_rejects_bad_indices():
+    s = GenericShape(3, 3)
+    order = order_for(s, "diagonal")
+    minor_leading(s, (1, 2), (1, 2), order)
+    for rows, cols in [((1, 2), (1,)), ((2, 1), (1, 2)), ((1, 4), (1, 2))]:
+        with pytest.raises(PreconditionError):
+            minor_leading(s, rows, cols, order)
+    k = SkewShape(5)
+    korder = order_for(k, "antidiagonal")
+    for indices in [(1, 2, 3), (2, 1), (0, 1)]:
+        with pytest.raises(PreconditionError):
+            pfaffian_leading(k, indices, korder)
+    with pytest.raises(PreconditionError):
+        pfaffian_leading(s, (1, 2), order)
