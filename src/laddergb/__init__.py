@@ -7,7 +7,8 @@ polynomial generators over the rationals or a prime field.  For every
 instance it can
 
 * check that the natural generators are a reduced Groebner basis, both
-  by an independent Buchberger completion and by the reduced-basis
+  by an exact Buchberger completion (along a chain, completions reuse
+  the S-pairs another node already settled) and by the reduced-basis
   predicate;
 * unfold the corner-removal recursion into a chain of smaller
   instances, checking at every step a basic-double-link identity, a

@@ -10,7 +10,9 @@ Verification is deliberately two-route.  The combinatorial route reads
 the leading monomial of every natural generator off its index set
 (families.leading_monomials) and never expands a minor or pfaffian; the
 oracle route expands the generators and recomputes initial ideals
-through an independent Buchberger pass over them.  Both routes must
+from an exact Buchberger completion of each node's generators, which
+reuses the S-pairs other nodes of the chain settled (Chain.oracle_basis)
+but trusts no leading monomial read off an index set.  Both routes must
 satisfy the Hilbert series identity HS(R/C) = z HS(R/B) + (1 - z)
 HS(R/A), checked on the numerators as K_C = z K_B + (1 - z) K_A, which
 covers every degree at once, and the two routes must agree on the
@@ -107,6 +109,7 @@ class Chain:
         self._oracle_cache = {}
         self._top_complex = None
         self.hilbert_memo = {}  # numerators depend only on the generators
+        self.spair_record = {}  # S-pairs settled over named generators
         self.top_canon = self._build(top)
 
     def _build(self, ladder):
@@ -144,6 +147,12 @@ class Chain:
             ]
         return self._sets_cache[canon]
 
+    def names(self, canon):
+        """The index sets naming the node's generators, in the order of
+        generators(canon).  Every node reads one shape over one field, so
+        within a chain equal names mean equal polynomials."""
+        return [key for key, _ in self.index_sets(canon)]
+
     def generators(self, canon):
         """The node's natural generators, expanded (cached)."""
         if canon not in self._gens_cache:
@@ -180,11 +189,20 @@ class Chain:
         return cx
 
     def oracle_basis(self, canon, max_spairs=None):
-        """Reduced basis of the node's ideal, recomputed from scratch by
-        the completion pass (cached: nodes are shared across steps)."""
+        """Reduced basis of the node's ideal, computed by a Buchberger
+        completion of its generators (cached: nodes are shared across
+        steps).  The completions of one chain share spair_record, so an
+        S-pair that reduced to zero in one node is not reduced again in a
+        node holding the generators its division used; the first
+        completion starts from an empty record."""
         if canon not in self._oracle_cache:
             self._oracle_cache[canon] = buchberger_reduced(
-                self.generators(canon), self.order, self.field, max_spairs=max_spairs
+                self.generators(canon),
+                self.order,
+                self.field,
+                max_spairs=max_spairs,
+                names=self.names(canon),
+                record=self.spair_record,
             )
         return self._oracle_cache[canon]
 
@@ -207,11 +225,16 @@ def initial_ideal(ladder, order, field=QQ):
     )
 
 
-def groebner_checks(gens, order, field, max_spairs=None, basis=None):
+def groebner_checks(
+    gens, order, field, max_spairs=None, basis=None, names=None, record=None
+):
     """The generators must be a Buchberger fixed point: the reduced
     basis of their ideal is the generators themselves (up to scaling),
     and they pass the reduced-basis predicate.  basis is that reduced
-    basis when the caller already has it; it is computed otherwise."""
+    basis when the caller already has it; it is computed otherwise.
+    names and record are handed to the predicate (see
+    poly.is_reduced_groebner), so the S-pairs the completion of the same
+    generators reduced to zero are not reduced again."""
     if basis is None:
         basis = buchberger_reduced(gens, order, field, max_spairs=max_spairs)
     monic = [p_monic(g, order, field) for g in gens]
@@ -224,7 +247,9 @@ def groebner_checks(gens, order, field, max_spairs=None, basis=None):
         ),
         _check(
             "reduced-basis-predicate",
-            is_reduced_groebner(monic, order, field, max_spairs=max_spairs),
+            is_reduced_groebner(
+                monic, order, field, max_spairs=max_spairs, names=names, record=record
+            ),
         ),
     ]
 
@@ -262,10 +287,17 @@ def vd_checks(cx, max_faces=None):
 def verify_node_groebner(chain, canon, max_spairs=None):
     """groebner_checks on a node's natural generators, against the
     chain's oracle basis (computed once per node and shared with the
-    oracle route of verify_step)."""
+    oracle route of verify_step).  The predicate reads the chain's
+    S-pair record, so it does not repeat the completion's reductions."""
     basis = chain.oracle_basis(canon, max_spairs=max_spairs)
     return groebner_checks(
-        chain.generators(canon), chain.order, chain.field, max_spairs, basis
+        chain.generators(canon),
+        chain.order,
+        chain.field,
+        max_spairs,
+        basis,
+        chain.names(canon),
+        chain.spair_record,
     )
 
 

@@ -21,9 +21,13 @@ the reducer with the smallest index whose leading monomial divides.
 
 Buchberger's algorithm and the reduced-basis predicate share one S-pair
 loop.  It takes pairs in the normal selection order (increasing lcm
-degree) and skips those that the product criterion or Buchberger's chain
-criterion proves redundant; a budget counts the reductions it performs.
-All results are deterministic.
+degree) and settles a pair without reducing it in three ways: the
+product criterion, Buchberger's chain criterion, and a recorded standard
+representation.  The last applies when the caller names the generators
+and hands in a record of earlier calls: a pair whose S-polynomial
+reduced to zero over a set U of named generators is settled in any call
+holding U.  A budget counts the reductions the loop performs.  All
+results are deterministic.
 """
 
 import heapq
@@ -237,10 +241,11 @@ def reducers(G, order):
     return out
 
 
-def _reduce(p, G, table, order, field, quotients=None):
+def _reduce(p, G, table, order, field, quotients=None, used=None):
     """The division loop of division and normal_form; returns the
     remainder and, when quotients is a list of dicts, adds each quotient
-    term to quotients[i].
+    term to quotients[i].  When used is a set, the index of every reducer
+    that took a step is added to it.
 
     The largest monomial m of the work polynomial is reduced by the first
     entry of table that divides it.  An entry whose mask has a bit outside
@@ -266,6 +271,8 @@ def _reduce(p, G, table, order, field, quotients=None):
             continue
         qm = dv(m, lm)
         qc = field.div(c, lc)
+        if used is not None:
+            used.add(idx)
         if quotients is not None:
             q = quotients[idx]
             acc = q.get(qm)
@@ -310,12 +317,13 @@ def division(p, G, order, field, table=None):
     return _reduce(p, G, table, order, field, quotients), quotients
 
 
-def normal_form(p, G, order, field, table=None):
+def normal_form(p, G, order, field, table=None, used=None):
     """Remainder of p on division by G, as division computes it (table
-    as there), without keeping the quotients."""
+    as there), without keeping the quotients.  used, when a set, collects
+    the indices of the elements of G that the division used."""
     if table is None:
         table = reducers(G, order)
-    return _reduce(p, G, table, order, field)
+    return _reduce(p, G, table, order, field, used=used)
 
 
 def s_polynomial(f, g, order, field):
@@ -363,7 +371,9 @@ def _interreduce(G, table, order, field):
     return out
 
 
-def _nonzero_remainders(G, table, order: TermOrder, field, max_spairs=None):
+def _nonzero_remainders(
+    G, table, order: TermOrder, field, max_spairs=None, names=None, record=None
+):
     """Reduce the S-pairs of the list G and yield every nonzero remainder.
 
     table is the reducer table of G (see reducers), possibly empty or
@@ -380,7 +390,28 @@ def _nonzero_remainders(G, table, order: TermOrder, field, max_spairs=None):
     G is a Groebner basis exactly when the generator ends without
     yielding.  Raises BudgetExceeded when a reduction would exceed
     max_spairs performed reductions.
+
+    names, when given, names the elements G holds on entry (names[k] is
+    G[k]'s; equal names must mean equal polynomials), and record maps an
+    unordered pair of names to a set U of names over which the pair's
+    S-polynomial reduced to zero in an earlier call.  Such a division is
+    a standard representation over U, and it stays one over any list
+    holding U, so a named pair whose recorded U lies inside names is
+    settled without reducing it (section 2.9).  A reduction to zero that
+    used only named elements records the names of the pair and of the
+    reducers it used; a nonzero remainder, or a division that used an
+    appended element, records nothing.
     """
+    named = 0
+    if names is not None:
+        if len(names) != len(G):
+            raise PreconditionError(
+                "%d names for %d generators" % (len(names), len(G))
+            )
+        named = len(G)
+        held = frozenset(names)
+        if record is None:
+            record = {}
     settled = []  # settled[i]: the k with (i, k) reduced or skipped
     heap = []
     spent = 0
@@ -401,49 +432,65 @@ def _nonzero_remainders(G, table, order: TermOrder, field, max_spairs=None):
         if not heap:
             return
         _, _, i, j, l = heapq.heappop(heap)
+        pair = frozenset((names[i], names[j])) if j < named else None
+        known = record.get(pair) if pair is not None else None
         # the support of lcm(lm_i, lm_j) is the union of the two masks
         outside = ~(table[i][2] | table[j][2])
-        chained = any(
+        skip = (known is not None and known <= held) or any(
             not table[k][2] & outside and mono.divides(table[k][0], l)
             for k in settled[i] & settled[j]
         )
         settled[i].add(j)
         settled[j].add(i)
-        if chained:
+        if skip:
             continue
         if max_spairs is not None and spent >= max_spairs:
             raise BudgetExceeded("buchberger S-pairs", max_spairs)
         spent += 1
         s = s_polynomial(G[i], G[j], order, field)
-        r = normal_form(s, G, order, field, table)
+        used = set() if pair is not None else None
+        r = normal_form(s, G, order, field, table, used=used)
         if r:
             yield r
+        elif pair is not None and all(u < named for u in used):
+            record[pair] = pair.union(names[u] for u in used)
 
 
-def buchberger_reduced(F: Iterable[dict], order: TermOrder, field, max_spairs=None):
+def buchberger_reduced(
+    F: Iterable[dict], order: TermOrder, field, max_spairs=None, names=None, record=None
+):
     """Reduced Groebner basis of ideal(F).
 
     Every nonzero S-pair remainder joins the basis; pairs that the
-    product or the chain criterion settles are never reduced.  One reducer
-    table follows the basis as it grows and serves the final
-    interreduction.  Raises BudgetExceeded when max_spairs S-pair
-    reductions have been performed and another is due.
+    product or the chain criterion settles, or that record settles over
+    names (see _nonzero_remainders), are never reduced.  names[k] names
+    F[k]; a zero input is dropped with its name.  One reducer table
+    follows the basis as it grows and serves the final interreduction.
+    Raises BudgetExceeded when max_spairs S-pair reductions have been
+    performed and another is due.
     """
+    F = list(F)
+    if names is not None:
+        if len(names) != len(F):
+            raise PreconditionError("%d names for %d generators" % (len(names), len(F)))
+        names = [n for f, n in zip(F, names) if f]
     G = [p_monic(dict(f), order, field) for f in F if f]
     table = []
-    for r in _nonzero_remainders(G, table, order, field, max_spairs):
+    for r in _nonzero_remainders(G, table, order, field, max_spairs, names, record):
         G.append(p_monic(r, order, field))
     return _interreduce(G, table, order, field)
 
 
-def is_reduced_groebner(G, order: TermOrder, field, max_spairs=None) -> bool:
+def is_reduced_groebner(
+    G, order: TermOrder, field, max_spairs=None, names=None, record=None
+) -> bool:
     """True iff G is exactly the reduced Groebner basis of ideal(G):
     monic, interreduced (no leading monomial divides another, no tail
     monomial divisible by any leading monomial), and every S-polynomial
     reduces to zero.  S-pairs settled by the product or the chain
-    criterion are not reduced; max_spairs bounds the reductions
-    performed, as in buchberger_reduced.  One reducer table serves every
-    check."""
+    criterion, or by record over names (as in buchberger_reduced), are
+    not reduced; max_spairs bounds the reductions performed, as in
+    buchberger_reduced.  One reducer table serves every check."""
     G = [dict(g) for g in G]
     if any(not g for g in G):
         return False
@@ -461,7 +508,7 @@ def is_reduced_groebner(G, order: TermOrder, field, max_spairs=None) -> bool:
                 for j, (mj, _, sj) in enumerate(table)
             ):
                 return False
-    for _ in _nonzero_remainders(G, table, order, field, max_spairs):
+    for _ in _nonzero_remainders(G, table, order, field, max_spairs, names, record):
         return False
     return True
 

@@ -347,6 +347,16 @@ def test_spair_budget_exhausted(tmp_path, capsys):
     assert "laddergb:" in err
 
 
+def test_spair_budget_outcome_of_verify(tmp_path, capsys):
+    # the top completion of maxminors 4x7 performs 84 reductions; later
+    # completions and the predicate reuse its settled pairs
+    path = write_instance(tmp_path, {"family": "maxminors", "m": 4, "n": 7})
+    code, _, err = run(capsys, ["verify", path, "--budget-spairs", "83"])
+    assert code == 3
+    assert "laddergb:" in err
+    assert run(capsys, ["verify", path, "--budget-spairs", "84"])[0] == 0
+
+
 def test_face_budget_exhausted(tmp_path, capsys):
     # the outcome must not depend on history: an unbudgeted search in the
     # same process does not pre-pay a later budgeted one

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from laddergb import (
+    BudgetExceeded,
     Chain,
     LadderError,
     MaxMinors,
@@ -33,9 +34,9 @@ from laddergb.linkage import (
     verify_step,
 )
 from laddergb.monomials import MonomialIdeal, hilbert_function_brute
-from laddergb.poly import cell_id, freeze, p_term_mul, p_var
+from laddergb.poly import buchberger_reduced, cell_id, freeze, p_term_mul, p_var
 
-from laddergb import matrices
+from laddergb import matrices, poly
 
 from corpus import CORPUS, NEGATIVE_INSTANCES
 
@@ -152,6 +153,64 @@ def test_verify_family_computes_each_basis_once(monkeypatch):
         node = chain.nodes[canon]
         touched |= {canon, node.middle, node.reduced}
     assert len(calls) == len(touched)
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(2), PrimeField(32003)], ids=["qq", "gf2", "gf32003"]
+)
+def test_oracle_basis_equals_a_fresh_completion(field):
+    # the completions of a chain share one S-pair record; each node's basis
+    # must still be the one a completion of its generators alone gives
+    recorded = 0
+    for data in CORPUS + NEGATIVE_INSTANCES:
+        _, chain, _ = verify_family(ladder_from_json(data), field)
+        for canon in chain.sequence:
+            fresh = buchberger_reduced(chain.generators(canon), chain.order, field)
+            got = chain.oracle_basis(canon)
+            assert {freeze(g) for g in got} == {freeze(g) for g in fresh}, canon
+        recorded += len(chain.spair_record)
+    assert recorded
+
+
+def _count_spairs(monkeypatch):
+    calls = [0]
+    real = poly.s_polynomial
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(poly, "s_polynomial", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m, n, performed", [(4, 7, 149), (3, 7, 145)])
+def test_verify_family_spair_count(monkeypatch, m, n, performed):
+    # a pair settled in one node is not reduced again in another, and the
+    # reduced-basis predicate repeats none of the top completion's pairs
+    # (289 and 343 reductions when every node is completed on its own)
+    calls = _count_spairs(monkeypatch)
+    report, _, _ = verify_family(MaxMinors(m, n))
+    assert report["pass"]
+    assert calls[0] == performed
+
+
+def test_top_completion_spair_count_is_unchanged(monkeypatch):
+    # the record is empty when the top instance is completed, so its own
+    # reductions, and so its budget outcome, are those of a lone completion
+    calls = _count_spairs(monkeypatch)
+    chain = Chain(MaxMinors(4, 7))
+    root = chain.top_canon
+    chain.oracle_basis(root)
+    assert calls[0] == 84
+    calls[0] = 0
+    buchberger_reduced(chain.generators(root), chain.order, chain.field)
+    assert calls[0] == 84
+    calls[0] = 0
+    assert all(c["pass"] for c in verify_node_groebner(chain, root))
+    assert calls[0] == 0
+    with pytest.raises(BudgetExceeded):
+        Chain(MaxMinors(4, 7)).oracle_basis(root, max_spairs=83)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from laddergb import (
     BudgetExceeded,
     MaxMinors,
+    PreconditionError,
     QQ,
     ladder_from_json,
     mono,
@@ -320,6 +321,88 @@ def test_spair_budget_counts_performed_reductions(monkeypatch):
         is_reduced_groebner(gens, order, QQ, max_spairs=performed - 1)
 
 
+def _counted_spairs(monkeypatch):
+    calls = []
+    real = poly.s_polynomial
+    monkeypatch.setattr(
+        poly, "s_polynomial", lambda *args: calls.append(args) or real(*args)
+    )
+    return calls
+
+
+def test_recorded_pairs_are_not_reduced_again(monkeypatch):
+    top = MaxMinors(3, 5)
+    order = diagonal_order(top.cells())
+    gens = natural_generators(top, QQ, order)
+    names = [freeze(g) for g in gens]
+    calls = _counted_spairs(monkeypatch)
+    record = {}
+    basis = buchberger_reduced(gens, order, QQ, names=names, record=record)
+    performed = len(calls)
+    assert performed and len(record) == performed  # every pair reduced to 0
+    del calls[:]
+    again = buchberger_reduced(gens, order, QQ, names=names, record=record)
+    assert not calls
+    assert {freeze(g) for g in again} == {freeze(g) for g in basis}
+    # a recorded pair is not a reduction, so it costs no budget
+    buchberger_reduced(gens, order, QQ, max_spairs=1, names=names, record=record)
+    monic = [p_monic(g, order, QQ) for g in gens]
+    assert is_reduced_groebner(monic, order, QQ, names=names, record=record)
+    assert not calls
+
+
+def test_record_needs_every_reducer_in_the_call(monkeypatch):
+    # a pair whose recorded reducers include a name the call does not
+    # hold is reduced as if nothing were recorded
+    top = MaxMinors(3, 5)
+    order = diagonal_order(top.cells())
+    gens = natural_generators(top, QQ, order)
+    names = [freeze(g) for g in gens]
+    calls = _counted_spairs(monkeypatch)
+    fresh = buchberger_reduced(gens, order, QQ, names=names, record={})
+    performed = len(calls)
+    del calls[:]
+    stranger = freeze(p_var(cell_id(9, 9), QQ))
+    record = {
+        frozenset((names[i], names[j])): frozenset((names[i], names[j], stranger))
+        for i in range(len(names))
+        for j in range(i)
+    }
+    basis = buchberger_reduced(gens, order, QQ, names=names, record=record)
+    assert len(calls) == performed
+    assert {freeze(g) for g in basis} == {freeze(g) for g in fresh}
+
+
+def test_reduction_using_an_appended_element_is_not_recorded():
+    # in A the pair (f1, f2) reduces to zero only through an element the
+    # completion appended, which B does not hold
+    sq = p_mul(x(1, 1), x(1, 1), QQ)
+    f1 = p_add(sq, p_mul(p_mul(x(1, 2), x(1, 2), QQ), x(2, 1), QQ), QQ)
+    f2 = p_mul(sq, x(2, 1), QQ)
+    record = {}
+    buchberger_reduced([f1, f2, sq], DIAG, QQ, names=["f1", "f2", "sq"], record=record)
+    assert frozenset(("f1", "f2")) not in record
+    got = buchberger_reduced([f1, f2], DIAG, QQ, names=["f1", "f2"], record=record)
+    fresh = buchberger_reduced([f1, f2], DIAG, QQ)
+    assert len(fresh) == 2
+    assert {freeze(g) for g in got} == {freeze(g) for g in fresh}
+
+
+def test_names_must_line_up_with_the_inputs():
+    gens = natural_generators(MaxMinors(2, 3), QQ, DIAG)
+    with pytest.raises(PreconditionError):
+        buchberger_reduced(gens, DIAG, QQ, names=["a", "b"], record={})
+    with pytest.raises(PreconditionError):
+        is_reduced_groebner(gens, DIAG, QQ, names=["a"], record={})
+    # a zero input is dropped with its name
+    basis = buchberger_reduced(
+        gens + [p_zero()], DIAG, QQ, names=["a", "b", "c", "zero"], record={}
+    )
+    assert {freeze(g) for g in basis} == {
+        freeze(g) for g in buchberger_reduced(gens, DIAG, QQ)
+    }
+
+
 def test_reduced_predicate_rejects_redundancy():
     a = p_var(cell_id(1, 1), QQ)
     b = p_mul(a, p_var(cell_id(1, 2), QQ), QQ)  # leading term divisible by a
@@ -397,6 +480,29 @@ def test_reduced_predicate_matches_reference_on_random_sets(F):
         assert is_reduced_groebner(G, SMALL_ORDER, GF7) == all_pairs_reduced_groebner(
             G, SMALL_ORDER, GF7
         )
+
+
+@st.composite
+def overlapping_lists(draw):
+    """Two generator lists A and B over GF(7) in three variables that
+    share some elements, each named by its frozen form."""
+    pool = draw(st.lists(polys(GF7, 3, SMALL, 2), min_size=2, max_size=5))
+    lo = draw(st.integers(0, len(pool) - 1))
+    hi = draw(st.integers(lo + 1, len(pool)))
+    return pool[:hi], draw(st.permutations(pool[lo:]))
+
+
+@given(overlapping_lists())
+@settings(max_examples=200, deadline=None)
+def test_completions_sharing_a_record_match_fresh_ones(lists):
+    A, B = lists
+    record = {}
+    for F in (A, B):
+        got = buchberger_reduced(
+            F, SMALL_ORDER, GF7, names=[freeze(f) for f in F], record=record
+        )
+        fresh = buchberger_reduced(F, SMALL_ORDER, GF7)
+        assert {freeze(g) for g in got} == {freeze(g) for g in fresh}
 
 
 def test_buchberger_over_prime_field_matches_rationals_here():
