@@ -247,8 +247,6 @@ def _cmd_vd(args):
 
 def _cmd_chain(args):
     ladder = _checked_ladder(args.instance)
-    if args.order is not None:
-        _warn("chain verification always uses the family's conventional order")
     field = field_by_name(args.field)
     chain = Chain(ladder, field)
     _, cert = is_vertex_decomposable(
@@ -268,8 +266,6 @@ def _cmd_chain(args):
 
 def _cmd_verify(args):
     ladder = _checked_ladder(args.instance)
-    if args.order is not None:
-        _warn("chain verification always uses the family's conventional order")
     field = field_by_name(args.field)
     report, _, _ = verify_family(
         ladder,
@@ -339,8 +335,8 @@ _READS = {
     "initial": _RING,
     "height": _RING,
     "vd": _RING + ("--budget-faces",),
-    "chain": _RING + ("--budget-faces",),
-    "verify": _RING + ("--budget-spairs", "--budget-faces"),
+    "chain": ("--field", "--budget-faces"),
+    "verify": ("--field", "--budget-spairs", "--budget-faces"),
     "replay": ("--field",),
 }
 

@@ -1,8 +1,9 @@
 """Natural generators of the four ladder families.
 
-Each family enumerates the index sets of its defining minors/pfaffians
-region by region: (rows, cols) for a minor, (indices,) for a pfaffian.
-index_sets pairs each with its leading monomial, read off the index set
+The ladder classes own the enumeration: ladder.generator_keys() lists
+the index sets of the defining minors/pfaffians region by region,
+(rows, cols) for a minor and (indices,) for a pfaffian.  index_sets
+pairs each with its leading monomial, read off the index set
 (matrices.minor_leading, pfaffian_leading) without expanding anything
 unless that rule is not exact for the order at hand.  Two routes read
 that list:
@@ -19,8 +20,6 @@ polynomials: under the conventional order their leading monomials
 already differ.
 """
 
-import itertools
-
 from . import matrices
 from .fields import QQ
 from .poly import leading_term, p_is_zero
@@ -29,64 +28,6 @@ from .poly import leading_term, p_is_zero
 def conventional_order(ladder):
     """Term order the family's Groebner claims are stated for."""
     return matrices.order_for(ladder.shape(), ladder.order_kind)
-
-
-def _maxminors_gens(ladder):
-    if ladder.n < ladder.m:
-        return
-    rows = tuple(range(1, ladder.m + 1))
-    for cols in itertools.combinations(range(1, ladder.n + 1), ladder.m):
-        yield rows, cols
-
-
-def _pfaffian_gens(ladder):
-    for region in ladder.regions():
-        a, b = region.point
-        if 2 * region.t > b - a + 1:
-            continue
-        for idx in itertools.combinations(range(a, b + 1), 2 * region.t):
-            yield (idx,)
-
-
-def _symmetric_gens(ladder):
-    # Row/column selections are restricted to row_i <= col_i pointwise.
-    # Minors violating this are linear combinations of the kept ones
-    # (e.g. [14|23] = [13|24] - [12|34] in a symmetric matrix), so the
-    # unrestricted set is neither minimal nor interreduced for n >= 4.
-    # Columns come only from those whose cells meet every row inside the
-    # region; combinations of that sorted list keep the lexicographic
-    # order of all column sets.
-    n = ladder.n
-    for region in ladder.regions():
-        t = region.t
-        for rows in itertools.combinations(range(1, n + 1), t):
-            fits = [
-                c
-                for c in range(1, n + 1)
-                if all((min(r, c), max(r, c)) in region.cells for r in rows)
-            ]
-            for cols in itertools.combinations(fits, t):
-                if all(r <= c for r, c in zip(rows, cols)):
-                    yield rows, cols
-
-
-def _onesided_gens(ladder):
-    for region in ladder.regions():
-        a, b = region.point
-        t = region.t
-        if t > a or t > ladder.n - b + 1:
-            continue
-        for rows in itertools.combinations(range(1, a + 1), t):
-            for cols in itertools.combinations(range(b, ladder.n + 1), t):
-                yield rows, cols
-
-
-_GENS = {
-    "maxminors": _maxminors_gens,
-    "pfaffian": _pfaffian_gens,
-    "symmetric": _symmetric_gens,
-    "onesided": _onesided_gens,
-}
 
 
 def expand(shape, key, field):
@@ -107,7 +48,7 @@ def index_sets(ladder, order=None, shape=None, field=QQ):
     if shape is None:
         shape = ladder.shape()
     out = []
-    for key in dict.fromkeys(_GENS[ladder.family](ladder)):
+    for key in dict.fromkeys(ladder.generator_keys()):
         if len(key) == 1:
             lead = matrices.pfaffian_leading(shape, key[0], order)
         else:

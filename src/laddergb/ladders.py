@@ -15,19 +15,23 @@ Four instance kinds are supported:
   for distinguished points (a_k, b_k) on the lower border, with minor
   sizes t_k.
 
-Each ladder knows its cells, a validation report, a one-step corner
-removal split (the inductive step of the liaison argument: a reduced
-instance with one size lowered, a middle instance with the corner cell
-removed, and the shedding cell), a shifted copy whose cell count is the
-predicted height, and the height formula itself.
+Each ladder knows its cells, its regions as (point, t) pairs (sizes),
+the index sets of each region's generators (region_keys), a validation
+report, a one-step corner removal split (the inductive step of the
+liaison argument: a reduced instance with one size lowered, a middle
+instance with the corner cell removed, and the shedding cell), a
+shifted copy whose cell count is the predicted height, and the height
+formula itself.
 
-Split products are normalized before use: points are re-expressed at
-genuine maximal cells of their regions, regions contained in an equal
-size region are dropped (their generators are a subset), and regions
-that cannot hold any generator are dropped when this does not change
-the cell set (for symmetric ladders the cell set is stored explicitly,
-so dropping is always safe there).  These rules preserve the generator
-set exactly; they never change the ideal.
+Split products are normalized before use, by one procedure for every
+family: each point keeps its smallest size, a region inside an
+equal-size region is dropped (its generators are a subset), and so is a
+region whose generators have, in every term, a variable of a size-one
+region.  The symmetric normalizer also re-expresses points at genuine
+maximal cells of their regions and drops regions too small to hold a
+minor (its cell set is stored explicitly, so this never changes the
+cells); the other families keep such regions as cell carriers.  These
+rules never change the ideal.
 """
 
 import itertools
@@ -91,10 +95,148 @@ def _sorted_points(points, ts):
 
 
 # ---------------------------------------------------------------------------
+# what every family shares
+
+
+class _Ladder:
+    """Machinery shared by the four families.
+
+    A family gives its regions as (point, t) pairs (sizes), the cells of
+    the region at a point (region_cells) and the index sets of a
+    region's generators (region_keys): (rows, cols) of a minor,
+    (indices,) of a pfaffian.  Each family keeps its own split and
+    validate: bench/tracer.py wraps them class by class."""
+
+    def variables(self):
+        return self.cells()
+
+    def regions(self):
+        return [Region(p, t, self.region_cells(p)) for p, t in self.sizes()]
+
+    def generator_keys(self):
+        """Index sets of the natural generators, region by region; a set
+        two regions share comes once per region."""
+        for point, t in self.sizes():
+            yield from self.region_keys(point, t)
+
+    def holds_generator(self, point, t):
+        """True if the region (point, t) has at least one generator."""
+        return next(self.region_keys(point, t), None) is not None
+
+    def _split_index(self):
+        """Index in sizes() of the region a split removes the corner of:
+        the first region of largest size t >= 2 that holds a generator,
+        or None when there is none."""
+        best, best_t = None, 1
+        for k, (point, t) in enumerate(self.sizes()):
+            if t > best_t and self.holds_generator(point, t):
+                best, best_t = k, t
+        return best
+
+    def is_terminal(self):
+        return self.split() is None
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.canon() == other.canon()
+
+    def __hash__(self):
+        return hash(self.canon())
+
+
+def _bijection_avoiding(rows, cols, forbidden):
+    """True if some bijection rows -> cols uses no forbidden (row, col)
+    pair."""
+    if not rows:
+        return True
+    r = rows[0]
+    for i, c in enumerate(cols):
+        if (r, c) not in forbidden:
+            if _bijection_avoiding(rows[1:], cols[:i] + cols[i + 1 :], forbidden):
+                return True
+    return False
+
+
+def _matching_avoiding(elems, forbidden):
+    """True if some perfect matching of elems uses no forbidden edge
+    (edges are sorted pairs)."""
+    if not elems:
+        return True
+    a = elems[0]
+    for i in range(1, len(elems)):
+        b = elems[i]
+        if (a, b) not in forbidden:
+            if _matching_avoiding(elems[1:i] + elems[i + 1 :], forbidden):
+                return True
+    return False
+
+
+def _absorbed(ladder, region, positions):
+    """True if the region (point, t) has generators and every term of
+    each of them contains a variable at one of positions.  A term of a
+    minor is a bijection rows -> cols, one of a pfaffian a perfect
+    matching of its indices."""
+    found = False
+    for key in ladder.region_keys(*region):
+        found = True
+        if len(key) == 1:
+            free = _matching_avoiding(list(key[0]), positions)
+        else:
+            free = _bijection_avoiding(list(key[0]), list(key[1]), positions)
+        if free:
+            return False
+    return found
+
+
+def _unzip(pairs):
+    return [p for p, _ in pairs], [t for _, t in pairs]
+
+
+def _normalized(build, inside, pairs):
+    """The ladder of the (point, t) pairs without redundant regions.
+
+    Each point keeps its smallest size.  A region inside an equal-size
+    region (inside(p, q): the region at p lies in the one at q) adds no
+    generators.  A region whose generators have, in every term, a
+    variable of a size-one region adds nothing to the ideal; keeping it
+    would later remove a corner that is a cone point of the complex.
+    build(pairs, cells) makes the ladder: cells is None, or, once
+    absorbed regions are dropped, the cells of the regions kept."""
+    best = {}
+    for point, t in pairs:
+        if point not in best or t < best[point]:
+            best[point] = t
+    pairs = sorted(best.items())
+    outer = []
+    for p, t in pairs:
+        for q, s in pairs:
+            if s == t and q != p and inside(p, q):
+                break
+        else:
+            outer.append((p, t))
+    if not outer:
+        raise LadderError("normalization removed every region")
+    ladder = build(outer, None)
+    sizes = ladder.sizes()
+    positions = set()
+    for point, t in sizes:
+        if t == 1:
+            positions |= ladder.region_cells(point)
+    if not positions:
+        return ladder
+    # outside a generic matrix entry (j, i) holds the variable of (i, j)
+    if ladder.shape().kind != "generic":
+        positions |= {(j, i) for (i, j) in positions}
+    kept = [r for r in sizes if r[1] == 1 or not _absorbed(ladder, r, positions)]
+    if len(kept) == len(sizes):
+        return ladder
+    return build(kept, set().union(*(ladder.region_cells(p) for p, _ in kept)))
+
+
+# ---------------------------------------------------------------------------
 # maximal minors of a generic matrix
 
 
-class MaxMinors:
+class MaxMinors(_Ladder):
     """All m x m minors of a generic m x n matrix (zero ideal if n < m)."""
 
     family = "maxminors"
@@ -114,11 +256,16 @@ class MaxMinors:
     def cells(self):
         return [(i, j) for i in range(1, self.m + 1) for j in range(1, self.n + 1)]
 
-    def variables(self):
-        return self.cells()
+    def sizes(self):
+        return [(None, self.m)]
 
-    def regions(self):
-        return [Region(None, self.m, frozenset(self.cells()))]
+    def region_cells(self, point):
+        return frozenset(self.cells())
+
+    def region_keys(self, point, t):
+        rows = tuple(range(1, t + 1))
+        for cols in itertools.combinations(range(1, self.n + 1), t):
+            yield rows, cols
 
     def validate(self):
         out = []
@@ -130,9 +277,6 @@ class MaxMinors:
                 )
             )
         return out
-
-    def is_terminal(self):
-        return self.split() is None
 
     def split(self):
         if self.m == 1 or self.n < self.m:
@@ -163,18 +307,12 @@ class MaxMinors:
     def __repr__(self):
         return "MaxMinors(%d, %d)" % (self.m, self.n)
 
-    def __eq__(self, other):
-        return isinstance(other, MaxMinors) and (self.m, self.n) == (other.m, other.n)
-
-    def __hash__(self):
-        return hash(self.canon())
-
 
 # ---------------------------------------------------------------------------
 # pfaffian ladders
 
 
-class PfaffianLadder:
+class PfaffianLadder(_Ladder):
     """Union of principal blocks [a_k..b_k]^2 of an n x n skew matrix,
     with 2*t_k-pfaffians generated from block k."""
 
@@ -198,12 +336,9 @@ class PfaffianLadder:
 
         return SkewShape(self.n)
 
-    def _blocks(self):
-        return [(a, b) for (a, b) in self.corners]
-
     def cells(self):
         out = set()
-        for (a, b) in self._blocks():
+        for (a, b) in self.corners:
             lo, hi = max(1, a), min(self.n, b)
             for i in range(lo, hi + 1):
                 for j in range(lo, hi + 1):
@@ -213,14 +348,18 @@ class PfaffianLadder:
     def variables(self):
         return sorted({(i, j) for (i, j) in self.cells() if i < j})
 
-    def regions(self):
-        out = []
-        for (a, b), tk in zip(self.corners, self.t):
-            var_cells = frozenset(
-                (i, j) for i in range(a, b + 1) for j in range(i + 1, b + 1)
-            )
-            out.append(Region((a, b), tk, var_cells))
-        return out
+    def sizes(self):
+        return list(zip(self.corners, self.t))
+
+    def region_cells(self, corner):
+        a, b = corner
+        return frozenset((i, j) for i in range(a, b + 1) for j in range(i + 1, b + 1))
+
+    def region_keys(self, corner, t):
+        a, b = corner
+        if 2 * t <= b - a + 1:
+            for idx in itertools.combinations(range(a, b + 1), 2 * t):
+                yield (idx,)
 
     def validate(self):
         out = []
@@ -259,22 +398,10 @@ class PfaffianLadder:
                     )
         return out
 
-    def _eligible(self):
-        out = []
-        for k, ((a, b), tk) in enumerate(zip(self.corners, self.t)):
-            if tk >= 2 and 2 * tk <= b - a + 1:
-                out.append((k, tk))
-        return out
-
-    def is_terminal(self):
-        return self.split() is None
-
     def split(self):
-        elig = self._eligible()
-        if not elig:
+        k = self._split_index()
+        if k is None:
             return None
-        tmax = max(tk for _, tk in elig)
-        k = min(idx for idx, tk in elig if tk == tmax)
         a, b = self.corners[k]
         red_corners = list(self.corners)
         red_t = list(self.t)
@@ -323,91 +450,19 @@ class PfaffianLadder:
             list(self.t),
         )
 
-    def __eq__(self, other):
-        return isinstance(other, PfaffianLadder) and self.canon() == other.canon()
-
-    def __hash__(self):
-        return hash(self.canon())
-
-
-def _bijection_avoiding(rows, cols, forbidden):
-    """True if some bijection rows -> cols uses no forbidden (row, col)
-    pair."""
-    if not rows:
-        return True
-    r = rows[0]
-    for i, c in enumerate(cols):
-        if (r, c) not in forbidden:
-            if _bijection_avoiding(rows[1:], cols[:i] + cols[i + 1 :], forbidden):
-                return True
-    return False
-
-
-def _matching_avoiding(elems, forbidden):
-    """True if some perfect matching of elems uses no forbidden edge
-    (edges are sorted pairs)."""
-    if not elems:
-        return True
-    a = elems[0]
-    for i in range(1, len(elems)):
-        b = elems[i]
-        if (a, b) not in forbidden:
-            if _matching_avoiding(elems[1:i] + elems[i + 1 :], forbidden):
-                return True
-    return False
-
-
-def _pfaffian_absorbed(a, b, tk, lin):
-    """True if the block has generators but every term of every one of
-    them contains a variable of a size-one block: dropping the block
-    leaves the ideal unchanged."""
-    if b - a + 1 < 2 * tk:
-        return False  # no generators: keep as an inert cell carrier
-    for idx in itertools.combinations(range(a, b + 1), 2 * tk):
-        if _matching_avoiding(list(idx), lin):
-            return False
-    return True
-
 
 def _normalize_pfaffian(n, corners, t):
-    pairs = [((a, b), tk) for (a, b), tk in zip(corners, t)]
-    # drop blocks with no off-diagonal cell
-    pairs = [((a, b), tk) for (a, b), tk in pairs if a < b and b >= 1 and a <= n]
-    pairs = [((max(1, a), min(n, b)), tk) for (a, b), tk in pairs]
-    # exact duplicates: keep the smallest size
-    best = {}
-    for c, tk in pairs:
-        if c not in best or tk < best[c]:
-            best[c] = tk
-    pairs = sorted(best.items())
-    # equal-size regions nested in a larger one add no generators
-    keep = []
-    for (a, b), tk in pairs:
-        dominated = False
-        for (a2, b2), t2 in pairs:
-            if (a2, b2) != (a, b) and a2 <= a and b <= b2 and t2 == tk:
-                dominated = True
-                break
-        if not dominated:
-            keep.append(((a, b), tk))
-    # blocks whose generators lie term by term inside the ideal of the
-    # size-one blocks are invisible to the ideal; keeping them would
-    # later remove corners that are cone points of the complex
-    lin = set()
-    for (a, b), tk in keep:
-        if tk == 1:
-            for i in range(a, b + 1):
-                for j in range(i + 1, b + 1):
-                    lin.add((i, j))
-    if lin:
-        keep = [
-            ((a, b), tk)
-            for (a, b), tk in keep
-            if tk == 1 or not _pfaffian_absorbed(a, b, tk, lin)
-        ]
-    if not keep:
-        raise LadderError("normalization removed every region")
-    return PfaffianLadder(n, [c for c, _ in keep], [tk for _, tk in keep])
+    # blocks with no off-diagonal cell go, the rest are clamped to the matrix
+    pairs = [
+        ((max(1, a), min(n, b)), tk)
+        for (a, b), tk in zip(corners, t)
+        if a < b and b >= 1 and a <= n
+    ]
+    return _normalized(
+        lambda pairs, cells: PfaffianLadder(n, *_unzip(pairs)),
+        lambda p, q: q[0] <= p[0] and p[1] <= q[1],
+        pairs,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -418,32 +473,7 @@ def _upper_cells_below(cells, v, w):
     return frozenset((i, j) for (i, j) in cells if i <= v and j <= w)
 
 
-def _symmetric_region_fits(n, var_cells, t):
-    """True if some t x t minor of the symmetric matrix (row indices <=
-    column indices pointwise) has all resolved entries inside var_cells."""
-    if t == 0:
-        return True
-    if t == 1:
-        return bool(var_cells)
-    idx = range(1, n + 1)
-    for rows in itertools.combinations(idx, t):
-        for cols in itertools.combinations(idx, t):
-            if any(r > c for r, c in zip(rows, cols)):
-                continue
-            ok = True
-            for r in rows:
-                for c in cols:
-                    if (min(r, c), max(r, c)) not in var_cells:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return True
-    return False
-
-
-class SymmetricLadder:
+class SymmetricLadder(_Ladder):
     """Staircase region of the upper triangle of a symmetric matrix with
     distinguished points on its lower border.
 
@@ -482,14 +512,29 @@ class SymmetricLadder:
     def cells(self):
         return sorted(self.cell_set)
 
-    def variables(self):
-        return self.cells()
+    def sizes(self):
+        return list(zip(self.points, self.t))
 
-    def regions(self):
-        return [
-            Region((v, w), tk, _upper_cells_below(self.cell_set, v, w))
-            for (v, w), tk in zip(self.points, self.t)
-        ]
+    def region_cells(self, point):
+        return _upper_cells_below(self.cell_set, *point)
+
+    def region_keys(self, point, t):
+        # Row/column selections are restricted to row_i <= col_i pointwise.
+        # Minors violating this are linear combinations of the kept ones
+        # (e.g. [14|23] = [13|24] - [12|34] in a symmetric matrix), so the
+        # unrestricted set is neither minimal nor interreduced for n >= 4.
+        # Columns come only from those whose cells meet every row inside the
+        # region; combinations of that sorted list keep the lexicographic
+        # order of all column sets.
+        region = self.region_cells(point)
+        idx = range(1, self.n + 1)
+        for rows in itertools.combinations(idx, t):
+            fits = [
+                c for c in idx if all((min(r, c), max(r, c)) in region for r in rows)
+            ]
+            for cols in itertools.combinations(fits, t):
+                if all(r <= c for r, c in zip(rows, cols)):
+                    yield rows, cols
 
     def validate(self):
         out = []
@@ -522,7 +567,7 @@ class SymmetricLadder:
                     )
                 )
             prev = w
-            if not _symmetric_region_fits(self.n, _upper_cells_below(cells, v, w), tk):
+            if not self.holds_generator((v, w), tk):
                 out.append(Diagnostic("warning", "region too small for its minor size", (v, w)))
         for c in _maximal_cells(self.cell_set):
             if c not in seen:
@@ -535,22 +580,10 @@ class SymmetricLadder:
                     )
         return out
 
-    def _eligible(self):
-        out = []
-        for k, r in enumerate(self.regions()):
-            if r.t >= 2 and _symmetric_region_fits(self.n, r.cells, r.t):
-                out.append((k, r.t))
-        return out
-
-    def is_terminal(self):
-        return self.split() is None
-
     def split(self):
-        elig = self._eligible()
-        if not elig:
+        k = self._split_index()
+        if k is None:
             return None
-        tmax = max(tk for _, tk in elig)
-        k = min(idx for idx, tk in elig if tk == tmax)
         v, w = self.points[k]
         if (v, w) not in self.cell_set:
             raise LadderError("split point (%d, %d) is not a ladder cell" % (v, w))
@@ -564,8 +597,8 @@ class SymmetricLadder:
         red_points[k] = (v - 1, w - 1)
         red_t[k] = self.t[k] - 1
         red_cells = set()
-        for (pv, pw) in red_points:
-            red_cells |= _upper_cells_below(self.cell_set, pv, pw)
+        for p in red_points:
+            red_cells |= self.region_cells(p)
         return SplitResult(
             reduced=_normalize_symmetric(self.n, red_points, red_t, red_cells),
             middle=_normalize_symmetric(self.n, mid_points, mid_t, mid_cells),
@@ -623,102 +656,37 @@ class SymmetricLadder:
             list(self.t),
         )
 
-    def __eq__(self, other):
-        return isinstance(other, SymmetricLadder) and self.canon() == other.canon()
-
-    def __hash__(self):
-        return hash(self.canon())
-
 
 def _normalize_symmetric(n, points, t, cells):
     cells = frozenset(cells)
     # re-express every point at the maximal cells of its region; this is
     # exact: a minor fits in a staircase region iff it fits below one of
     # the region's maximal cells
-    expanded = []
-    for (v, w), tk in zip(points, t):
-        region = _upper_cells_below(cells, v, w)
-        if not region:
-            continue
-        for c in _maximal_cells(region):
-            expanded.append((c, tk))
-    best = {}
-    for c, tk in expanded:
-        if c not in best or tk < best[c]:
-            best[c] = tk
-    pairs = sorted(best.items())
-    # drop regions inside an equal-size region, then regions that cannot
-    # hold a generator (cells are explicit, so this never changes them)
-    keep = []
-    for (v, w), tk in pairs:
-        ok = True
-        for (v2, w2), t2 in pairs:
-            if (v2, w2) != (v, w) and v <= v2 and w <= w2 and t2 == tk:
-                ok = False
-                break
-        if ok:
-            keep.append(((v, w), tk))
-    fits = [
-        _symmetric_region_fits(n, _upper_cells_below(cells, v, w), tk)
-        for (v, w), tk in keep
+    expanded = [
+        (c, tk)
+        for (v, w), tk in zip(points, t)
+        for c in _maximal_cells(_upper_cells_below(cells, v, w))
     ]
-    if any(fits):
-        keep = [pt for pt, f in zip(keep, fits) if f]
-    # regions whose minors lie term by term inside the ideal of the
-    # size-one regions are invisible to the ideal; drop them and shrink
-    # the cell set accordingly
-    lin_cells = set()
-    for (v, w), tk in keep:
-        if tk == 1:
-            lin_cells |= _upper_cells_below(cells, v, w)
-    if lin_cells:
-        survivors = [
-            ((v, w), tk)
-            for (v, w), tk in keep
-            if tk == 1
-            or not _symmetric_absorbed(n, _upper_cells_below(cells, v, w), tk, lin_cells)
-        ]
-        if len(survivors) < len(keep):
-            keep = survivors
-            shrunk = set()
-            for (v, w), _ in keep:
-                shrunk |= _upper_cells_below(cells, v, w)
-            cells = frozenset(shrunk)
-    if not keep:
-        raise LadderError("normalization removed every region")
-    return SymmetricLadder(n, [c for c, _ in keep], [tk for _, tk in keep], cells)
 
+    def build(pairs, kept_cells):
+        if kept_cells is None:
+            kept_cells = cells
+        ladder = SymmetricLadder(n, *_unzip(pairs), kept_cells)
+        # drop the regions that cannot hold a minor, unless none can;
+        # cells are explicit, so this never changes them
+        fits = [r for r in ladder.sizes() if ladder.holds_generator(*r)]
+        if fits and len(fits) < len(pairs):
+            ladder = SymmetricLadder(n, *_unzip(fits), ladder.cell_set)
+        return ladder
 
-def _symmetric_absorbed(n, region_cells, t, lin_cells):
-    """True if the region has minors but every term of each of them
-    contains a variable of a size-one region."""
-    found = False
-    idx = range(1, n + 1)
-    for rows in itertools.combinations(idx, t):
-        for cols in itertools.combinations(idx, t):
-            if any(r > c for r, c in zip(rows, cols)):
-                continue
-            if not all(
-                (min(r, c), max(r, c)) in region_cells for r in rows for c in cols
-            ):
-                continue
-            found = True
-            forbidden = {
-                (r, c)
-                for r in rows
-                for c in cols
-                if (min(r, c), max(r, c)) in lin_cells
-            }
-            if _bijection_avoiding(list(rows), list(cols), forbidden):
-                return False
-    return found
+    return _normalized(build, lambda p, q: p[0] <= q[0] and p[1] <= q[1], expanded)
 
 
 # ---------------------------------------------------------------------------
 # one-sided ladders
 
 
-class OneSidedLadder:
+class OneSidedLadder(_Ladder):
     """Union of regions {i <= a_k, j >= b_k} of a generic m x n matrix,
     with t_k-minors generated from region k."""
 
@@ -743,27 +711,29 @@ class OneSidedLadder:
 
         return GenericShape(self.m, self.n)
 
-    def _region_cells(self, a, b):
+    def cells(self):
+        out = set()
+        for p in self.points:
+            out |= self.region_cells(p)
+        return sorted(out)
+
+    def sizes(self):
+        return list(zip(self.points, self.t))
+
+    def region_cells(self, point):
+        a, b = point
         return frozenset(
             (i, j)
             for i in range(1, min(a, self.m) + 1)
             for j in range(max(b, 1), self.n + 1)
         )
 
-    def cells(self):
-        out = set()
-        for (a, b) in self.points:
-            out |= self._region_cells(a, b)
-        return sorted(out)
-
-    def variables(self):
-        return self.cells()
-
-    def regions(self):
-        return [
-            Region((a, b), tk, self._region_cells(a, b))
-            for (a, b), tk in zip(self.points, self.t)
-        ]
+    def region_keys(self, point, t):
+        a, b = point
+        if t <= a and t <= self.n - b + 1:
+            for rows in itertools.combinations(range(1, a + 1), t):
+                for cols in itertools.combinations(range(b, self.n + 1), t):
+                    yield rows, cols
 
     def validate(self):
         out = []
@@ -813,22 +783,10 @@ class OneSidedLadder:
                 )
         return out
 
-    def _eligible(self):
-        out = []
-        for k, ((a, b), tk) in enumerate(zip(self.points, self.t)):
-            if tk >= 2 and tk <= min(a, self.n - b + 1):
-                out.append((k, tk))
-        return out
-
-    def is_terminal(self):
-        return self.split() is None
-
     def split(self):
-        elig = self._eligible()
-        if not elig:
+        k = self._split_index()
+        if k is None:
             return None
-        tmax = max(tk for _, tk in elig)
-        k = min(idx for idx, tk in elig if tk == tmax)
         a, b = self.points[k]
         red_points = list(self.points)
         red_t = list(self.t)
@@ -878,60 +836,19 @@ class OneSidedLadder:
             list(self.t),
         )
 
-    def __eq__(self, other):
-        return isinstance(other, OneSidedLadder) and self.canon() == other.canon()
-
-    def __hash__(self):
-        return hash(self.canon())
-
-
-def _onesided_absorbed(m, n, a, b, tk, lin):
-    """True if the region has minors but every term of each of them
-    contains a variable of a size-one region."""
-    found = False
-    for rows in itertools.combinations(range(1, min(a, m) + 1), tk):
-        for cols in itertools.combinations(range(max(b, 1), n + 1), tk):
-            found = True
-            forbidden = {(r, c) for r in rows for c in cols if (r, c) in lin}
-            if _bijection_avoiding(list(rows), list(cols), forbidden):
-                return False
-    return found
-
 
 def _normalize_onesided(m, n, points, t):
-    pairs = [((a, b), tk) for (a, b), tk in zip(points, t) if a >= 1 and b <= n]
-    pairs = [((min(a, m), max(b, 1)), tk) for (a, b), tk in pairs]
-    best = {}
-    for c, tk in pairs:
-        if c not in best or tk < best[c]:
-            best[c] = tk
-    pairs = sorted(best.items())
-    keep = []
-    for (a, b), tk in pairs:
-        dominated = False
-        for (a2, b2), t2 in pairs:
-            if (a2, b2) != (a, b) and a <= a2 and b >= b2 and t2 == tk:
-                dominated = True
-                break
-        if not dominated:
-            keep.append(((a, b), tk))
-    # regions invisible to the ideal because the size-one regions absorb
-    # every term of their minors
-    lin = set()
-    for (a, b), tk in keep:
-        if tk == 1:
-            for i in range(1, min(a, m) + 1):
-                for j in range(max(b, 1), n + 1):
-                    lin.add((i, j))
-    if lin:
-        keep = [
-            ((a, b), tk)
-            for (a, b), tk in keep
-            if tk == 1 or not _onesided_absorbed(m, n, a, b, tk, lin)
-        ]
-    if not keep:
-        raise LadderError("normalization removed every region")
-    return OneSidedLadder(m, n, [c for c, _ in keep], [tk for _, tk in keep])
+    # regions with no cell go, the rest are clamped to the matrix
+    pairs = [
+        ((min(a, m), max(b, 1)), tk)
+        for (a, b), tk in zip(points, t)
+        if a >= 1 and b <= n
+    ]
+    return _normalized(
+        lambda pairs, cells: OneSidedLadder(m, n, *_unzip(pairs)),
+        lambda p, q: p[0] <= q[0] and p[1] >= q[1],
+        pairs,
+    )
 
 
 # ---------------------------------------------------------------------------

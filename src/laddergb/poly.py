@@ -56,11 +56,6 @@ def var_text(v: int) -> str:
     return "x[%d,%d]" % (i, j)
 
 
-def var_mono(v: int):
-    """The monomial consisting of a single variable."""
-    return (v, 1)
-
-
 # ---------------------------------------------------------------------------
 # term orders
 

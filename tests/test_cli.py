@@ -324,6 +324,8 @@ def test_nonpositive_budget(tmp_path, capsys):
         ("validate", "--field"),
         ("validate", "--order"),
         ("replay", "--order"),
+        ("chain", "--order"),
+        ("verify", "--order"),
         ("verify", "--dmax"),
     ],
 )
