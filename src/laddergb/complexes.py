@@ -69,15 +69,6 @@ def _transversal_masks(supports):
     return trans
 
 
-def minimal_transversals(supports):
-    """All minimal hitting sets of a family of vertex sets."""
-    supports = [frozenset(s) for s in supports]
-    verts = sorted(set().union(*supports))
-    index = {v: i for i, v in enumerate(verts)}
-    masks = [sum(1 << index[v] for v in s) for s in supports]
-    return [frozenset(verts[i] for i in _bits(t)) for t in _transversal_masks(masks)]
-
-
 class SimplicialComplex:
     """Facets as an antichain of masks over the vertex tuple verts,
     inside an ambient vertex set (which link, deletion and strip_cones
@@ -182,14 +173,8 @@ class SimplicialComplex:
         ]
         return self._derive(without + cut, (v,))
 
-    def _common(self):
-        return functools.reduce(operator.and_, self.masks) if self.masks else 0
-
-    def cone_points(self):
-        return self._vertices(self._common())
-
     def strip_cones(self):
-        common = self._common()
+        common = functools.reduce(operator.and_, self.masks) if self.masks else 0
         if not common:
             return self, []
         cones = self._vertices(common)

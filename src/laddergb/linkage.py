@@ -6,6 +6,15 @@ below) and a middle instance (the corner cell removed, written A), with
 the corner variable f as multiplier.  The driving identity is that the
 initial ideal of L is A + f*B, a basic double link of height-1 type.
 
+All ideals of a chain live in one polynomial ring, the ring of the top
+instance's variables (Chain.ambient), as the identity relates ideals of
+one ring.  A node's ideals are built once per chain and shared by every
+step the node takes part in.  Reading a node's ideal in a larger ring
+changes no verdict: the Hilbert numerator does not depend on the number
+of variables, so neither the codimension nor the Hilbert identity does,
+and the extra variables are cone points of the node's complex (see
+Chain.node_complex).
+
 Verification is deliberately two-route.  The combinatorial route reads
 the leading monomial of every natural generator off its index set
 (families.leading_monomials) and never expands a minor or pfaffian; the
@@ -92,13 +101,16 @@ class Chain:
     a node's indices lie inside the top matrix and name the same entries
     there, so the shape's memos read each index set's leading monomial
     once per chain, and expand it once per chain where the oracle route
-    asks for the polynomial."""
+    asks for the polynomial.  For the same reason every node's ideals and
+    complexes live in one ring, over the top instance's variables
+    (ambient)."""
 
     def __init__(self, top, field=QQ):
         self.top = top
         self.field = field
         self.order = conventional_order(top)
         self.shape = top.shape()
+        self.ambient = tuple(_ambient(top))
         self.nodes = {}
         self.sequence = []
         self._sets_cache = {}
@@ -107,6 +119,7 @@ class Chain:
         self._lead_cache = {}
         self._initial_cache = {}
         self._oracle_cache = {}
+        self._oracle_initial_cache = {}
         self._top_complex = None
         self.hilbert_memo = {}  # numerators depend only on the generators
         self.spair_record = {}  # S-pairs settled over named generators
@@ -169,18 +182,26 @@ class Chain:
         return self._lead_cache[canon]
 
     def initial_ideal(self, canon):
-        """The ideal of leading_monomials(canon) in the node's own ambient
-        ring (cached: it is built once per chain)."""
+        """The ideal of leading_monomials(canon) in the chain's ring,
+        ambient (cached: it is built once per chain).  Its Hilbert
+        numerator, and so its codimension, is the one it has in the
+        node's own ring: the numerator does not depend on the number of
+        variables."""
         if canon not in self._initial_cache:
             self._initial_cache[canon] = MonomialIdeal(
-                self.leading_monomials(canon), _ambient(self.nodes[canon].ladder)
+                self.leading_monomials(canon), self.ambient
             )
         return self._initial_cache[canon]
 
     def node_complex(self, canon):
-        """Simplicial complex of a node's initial ideal.  Only the top
-        instance's is kept: the top step's shedding check and the
-        decomposability search or replay share it."""
+        """Simplicial complex of a node's initial ideal, in the chain's
+        ring: the top instance's variables outside the node's ladder are
+        cone points of it.  Coning keeps purity and raises the dimension
+        of a complex, and of its deletion and link at any other vertex,
+        by the same amount, so every shedding verdict is the one of the
+        node's own ring.  Only the top instance's complex is kept: the
+        top step's shedding check and the decomposability search or
+        replay share it."""
         if canon == self.top_canon and self._top_complex is not None:
             return self._top_complex
         cx = SimplicialComplex.from_squarefree(self.initial_ideal(canon))
@@ -205,6 +226,16 @@ class Chain:
                 record=self.spair_record,
             )
         return self._oracle_cache[canon]
+
+    def oracle_initial(self, canon, max_spairs=None):
+        """The ideal of the leading monomials of oracle_basis(canon), in
+        the chain's ring (cached, as the basis is)."""
+        if canon not in self._oracle_initial_cache:
+            gb = self.oracle_basis(canon, max_spairs=max_spairs)
+            self._oracle_initial_cache[canon] = MonomialIdeal(
+                {leading_term(g, self.order)[0] for g in gb}, self.ambient
+            )
+        return self._oracle_initial_cache[canon]
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +262,16 @@ def groebner_checks(
     """The generators must be a Buchberger fixed point: the reduced
     basis of their ideal is the generators themselves (up to scaling),
     and they pass the reduced-basis predicate.  basis is that reduced
-    basis when the caller already has it; it is computed otherwise.
-    names and record are handed to the predicate (see
-    poly.is_reduced_groebner), so the S-pairs the completion of the same
-    generators reduced to zero are not reduced again."""
+    basis when the caller already has it, and names and record the names
+    and S-pair record its completion used; the predicate reads them (see
+    poly.is_reduced_groebner), so the S-pairs the completion reduced to
+    zero are not reduced again.  Without a basis the generators are
+    completed here, named by position, over a fresh record."""
     if basis is None:
-        basis = buchberger_reduced(gens, order, field, max_spairs=max_spairs)
+        names, record = range(len(gens)), {}
+        basis = buchberger_reduced(
+            gens, order, field, max_spairs=max_spairs, names=names, record=record
+        )
     monic = [p_monic(g, order, field) for g in gens]
     same = {freeze(g) for g in monic} == {freeze(g) for g in basis}
     return [
@@ -303,7 +338,10 @@ def verify_node_groebner(chain, canon, max_spairs=None):
 
 def verify_node_initial(chain, canon):
     """Squarefreeness and the codimension/height agreement of the
-    initial ideal, in the instance's own ambient ring."""
+    initial ideal.  The ideal lives in the chain's ring; its codimension
+    is read off the Hilbert numerator, which does not depend on the
+    number of variables, so it is the codimension in the node's own
+    ring."""
     ideal = chain.initial_ideal(canon)
     height, _ = height_check(chain.nodes[canon].ladder, ideal, chain.hilbert_memo)
     return [squarefree_check(ideal), height]
@@ -328,8 +366,6 @@ def verify_step(chain, canon, max_spairs=None):
     node = chain.nodes[canon]
     if node.cell is None:
         raise PreconditionError("terminal instance has no removal step")
-    order, field = chain.order, chain.field
-    amb = _ambient(node.ladder)
     f = (cell_id(*node.cell), 1)
     out = []
 
@@ -337,6 +373,8 @@ def verify_step(chain, canon, max_spairs=None):
     a_raw = chain.leading_monomials(node.middle)
     b_raw = chain.leading_monomials(node.reduced)
     c_ideal = chain.initial_ideal(canon)
+    a_ideal = chain.initial_ideal(node.middle)
+    b_ideal = chain.initial_ideal(node.reduced)
     shifted = {mono.mul(f, g) for g in b_raw}
     # Compare minimal generating sets: when a region untouched by the
     # removal contributes to both children, the union picks up corner
@@ -368,8 +406,6 @@ def verify_step(chain, canon, max_spairs=None):
         )
     )
 
-    a_ideal = MonomialIdeal(a_raw, amb)
-    b_ideal = MonomialIdeal(b_raw, amb)
     try:
         linked = basic_double_link(a_ideal, b_ideal, f)
         out.append(
@@ -382,19 +418,12 @@ def verify_step(chain, canon, max_spairs=None):
     out.append(_check("hilbert-identity-combinatorial", ok, detail))
 
     # independent route: initial ideals from a Buchberger pass
-    oracle = {}
-    for key in (canon, node.middle, node.reduced):
-        gb = chain.oracle_basis(key, max_spairs=max_spairs)
-        oracle[key] = MonomialIdeal({leading_term(g, order)[0] for g in gb}, amb)
-    # Both sides are minimal generating sets in canonical order in amb.
-    same = all(
-        oracle[key] == raw_ideal
-        for key, raw_ideal in (
-            (canon, c_ideal),
-            (node.middle, a_ideal),
-            (node.reduced, b_ideal),
-        )
-    )
+    oracle = {
+        key: chain.oracle_initial(key, max_spairs)
+        for key in (canon, node.middle, node.reduced)
+    }
+    # Both sides are minimal generating sets in canonical order in one ring.
+    same = all(oracle[key] == chain.initial_ideal(key) for key in oracle)
     out.append(
         _check(
             "oracle-initial-match",
@@ -517,10 +546,20 @@ def chain_certificate(chain, vd_cert=None):
     return out
 
 
+# replay check -> the fields of a node record it compares; with the id
+# they cover every field chain_certificate records
+_NODE_FACTS = (
+    ("node-structure", ("instance", "terminal", "cell", "reduced", "middle")),
+    ("node-initial", ("initial",)),
+    ("node-height", ("height",)),
+)
+
+
 def replay_chain(cert, field=QQ):
     """Recompute a chain from its certificate's top instance over field
-    and check every recorded fact, the field and term order included.
-    Returns a report dict."""
+    and check every recorded fact, the field and term order included:
+    each recorded node is compared against chain_certificate of the
+    recomputed chain.  Returns a report dict."""
     top = ladder_from_json(cert.get("top", {}))
     chain = Chain(top, field)
     recorded = {n["id"]: n for n in cert.get("nodes", [])}
@@ -535,32 +574,19 @@ def replay_chain(cert, field=QQ):
             cert.get("order") == top.order_kind,
             "recorded %s, conventional %s" % (cert.get("order"), top.order_kind),
         ),
-    ]
-    checks.append(
         _check(
             "node-set",
             set(recorded) == set(chain.sequence),
             "%d recorded, %d recomputed" % (len(recorded), len(chain.sequence)),
-        )
-    )
-    for canon in chain.sequence:
-        rec = recorded.get(canon)
+        ),
+    ]
+    for fresh in chain_certificate(chain)["nodes"]:
+        rec = recorded.get(fresh["id"])
         if rec is None:
             continue
-        node = chain.nodes[canon]
-        cell = tuple(rec["cell"]) if rec.get("cell") else None
-        ok = (
-            cell == node.cell
-            and rec.get("reduced") == node.reduced
-            and rec.get("middle") == node.middle
-            and rec.get("terminal") == (node.cell is None)
-        )
-        checks.append(_check("node-structure", ok, canon))
-        ideal = chain.initial_ideal(canon)
-        ok = sorted(mono_text(g) for g in ideal.gens) == rec.get("initial")
-        checks.append(_check("node-initial", ok, canon))
-        ok = node.ladder.height_formula() == rec.get("height")
-        checks.append(_check("node-height", ok, canon))
+        for name, keys in _NODE_FACTS:
+            ok = all(rec.get(k) == fresh[k] for k in keys)
+            checks.append(_check(name, ok, fresh["id"]))
     for canon in chain.steps():
         node = chain.nodes[canon]
         ok, bad = check_shedding(chain.node_complex(canon), cell_id(*node.cell))

@@ -90,10 +90,6 @@ class MonomialIdeal:
     def plus(self, extra):
         return MonomialIdeal(list(self.gens) + list(extra), self.ambient)
 
-    def scaled(self, f):
-        """f * I."""
-        return MonomialIdeal([mono.mul(f, g) for g in self.gens], self.ambient)
-
     def hilbert_function(self, d):
         """Number of degree-d monomials of the ambient ring not in I: the
         coefficient of z^d in K(z) / (1-z)^n, one prefix sum per variable."""

@@ -123,9 +123,6 @@ def antidiagonal_order(cells) -> TermOrder:
 def p_zero():
     return {}
 
-def p_const(field, c):
-    return {} if field.is_zero(c) else {(): c}
-
 
 def p_var(v, field):
     return {(v, 1): field.one}
@@ -506,15 +503,6 @@ def is_reduced_groebner(
     for _ in _nonzero_remainders(G, table, order, field, max_spairs, names, record):
         return False
     return True
-
-
-def ideal_member(p, G, order, field) -> bool:
-    """Membership of p in ideal(G) given a Groebner basis G."""
-    if not p:
-        return True
-    if not G:
-        return False
-    return not normal_form(p, G, order, field)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import laddergb
-from laddergb import cli, ladder_from_json
+from laddergb import cli, ladder_from_json, poly
 
 from conftest import write_instance
 from corpus import MAXMINORS, NEGATIVE_INSTANCES, ONESIDED, PFAFFIAN, SYMMETRIC
@@ -347,6 +347,23 @@ def test_spair_budget_exhausted(tmp_path, capsys):
     code, _, err = run(capsys, ["groebner-check", path, "--budget-spairs", "1"])
     assert code == 3
     assert "laddergb:" in err
+
+
+def test_groebner_check_predicate_reuses_the_completion(tmp_path, capsys, monkeypatch):
+    # the completion of maxminors 4x7 performs 84 reductions and records
+    # the pairs it settled, so the reduced-basis predicate performs none
+    # (168 when the predicate kept no record)
+    calls = [0]
+    real = poly.s_polynomial
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(poly, "s_polynomial", counting)
+    path = write_instance(tmp_path, {"family": "maxminors", "m": 4, "n": 7})
+    assert run(capsys, ["groebner-check", path])[0] == 0
+    assert calls[0] == 84
 
 
 def test_spair_budget_outcome_of_verify(tmp_path, capsys):

@@ -13,7 +13,6 @@ from laddergb.complexes import (
     check_shedding,
     codim_by_cover,
     is_vertex_decomposable,
-    minimal_transversals,
     replay_certificate,
 )
 from laddergb.linkage import Chain
@@ -146,13 +145,21 @@ def brute_transversals(supports):
 # transversals
 
 
+def minimal_transversals(supports, ambient):
+    """The minimal transversals of the supports, as complements of the
+    facets from_squarefree builds."""
+    gens = [tuple(x for v in sorted(s) for x in (v, 1)) for s in supports]
+    cx = SimplicialComplex.from_squarefree(MonomialIdeal(gens, ambient))
+    return [frozenset(ambient) - f for f in cx.facets]
+
+
 def test_minimal_transversals_examples():
     supports = [frozenset({1, 2}), frozenset({2, 3})]
-    assert set(minimal_transversals(supports)) == {
+    assert set(minimal_transversals(supports, (1, 2, 3))) == {
         frozenset({2}),
         frozenset({1, 3}),
     }
-    assert minimal_transversals([]) == [frozenset()]
+    assert minimal_transversals([], (1, 2, 3)) == [frozenset()]
 
 
 @given(
@@ -164,7 +171,8 @@ def test_minimal_transversals_examples():
 )
 @settings(max_examples=80)
 def test_minimal_transversals_match_brute_force(supports):
-    assert set(minimal_transversals(supports)) == brute_transversals(supports)
+    ambient = tuple(sorted(set().union(*supports)))
+    assert set(minimal_transversals(supports, ambient)) == brute_transversals(supports)
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +229,15 @@ def test_cone_points_and_strip():
     cone = SimplicialComplex(
         [f | {4} for f in base.facets], tuple(range(5))
     )
-    assert cone.cone_points() == [4]
     stripped, cones = cone.strip_cones()
     assert cones == [4]
     assert stripped.facets == base.facets
-    assert base.cone_points() == []
+    assert base.strip_cones() == (base, [])
 
 
 def assert_matches_reference(cx, ref):
     assert (cx.facets, cx.ambient) == ref
     assert cx.vertices() == sorted(set().union(*ref[0]))
-    assert cx.cone_points() == ref_cone_points(ref)
     stripped, cones = cx.strip_cones()
     ref_stripped, ref_cones = ref_strip_cones(ref)
     assert cones == ref_cones

@@ -1,6 +1,7 @@
 """Corner-removal chains: construction, per-step verification,
 certificates and replay, and the localization maps."""
 
+import hashlib
 import json
 
 import pytest
@@ -155,6 +156,25 @@ def test_verify_family_computes_each_basis_once(monkeypatch):
     assert len(calls) == len(touched)
 
 
+def test_verify_family_builds_each_node_ideal_once(monkeypatch):
+    # every ideal lives in the chain's one ring, so a node's initial ideal
+    # and oracle initial ideal are built once and shared by its steps
+    from laddergb import linkage
+
+    built = []
+    real = linkage.MonomialIdeal
+
+    def counting(gens, ambient):
+        built.append(tuple(ambient))
+        return real(gens, ambient)
+
+    monkeypatch.setattr(linkage, "MonomialIdeal", counting)
+    report, chain, _ = verify_family(PfaffianLadder(5, [(1, 4), (2, 5)], [2, 2]))
+    assert report["pass"]
+    assert len(built) <= 2 * len(chain.sequence)
+    assert set(built) == {chain.ambient}
+
+
 @pytest.mark.parametrize(
     "field", [QQ, PrimeField(2), PrimeField(32003)], ids=["qq", "gf2", "gf32003"]
 )
@@ -263,6 +283,18 @@ def test_hilbert_identity_holds_in_every_degree_not_up_to_a_cutoff():
     assert _hilbert_identity(c, a, a, {}) == (True, "every degree")
 
 
+# sha256 of the sort_keys JSON of every corpus report over QQ, in corpus
+# order: a change of representation must leave the reports byte-identical.
+CORPUS_REPORTS_SHA = "51a78a4bdc8ed957116c97a8a2526b9f91e20e5e0e764f936ca8b7f04a19b172"
+
+
+def test_corpus_reports_are_pinned(corpus_reports):
+    h = hashlib.sha256()
+    for report, _, _ in corpus_reports.values():
+        h.update(json.dumps(report, sort_keys=True).encode("utf-8"))
+    assert h.hexdigest() == CORPUS_REPORTS_SHA
+
+
 def test_step_on_terminal_node_raises():
     chain = Chain(MaxMinors(2, 3))
     with pytest.raises(PreconditionError):
@@ -334,6 +366,15 @@ def test_replay_detects_edited_height():
     report = replay_chain(cert)
     failing = {c["name"] for c in report["checks"] if not c["pass"]}
     assert failing == {"node-height"}
+
+
+def test_replay_detects_edited_instance():
+    cert = build_cert(MaxMinors(2, 3))
+    assert cert["nodes"][1]["instance"] != cert["nodes"][0]["instance"]
+    cert["nodes"][1]["instance"] = cert["nodes"][0]["instance"]
+    report = replay_chain(cert)
+    failing = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert failing == {"node-structure"}
 
 
 def test_replay_detects_missing_node():

@@ -143,12 +143,6 @@ def test_squarefree():
     assert MonomialIdeal([], AMBIENT).is_squarefree()
 
 
-def test_scaled():
-    ideal = MonomialIdeal([(0, 1), (1, 1)], AMBIENT)
-    scaled = ideal.scaled((2, 1))
-    assert set(scaled.gens) == {(0, 1, 2, 1), (1, 1, 2, 1)}
-
-
 # ---------------------------------------------------------------------------
 # basic double link
 
