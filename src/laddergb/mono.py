@@ -110,21 +110,6 @@ def lcm(a, b):
     return tuple(out)
 
 
-def coprime(a, b):
-    """True if the monomials share no variable."""
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        va, vb = a[i], b[j]
-        if va == vb:
-            return False
-        if va < vb:
-            i += 2
-        else:
-            j += 2
-    return True
-
-
 def deg(a):
     """Total degree."""
     return sum(a[1::2])
@@ -136,7 +121,9 @@ def support(a):
     When a divides b, every variable of a occurs in b, so a nonzero
     support(a) & ~support(b) proves that a does not divide b without
     reading the exponents (the short exponent-vector test of Bachmann and
-    Schoenemann, ISSAC 1998, with one bit per variable).
+    Schoenemann, ISSAC 1998, with one bit per variable).  With one bit per
+    variable the test is exact for coprimality: a and b share no variable
+    iff support(a) & support(b) == 0.
     """
     s = 0
     for v in a[::2]:

@@ -115,9 +115,9 @@ class MonomialIdeal:
         return "MonomialIdeal(%d gens, %d vars)" % (len(self.gens), len(self.ambient))
 
 
-def basic_double_link(a_ideal, b_ideal, f):
-    """C = A + f*B for a monomial f, with the construction's precondition
-    checks: A must be colon-stable along f and contained in B."""
+def check_double_link(a_ideal, b_ideal, f):
+    """Raise PreconditionError unless A + f*B is a basic double link: A
+    colon-stable along the nonunit monomial f and contained in B."""
     if a_ideal.ambient != b_ideal.ambient:
         raise PreconditionError("ingredient ideals live in different rings")
     if f == ():
@@ -126,6 +126,11 @@ def basic_double_link(a_ideal, b_ideal, f):
         raise PreconditionError("first ingredient is not colon-stable along the multiplier")
     if not b_ideal.contains_ideal(a_ideal):
         raise PreconditionError("first ingredient is not contained in the second")
+
+
+def basic_double_link(a_ideal, b_ideal, f):
+    """C = A + f*B for a monomial f, after check_double_link."""
+    check_double_link(a_ideal, b_ideal, f)
     return a_ideal.plus([mono.mul(f, g) for g in b_ideal.gens])
 
 

@@ -26,8 +26,9 @@ product criterion, Buchberger's chain criterion, and a recorded standard
 representation.  The last applies when the caller names the generators
 and hands in a record of earlier calls: a pair whose S-polynomial
 reduced to zero over a set U of named generators is settled in any call
-holding U.  A budget counts the reductions the loop performs.  All
-results are deterministic.
+holding U.  The first and the last settle a pair as it is formed, before
+it costs an lcm or a place in the queue.  A budget counts the reductions
+the loop performs.  All results are deterministic.
 """
 
 import heapq
@@ -332,10 +333,19 @@ def s_polynomial(f, g, order, field):
 # Buchberger
 
 
+def _divisible(m, table):
+    """Whether the leading monomial of some entry of the reducer table
+    divides m; an entry whose mask has a bit outside support(m) is passed
+    over without calling mono.divides."""
+    outside = ~mono.support(m)
+    return any(not mask & outside and mono.divides(lm, m) for lm, _, mask in table)
+
+
 def _interreduce(G, table, order, field):
     """Minimal, tail-reduced basis from the monic list G and its reducer
     table; keeps determinism by processing in decreasing leading-monomial
-    order."""
+    order.  An element whose tail no kept leading monomial divides is its
+    own normal form against the others; only the rest are reduced."""
     ranked = sorted(zip(G, table), key=lambda e: order.key(e[1][0]), reverse=True)
     # drop generators whose leading monomial is divisible by another's
     gens, kept = [], []
@@ -356,7 +366,8 @@ def _interreduce(G, table, order, field):
     # result is monic and still in decreasing leading-monomial order
     out = []
     for i, g in enumerate(gens):
-        if len(gens) > 1:
+        lm = kept[i][0]
+        if any(m != lm and _divisible(m, kept) for m in g):
             rest = gens[:i] + gens[i + 1 :]
             g = normal_form(g, rest, order, field, kept[:i] + kept[i + 1 :])
         out.append(g)
@@ -375,13 +386,14 @@ def _nonzero_remainders(
     degree, then by the lcm monomial and the pair indices, for
     determinism.  A pair is settled once it is reduced or skipped, and two
     criteria skip a pair (i, j) without reducing it: the product criterion
-    (lm_i and lm_j coprime), and Buchberger's chain criterion (some lm_k
-    divides lcm(lm_i, lm_j) while the pairs (i, k) and (j, k) are both
-    settled; Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, section
-    2.10).  Either way the S-polynomial has a standard representation, so
-    G is a Groebner basis exactly when the generator ends without
-    yielding.  Raises BudgetExceeded when a reduction would exceed
-    max_spairs performed reductions.
+    (the support masks of lm_i and lm_j share no bit), tested as the pair
+    is formed, and Buchberger's chain criterion (some lm_k divides
+    lcm(lm_i, lm_j) while the pairs (i, k) and (j, k) are both settled;
+    Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, section 2.10),
+    tested as it leaves the queue.  Either way the S-polynomial has a
+    standard representation, so G is a Groebner basis exactly when the
+    generator ends without yielding.  Raises BudgetExceeded when a
+    reduction would exceed max_spairs performed reductions.
 
     names, when given, names the elements G holds on entry (names[k] is
     G[k]'s; equal names must mean equal polynomials), and record maps an
@@ -389,7 +401,8 @@ def _nonzero_remainders(
     S-polynomial reduced to zero in an earlier call.  Such a division is
     a standard representation over U, and it stays one over any list
     holding U, so a named pair whose recorded U lies inside names is
-    settled without reducing it (section 2.9).  A reduction to zero that
+    settled without reducing it (section 2.9), whenever that is read: so
+    it is settled as it is formed, never queued.  A reduction to zero that
     used only named elements records the names of the pair and of the
     reducers it used; a nonzero remainder, or a division that used an
     appended element, records nothing.
@@ -410,25 +423,25 @@ def _nonzero_remainders(
     while True:
         table.extend(reducers(G[len(table) :], order))
         for new in range(len(settled), len(G)):
-            lm = table[new][0]
+            lm, _, mask = table[new]
             done = set()
             for k in range(new):
-                lk = table[k][0]
-                if mono.coprime(lk, lm):
-                    done.add(k)
-                    settled[k].add(new)
-                else:
-                    l = mono.lcm(lk, lm)
-                    heapq.heappush(heap, (mono.deg(l), order.key(l), k, new, l))
+                lk, _, mk = table[k]
+                if mk & mask:
+                    known = new < named and record.get(frozenset((names[k], names[new])))
+                    if not (known and known <= held):
+                        l = mono.lcm(lk, lm)
+                        heapq.heappush(heap, (mono.deg(l), order.key(l), k, new, l))
+                        continue
+                done.add(k)
+                settled[k].add(new)
             settled.append(done)
         if not heap:
             return
         _, _, i, j, l = heapq.heappop(heap)
-        pair = frozenset((names[i], names[j])) if j < named else None
-        known = record.get(pair) if pair is not None else None
         # the support of lcm(lm_i, lm_j) is the union of the two masks
         outside = ~(table[i][2] | table[j][2])
-        skip = (known is not None and known <= held) or any(
+        skip = any(
             not table[k][2] & outside and mono.divides(table[k][0], l)
             for k in settled[i] & settled[j]
         )
@@ -440,6 +453,7 @@ def _nonzero_remainders(
             raise BudgetExceeded("buchberger S-pairs", max_spairs)
         spent += 1
         s = s_polynomial(G[i], G[j], order, field)
+        pair = frozenset((names[i], names[j])) if j < named else None
         used = set() if pair is not None else None
         r = normal_form(s, G, order, field, table, used=used)
         if r:
@@ -493,13 +507,10 @@ def is_reduced_groebner(
     # any tail monomial of its own or another element
     for i, g in enumerate(G):
         lm = table[i][0]
-        for m in g:
-            outside = ~mono.support(m)
-            if any(
-                (j != i or m != lm) and not sj & outside and mono.divides(mj, m)
-                for j, (mj, _, sj) in enumerate(table)
-            ):
-                return False
+        if _divisible(lm, table[:i] + table[i + 1 :]) or any(
+            m != lm and _divisible(m, table) for m in g
+        ):
+            return False
     for _ in _nonzero_remainders(G, table, order, field, max_spairs, names, record):
         return False
     return True

@@ -192,6 +192,24 @@ def test_oracle_basis_equals_a_fresh_completion(field):
     assert recorded
 
 
+def test_chain_ids_intern_index_sets(corpus_reports):
+    # equal ids must mean equal index sets, and so equal generators, or the
+    # record would settle a pair of other generators; the record the
+    # oracle fills holds the ids alone
+    recorded = 0
+    for canon, (_, chain, _) in corpus_reports.items():
+        named = {}
+        for node in chain.sequence:
+            for key, i in zip(chain.names(node), chain.ids(node)):
+                assert named.setdefault(i, key) == key, canon
+        assert len(set(named.values())) == len(named), canon
+        assert sorted(named) == list(range(len(named))), canon
+        for pair, used in chain.spair_record.items():
+            assert all(type(n) is int for n in pair | used), canon
+        recorded += len(chain.spair_record)
+    assert recorded
+
+
 def _count_spairs(monkeypatch):
     calls = [0]
     real = poly.s_polynomial

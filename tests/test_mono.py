@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from laddergb import mono
-from laddergb.mono import coprime, deg, div, divides, lcm, mul, support
+from laddergb.mono import deg, div, divides, lcm, mul, support
 
 
 def monomials(max_vars=6, max_exp=4):
@@ -56,7 +56,8 @@ def test_lcm_divisibility(a, b):
 
 @given(monomials(), monomials())
 def test_coprime_iff_lcm_is_product(a, b):
-    assert coprime(a, b) == (lcm(a, b) == mul(a, b))
+    # coprimality is decided by the support masks
+    assert (support(a) & support(b) == 0) == (lcm(a, b) == mul(a, b))
 
 
 @given(monomials(), monomials())
@@ -82,7 +83,8 @@ def test_divisor_support_lies_in_the_support(a, b):
 @given(monomials(), monomials())
 def test_support_of_lcm_and_coprimality(a, b):
     assert support(lcm(a, b)) == support(a) | support(b)
-    assert coprime(a, b) == (support(a) & support(b) == 0)
+    shared = set(a[::2]) & set(b[::2])
+    assert (support(a) & support(b) == 0) == (not shared)
     assert support(a) == sum(1 << v for v in a[::2])
 
 
@@ -94,8 +96,8 @@ def test_representation_is_canonical():
     assert div((1, 2, 3, 4), (1, 1)) == (1, 1, 3, 4)
     assert lcm((1, 2), (1, 1, 2, 3)) == (1, 2, 2, 3)
     assert not divides((1, 3), (1, 2))
-    assert coprime((1, 2), (2, 1))
-    assert not coprime((1, 2, 2, 1), (2, 5))
+    assert not support((1, 2)) & support((2, 1))
+    assert support((1, 2, 2, 1)) & support((2, 5))
     assert deg(()) == 0
     assert deg((1, 2, 7, 3)) == 5
 

@@ -311,7 +311,9 @@ def test_spair_budget_counts_performed_reductions(monkeypatch):
     performed = len(calls)
     lms = [leading_term(g, order)[0] for g in gens]
     candidates = sum(
-        not mono.coprime(lms[i], lms[j]) for i in range(len(lms)) for j in range(i)
+        bool(mono.support(lms[i]) & mono.support(lms[j]))
+        for i in range(len(lms))
+        for j in range(i)
     )
     assert 0 < performed < candidates  # the chain criterion skipped some
     assert is_reduced_groebner(gens, order, QQ, max_spairs=performed)
@@ -347,6 +349,51 @@ def test_recorded_pairs_are_not_reduced_again(monkeypatch):
     monic = [p_monic(g, order, QQ) for g in gens]
     assert is_reduced_groebner(monic, order, QQ, names=names, record=record)
     assert not calls
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"family": "maxminors", "m": 2, "n": 4},
+        {"family": "onesided", "m": 4, "n": 4, "points": [[2, 1], [4, 3]], "t": [2, 2]},
+    ],
+    ids=["maxminors-2x4", "onesided-4x4"],
+)
+def test_recorded_pairs_are_settled_before_they_are_queued(monkeypatch, data):
+    # on these generators the chain criterion skips no pair, so the first
+    # completion records every pair that is not coprime, and the second
+    # settles each of them as it forms it: no lcm, no S-polynomial
+    gens, order = _monic_generators(data)
+    names = [freeze(g) for g in gens]
+    record = {}
+    basis = buchberger_reduced(gens, order, QQ, names=names, record=record)
+    assert record
+    calls = {"lcm": 0, "s_polynomial": 0}
+    for mod, name in ((mono, "lcm"), (poly, "s_polynomial")):
+
+        def counting(*args, real=getattr(mod, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mod, name, counting)
+    again = buchberger_reduced(gens, order, QQ, names=names, record=record)
+    assert calls == {"lcm": 0, "s_polynomial": 0}
+    assert {freeze(g) for g in again} == {freeze(g) for g in basis}
+
+
+def test_interreduction_leaves_a_reduced_basis_alone(monkeypatch):
+    # no tail monomial of a reduced basis is divisible by a leading
+    # monomial, so every normal form its completion takes is an S-pair's
+    gens, order = _monic_generators({"family": "maxminors", "m": 3, "n": 5})
+    spairs = _counted_spairs(monkeypatch)
+    forms = []
+    real = poly.normal_form
+    monkeypatch.setattr(
+        poly, "normal_form", lambda *args, **kw: forms.append(args) or real(*args, **kw)
+    )
+    basis = buchberger_reduced(gens, order, QQ)
+    assert {freeze(g) for g in basis} == {freeze(g) for g in gens}
+    assert spairs and len(forms) == len(spairs)
 
 
 def test_record_needs_every_reducer_in_the_call(monkeypatch):
@@ -478,6 +525,36 @@ def test_reduced_predicate_matches_reference_on_random_sets(F):
         assert is_reduced_groebner(G, SMALL_ORDER, GF7) == all_pairs_reduced_groebner(
             G, SMALL_ORDER, GF7
         )
+
+
+def interreduce_reference(G, order, field):
+    """Reference for poly._interreduce: sort the monic list G by
+    decreasing leading monomial, drop every element whose leading
+    monomial another's divides (the first of equal ones stays), and
+    replace each kept element by its normal form against the others."""
+    ranked = sorted(G, key=lambda g: order.key(leading_term(g, order)[0]), reverse=True)
+    lms = [leading_term(g, order)[0] for g in ranked]
+    kept = [
+        g
+        for i, g in enumerate(ranked)
+        if not any(
+            j != i and mono.divides(lm, lms[i]) and (lm != lms[i] or j < i)
+            for j, lm in enumerate(lms)
+        )
+    ]
+    return [
+        normal_form(g, kept[:i] + kept[i + 1 :], order, field)
+        for i, g in enumerate(kept)
+    ]
+
+
+@given(st.lists(polys(GF7, 3, SMALL, 2).filter(bool), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_interreduce_matches_reference(F):
+    G = [p_monic(f, SMALL_ORDER, GF7) for f in F]
+    got = poly._interreduce(G, poly.reducers(G, SMALL_ORDER), SMALL_ORDER, GF7)
+    want = interreduce_reference(G, SMALL_ORDER, GF7)
+    assert [freeze(g) for g in got] == [freeze(g) for g in want]
 
 
 @st.composite
