@@ -20,10 +20,13 @@ the leading monomial of every natural generator off its index set
 (families.leading_monomials) and never expands a minor or pfaffian; the
 oracle route expands the generators and recomputes initial ideals
 from an exact Buchberger completion of each node's generators, which
-reuses the S-pairs other nodes of the chain settled (Chain.oracle_basis)
-but trusts no leading monomial read off an index set.  Both routes must
-satisfy the Hilbert series identity HS(R/C) = z HS(R/B) + (1 - z)
-HS(R/A), checked on the numerators as K_C = z K_B + (1 - z) K_A, which
+reuses the S-pairs other nodes of the chain settled (Chain.oracle_initial)
+but trusts no leading monomial read off an index set.  The leading
+monomials of any Groebner basis generate the initial ideal, so a node's
+oracle initial ideal is read off its completion; only the top instance,
+whose generators are checked to be its reduced basis, is interreduced
+(Chain.oracle_basis).  Both routes must satisfy the Hilbert series
+identity HS(R/C) = z HS(R/B) + (1 - z) HS(R/A), checked on the numerators as K_C = z K_B + (1 - z) K_A, which
 covers every degree at once, and the two routes must agree on the
 initial ideal of every instance.  Heights are checked against the cell
 count of the shifted ladder, codimensions against the pole of the
@@ -62,6 +65,7 @@ from .monomials import codim_by_series, hilbert_numerator, series_add, series_mu
 from .poly import (
     buchberger_reduced,
     cell_id,
+    groebner_basis,
     id_cell,
     is_reduced_groebner,
     leading_term,
@@ -119,7 +123,7 @@ class Chain:
         self._gens_cache = {}
         self._lead_cache = {}
         self._initial_cache = {}
-        self._oracle_cache = {}
+        self._top_basis = None
         self._oracle_initial_cache = {}
         self._top_complex = None
         self.hilbert_memo = {}  # numerators depend only on the generators
@@ -217,33 +221,43 @@ class Chain:
             self._top_complex = cx
         return cx
 
+    def _oracle_args(self, canon, max_spairs):
+        """Arguments of the oracle's completion of a node: its generators,
+        named by ids(canon), over the chain's shared spair_record."""
+        gens = self.generators(canon)
+        return gens, self.order, self.field, max_spairs, self.ids(canon), self.spair_record
+
     def oracle_basis(self, canon, max_spairs=None):
-        """Reduced basis of the node's ideal, computed by a Buchberger
-        completion of its generators (cached: nodes are shared across
-        steps).  The completions of one chain name the generators by
-        ids(canon) and share spair_record, so an S-pair that reduced to
-        zero in one node is not reduced again in a node holding the
-        generators its division used; the first completion starts from an
-        empty record."""
-        if canon not in self._oracle_cache:
-            self._oracle_cache[canon] = buchberger_reduced(
-                self.generators(canon),
-                self.order,
-                self.field,
-                max_spairs=max_spairs,
-                names=self.ids(canon),
-                record=self.spair_record,
-            )
-        return self._oracle_cache[canon]
+        """Reduced basis of the node's ideal: a Buchberger completion of
+        its generators, interreduced.  The completions of one chain name
+        the generators by ids(canon) and share spair_record, so an S-pair
+        that reduced to zero in one node is not reduced again in a node
+        holding the generators its division used; the first completion
+        starts from an empty record.  Only the top instance's basis is
+        read (by verify_node_groebner), and only it is cached."""
+        if canon == self.top_canon and self._top_basis is not None:
+            return self._top_basis
+        basis = buchberger_reduced(*self._oracle_args(canon, max_spairs))
+        if canon == self.top_canon:
+            self._top_basis = basis
+        return basis
 
     def oracle_initial(self, canon, max_spairs=None):
-        """The ideal of the leading monomials of oracle_basis(canon), in
-        the chain's ring (cached, as the basis is)."""
+        """The node's initial ideal by the oracle route, in the chain's
+        ring (cached).  The top instance's is read off oracle_basis, so
+        the top is completed once.  Any other node's is read off the
+        leading monomials of its completion (poly.groebner_basis), which
+        generate the initial ideal as those of any Groebner basis do;
+        MonomialIdeal minimalizes them to the reduced basis's.  No basis
+        is kept for such a node."""
         if canon not in self._oracle_initial_cache:
-            gb = self.oracle_basis(canon, max_spairs=max_spairs)
-            self._oracle_initial_cache[canon] = MonomialIdeal(
-                {leading_term(g, self.order)[0] for g in gb}, self.ambient
-            )
+            if canon == self.top_canon:
+                gb = self.oracle_basis(canon, max_spairs=max_spairs)
+                leads = {leading_term(g, self.order)[0] for g in gb}
+            else:
+                _, table = groebner_basis(*self._oracle_args(canon, max_spairs))
+                leads = {lm for lm, _, _ in table}
+            self._oracle_initial_cache[canon] = MonomialIdeal(leads, self.ambient)
         return self._oracle_initial_cache[canon]
 
 
@@ -525,6 +539,14 @@ def vd_cert_from_json(data):
 def chain_certificate(chain, vd_cert=None):
     """Serializable record of a chain: per-node structure, initial
     ideals, heights, and optionally a decomposability certificate."""
+    texts = {}  # each distinct monomial is rendered once per certificate
+
+    def text(m):
+        t = texts.get(m)
+        if t is None:
+            t = texts[m] = mono_text(m)
+        return t
+
     nodes = []
     for canon in chain.sequence:
         node = chain.nodes[canon]
@@ -537,7 +559,7 @@ def chain_certificate(chain, vd_cert=None):
                 "cell": list(node.cell) if node.cell else None,
                 "reduced": node.reduced,
                 "middle": node.middle,
-                "initial": sorted(mono_text(g) for g in ideal.gens),
+                "initial": sorted(text(g) for g in ideal.gens),
                 "height": node.ladder.height_formula(),
             }
         )

@@ -19,11 +19,16 @@ each reduction step subtracts its multiple of the reducer from the work
 polynomial in place.  Neither changes the result: reduction always picks
 the reducer with the smallest index whose leading monomial divides.
 
-Buchberger's algorithm and the reduced-basis predicate share one S-pair
-loop.  It takes pairs in the normal selection order (increasing lcm
-degree) and settles a pair without reducing it in three ways: the
-product criterion, Buchberger's chain criterion, and a recorded standard
-representation.  The last applies when the caller names the generators
+Buchberger's algorithm runs in two stages.  Completion (groebner_basis)
+appends every nonzero S-pair remainder to the monic inputs and returns
+that Groebner basis with its reducer table; its leading monomials
+generate the initial ideal already.  Reduction (_interreduce) turns it
+into the reduced basis; buchberger_reduced is the two in sequence.
+
+Completion and the reduced-basis predicate share one S-pair loop.  It
+takes pairs in the normal selection order (increasing lcm degree) and
+settles a pair without reducing it in three ways: the product criterion,
+Buchberger's chain criterion, and a recorded standard representation.  The last applies when the caller names the generators
 and hands in a record of earlier calls: a pair whose S-polynomial
 reduced to zero over a set U of named generators is settled in any call
 holding U.  The first and the last settle a pair as it is formed, before
@@ -205,13 +210,17 @@ def leading_term(p, order: TermOrder):
 
 
 def p_monic(p, order, field):
-    if not p:
-        return p
-    _, c = leading_term(p, order)
-    if field.eq(c, field.one):
-        return p
-    ci = field.inv(c)
-    return {m: field.mul(a, ci) for m, a in p.items()}
+    return _monic_entry(p, order, field)[0] if p else p
+
+
+def _monic_entry(p, order, field):
+    """Nonzero p scaled to lead with coefficient one, and its reducer
+    table entry (see reducers), from one leading-term search."""
+    lm, lc = leading_term(p, order)
+    if not field.eq(lc, field.one):
+        ci = field.inv(lc)
+        p = {m: field.mul(a, ci) for m, a in p.items()}
+    return p, (lm, field.one, mono.support(lm))
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +328,12 @@ def normal_form(p, G, order, field, table=None, used=None):
     return _reduce(p, G, table, order, field, used=used)
 
 
-def s_polynomial(f, g, order, field):
-    """S-polynomial of f and g, both nonzero."""
-    mf, cf = leading_term(f, order)
-    mg, cg = leading_term(g, order)
+def s_polynomial(f, g, order, field, lead_f=None, lead_g=None):
+    """S-polynomial of f and g, both nonzero.  lead_f and lead_g start
+    with the (lm, lc) of f and g when the caller has them, as a reducer
+    table entry does; they are found with leading_term otherwise."""
+    mf, cf = (lead_f or leading_term(f, order))[:2]
+    mg, cg = (lead_g or leading_term(g, order))[:2]
     l = mono.lcm(mf, mg)
     a = p_term_mul(f, mono.div(l, mf), field.inv(cf), field)
     b = p_term_mul(g, mono.div(l, mg), field.inv(cg), field)
@@ -452,7 +463,7 @@ def _nonzero_remainders(
         if max_spairs is not None and spent >= max_spairs:
             raise BudgetExceeded("buchberger S-pairs", max_spairs)
         spent += 1
-        s = s_polynomial(G[i], G[j], order, field)
+        s = s_polynomial(G[i], G[j], order, field, table[i], table[j])
         pair = frozenset((names[i], names[j])) if j < named else None
         used = set() if pair is not None else None
         r = normal_form(s, G, order, field, table, used=used)
@@ -462,16 +473,17 @@ def _nonzero_remainders(
             record[pair] = pair.union(names[u] for u in used)
 
 
-def buchberger_reduced(
+def groebner_basis(
     F: Iterable[dict], order: TermOrder, field, max_spairs=None, names=None, record=None
 ):
-    """Reduced Groebner basis of ideal(F).
+    """Buchberger completion of ideal(F): returns (G, table), the monic
+    nonzero inputs followed by the monic nonzero S-pair remainders, and
+    their reducer table.  G is a Groebner basis, so its leading monomials
+    generate the initial ideal, but it is not interreduced.
 
-    Every nonzero S-pair remainder joins the basis; pairs that the
-    product or the chain criterion settles, or that record settles over
-    names (see _nonzero_remainders), are never reduced.  names[k] names
-    F[k]; a zero input is dropped with its name.  One reducer table
-    follows the basis as it grows and serves the final interreduction.
+    Pairs that the product or the chain criterion settles, or that
+    record settles over names (see _nonzero_remainders), are never
+    reduced.  names[k] names F[k]; a zero input is dropped with its name.
     Raises BudgetExceeded when max_spairs S-pair reductions have been
     performed and another is due.
     """
@@ -480,10 +492,26 @@ def buchberger_reduced(
         if len(names) != len(F):
             raise PreconditionError("%d names for %d generators" % (len(names), len(F)))
         names = [n for f, n in zip(F, names) if f]
-    G = [p_monic(dict(f), order, field) for f in F if f]
-    table = []
+    G, table = [], []
+    for f in F:
+        if f:
+            g, entry = _monic_entry(dict(f), order, field)
+            G.append(g)
+            table.append(entry)
     for r in _nonzero_remainders(G, table, order, field, max_spairs, names, record):
-        G.append(p_monic(r, order, field))
+        g, entry = _monic_entry(r, order, field)
+        G.append(g)
+        table.append(entry)
+    return G, table
+
+
+def buchberger_reduced(
+    F: Iterable[dict], order: TermOrder, field, max_spairs=None, names=None, record=None
+):
+    """Reduced Groebner basis of ideal(F): the completion groebner_basis
+    (arguments as there) followed by its interreduction, which reads the
+    completion's reducer table."""
+    G, table = groebner_basis(F, order, field, max_spairs, names, record)
     return _interreduce(G, table, order, field)
 
 

@@ -35,7 +35,14 @@ from laddergb.linkage import (
     verify_step,
 )
 from laddergb.monomials import MonomialIdeal, hilbert_function_brute
-from laddergb.poly import buchberger_reduced, cell_id, freeze, p_term_mul, p_var
+from laddergb.poly import (
+    buchberger_reduced,
+    cell_id,
+    freeze,
+    leading_term,
+    p_term_mul,
+    p_var,
+)
 
 from laddergb import matrices, poly
 
@@ -135,17 +142,26 @@ def test_oracle_basis_is_cached():
     assert chain.oracle_basis(canon) is chain.oracle_basis(canon)
 
 
-def test_verify_family_computes_each_basis_once(monkeypatch):
-    from laddergb import linkage
-
+def _count_calls(monkeypatch, name, modules):
+    # the real poly function, counted wherever it is looked up
     calls = []
-    real = linkage.buchberger_reduced
+    real = getattr(poly, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(linkage, "buchberger_reduced", counting)
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_verify_family_computes_each_basis_once(monkeypatch):
+    # one completion per touched node: the top's through buchberger_reduced,
+    # every other node's directly
+    from laddergb import linkage
+
+    calls = _count_calls(monkeypatch, "groebner_basis", (poly, linkage))
     top = PfaffianLadder(5, [(1, 4), (2, 5)], [2, 2])
     report, chain, _ = verify_family(top)
     assert report["pass"]
@@ -154,6 +170,19 @@ def test_verify_family_computes_each_basis_once(monkeypatch):
         node = chain.nodes[canon]
         touched |= {canon, node.middle, node.reduced}
     assert len(calls) == len(touched)
+
+
+def test_verify_family_interreduces_once_per_chain(monkeypatch):
+    # only the top instance's reduced basis is read; every other node's
+    # oracle initial ideal comes from its completion alone
+    calls = _count_calls(monkeypatch, "_interreduce", (poly,))
+    steps = 0
+    for data in CORPUS + NEGATIVE_INSTANCES:
+        calls.clear()
+        _, chain, _ = verify_family(ladder_from_json(data))
+        assert len(calls) == 1, data
+        steps += len(chain.steps())
+    assert steps > len(CORPUS + NEGATIVE_INSTANCES)
 
 
 def test_verify_family_builds_each_node_ideal_once(monkeypatch):
@@ -180,12 +209,18 @@ def test_verify_family_builds_each_node_ideal_once(monkeypatch):
 )
 def test_oracle_basis_equals_a_fresh_completion(field):
     # the completions of a chain share one S-pair record; each node's basis
-    # must still be the one a completion of its generators alone gives
+    # must still be the one a completion of its generators alone gives, and
+    # its oracle initial ideal, read off its completion, the ideal of that
+    # basis's leading monomials
     recorded = 0
     for data in CORPUS + NEGATIVE_INSTANCES:
         _, chain, _ = verify_family(ladder_from_json(data), field)
         for canon in chain.sequence:
             fresh = buchberger_reduced(chain.generators(canon), chain.order, field)
+            lead = MonomialIdeal(
+                {leading_term(g, chain.order)[0] for g in fresh}, chain.ambient
+            )
+            assert chain.oracle_initial(canon) == lead, canon
             got = chain.oracle_basis(canon)
             assert {freeze(g) for g in got} == {freeze(g) for g in fresh}, canon
         recorded += len(chain.spair_record)

@@ -21,6 +21,7 @@ from laddergb import (
 from laddergb import poly
 from laddergb.families import conventional_order
 from laddergb.fields import PrimeField
+from laddergb.monomials import minimalize
 from laddergb.poly import (
     antidiagonal_order,
     buchberger_reduced,
@@ -555,6 +556,24 @@ def test_interreduce_matches_reference(F):
     got = poly._interreduce(G, poly.reducers(G, SMALL_ORDER), SMALL_ORDER, GF7)
     want = interreduce_reference(G, SMALL_ORDER, GF7)
     assert [freeze(g) for g in got] == [freeze(g) for g in want]
+
+
+@given(st.lists(polys(GF7, 3, SMALL, 2), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_completion_leads_generate_the_initial_ideal(F):
+    # the completion starts with the monic nonzero inputs, its table
+    # describes it, it spans the ideal, and its leading monomials
+    # minimalize to the reduced basis's: Chain.oracle_initial reads the
+    # initial ideal off them
+    G, table = poly.groebner_basis(F, SMALL_ORDER, GF7)
+    monic = [p_monic(f, SMALL_ORDER, GF7) for f in F if f]
+    assert [freeze(g) for g in G[: len(monic)]] == [freeze(g) for g in monic]
+    assert table == poly.reducers(G, SMALL_ORDER)
+    basis = buchberger_reduced(F, SMALL_ORDER, GF7)
+    assert not any(normal_form(g, basis, SMALL_ORDER, GF7) for g in G)
+    assert set(minimalize(lm for lm, _, _ in table)) == {
+        leading_term(g, SMALL_ORDER)[0] for g in basis
+    }
 
 
 @st.composite
