@@ -110,15 +110,18 @@ def _report(ladder, checks):
 
 
 def _emit(doc, args, lines):
-    text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    if args.json:
-        print(text)
-    else:
-        for line in lines:
-            print(line)
+    """Write doc to --out and print it for --json, encoding it only then;
+    print the text lines otherwise."""
+    if args.out or args.json:
+        text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        if args.json:
+            print(text)
+            return
+    for line in lines:
+        print(line)
 
 
 def _check_lines(checks):

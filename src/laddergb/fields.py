@@ -1,24 +1,39 @@
 """Coefficient fields for exact computation.
 
-Two fields are supported: the rationals (python Fractions) and prime
-fields GF(p).  A field object mediates all coefficient arithmetic so the
-polynomial layer never touches representation details.  GF(p) elements
-are plain ints in [0, p); rationals are Fraction instances.
+Two fields are supported: the rationals and prime fields GF(p).  A field
+object mediates all coefficient arithmetic so the polynomial layer never
+touches representation details.  GF(p) elements are plain ints in [0, p).
+
+Rationals are integer-first: an element is a Python int or a
+fractions.Fraction, and of, div and inv return an int whenever the value
+is integral, so a Fraction appears only where a division leaves the
+integers.  add, sub, mul and neg keep ints ints; on Fraction operands
+they may give an integral Fraction.  Since Fraction(n) == n and
+hash(Fraction(n)) == hash(n), both forms compare, hash and print (text)
+alike, so the mix never shows in a polynomial's frozen form or its text.
+The paper's generators have coefficients and leading coefficients +-1,
+so their S-polynomials and remainders by monic reducers stay ints.
 """
 
 from fractions import Fraction
 
 
+def _lower(q):
+    """A rational q as an int when it is integral, else q itself."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Rationals:
-    """Field of rational numbers with Fraction elements."""
+    """Field of rational numbers; elements are ints, and Fractions only
+    where the value is not integral (see the module docstring)."""
 
     name = "q"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, n):
-        return Fraction(n)
+        return n if type(n) is int else _lower(Fraction(n))
 
     def add(self, a, b):
         return a + b
@@ -35,10 +50,15 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        if type(a) is int:
+            return a if a == 1 or a == -1 else Fraction(1, a)
+        return _lower(1 / a)
 
     def div(self, a, b):
-        return a / b
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        return _lower(a / b)
 
     def is_zero(self, a):
         return a == 0

@@ -55,6 +55,40 @@ def test_rationals_are_exact():
     assert third == Fraction(1, 3)
 
 
+def mixed_rationals():
+    # what a QQ computation can hold: ints, and Fractions, integral ones
+    # among them
+    return st.one_of(st.integers(min_value=-100, max_value=100), rationals())
+
+
+@given(mixed_rationals(), mixed_rationals())
+def test_rational_ops_match_the_fraction_reference(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    got = {
+        "add": (QQ.add(a, b), fa + fb),
+        "sub": (QQ.sub(a, b), fa - fb),
+        "mul": (QQ.mul(a, b), fa * fb),
+        "neg": (QQ.neg(a), -fa),
+        "of": (QQ.of(a), fa),
+    }
+    if fb:
+        got["inv"] = (QQ.inv(b), 1 / fb)
+        got["div"] = (QQ.div(a, b), fa / fb)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(b)
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(a, b)
+    for op, (value, want) in got.items():
+        assert value == want and hash(value) == hash(want), op
+        assert QQ.text(value) == str(want), op
+        if op in ("of", "inv", "div"):
+            # an int exactly when the value is integral
+            assert (type(value) is int) == (want.denominator == 1), op
+        elif type(a) is int and type(b) is int:
+            assert type(value) is int, op
+
+
 def test_prime_field_wraps():
     assert GF7.of(10) == 3
     assert GF7.add(5, 4) == 2

@@ -611,6 +611,34 @@ def test_buchberger_over_prime_field_matches_rationals_here():
     assert as_int(bq) == as_int(bp)
 
 
+def test_rational_coefficients_stay_ints():
+    # the generators' coefficients and leading coefficients are +-1, so a
+    # completion over QQ never leaves the integers; a Fraction here means
+    # the coefficients went back to Fraction arithmetic
+    def ints(polys):
+        return all(type(c) is int for g in polys for c in g.values())
+
+    top = MaxMinors(3, 5)
+    order = diagonal_order(top.cells())
+    gens = natural_generators(top, QQ, order)
+    G, table = poly.groebner_basis(gens, order, QQ)
+    assert ints(gens) and ints(G)
+    assert all(type(lc) is int for _, lc, _ in table)
+    # a completion that appends a remainder, from a -1 leading coefficient
+    cells = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    order = diagonal_order(cells)
+    xv, yv, zv, wv = (p_var(cell_id(i, j), QQ) for (i, j) in cells)
+    f = p_sub(p_mul(zv, zv, QQ), p_mul(xv, yv, QQ), QQ)
+    g = p_sub(p_mul(yv, yv, QQ), p_mul(wv, wv, QQ), QQ)
+    G, _ = poly.groebner_basis([f, g], order, QQ)
+    assert len(G) == 3 and ints(G)
+    assert ints(buchberger_reduced([f, g], order, QQ))
+    # and so does a division by it: its quotient coefficients are quotients
+    p = p_add(p_mul(p_mul(xv, wv, QQ), f, QQ), p_mul(zv, p_mul(zv, zv, QQ), QQ), QQ)
+    r, quotients = division(p, G, order, QQ)
+    assert r and ints([r]) and ints(quotients)
+
+
 # ---------------------------------------------------------------------------
 # text forms
 
