@@ -58,10 +58,7 @@ def _load_json(path):
 
 
 def _load_ladder(path):
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise LadderError("instance file must contain a JSON object")
-    return ladder_from_json(data)
+    return ladder_from_json(_load_json(path))
 
 
 def _checked_ladder(path):

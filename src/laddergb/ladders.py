@@ -20,18 +20,22 @@ the index sets of each region's generators (region_keys), a validation
 report, a one-step corner removal split (the inductive step of the
 liaison argument: a reduced instance with one size lowered, a middle
 instance with the corner cell removed, and the shedding cell), a
-shifted copy whose cell count is the predicted height, and the height
-formula itself.
+shifted copy whose variable count is the predicted height, and the
+height formula itself.
 
-Split products are normalized before use, by one procedure for every
-family: each point keeps its smallest size, a region inside an
-equal-size region is dropped (its generators are a subset), and so is a
-region whose generators have, in every term, a variable of a size-one
-region.  The symmetric normalizer also re-expresses points at genuine
-maximal cells of their regions and drops regions too small to hold a
-minor (its cell set is stored explicitly, so this never changes the
-cells); the other families keep such regions as cell carriers.  These
-rules never change the ideal.
+The three region families share one split (_Ladder._corner_split): it
+takes the corner of the first largest region; the family states where
+that corner moves in the reduced ladder and which two points replace it
+in the middle ladder (_corner_moves), and rebuilds a ladder from
+(point, t) pairs (_normalize).  Split products are normalized by one
+procedure for every family (_Ladder._normalized): each point keeps its
+smallest size, a region inside an equal-size region is dropped (its
+generators are a subset), and so is a region whose generators have, in
+every term, a variable of a size-one region.  The symmetric family also
+re-expresses points at genuine maximal cells of their regions and drops
+regions too small to hold a minor (its cell set is stored explicitly,
+so this never changes the cells); the other families keep such regions
+as cell carriers.  These rules never change the ideal.
 """
 
 import itertools
@@ -39,6 +43,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import LadderError
+from .matrices import GenericShape, SkewShape, SymmetricShape
 
 
 @dataclass(frozen=True)
@@ -80,18 +85,23 @@ def ensure_valid(ladder):
     return ladder
 
 
+# poly.cell_id packs each row and column index into six bits
+_MAX_INDEX = 63
+
+
+def _index_limit(*dims):
+    """Every family's error for a dimension a cell id cannot hold."""
+    if max(dims) > _MAX_INDEX:
+        msg = "matrix dimension above %d, the largest index a cell id holds"
+        return [Diagnostic("error", msg % _MAX_INDEX)]
+    return []
+
+
 def _maximal_cells(cells):
     """Cells not dominated componentwise by another cell."""
-    out = []
-    for c in cells:
-        if not any(d != c and d[0] >= c[0] and d[1] >= c[1] for d in cells):
-            out.append(c)
-    return sorted(out)
-
-
-def _sorted_points(points, ts):
-    pairs = sorted(zip(points, ts), key=lambda pt: (pt[0][0], -pt[0][1], pt[1]))
-    return tuple(p for p, _ in pairs), tuple(t for _, t in pairs)
+    return sorted(
+        c for c in cells if not any(d != c and d[0] >= c[0] and d[1] >= c[1] for d in cells)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +114,31 @@ class _Ladder:
     A family gives its regions as (point, t) pairs (sizes), the cells of
     the region at a point (region_cells) and the index sets of a
     region's generators (region_keys): (rows, cols) of a minor,
-    (indices,) of a pfaffian.  Each family keeps its own split and
-    validate: bench/tracer.py wraps them class by class."""
+    (indices,) of a pfaffian.  A region family splits by _corner_split
+    and states only its geometry: _corner_moves(a, b), the point the
+    corner (a, b) moves to in the reduced ladder and the two points that
+    replace it in the middle ladder; _inside(p, q), whether the region
+    at p lies in the one at q; and _normalize(pairs, corner), its ladder
+    of (point, t) pairs (less the corner cell for a middle ladder), made
+    by _normalized and _rebuild.  Each class still holds its own split
+    and validate attribute: bench/tracer.py wraps them class by class."""
+
+    _sort_key = None  # order of the (point, t) pairs; natural by default
+
+    def _set_sizes(self, points, t, noun="point"):
+        """Keep the regions as sorted (point, t) pairs; return the points."""
+        points = [tuple(p) for p in points]
+        t = list(t)
+        if len(points) != len(t):
+            raise LadderError("%s list and size vector differ in length" % noun)
+        if not points:
+            raise LadderError("a %s ladder needs at least one %s" % (self.family, noun))
+        self._sizes = tuple(sorted(zip(points, t), key=self._sort_key))
+        self.t = tuple(x for _, x in self._sizes)
+        return tuple(p for p, _ in self._sizes)
+
+    def sizes(self):
+        return list(self._sizes)
 
     def variables(self):
         return self.cells()
@@ -123,6 +156,9 @@ class _Ladder:
         """True if the region (point, t) has at least one generator."""
         return next(self.region_keys(point, t), None) is not None
 
+    def height_formula(self):
+        return len(self.tilde())
+
     def _split_index(self):
         """Index in sizes() of the region a split removes the corner of:
         the first region of largest size t >= 2 that holds a generator,
@@ -133,6 +169,60 @@ class _Ladder:
                 best, best_t = k, t
         return best
 
+    def _corner_split(self):
+        """The split of a region family at the corner of _split_index()."""
+        k = self._split_index()
+        if k is None:
+            return None
+        sizes = self.sizes()
+        corner, t = sizes[k]
+        inward, halves = self._corner_moves(*corner)
+        rest = sizes[:k] + sizes[k + 1 :]
+        return SplitResult(
+            reduced=self._normalize(rest + [(inward, t - 1)]),
+            middle=self._normalize(rest + [(p, t) for p in halves], corner),
+            cell=corner,
+        )
+
+    def _normalized(self, pairs, cells=None):
+        """The ladder of the (point, t) pairs without redundant regions.
+
+        Each point keeps its smallest size.  A region inside an equal-size
+        region (_inside(p, q): the region at p lies in the one at q) adds
+        no generators.  A region whose generators have, in every term, a
+        variable of a size-one region adds nothing to the ideal; keeping
+        it would later remove a corner that is a cone point of the
+        complex.  _rebuild(pairs, cells) makes the ladder: cells is the
+        argument, or, once absorbed regions are dropped, the cells of the
+        regions kept."""
+        best = {}
+        for point, t in pairs:
+            if point not in best or t < best[point]:
+                best[point] = t
+        pairs = sorted(best.items())
+        outer = [
+            (p, t)
+            for p, t in pairs
+            if not any(s == t and q != p and self._inside(p, q) for q, s in pairs)
+        ]
+        if not outer:
+            raise LadderError("normalization removed every region")
+        ladder = self._rebuild(outer, cells)
+        sizes = ladder.sizes()
+        positions = set()
+        for point, t in sizes:
+            if t == 1:
+                positions |= ladder.region_cells(point)
+        if not positions:
+            return ladder
+        # outside a generic matrix entry (j, i) holds the variable of (i, j)
+        if ladder.shape().kind != "generic":
+            positions |= {(j, i) for (i, j) in positions}
+        kept = [r for r in sizes if r[1] == 1 or not _absorbed(ladder, r, positions)]
+        if len(kept) == len(sizes):
+            return ladder
+        return self._rebuild(kept, set().union(*(ladder.region_cells(p) for p, _ in kept)))
+
     def is_terminal(self):
         return self.split() is None
 
@@ -141,6 +231,10 @@ class _Ladder:
 
     def __hash__(self):
         return hash(self.canon())
+
+    def __repr__(self):
+        fields = list(self.to_json().items())[1:]
+        return "%s(%s)" % (type(self).__name__, ", ".join("%s=%s" % f for f in fields))
 
 
 def _bijection_avoiding(rows, cols, forbidden):
@@ -187,51 +281,6 @@ def _absorbed(ladder, region, positions):
     return found
 
 
-def _unzip(pairs):
-    return [p for p, _ in pairs], [t for _, t in pairs]
-
-
-def _normalized(build, inside, pairs):
-    """The ladder of the (point, t) pairs without redundant regions.
-
-    Each point keeps its smallest size.  A region inside an equal-size
-    region (inside(p, q): the region at p lies in the one at q) adds no
-    generators.  A region whose generators have, in every term, a
-    variable of a size-one region adds nothing to the ideal; keeping it
-    would later remove a corner that is a cone point of the complex.
-    build(pairs, cells) makes the ladder: cells is None, or, once
-    absorbed regions are dropped, the cells of the regions kept."""
-    best = {}
-    for point, t in pairs:
-        if point not in best or t < best[point]:
-            best[point] = t
-    pairs = sorted(best.items())
-    outer = []
-    for p, t in pairs:
-        for q, s in pairs:
-            if s == t and q != p and inside(p, q):
-                break
-        else:
-            outer.append((p, t))
-    if not outer:
-        raise LadderError("normalization removed every region")
-    ladder = build(outer, None)
-    sizes = ladder.sizes()
-    positions = set()
-    for point, t in sizes:
-        if t == 1:
-            positions |= ladder.region_cells(point)
-    if not positions:
-        return ladder
-    # outside a generic matrix entry (j, i) holds the variable of (i, j)
-    if ladder.shape().kind != "generic":
-        positions |= {(j, i) for (i, j) in positions}
-    kept = [r for r in sizes if r[1] == 1 or not _absorbed(ladder, r, positions)]
-    if len(kept) == len(sizes):
-        return ladder
-    return build(kept, set().union(*(ladder.region_cells(p) for p, _ in kept)))
-
-
 # ---------------------------------------------------------------------------
 # maximal minors of a generic matrix
 
@@ -249,8 +298,6 @@ class MaxMinors(_Ladder):
         self.n = n
 
     def shape(self):
-        from .matrices import GenericShape
-
         return GenericShape(self.m, self.n)
 
     def cells(self):
@@ -268,7 +315,7 @@ class MaxMinors(_Ladder):
             yield rows, cols
 
     def validate(self):
-        out = []
+        out = _index_limit(self.m, self.n)
         if self.n < self.m:
             out.append(
                 Diagnostic(
@@ -287,11 +334,6 @@ class MaxMinors(_Ladder):
             cell=(self.m, self.n),
         )
 
-    def height_formula(self):
-        if self.n < self.m:
-            return 0
-        return self.n - self.m + 1
-
     def tilde(self):
         # the top-right band of width n-m+1 realizes the height count
         if self.n < self.m:
@@ -303,9 +345,6 @@ class MaxMinors(_Ladder):
 
     def to_json(self):
         return {"family": "maxminors", "m": self.m, "n": self.n}
-
-    def __repr__(self):
-        return "MaxMinors(%d, %d)" % (self.m, self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -320,36 +359,21 @@ class PfaffianLadder(_Ladder):
     order_kind = "antidiagonal"
 
     def __init__(self, n: int, corners, t):
-        corners = [tuple(c) for c in corners]
-        t = list(t)
-        if len(corners) != len(t):
-            raise LadderError("corner list and size vector differ in length")
-        if not corners:
-            raise LadderError("a pfaffian ladder needs at least one corner")
-        pairs = sorted(zip(corners, t), key=lambda ct: (ct[0][0], ct[0][1], ct[1]))
         self.n = n
-        self.corners = tuple(c for c, _ in pairs)
-        self.t = tuple(x for _, x in pairs)
+        self.corners = self._set_sizes(corners, t, "corner")
 
     def shape(self):
-        from .matrices import SkewShape
-
         return SkewShape(self.n)
 
     def cells(self):
         out = set()
         for (a, b) in self.corners:
-            lo, hi = max(1, a), min(self.n, b)
-            for i in range(lo, hi + 1):
-                for j in range(lo, hi + 1):
-                    out.add((i, j))
+            block = range(max(1, a), min(self.n, b) + 1)
+            out |= {(i, j) for i in block for j in block}
         return sorted(out)
 
     def variables(self):
         return sorted({(i, j) for (i, j) in self.cells() if i < j})
-
-    def sizes(self):
-        return list(zip(self.corners, self.t))
 
     def region_cells(self, corner):
         a, b = corner
@@ -362,7 +386,7 @@ class PfaffianLadder(_Ladder):
                 yield (idx,)
 
     def validate(self):
-        out = []
+        out = _index_limit(self.n)
         seen = set()
         cells = set(self.cells())
         prev_b = None
@@ -390,45 +414,38 @@ class PfaffianLadder(_Ladder):
                 out.append(
                     Diagnostic("warning", "region too small for its pfaffian size", (a, b))
                 )
-        for (a, b), tk in zip(self.corners, self.t):
-            for (a2, b2), t2 in zip(self.corners, self.t):
-                if (a, b) != (a2, b2) and a2 <= a and b <= b2:
-                    out.append(
-                        Diagnostic("warning", "region nested inside another region", (a, b))
-                    )
+        for p in self.corners:
+            for q in self.corners:
+                if p != q and self._inside(p, q):
+                    out.append(Diagnostic("warning", "region nested inside another region", p))
         return out
 
-    def split(self):
-        k = self._split_index()
-        if k is None:
-            return None
-        a, b = self.corners[k]
-        red_corners = list(self.corners)
-        red_t = list(self.t)
-        red_corners[k] = (a + 1, b - 1)
-        red_t[k] = self.t[k] - 1
-        mid_corners = list(self.corners)
-        mid_t = list(self.t)
-        mid_corners[k : k + 1] = [(a, b - 1), (a + 1, b)]
-        mid_t[k : k + 1] = [self.t[k], self.t[k]]
-        return SplitResult(
-            reduced=_normalize_pfaffian(self.n, red_corners, red_t),
-            middle=_normalize_pfaffian(self.n, mid_corners, mid_t),
-            cell=(a, b),
+    split = _Ladder._corner_split
+
+    def _corner_moves(self, a, b):
+        return (a + 1, b - 1), ((a, b - 1), (a + 1, b))
+
+    @staticmethod
+    def _inside(p, q):
+        return q[0] <= p[0] and p[1] <= q[1]
+
+    def _normalize(self, pairs, corner=None):
+        # blocks with no off-diagonal cell go, the rest are clamped to the matrix
+        n = self.n
+        return self._normalized(
+            [((max(1, a), min(n, b)), t) for (a, b), t in pairs if a < b and b >= 1 and a <= n]
         )
 
-    def tilde(self):
-        """Shifted ladder whose strictly-upper cell count is the height."""
-        cells = set()
-        for (a, b), tk in zip(self.corners, self.t):
-            lo, hi = a + tk - 1, b - tk + 1
-            for i in range(max(1, lo), min(self.n, hi) + 1):
-                for j in range(max(1, lo), min(self.n, hi) + 1):
-                    cells.add((i, j))
-        return sorted(cells)
+    def _rebuild(self, pairs, cells):
+        return PfaffianLadder(self.n, *zip(*pairs))
 
-    def height_formula(self):
-        return sum(1 for (i, j) in self.tilde() if i < j)
+    def tilde(self):
+        """Strictly upper cells of the shifted ladder: the height count."""
+        cells = set()
+        for (a, b), tk in self._sizes:
+            lo, hi = max(1, a + tk - 1), min(self.n, b - tk + 1)
+            cells |= {(i, j) for i in range(lo, hi + 1) for j in range(i + 1, hi + 1)}
+        return sorted(cells)
 
     def canon(self):
         cs = ",".join("(%d,%d)" % c for c in self.corners)
@@ -443,27 +460,6 @@ class PfaffianLadder(_Ladder):
             "t": list(self.t),
         }
 
-    def __repr__(self):
-        return "PfaffianLadder(n=%d, corners=%s, t=%s)" % (
-            self.n,
-            list(self.corners),
-            list(self.t),
-        )
-
-
-def _normalize_pfaffian(n, corners, t):
-    # blocks with no off-diagonal cell go, the rest are clamped to the matrix
-    pairs = [
-        ((max(1, a), min(n, b)), tk)
-        for (a, b), tk in zip(corners, t)
-        if a < b and b >= 1 and a <= n
-    ]
-    return _normalized(
-        lambda pairs, cells: PfaffianLadder(n, *_unzip(pairs)),
-        lambda p, q: q[0] <= p[0] and p[1] <= q[1],
-        pairs,
-    )
-
 
 # ---------------------------------------------------------------------------
 # symmetric ladders (upper triangle staircase regions)
@@ -471,6 +467,16 @@ def _normalize_pfaffian(n, corners, t):
 
 def _upper_cells_below(cells, v, w):
     return frozenset((i, j) for (i, j) in cells if i <= v and j <= w)
+
+
+def _derived_cells(n, points):
+    """The upper-triangle cells weakly above and left of some point."""
+    return frozenset(
+        (i, j)
+        for (v, w) in points
+        for i in range(1, min(v, n) + 1)
+        for j in range(i, min(w, n) + 1)
+    )
 
 
 class SymmetricLadder(_Ladder):
@@ -486,34 +492,21 @@ class SymmetricLadder(_Ladder):
     family = "symmetric"
     order_kind = "diagonal"
 
+    @staticmethod
+    def _sort_key(pair):
+        (v, w), t = pair
+        return v, -w, t
+
     def __init__(self, n: int, points, t, cells=None):
-        points = [tuple(p) for p in points]
-        t = list(t)
-        if len(points) != len(t):
-            raise LadderError("point list and size vector differ in length")
-        if not points:
-            raise LadderError("a symmetric ladder needs at least one point")
         self.n = n
-        if cells is None:
-            derived = set()
-            for (v, w) in points:
-                for i in range(1, min(v, self.n) + 1):
-                    for j in range(i, min(w, self.n) + 1):
-                        derived.add((i, j))
-            cells = derived
-        self.cell_set = frozenset(cells)
-        self.points, self.t = _sorted_points(points, t)
+        self.points = self._set_sizes(points, t)
+        self.cell_set = _derived_cells(n, self.points) if cells is None else frozenset(cells)
 
     def shape(self):
-        from .matrices import SymmetricShape
-
         return SymmetricShape(self.n)
 
     def cells(self):
         return sorted(self.cell_set)
-
-    def sizes(self):
-        return list(zip(self.points, self.t))
 
     def region_cells(self, point):
         return _upper_cells_below(self.cell_set, *point)
@@ -537,7 +530,7 @@ class SymmetricLadder(_Ladder):
                     yield rows, cols
 
     def validate(self):
-        out = []
+        out = _index_limit(self.n)
         cells = self.cell_set
         for (i, j) in cells:
             if not (1 <= i <= j <= self.n):
@@ -572,71 +565,67 @@ class SymmetricLadder(_Ladder):
         for c in _maximal_cells(self.cell_set):
             if c not in seen:
                 out.append(Diagnostic("error", "lower outside corner is not a distinguished point", c))
-        for k, rk in enumerate(self.regions()):
-            for l, rl in enumerate(self.regions()):
+        regions = self.regions()
+        for k, rk in enumerate(regions):
+            for l, rl in enumerate(regions):
                 if k != l and rk.cells < rl.cells and rk.t >= rl.t:
                     out.append(
                         Diagnostic("warning", "region is redundant (inside an equal or smaller size region)", rk.point)
                     )
         return out
 
-    def split(self):
-        k = self._split_index()
-        if k is None:
-            return None
-        v, w = self.points[k]
+    split = _Ladder._corner_split
+
+    def _corner_moves(self, v, w):
         if (v, w) not in self.cell_set:
             raise LadderError("split point (%d, %d) is not a ladder cell" % (v, w))
-        mid_points = list(self.points)
-        mid_t = list(self.t)
-        mid_points[k : k + 1] = [(v, w - 1), (v + 1, w)]
-        mid_t[k : k + 1] = [self.t[k], self.t[k]]
-        mid_cells = self.cell_set - {(v, w)}
-        red_points = list(self.points)
-        red_t = list(self.t)
-        red_points[k] = (v - 1, w - 1)
-        red_t[k] = self.t[k] - 1
-        red_cells = set()
-        for p in red_points:
-            red_cells |= self.region_cells(p)
-        return SplitResult(
-            reduced=_normalize_symmetric(self.n, red_points, red_t, red_cells),
-            middle=_normalize_symmetric(self.n, mid_points, mid_t, mid_cells),
-            cell=(v, w),
+        return (v - 1, w - 1), ((v, w - 1), (v + 1, w))
+
+    @staticmethod
+    def _inside(p, q):
+        return p[0] <= q[0] and p[1] <= q[1]
+
+    def _normalize(self, pairs, corner=None):
+        """The ladder of pairs inside this ladder's cells, less corner if
+        given (a middle ladder), else the cells of the pairs' regions."""
+        if corner is None:
+            cells = frozenset().union(*(self.region_cells(p) for p, _ in pairs))
+        else:
+            cells = self.cell_set - {corner}
+        # re-express every point at the maximal cells of its region; this is
+        # exact: a minor fits in a staircase region iff it fits below one of
+        # the region's maximal cells
+        return self._normalized(
+            [(c, t) for (v, w), t in pairs for c in _maximal_cells(_upper_cells_below(cells, v, w))],
+            cells,
         )
+
+    def _rebuild(self, pairs, cells):
+        ladder = SymmetricLadder(self.n, *zip(*pairs), cells)
+        # drop the regions that cannot hold a minor, unless none can;
+        # cells are explicit, so this never changes them
+        fits = [r for r in ladder.sizes() if ladder.holds_generator(*r)]
+        if fits and len(fits) < len(pairs):
+            ladder = SymmetricLadder(self.n, *zip(*fits), ladder.cell_set)
+        return ladder
 
     def tilde(self):
         """Cells surviving the size-shift constraints; their count is the
         predicted height."""
-        pts, ts = self.points, self.t
-        s = len(pts)
-        out = []
-        for (i, j) in sorted(self.cell_set):
-            if j > pts[0][1] - ts[0] + 1:
-                continue
-            if i > pts[s - 1][0] - ts[s - 1] + 1:
-                continue
-            ok = True
-            for k in range(1, s):
-                if not (i <= pts[k - 1][0] - ts[k - 1] + 1 or j <= pts[k][1] - ts[k] + 1):
-                    ok = False
-                    break
-            if ok:
-                out.append((i, j))
-        return out
-
-    def height_formula(self):
-        return len(self.tilde())
+        low = [(v - tk + 1, w - tk + 1) for (v, w), tk in self._sizes]
+        return [
+            (i, j)
+            for (i, j) in sorted(self.cell_set)
+            if j <= low[0][1]
+            and i <= low[-1][0]
+            and all(i <= low[k - 1][0] or j <= low[k][1] for k in range(1, len(low)))
+        ]
 
     def canon(self):
         ps = ",".join("(%d,%d)" % p for p in self.points)
         ts = ",".join(str(x) for x in self.t)
         cs = ",".join("(%d,%d)" % c for c in sorted(self.cell_set))
         return "symmetric:n=%d;points=%s;t=%s;cells=%s" % (self.n, ps, ts, cs)
-
-    def _cells_are_derived(self):
-        derived = SymmetricLadder(self.n, self.points, self.t).cell_set
-        return derived == self.cell_set
 
     def to_json(self):
         out = {
@@ -645,41 +634,9 @@ class SymmetricLadder(_Ladder):
             "points": [list(p) for p in self.points],
             "t": list(self.t),
         }
-        if not self._cells_are_derived():
+        if self.cell_set != _derived_cells(self.n, self.points):
             out["cells"] = [list(c) for c in sorted(self.cell_set)]
         return out
-
-    def __repr__(self):
-        return "SymmetricLadder(n=%d, points=%s, t=%s)" % (
-            self.n,
-            list(self.points),
-            list(self.t),
-        )
-
-
-def _normalize_symmetric(n, points, t, cells):
-    cells = frozenset(cells)
-    # re-express every point at the maximal cells of its region; this is
-    # exact: a minor fits in a staircase region iff it fits below one of
-    # the region's maximal cells
-    expanded = [
-        (c, tk)
-        for (v, w), tk in zip(points, t)
-        for c in _maximal_cells(_upper_cells_below(cells, v, w))
-    ]
-
-    def build(pairs, kept_cells):
-        if kept_cells is None:
-            kept_cells = cells
-        ladder = SymmetricLadder(n, *_unzip(pairs), kept_cells)
-        # drop the regions that cannot hold a minor, unless none can;
-        # cells are explicit, so this never changes them
-        fits = [r for r in ladder.sizes() if ladder.holds_generator(*r)]
-        if fits and len(fits) < len(pairs):
-            ladder = SymmetricLadder(n, *_unzip(fits), ladder.cell_set)
-        return ladder
-
-    return _normalized(build, lambda p, q: p[0] <= q[0] and p[1] <= q[1], expanded)
 
 
 # ---------------------------------------------------------------------------
@@ -694,21 +651,11 @@ class OneSidedLadder(_Ladder):
     order_kind = "antidiagonal"
 
     def __init__(self, m: int, n: int, points, t):
-        points = [tuple(p) for p in points]
-        t = list(t)
-        if len(points) != len(t):
-            raise LadderError("point list and size vector differ in length")
-        if not points:
-            raise LadderError("a one-sided ladder needs at least one point")
         self.m = m
         self.n = n
-        pairs = sorted(zip(points, t), key=lambda pt: (pt[0][0], pt[0][1], pt[1]))
-        self.points = tuple(p for p, _ in pairs)
-        self.t = tuple(x for _, x in pairs)
+        self.points = self._set_sizes(points, t)
 
     def shape(self):
-        from .matrices import GenericShape
-
         return GenericShape(self.m, self.n)
 
     def cells(self):
@@ -716,9 +663,6 @@ class OneSidedLadder(_Ladder):
         for p in self.points:
             out |= self.region_cells(p)
         return sorted(out)
-
-    def sizes(self):
-        return list(zip(self.points, self.t))
 
     def region_cells(self, point):
         a, b = point
@@ -736,7 +680,7 @@ class OneSidedLadder(_Ladder):
                     yield rows, cols
 
     def validate(self):
-        out = []
+        out = _index_limit(self.m, self.n)
         cells = set(self.cells())
         seen = set()
         prev = None
@@ -770,9 +714,7 @@ class OneSidedLadder(_Ladder):
                     out.append(
                         Diagnostic("error", "lower outside corner is not a distinguished point", (c, d))
                     )
-        for k in range(1, len(self.points)):
-            (a0, b0), t0 = self.points[k - 1], self.t[k - 1]
-            (a1, b1), t1 = self.points[k], self.t[k]
+        for ((a0, b0), t0), ((a1, b1), t1) in zip(self._sizes, self._sizes[1:]):
             if not (b0 - b1 < t1 - t0 < a1 - a0):
                 out.append(
                     Diagnostic(
@@ -783,36 +725,30 @@ class OneSidedLadder(_Ladder):
                 )
         return out
 
-    def split(self):
-        k = self._split_index()
-        if k is None:
-            return None
-        a, b = self.points[k]
-        red_points = list(self.points)
-        red_t = list(self.t)
-        red_points[k] = (a - 1, b + 1)
-        red_t[k] = self.t[k] - 1
-        mid_points = list(self.points)
-        mid_t = list(self.t)
-        mid_points[k : k + 1] = [(a - 1, b), (a, b + 1)]
-        mid_t[k : k + 1] = [self.t[k], self.t[k]]
-        return SplitResult(
-            reduced=_normalize_onesided(self.m, self.n, red_points, red_t),
-            middle=_normalize_onesided(self.m, self.n, mid_points, mid_t),
-            cell=(a, b),
+    split = _Ladder._corner_split
+
+    def _corner_moves(self, a, b):
+        return (a - 1, b + 1), ((a - 1, b), (a, b + 1))
+
+    @staticmethod
+    def _inside(p, q):
+        return p[0] <= q[0] and p[1] >= q[1]
+
+    def _normalize(self, pairs, corner=None):
+        # regions with no cell go, the rest are clamped to the matrix
+        m, n = self.m, self.n
+        return self._normalized(
+            [((min(a, m), max(b, 1)), t) for (a, b), t in pairs if a >= 1 and b <= n]
         )
+
+    def _rebuild(self, pairs, cells):
+        return OneSidedLadder(self.m, self.n, *zip(*pairs))
 
     def tilde(self):
         out = set()
-        for (a, b), tk in zip(self.points, self.t):
-            a2, b2 = a - tk + 1, b + tk - 1
-            for i in range(1, min(a2, self.m) + 1):
-                for j in range(max(b2, 1), self.n + 1):
-                    out.add((i, j))
+        for (a, b), tk in self._sizes:
+            out |= self.region_cells((a - tk + 1, b + tk - 1))
         return sorted(out)
-
-    def height_formula(self):
-        return len(self.tilde())
 
     def canon(self):
         ps = ",".join("(%d,%d)" % p for p in self.points)
@@ -828,28 +764,6 @@ class OneSidedLadder(_Ladder):
             "t": list(self.t),
         }
 
-    def __repr__(self):
-        return "OneSidedLadder(%dx%d, points=%s, t=%s)" % (
-            self.m,
-            self.n,
-            list(self.points),
-            list(self.t),
-        )
-
-
-def _normalize_onesided(m, n, points, t):
-    # regions with no cell go, the rest are clamped to the matrix
-    pairs = [
-        ((min(a, m), max(b, 1)), tk)
-        for (a, b), tk in zip(points, t)
-        if a >= 1 and b <= n
-    ]
-    return _normalized(
-        lambda pairs, cells: OneSidedLadder(m, n, *_unzip(pairs)),
-        lambda p, q: p[0] <= q[0] and p[1] >= q[1],
-        pairs,
-    )
-
 
 # ---------------------------------------------------------------------------
 # construction from JSON
@@ -857,7 +771,30 @@ def _normalize_onesided(m, n, points, t):
 _FAMILIES = {"maxminors", "pfaffian", "symmetric", "onesided"}
 
 
+def _int(value, name):
+    # a bool is an int to Python, and int() would truncate 2.9
+    if type(value) is not int:
+        raise LadderError("%s must be an integer" % name)
+    return value
+
+
+def _list(value, name, item=_int):
+    """value, a list, with each entry checked by item(entry, its name)."""
+    if not isinstance(value, (list, tuple)):
+        raise LadderError("%s must be a list" % name)
+    return [item(v, "%s[%d]" % (name, k)) for k, v in enumerate(value)]
+
+
+def _pair(value, name):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise LadderError("%s must be a pair" % name)
+    return tuple(_list(value, name))
+
+
 def ladder_from_json(data: dict):
+    """The ladder of a JSON instance; LadderError names a bad field."""
+    if not isinstance(data, dict):
+        raise LadderError("a ladder instance must be a JSON object")
     fam = data.get("family")
     if fam == "twosided":
         raise LadderError("two-sided ladders are out of scope")
@@ -865,14 +802,16 @@ def ladder_from_json(data: dict):
         raise LadderError("unknown family %r" % fam)
     try:
         if fam == "maxminors":
-            return MaxMinors(int(data["m"]), int(data["n"]))
+            return MaxMinors(_int(data["m"], "m"), _int(data["n"], "n"))
+        n, t = _int(data["n"], "n"), _list(data["t"], "t")
         if fam == "pfaffian":
-            return PfaffianLadder(int(data["n"]), data["corners"], data["t"])
+            return PfaffianLadder(n, _list(data["corners"], "corners", _pair), t)
+        points = _list(data["points"], "points", _pair)
         if fam == "symmetric":
             cells = data.get("cells")
             if cells is not None:
-                cells = frozenset(tuple(c) for c in cells)
-            return SymmetricLadder(int(data["n"]), data["points"], data["t"], cells)
-        return OneSidedLadder(int(data["m"]), int(data["n"]), data["points"], data["t"])
+                cells = _list(cells, "cells", _pair)
+            return SymmetricLadder(n, points, t, cells)
+        return OneSidedLadder(_int(data["m"], "m"), n, points, t)
     except KeyError as e:
         raise LadderError("missing field %s" % e) from None

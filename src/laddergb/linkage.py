@@ -84,7 +84,6 @@ from .poly import (
     p_var,
     p_zero,
     freeze,
-    reducers,
 )
 
 
@@ -537,16 +536,22 @@ def vd_cert_to_json(node):
 
 
 def vd_cert_from_json(data):
-    out = {"cone": [cell_id(*c) for c in data.get("cone", [])]}
-    if data.get("kind") == "leaf":
-        out["kind"] = "leaf"
-        out["facet"] = sorted(cell_id(*c) for c in data.get("facet", []))
-        return out
-    out["kind"] = "split"
-    out["vertex"] = cell_id(*data["vertex"])
-    out["deletion"] = vd_cert_from_json(data["deletion"])
-    out["link"] = vd_cert_from_json(data["link"])
-    return out
+    """The certificate node of its JSON form.  Raises LadderError
+    "malformed node" unless every node is a leaf or a split with a
+    vertex, a deletion and a link, and every cell is an index pair."""
+    try:
+        out = {"cone": [cell_id(*c) for c in data.get("cone", [])], "kind": data.get("kind")}
+        if out["kind"] == "leaf":
+            out["facet"] = sorted(cell_id(*c) for c in data.get("facet", []))
+            return out
+        if out["kind"] == "split":
+            out["vertex"] = cell_id(*data["vertex"])
+            out["deletion"] = vd_cert_from_json(data["deletion"])
+            out["link"] = vd_cert_from_json(data["link"])
+            return out
+    except (AttributeError, KeyError, TypeError, ValueError):
+        pass
+    raise LadderError("malformed node")
 
 
 def chain_certificate(chain, vd_cert=None):
@@ -601,10 +606,16 @@ def replay_chain(cert, field=QQ):
     """Recompute a chain from its certificate's top instance over field
     and check every recorded fact, the field and term order included:
     each recorded node is compared against chain_certificate of the
-    recomputed chain.  Returns a report dict."""
+    recomputed chain.  Returns a report dict; a document whose top, node
+    list or node ids are malformed raises LadderError."""
     top = ladder_from_json(cert.get("top", {}))
+    nodes = cert.get("nodes", [])
+    if not isinstance(nodes, list) or not all(
+        isinstance(n, dict) and isinstance(n.get("id"), str) for n in nodes
+    ):
+        raise LadderError("certificate nodes must be a list of objects with a string id")
     chain = Chain(top, field)
-    recorded = {n["id"]: n for n in cert.get("nodes", [])}
+    recorded = {n["id"]: n for n in nodes}
     checks = [
         _check(
             "certificate-field",
@@ -636,7 +647,12 @@ def replay_chain(cert, field=QQ):
             _check("shedding-at-corner", ok, canon if ok else ", ".join(bad))
         )
     if "vd" in cert:
-        ok, why = replay_certificate(chain.node_complex(chain.top_canon), vd_cert_from_json(cert["vd"]))
+        try:
+            vd = vd_cert_from_json(cert["vd"])
+        except LadderError as e:
+            ok, why = False, str(e)
+        else:
+            ok, why = replay_certificate(chain.node_complex(chain.top_canon), vd)
         checks.append(_check("vd-replay", ok, why))
     return {
         "schema": "laddergb-report/1",
@@ -783,8 +799,7 @@ def verify_localization(ladder, cell, field=QQ, max_spairs=None, max_power=3):
     shape = ladder.shape()
     gens = natural_generators(ladder, field, order, shape)
     hat_gens = localized_ideal_generators(ladder, cell, field, shape)
-    hat_gb = buchberger_reduced(hat_gens, order, field, max_spairs=max_spairs)
-    hat_table = reducers(hat_gb, order)
+    hat_gb, hat_table = groebner_basis(hat_gens, order, field, max_spairs)
     fwd_ok = True
     fwd_detail = ""
     for g in gens:
@@ -795,8 +810,7 @@ def verify_localization(ladder, cell, field=QQ, max_spairs=None, max_power=3):
             break
     checks.append(_check("forward-membership", fwd_ok, fwd_detail))
 
-    lad_gb = buchberger_reduced(gens, order, field, max_spairs=max_spairs)
-    lad_table = reducers(lad_gb, order)
+    lad_gb, lad_table = groebner_basis(gens, order, field, max_spairs)
     rev_ok = True
     rev_detail = ""
     for g in hat_gens:
@@ -818,7 +832,7 @@ def verify_localization(ladder, cell, field=QQ, max_spairs=None, max_power=3):
 
 def _member_with_saturation(p, gb, table, order, field, uv, max_power):
     """Whether uv^e * p reduces to zero modulo the Groebner basis gb for
-    some e <= max_power; table is reducers(gb, order)."""
+    some e <= max_power; table is gb's reducer table."""
     if p_is_zero(p):
         return True
     work = dict(p)

@@ -308,6 +308,102 @@ def test_replay_on_non_certificate(tmp_path, capsys):
     assert code == 2
 
 
+# malformed instance JSON, and the field a LadderError names
+MALFORMED = [
+    ({"family": "onesided", "m": 2, "n": 2, "points": [[1, "x"]], "t": [1]}, "points[0][1]"),
+    ({"family": "onesided", "m": 2, "n": 2, "points": [[2, 1]], "t": ["2"]}, "t[0]"),
+    ({"family": "onesided", "m": 2, "n": 2, "points": [3], "t": [1]}, "points[0]"),
+    ({"family": "onesided", "m": 2, "n": 2, "points": [[2, 1]], "t": 1}, "t"),
+    ({"family": "pfaffian", "n": 4, "corners": 5, "t": [1]}, "corners"),
+    ({"family": "pfaffian", "n": 4, "corners": [[1, 2, 4]], "t": [1]}, "corners[0]"),
+    ({"family": "maxminors", "m": 2.9, "n": 3}, "m"),
+    ({"family": "maxminors", "m": True, "n": 3}, "m"),
+    ({"family": "symmetric", "n": "3", "points": [[2, 3]], "t": [2]}, "n"),
+    ({"family": "symmetric", "n": 3, "points": [[2, 3]], "t": [2], "cells": {"a": 1}}, "cells"),
+    ({"family": "symmetric", "n": 3, "points": [[2, 3]], "t": [2], "cells": [[1, 1.5]]}, "cells[0][1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "data, field", MALFORMED, ids=[field for _, field in MALFORMED]
+)
+def test_malformed_instance_field_is_named(tmp_path, capsys, data, field):
+    code, _, err = run(capsys, ["validate", write_instance(tmp_path, data)])
+    assert code == 2
+    assert "laddergb: %s must be" % field in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"family": "maxminors", "m": 1, "n": 64},
+        {"family": "onesided", "m": 2, "n": 64, "points": [[2, 63]], "t": [2]},
+        {"family": "pfaffian", "n": 64, "corners": [[1, 4]], "t": [2]},
+        {"family": "symmetric", "n": 64, "points": [[2, 3]], "t": [2]},
+    ],
+    ids=lambda d: d["family"],
+)
+def test_validate_rejects_indices_above_63(tmp_path, capsys, data):
+    code, _, err = run(capsys, ["validate", write_instance(tmp_path, data)])
+    assert code == 2
+    assert "matrix dimension above 63" in err
+
+
+def test_index_63_is_accepted(tmp_path, capsys):
+    path = write_instance(tmp_path, {"family": "maxminors", "m": 1, "n": 63})
+    assert run(capsys, ["validate", path])[0] == 0
+    code, out, _ = run(capsys, ["initial", path])
+    assert code == 0
+    assert "x[1,63]" in out
+
+
+def _certificate(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    argv = ["chain", write_instance(tmp_path, OS33), "--json", "--out", str(cert_path)]
+    assert run(capsys, argv)[0] == 0
+    return cert_path, json.loads(cert_path.read_text())
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda cert: cert.update(top=[1]),
+        lambda cert: cert["nodes"][0].pop("id"),
+        lambda cert: cert["nodes"][0].update(id=[1]),
+        lambda cert: cert.update(nodes={"a": 1}),
+        lambda cert: cert["nodes"].append(7),
+    ],
+    ids=["top-not-object", "node-without-id", "id-not-string", "nodes-not-list", "node-not-object"],
+)
+def test_replay_rejects_a_malformed_certificate(tmp_path, capsys, edit):
+    cert_path, cert = _certificate(tmp_path, capsys)
+    edit(cert)
+    cert_path.write_text(json.dumps(cert))
+    code, _, err = run(capsys, ["replay", str(cert_path)])
+    assert code == 2
+    assert err.startswith("laddergb: ")
+
+
+@pytest.mark.parametrize(
+    "vd",
+    [
+        {"kind": "split"},
+        {"kind": "frobnicate", "vertex": [1, 1]},
+        {"kind": "split", "vertex": [1, 1], "deletion": {"kind": "leaf"}},
+        {"kind": "split", "vertex": [1, "x"], "deletion": {}, "link": {}},
+        {"kind": "leaf", "facet": [[1]]},
+        [1],
+    ],
+)
+def test_replay_fails_a_malformed_vd_node(tmp_path, capsys, vd):
+    cert_path, cert = _certificate(tmp_path, capsys)
+    cert["vd"] = vd
+    cert_path.write_text(json.dumps(cert))
+    code, out, _ = run(capsys, ["replay", str(cert_path)])
+    assert code == 1
+    assert "FAIL vd-replay: malformed node" in out.splitlines()
+
+
 def test_nonpositive_budget(tmp_path, capsys):
     path = write_instance(tmp_path, MM23)
     for flag in ("--budget-spairs", "--budget-faces"):

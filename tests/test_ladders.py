@@ -12,18 +12,18 @@ from laddergb import (
     ensure_valid,
     ladder_from_json,
 )
-from laddergb.ladders import (
-    _normalize_onesided,
-    _normalize_pfaffian,
-    _normalize_symmetric,
-    errors_of,
-)
+from laddergb.ladders import errors_of
 
 from corpus import CORPUS
 
 
 def diag_messages(ladder, level=None):
     return [d.message for d in ladder.validate() if level in (None, d.level)]
+
+
+def normalized(ladder):
+    """The ladder its own family rebuilds from its (point, t) pairs."""
+    return ladder._normalize(ladder.sizes())
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +140,16 @@ def test_pfaffian_height_formula():
 
 
 def test_pfaffian_normalize_drops_duplicates_and_nested():
-    l = _normalize_pfaffian(6, [(1, 5), (2, 4)], [2, 2])
+    l = normalized(PfaffianLadder(6, [(1, 5), (2, 4)], [2, 2]))
     assert l.corners == ((1, 5),) and l.t == (2,)
-    l = _normalize_pfaffian(6, [(1, 5), (1, 5)], [2, 3])
+    l = normalized(PfaffianLadder(6, [(1, 5), (1, 5)], [2, 3]))
     assert l.corners == ((1, 5),) and l.t == (2,)
 
 
 def test_pfaffian_normalize_drops_absorbed_region():
     # every 4-pfaffian of the (2,5) block has, in each term, a variable
     # of the size-one (2,4) block, so the region adds nothing
-    l = _normalize_pfaffian(6, [(2, 4), (2, 5), (3, 6)], [1, 2, 2])
+    l = normalized(PfaffianLadder(6, [(2, 4), (2, 5), (3, 6)], [1, 2, 2]))
     assert l.corners == ((2, 4), (3, 6))
     assert l.t == (1, 2)
 
@@ -157,7 +157,7 @@ def test_pfaffian_normalize_drops_absorbed_region():
 def test_pfaffian_normalize_keeps_zero_capacity_blocks():
     # a block too small for its pfaffian size has no generators but
     # still carries cells
-    l = _normalize_pfaffian(6, [(1, 2), (2, 6)], [2, 2])
+    l = normalized(PfaffianLadder(6, [(1, 2), (2, 6)], [2, 2]))
     assert ((1, 2), 2) in list(zip(l.corners, l.t))
 
 
@@ -236,7 +236,7 @@ def test_symmetric_normalize_merges_and_filters():
     # both out-of-ladder points land on maximal cells; (2,2) is then
     # redundant inside the equal-size (2,3) region
     cells = SymmetricLadder(3, [(3, 3)], [2]).cell_set - {(3, 3)}
-    l = _normalize_symmetric(3, [(3, 2), (4, 3)], [2, 2], cells)
+    l = normalized(SymmetricLadder(3, [(3, 2), (4, 3)], [2, 2], cells))
     assert l.points == ((2, 3),) and l.t == (2,)
     assert l.cell_set == frozenset(cells)
 
@@ -245,7 +245,7 @@ def test_symmetric_normalize_drops_absorbed_region():
     # size-one region on the first two columns absorbs every 2-minor of
     # the (2, 2)-bounded region
     cells = frozenset({(1, 1), (1, 2), (2, 2), (1, 3)})
-    l = _normalize_symmetric(3, [(2, 2), (1, 3)], [2, 1], cells)
+    l = normalized(SymmetricLadder(3, [(2, 2), (1, 3)], [2, 1], cells))
     assert list(zip(l.points, l.t)) == [((1, 3), 1)]
     assert l.cell_set == frozenset({(1, 1), (1, 2), (1, 3)})
 
@@ -310,7 +310,7 @@ def test_onesided_height_formula():
 
 
 def test_onesided_normalize_drops_absorbed_region():
-    l = _normalize_onesided(3, 3, [(1, 2), (2, 2), (3, 3)], [1, 2, 2])
+    l = normalized(OneSidedLadder(3, 3, [(1, 2), (2, 2), (3, 3)], [1, 2, 2]))
     assert list(zip(l.points, l.t)) == [((1, 2), 1), ((3, 3), 2)]
 
 

@@ -578,6 +578,18 @@ def test_verify_localization_two_regions():
     assert report["pass"], report["checks"]
 
 
+def test_verify_localization_interreduces_no_basis(monkeypatch):
+    # membership needs a Groebner basis, not the reduced one
+    calls = []
+    interreduce = poly._interreduce
+    monkeypatch.setattr(
+        poly, "_interreduce", lambda *args: calls.append(1) or interreduce(*args)
+    )
+    report = verify_localization(OneSidedLadder(3, 3, [(2, 1), (3, 2)], [2, 2]), (2, 1))
+    assert report["pass"], report["checks"]
+    assert calls == []
+
+
 def test_localized_generators_drop_one_size():
     gens = localized_ideal_generators(FULL33, (2, 2))
     # 1-minors on rows {1,3} x cols {1,3}: four variables
