@@ -186,7 +186,7 @@ def _cmd_generators(args):
         "generators": [
             {
                 "degree": p_degree(g),
-                "leading": mono_text(leading_term(g, order)[0]),
+                "leading": mono_text(leading_term(g, order)[0], order),
                 "terms": len(g),
                 "text": poly_text(g, order, field),
             }
@@ -215,7 +215,7 @@ def _cmd_initial(args):
     check["detail"] = "%d minimal generators" % len(ideal.gens)
     checks = [check]
     doc = _report(ladder, checks)
-    doc["initial"] = sorted(mono_text(g) for g in ideal.gens)
+    doc["initial"] = sorted(mono_text(g, order) for g in ideal.gens)
     lines = ["initial ideal (%s order): %d minimal generators" % (order.kind, len(ideal.gens))]
     lines.extend("  " + t for t in doc["initial"])
     lines.extend(_check_lines(checks))
@@ -235,8 +235,8 @@ def _cmd_height(args):
 
 
 def _cmd_vd(args):
-    ladder, _, ideal = _initial(args)
-    cx = SimplicialComplex.from_squarefree(ideal)
+    ladder, order, ideal = _initial(args)
+    cx = SimplicialComplex.from_squarefree(ideal, order.cell)
     checks, cert = vd_checks(cx, args.budget_faces)
     doc = _report(ladder, checks)
     if cert is not None:

@@ -2,7 +2,11 @@
 
 A squarefree ideal determines the complex whose faces are the subsets
 of variables containing no generator's support.  Facets are computed as
-complements of minimal transversals of the support hypergraph.
+complements of minimal transversals of the support hypergraph.  A
+ladder's complex names each variable by its matrix cell (i, j), so its
+vertices, the order the decomposability search tries them in, and the
+certificates it writes do not depend on how a term order numbers the
+variables.
 
 A complex stores its facets as int bit masks over one sorted vertex
 tuple: vertex verts[i] is bit 1 << i, so a subset test is a & b == a
@@ -110,16 +114,27 @@ class SimplicialComplex:
         return out
 
     @classmethod
-    def from_squarefree(cls, ideal):
+    def from_squarefree(cls, ideal, vertex=None):
+        """The complex of a squarefree ideal.  vertex, when given, maps a
+        variable of the ideal's ring to the vertex standing for it (a term
+        order's cell), and the vertex tuple is sorted by vertex; by
+        default each variable is its own vertex."""
         if not ideal.is_squarefree():
             raise PreconditionError("ideal is not squarefree")
-        verts = ideal.ambient
-        index = {v: i for i, v in enumerate(verts)}
+        named = sorted((v if vertex is None else vertex(v), v) for v in ideal.ambient)
+        verts = tuple(u for u, _ in named)
+        index = {u: i for i, u in enumerate(verts)}
+        bit = {v: i for i, (_, v) in enumerate(named)}
         masks = ()
         if not ideal.is_unit():
-            supports = [
-                sum(1 << index[g[k]] for k in range(0, len(g), 2)) for g in ideal.gens
-            ]
+            # Berge's algorithm takes the supports by size, then by their
+            # sorted vertex positions: on ladder complexes it then keeps
+            # far fewer partial transversals than in the ring's order
+            places = sorted(
+                (len(g) // 2, sorted(bit[g[k]] for k in range(0, len(g), 2)))
+                for g in ideal.gens
+            )
+            supports = [sum(1 << i for i in idx) for _, idx in places]
             full = (1 << len(verts)) - 1
             masks = (full ^ t for t in _transversal_masks(supports))
         out = object.__new__(cls)

@@ -15,9 +15,10 @@ that list:
 Both deduplicate by index set and list in one deterministic order:
 (degree, leading monomial) under a term order, by default the family's
 conventional one (the order under which the generators are expected to
-form a reduced Groebner basis).  Distinct index sets give distinct
-polynomials: under the conventional order their leading monomials
-already differ.
+form a reduced Groebner basis).  The polynomials and monomials are over
+that order's variables (see poly.TermOrder), so a leading monomial is
+its own sort key.  Distinct index sets give distinct polynomials: under
+the conventional order their leading monomials already differ.
 """
 
 from . import matrices
@@ -30,11 +31,12 @@ def conventional_order(ladder):
     return matrices.order_for(ladder.shape(), ladder.order_kind)
 
 
-def expand(shape, key, field):
-    """The minor (rows, cols) or pfaffian (indices,) on an index set."""
+def expand(shape, key, field, order):
+    """The minor (rows, cols) or pfaffian (indices,) on an index set,
+    over order's variables."""
     if len(key) == 1:
-        return matrices.pfaffian(shape, key[0], field)
-    return matrices.minor(shape, key[0], key[1], field)
+        return matrices.pfaffian(shape, key[0], field, order)
+    return matrices.minor(shape, key[0], key[1], field, order)
 
 
 def index_sets(ladder, order=None, shape=None, field=QQ):
@@ -54,12 +56,12 @@ def index_sets(ladder, order=None, shape=None, field=QQ):
         else:
             lead = matrices.minor_leading(shape, key[0], key[1], order)
         if lead is None:
-            g = expand(shape, key, field)
+            g = expand(shape, key, field, order)
             if p_is_zero(g):
                 continue
             lead = leading_term(g, order)[0]
         out.append((key, lead))
-    out.sort(key=lambda e: (_degree(e[0]), order.key(e[1])))
+    out.sort(key=lambda e: (_degree(e[0]), e[1]))
     return out
 
 
@@ -78,10 +80,12 @@ def natural_generators(ladder, field=QQ, order=None, shape=None):
     chain passes its top instance's to every node): positions mean the
     same entries in it, and its memo then serves every ladder read from
     it."""
+    if order is None:
+        order = conventional_order(ladder)
     if shape is None:
         shape = ladder.shape()
     sets = index_sets(ladder, order, shape, field)
-    return [expand(shape, key, field) for key, _ in sets]
+    return [expand(shape, key, field, order) for key, _ in sets]
 
 
 def leading_monomials(ladder, order=None, shape=None, field=QQ):
@@ -98,4 +102,4 @@ def initial_generators(ladder, order=None, field=QQ):
     """Leading monomials of the natural generators, as a sorted list."""
     if order is None:
         order = conventional_order(ladder)
-    return sorted(set(leading_monomials(ladder, order, field=field)), key=order.key)
+    return sorted(set(leading_monomials(ladder, order, field=field)))

@@ -85,7 +85,9 @@ def ensure_valid(ladder):
     return ladder
 
 
-# poly.cell_id packs each row and column index into six bits
+# a term order names each cell by poly.cell_id, which packs each row and
+# column index into six bits (the variables themselves are numbered per
+# ring, by rank, so no monomial depends on this bound)
 _MAX_INDEX = 63
 
 

@@ -7,13 +7,15 @@ the corner variable f as multiplier.  The driving identity is that the
 initial ideal of L is A + f*B, a basic double link of height-1 type.
 
 All ideals of a chain live in one polynomial ring, the ring of the top
-instance's variables (Chain.ambient), as the identity relates ideals of
-one ring.  A node's ideals are built once per chain and shared by every
-step the node takes part in.  Reading a node's ideal in a larger ring
-changes no verdict: the Hilbert numerator does not depend on the number
-of variables, so neither the codimension nor the Hilbert identity does,
-and the extra variables are cone points of the node's complex (see
-Chain.node_complex).
+instance's variables (Chain.ambient) numbered by the chain's term order
+(see poly.TermOrder), as the identity relates ideals of one ring.  A
+monomial is only read in that ring; the chain's certificate and
+complexes name its variables by their cells.  A node's ideals are built
+once per chain and shared by every step the node takes part in.  Reading
+a node's ideal in a larger ring changes no verdict: the Hilbert
+numerator does not depend on the number of variables, so neither the
+codimension nor the Hilbert identity does, and the extra variables are
+cone points of the node's complex (see Chain.node_complex).
 
 Verification is deliberately two-route.  The combinatorial route reads
 the leading monomial of every natural generator off its index set
@@ -62,7 +64,7 @@ from .families import (
     natural_generators,
 )
 from .fields import QQ
-from .ladders import OneSidedLadder, ladder_from_json
+from .ladders import OneSidedLadder, ensure_valid, ladder_from_json
 from .matrices import minor
 from .monomials import MonomialIdeal, check_double_link
 from .monomials import codim_by_series, hilbert_numerator, series_add, series_mul
@@ -87,8 +89,9 @@ from .poly import (
 )
 
 
-def _ambient(ladder):
-    return [cell_id(i, j) for (i, j) in ladder.variables()]
+def _ambient(ladder, order):
+    """The ladder's variables in order's ring, in cell order."""
+    return [order.var(i, j) for (i, j) in ladder.variables()]
 
 
 @dataclass
@@ -117,7 +120,7 @@ class Chain:
         self.field = field
         self.order = conventional_order(top)
         self.shape = top.shape()
-        self.ambient = tuple(_ambient(top))
+        self.ambient = tuple(_ambient(top, self.order))
         self.nodes = {}
         self.sequence = []
         self._sets_cache = {}
@@ -185,7 +188,8 @@ class Chain:
         """The node's natural generators, expanded (cached)."""
         if canon not in self._gens_cache:
             self._gens_cache[canon] = [
-                expand(self.shape, key, self.field) for key, _ in self.index_sets(canon)
+                expand(self.shape, key, self.field, self.order)
+                for key, _ in self.index_sets(canon)
             ]
         return self._gens_cache[canon]
 
@@ -210,16 +214,19 @@ class Chain:
 
     def node_complex(self, canon):
         """Simplicial complex of a node's initial ideal, in the chain's
-        ring: the top instance's variables outside the node's ladder are
-        cone points of it.  Coning keeps purity and raises the dimension
-        of a complex, and of its deletion and link at any other vertex,
-        by the same amount, so every shedding verdict is the one of the
-        node's own ring.  Only the top instance's complex is kept: the
-        top step's shedding check and the decomposability search or
-        replay share it."""
+        ring, on the cells of its variables: the top instance's
+        variables outside the node's ladder are cone points of it.
+        Coning keeps purity and raises the dimension of a complex, and
+        of its deletion and link at any other vertex, by the same
+        amount, so every shedding verdict is the one of the node's own
+        ring.  Only the top instance's complex is kept: the top step's
+        shedding check and the decomposability search or replay share
+        it."""
         if canon == self.top_canon and self._top_complex is not None:
             return self._top_complex
-        cx = SimplicialComplex.from_squarefree(self.initial_ideal(canon))
+        cx = SimplicialComplex.from_squarefree(
+            self.initial_ideal(canon), self.order.cell
+        )
         if canon == self.top_canon:
             self._top_complex = cx
         return cx
@@ -284,7 +291,7 @@ def initial_ideal(ladder, order, field=QQ):
     monomials are read off the index sets; field is used only where a
     generator has to be expanded (see families.leading_monomials)."""
     return MonomialIdeal(
-        set(leading_monomials(ladder, order, field=field)), _ambient(ladder)
+        set(leading_monomials(ladder, order, field=field)), _ambient(ladder, order)
     )
 
 
@@ -398,7 +405,7 @@ def verify_step(chain, canon, max_spairs=None):
     node = chain.nodes[canon]
     if node.cell is None:
         raise PreconditionError("terminal instance has no removal step")
-    f = (cell_id(*node.cell), 1)
+    f = (chain.order.var(*node.cell), 1)
     out = []
 
     c_raw = chain.leading_monomials(canon)
@@ -469,7 +476,7 @@ def verify_step(chain, canon, max_spairs=None):
         )
     out.append(_check("hilbert-identity-oracle", *identity))
 
-    shed_ok, bad = check_shedding(chain.node_complex(canon), fvar)
+    shed_ok, bad = check_shedding(chain.node_complex(canon), node.cell)
     out.append(
         _check(
             "shedding-at-corner",
@@ -523,13 +530,14 @@ def verify_family(top, field=QQ, max_spairs=None, max_faces=None):
 
 
 def vd_cert_to_json(node):
-    out = {"cone": [list(id_cell(v)) for v in node.get("cone", [])]}
+    """The JSON form of a certificate node over cell vertices."""
+    out = {"cone": [list(c) for c in node.get("cone", [])]}
     if node["kind"] == "leaf":
         out["kind"] = "leaf"
-        out["facet"] = [list(id_cell(v)) for v in node["facet"]]
+        out["facet"] = [list(c) for c in node["facet"]]
         return out
     out["kind"] = "split"
-    out["vertex"] = list(id_cell(node["vertex"]))
+    out["vertex"] = list(node["vertex"])
     out["deletion"] = vd_cert_to_json(node["deletion"])
     out["link"] = vd_cert_to_json(node["link"])
     return out
@@ -540,18 +548,24 @@ def vd_cert_from_json(data):
     "malformed node" unless every node is a leaf or a split with a
     vertex, a deletion and a link, and every cell is an index pair."""
     try:
-        out = {"cone": [cell_id(*c) for c in data.get("cone", [])], "kind": data.get("kind")}
+        out = {"cone": [_cert_cell(c) for c in data.get("cone", [])], "kind": data.get("kind")}
         if out["kind"] == "leaf":
-            out["facet"] = sorted(cell_id(*c) for c in data.get("facet", []))
+            out["facet"] = sorted(_cert_cell(c) for c in data.get("facet", []))
             return out
         if out["kind"] == "split":
-            out["vertex"] = cell_id(*data["vertex"])
+            out["vertex"] = _cert_cell(data["vertex"])
             out["deletion"] = vd_cert_from_json(data["deletion"])
             out["link"] = vd_cert_from_json(data["link"])
             return out
     except (AttributeError, KeyError, TypeError, ValueError):
         pass
     raise LadderError("malformed node")
+
+
+def _cert_cell(c):
+    """A certificate's cell as an index pair; cell_id raises on anything
+    else."""
+    return id_cell(cell_id(*c))
 
 
 def chain_certificate(chain, vd_cert=None):
@@ -562,7 +576,7 @@ def chain_certificate(chain, vd_cert=None):
     def text(m):
         t = texts.get(m)
         if t is None:
-            t = texts[m] = mono_text(m)
+            t = texts[m] = mono_text(m, chain.order)
         return t
 
     nodes = []
@@ -607,8 +621,9 @@ def replay_chain(cert, field=QQ):
     and check every recorded fact, the field and term order included:
     each recorded node is compared against chain_certificate of the
     recomputed chain.  Returns a report dict; a document whose top, node
-    list or node ids are malformed raises LadderError."""
-    top = ladder_from_json(cert.get("top", {}))
+    list or node ids are malformed, or whose top validate rejects, raises
+    LadderError."""
+    top = ensure_valid(ladder_from_json(cert.get("top", {})))
     nodes = cert.get("nodes", [])
     if not isinstance(nodes, list) or not all(
         isinstance(n, dict) and isinstance(n.get("id"), str) for n in nodes
@@ -642,7 +657,7 @@ def replay_chain(cert, field=QQ):
             checks.append(_check(name, ok, fresh["id"]))
     for canon in chain.steps():
         node = chain.nodes[canon]
-        ok, bad = check_shedding(chain.node_complex(canon), cell_id(*node.cell))
+        ok, bad = check_shedding(chain.node_complex(canon), node.cell)
         checks.append(
             _check("shedding-at-corner", ok, canon if ok else ", ".join(bad))
         )
@@ -683,7 +698,9 @@ def localization_maps(ladder, cell, field=QQ):
     """Substitution pair (phi, psi) used after inverting the cell's
     variable.  Each map sends a variable x to (numerator, e) meaning
     numerator / x_cell^e; variables in the inverted cell's row or
-    column are fixed.  psi is the exact inverse of phi."""
+    column are fixed.  psi is the exact inverse of phi.  Variables are
+    those of the ladder's conventional order."""
+    order = conventional_order(ladder)
     if not isinstance(ladder, OneSidedLadder):
         raise PreconditionError("localization maps are built for one-sided ladders")
     u, v = cell
@@ -700,12 +717,13 @@ def localization_maps(ladder, cell, field=QQ):
     affected = set()
     for k in hit:
         affected |= regions[k].cells
-    uv = cell_id(u, v)
+    var = order.var
+    uv = var(u, v)
     phi, psi = {}, {}
     for (i, j) in ladder.cells():
-        x = cell_id(i, j)
+        x = var(i, j)
         if (i, j) in affected and i != u and j != v:
-            correction = p_term_mul(p_var(cell_id(i, v), field), (cell_id(u, j), 1), field.one, field)
+            correction = p_term_mul(p_var(var(i, v), field), (var(u, j), 1), field.one, field)
             base = p_term_mul(p_var(x, field), (uv, 1), field.one, field)
             phi[x] = (p_add(base, correction, field), 1)
             psi[x] = (p_sub(base, correction, field), 1)
@@ -740,13 +758,16 @@ def substitute(p, mapping, uv, field=QQ):
     return total, maxden
 
 
-def localized_ideal_generators(ladder, cell, field=QQ, shape=None):
+def localized_ideal_generators(ladder, cell, field=QQ, shape=None, order=None):
     """Generators of the ideal seen after inverting the cell: affected
     regions lose the cell's row and column and drop one minor size,
-    untouched regions keep their minors.  shape is read as in
-    natural_generators (ladder.shape() by default)."""
+    untouched regions keep their minors.  shape and order are read as
+    in natural_generators (ladder.shape() and the conventional order by
+    default)."""
     u, v = cell
     hit = set(_affected_range(ladder, cell))
+    if order is None:
+        order = conventional_order(ladder)
     if shape is None:
         shape = ladder.shape()
     seen = set()
@@ -766,7 +787,7 @@ def localized_ideal_generators(ladder, cell, field=QQ, shape=None):
             continue
         for rs in itertools.combinations(rows, size):
             for cs in itertools.combinations(cols, size):
-                g = minor(shape, rs, cs, field)
+                g = minor(shape, rs, cs, field, order)
                 key = freeze(g)
                 if key not in seen:
                     seen.add(key)
@@ -780,12 +801,12 @@ def verify_localization(ladder, cell, field=QQ, max_spairs=None, max_power=3):
     denominators (allowing a small extra power of the inverted cell)."""
     order = conventional_order(ladder)
     phi, psi = localization_maps(ladder, cell, field)
-    uv = cell_id(*cell)
+    uv = order.var(*cell)
     checks = []
 
     ok = True
     for (i, j) in ladder.cells():
-        x = cell_id(i, j)
+        x = order.var(i, j)
         for first, second in ((phi, psi), (psi, phi)):
             num, e = first[x]
             num2, e2 = substitute(num, second, uv, field)
@@ -798,7 +819,7 @@ def verify_localization(ladder, cell, field=QQ, max_spairs=None, max_power=3):
 
     shape = ladder.shape()
     gens = natural_generators(ladder, field, order, shape)
-    hat_gens = localized_ideal_generators(ladder, cell, field, shape)
+    hat_gens = localized_ideal_generators(ladder, cell, field, shape, order)
     hat_gb, hat_table = groebner_basis(hat_gens, order, field, max_spairs)
     fwd_ok = True
     fwd_detail = ""

@@ -14,14 +14,17 @@ variable sits at one position only, which holds for every minor and
 pfaffian the families generate under their conventional orders; in any
 other case minor_leading returns None and the caller expands.
 
-Each shape object carries one memo of the minors and one of the
-pfaffians it has expanded, keyed by the index tuples and the field's
-name, and one memo of leading monomials per term order, keyed by the
-index tuples; so every caller that shares a shape (a whole
-corner-removal chain shares its top instance's) expands each index set
-once per field and reads its leading monomial once per order.  The
-memos are looked up first; indices are validated only on a miss, before
-anything is stored, so a key in a memo is always a valid one.
+A polynomial or monomial is built over the variables of one ring, the
+numbering of a term order (poly.TermOrder.var), so every function that
+returns one takes that order.  Each shape object carries memos of the
+minors and pfaffians it has expanded and of their leading monomials,
+one memo of each per term order (one shape may be read under two
+orders), keyed by the index tuples and, for an expansion, the field's
+name; so every caller that shares a shape (a whole corner-removal chain
+shares its top instance's) expands each index set once per field and
+reads its leading monomial once per order.  The memos are looked up
+first; indices are validated only on a miss, before anything is stored,
+so a key in a memo is always a valid one.
 """
 
 from . import poly
@@ -116,12 +119,23 @@ class SkewShape:
         return "SkewShape(%d)" % self.n
 
 
-def entry_poly(shape, i, j, field):
+def entry_poly(shape, i, j, field, order):
+    """Entry (i, j) of the matrix, over order's variables."""
     sign, cell = shape.entry(i, j)
     if sign == 0:
         return {}
     c = field.one if sign > 0 else field.neg(field.one)
-    return {(poly.cell_id(*cell), 1): c}
+    return {(order.var(*cell), 1): c}
+
+
+def _ring_memo(memos, order):
+    """The memo for one term order out of one of a shape's memo tables,
+    keyed by the order object itself (a live object, so no other order
+    can reuse its key)."""
+    memo = memos.get(order)
+    if memo is None:
+        memo = memos[order] = {}
+    return memo
 
 
 def _check_indices(idx, bound, what):
@@ -131,17 +145,20 @@ def _check_indices(idx, bound, what):
         raise PreconditionError("%s out of range" % what)
 
 
-def minor(shape, rows, cols, field):
-    """Determinant of the submatrix on rows x cols, as a polynomial.
+def minor(shape, rows, cols, field, order):
+    """Determinant of the submatrix on rows x cols, as a polynomial over
+    order's variables.
 
     rows and cols are strictly increasing index tuples of equal length.
-    Memoized in the shape on (rows, cols, field name): the polynomial is
-    built once per shape and field, and shared by every later call.
+    Memoized in the shape per order on (rows, cols, field name): the
+    polynomial is built once per shape, order and field, and shared by
+    every later call.
     """
     rows = tuple(rows)
     cols = tuple(cols)
+    memo = _ring_memo(shape._minors, order)
     key = (rows, cols, field.name)
-    cached = shape._minors.get(key)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     if len(rows) != len(cols):
@@ -151,37 +168,39 @@ def minor(shape, rows, cols, field):
     if not rows:
         out = {(): field.one}
     elif len(rows) == 1:
-        out = entry_poly(shape, rows[0], cols[0], field)
+        out = entry_poly(shape, rows[0], cols[0], field, order)
     else:
         out = {}
         rest_rows = rows[1:]
         sign = 1
         for k, c in enumerate(cols):
-            e = entry_poly(shape, rows[0], c, field)
+            e = entry_poly(shape, rows[0], c, field, order)
             if e:
                 rest_cols = cols[:k] + cols[k + 1 :]
-                sub = minor(shape, rest_rows, rest_cols, field)
+                sub = minor(shape, rest_rows, rest_cols, field, order)
                 term = poly.p_mul(e, sub, field)
                 if sign < 0:
                     term = poly.p_scale(term, field.neg(field.one), field)
                 out = poly.p_add(out, term, field)
             sign = -sign
-    shape._minors[key] = out
+    memo[key] = out
     return out
 
 
-def pfaffian(shape, indices, field):
-    """Pfaffian of the principal skew submatrix on the given indices.
+def pfaffian(shape, indices, field, order):
+    """Pfaffian of the principal skew submatrix on the given indices, as
+    a polynomial over order's variables.
 
     Expansion along the first index with alternating signs; the square
     of the result is the determinant of the same submatrix.  Memoized in
-    the shape on (indices, field name), like minor.
+    the shape per order on (indices, field name), like minor.
     """
     if shape.kind != "skew":
         raise PreconditionError("pfaffian requires a skew-symmetric shape")
     indices = tuple(indices)
+    memo = _ring_memo(shape._pf, order)
     key = (indices, field.name)
-    cached = shape._pf.get(key)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     _check_indices(indices, shape.n, "indices")
@@ -190,37 +209,27 @@ def pfaffian(shape, indices, field):
     if not indices:
         out = {(): field.one}
     elif len(indices) == 2:
-        out = entry_poly(shape, indices[0], indices[1], field)
+        out = entry_poly(shape, indices[0], indices[1], field, order)
     else:
         out = {}
         first = indices[0]
         for pos in range(1, len(indices)):
             other = indices[pos]
-            e = entry_poly(shape, first, other, field)
+            e = entry_poly(shape, first, other, field, order)
             rest = tuple(x for x in indices if x != first and x != other)
-            sub = pfaffian(shape, rest, field)
+            sub = pfaffian(shape, rest, field, order)
             term = poly.p_mul(e, sub, field)
             # position is 1-based j = pos + 1; sign (-1)^j
             if (pos + 1) % 2 == 1:
                 term = poly.p_scale(term, field.neg(field.one), field)
             out = poly.p_add(out, term, field)
-    shape._pf[key] = out
+    memo[key] = out
     return out
-
-
-def _lead_memo(shape, order):
-    """The shape's leading-monomial memo for one term order, keyed by
-    the order object itself (a live object, so no other order can reuse
-    its key)."""
-    memo = shape._lead.get(order)
-    if memo is None:
-        memo = shape._lead[order] = {}
-    return memo
 
 
 def _monomial(variables):
     """The squarefree monomial on distinct variables."""
-    return tuple(x for v in sorted(variables) for x in (v, 1))
+    return tuple(x for v in sorted(variables, reverse=True) for x in (v, 1))
 
 
 def minor_leading(shape, rows, cols, order):
@@ -240,7 +249,7 @@ def minor_leading(shape, rows, cols, order):
     """
     rows = tuple(rows)
     cols = tuple(cols)
-    memo = _lead_memo(shape, order)
+    memo = _ring_memo(shape._lead, order)
     key = (rows, cols)
     if key in memo:
         return memo[key]
@@ -248,7 +257,7 @@ def minor_leading(shape, rows, cols, order):
         raise PreconditionError("minor needs equally many rows and columns")
     _check_indices(rows, shape.m, "rows")
     _check_indices(cols, shape.n, "columns")
-    rank = order.rank
+    var = order.var
     left_rows, left_cols = list(rows), list(cols)
     picked = []
     while left_rows:
@@ -259,8 +268,8 @@ def minor_leading(shape, rows, cols, order):
                 sign, cell = shape.entry(r, c)
                 if sign == 0:
                     continue
-                v = poly.cell_id(*cell)
-                if best is None or rank(v) > rank(best[0]):
+                v = var(*cell)
+                if best is None or v > best[0]:
                     best = (v, r, c)
                     count = 1
                 elif v == best[0]:
@@ -288,22 +297,19 @@ def pfaffian_leading(shape, indices, order):
     if shape.kind != "skew":
         raise PreconditionError("pfaffian requires a skew-symmetric shape")
     indices = tuple(indices)
-    memo = _lead_memo(shape, order)
+    memo = _ring_memo(shape._lead, order)
     key = (indices,)
     if key in memo:
         return memo[key]
     _check_indices(indices, shape.n, "indices")
     if len(indices) % 2 != 0:
         raise PreconditionError("pfaffian needs an even number of indices")
-    rank = order.rank
+    var = order.var
     left = list(indices)
     picked = []
     while left:
-        i, j = max(
-            ((i, j) for k, i in enumerate(left) for j in left[k + 1 :]),
-            key=lambda p: rank(poly.cell_id(*p)),
-        )
-        picked.append(poly.cell_id(i, j))
+        v, i, j = max((var(i, j), i, j) for k, i in enumerate(left) for j in left[k + 1 :])
+        picked.append(v)
         left.remove(i)
         left.remove(j)
     out = memo[key] = _monomial(picked)

@@ -1,9 +1,16 @@
 """Monomial kernel.
 
 A monomial is a flat tuple (v1, e1, v2, e2, ...) of variable ids and
-positive exponents with the ids strictly increasing; the empty tuple is
-the monomial 1.  These functions are the hot path of Buchberger
-reduction and of the Hilbert recursion.
+positive exponents with the ids strictly decreasing; the empty tuple is
+the monomial 1.  Each ring numbers its variables by rank under its lex
+order (poly.TermOrder): the largest variable has the largest id.  So
+Python's own tuple comparison is that lex order: at the first position
+where two monomials differ, the one with the larger variable id or the
+larger exponent is the larger, and a proper prefix, which lacks some
+smaller variables, is the smaller.  Sorting, max and heap entries take
+monomials as they are; no order key is computed or kept.  These
+functions are the hot path of Buchberger reduction and of the Hilbert
+recursion.
 
 Call sites use `from laddergb import mono` and attribute access
 (mono.mul, ...), so that a wrapper installed on the module (the traced
@@ -30,7 +37,7 @@ def mul(a, b):
             out.append(a[i + 1] + b[j + 1])
             i += 2
             j += 2
-        elif va < vb:
+        elif va > vb:
             out.append(va)
             out.append(a[i + 1])
             i += 2
@@ -49,7 +56,7 @@ def divides(a, b):
     la, lb = len(a), len(b)
     while i < la:
         va = a[i]
-        while j < lb and b[j] < va:
+        while j < lb and b[j] > va:
             j += 2
         if j >= lb or b[j] != va or b[j + 1] < a[i + 1]:
             return False
@@ -97,7 +104,7 @@ def lcm(a, b):
             out.append(ea if ea >= eb else eb)
             i += 2
             j += 2
-        elif va < vb:
+        elif va > vb:
             out.append(va)
             out.append(a[i + 1])
             i += 2
@@ -123,7 +130,8 @@ def support(a):
     reading the exponents (the short exponent-vector test of Bachmann and
     Schoenemann, ISSAC 1998, with one bit per variable).  With one bit per
     variable the test is exact for coprimality: a and b share no variable
-    iff support(a) & support(b) == 0.
+    iff support(a) & support(b) == 0.  Variable ids lie below the ring's
+    number of variables, so a mask has at most that many bits.
     """
     s = 0
     for v in a[::2]:

@@ -15,6 +15,7 @@ from .errors import PreconditionError
 
 
 def _gcd_mono(a, b):
+    """Greatest common divisor; ids decrease along a monomial (see mono)."""
     out = []
     i = j = 0
     while i < len(a) and j < len(b):
@@ -23,7 +24,7 @@ def _gcd_mono(a, b):
             out.append(min(a[i + 1], b[j + 1]))
             i += 2
             j += 2
-        elif a[i] < b[j]:
+        elif a[i] > b[j]:
             i += 2
         else:
             j += 2
@@ -177,14 +178,14 @@ def hilbert_numerator(gens, memo):
         for g in gens:
             out = series_mul(out, (1,) + (0,) * (g[1] - 1) + (-1,))
     else:
-        # K(I) = K(I + (x)) + z K(I : x), split on the most used variable;
-        # every candidate sits in a generator of degree at least 2, so
-        # both branches shrink
+        # K(I) = K(I + (x)) + z K(I : x), split on the most used variable,
+        # the largest of those on a tie; every candidate sits in a
+        # generator of degree at least 2, so both branches shrink
         used = {}
         for g in gens:
             for k in range(0, len(g), 2):
                 used[g[k]] = used.get(g[k], 0) + 1
-        x = max(sorted(used), key=lambda v: used[v])
+        x = max(sorted(used, reverse=True), key=lambda v: used[v])
         colon = minimalize([mono.div(g, _gcd_mono(g, (x, 1))) for g in gens])
         added = minimalize(list(gens) + [(x, 1)])
         out = series_add(
@@ -214,7 +215,7 @@ def hilbert_function_brute(ideal, d):
     if d < 0:
         return 0
     count = 0
-    for combo in itertools.combinations_with_replacement(ideal.ambient, d):
+    for combo in itertools.combinations_with_replacement(ideal.ambient[::-1], d):
         m = []
         for v in combo:
             if m and m[-2] == v:

@@ -1,14 +1,20 @@
 """Sparse multivariate polynomials over an exact field, with lexicographic
 term orders and a Buchberger engine.
 
-Variables are matrix cells (i, j) packed into small ints; a monomial is a
-flat tuple handled by the mono kernel; a polynomial is a dict mapping
-monomial -> nonzero coefficient.  Term orders are pure lexicographic
-orders given by a "biggest first" sequence of variables; the diagonal
-order reads the matrix row by row left to right, the anti-diagonal order
-reads each row right to left.  Either realizes the property that leading
-terms of minors are their (anti-)diagonal products; that property is
-asserted by tests, not assumed here.
+A term order is a pure lexicographic order given by a "biggest first"
+sequence of matrix cells; the diagonal order reads the matrix row by row
+left to right, the anti-diagonal order reads each row right to left.
+Either realizes the property that leading terms of minors are their
+(anti-)diagonal products; that property is asserted by tests, not
+assumed here.  A term order also numbers the variables of its ring by
+rank, the largest variable last (TermOrder.var, TermOrder.cell).  A
+monomial is a flat tuple over these ids, largest variable first, handled
+by the mono kernel, and a polynomial is a dict mapping monomial ->
+nonzero coefficient.  Two monomials then compare as lex with Python's
+own <, so leading terms, the S-pair queue and canonical text take
+monomials as they are, with no sort key and no memo of one.  A
+polynomial is only meaningful together with the order whose ring it was
+built in.
 
 Division runs against a reducer table (see reducers): the leading
 monomial, leading coefficient and variable-support bitmask of every basis
@@ -47,19 +53,15 @@ from .errors import BudgetExceeded, PreconditionError
 
 
 def cell_id(i: int, j: int) -> int:
-    """Pack cell (i, j) into one int; indices must fit in six bits."""
+    """Pack cell (i, j) into one int, the name a term order's sequence
+    gives the cell; indices must fit in six bits."""
     if not (0 <= i < 64 and 0 <= j < 64):
         raise ValueError("cell index out of range: (%d, %d)" % (i, j))
     return (i << 6) | j
 
 
-def id_cell(v: int):
-    return (v >> 6, v & 63)
-
-
-def var_text(v: int) -> str:
-    i, j = id_cell(v)
-    return "x[%d,%d]" % (i, j)
+def id_cell(c: int):
+    return (c >> 6, c & 63)
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +69,15 @@ def var_text(v: int) -> str:
 
 
 class TermOrder:
-    """Pure lex order determined by a biggest-first variable sequence.
+    """Pure lex order determined by a biggest-first sequence of cells
+    (named by cell_id), and the variable numbering of its ring.
 
-    kind is "diagonal", "antidiagonal" or "custom"; the sequence itself is
+    The variable of the k-th cell of the sequence has id n - 1 - k, its
+    rank: the largest variable has the largest id.  Monomials over these
+    ids compare as lex with Python's own comparison (see mono).  var and
+    cell map a cell to its variable and back; rendering, certificates
+    and complexes speak of cells, everything else of variables.  kind is
+    "diagonal", "antidiagonal" or "custom"; the sequence itself is
     exposed so callers can substitute any realizing permutation.
     """
 
@@ -78,33 +86,16 @@ class TermOrder:
         self.sequence = tuple(sequence)
         if len(set(self.sequence)) != len(self.sequence):
             raise ValueError("term order sequence has repeated variables")
-        n = len(self.sequence)
-        self._rank = {v: n - k for k, v in enumerate(self.sequence)}
-        self._keys = {}
+        self._cells = tuple(id_cell(c) for c in reversed(self.sequence))
+        self._var = {c: v for v, c in enumerate(self._cells)}
 
-    def rank(self, v: int) -> int:
-        """Rank of a variable; larger rank means larger variable."""
-        return self._rank[v]
+    def var(self, i: int, j: int) -> int:
+        """Variable id of cell (i, j)."""
+        return self._var[(i, j)]
 
-    def key(self, m):
-        """Sort key; comparing keys compares monomials in this order."""
-        k = self._keys.get(m)
-        if k is None:
-            rank = self._rank
-            k = tuple(
-                sorted(((rank[m[i]], m[i + 1]) for i in range(0, len(m), 2)), reverse=True)
-            )
-            self._keys[m] = k
-        return k
-
-    def compare(self, a, b) -> int:
-        """-1, 0 or 1 as a <, =, > b."""
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
+    def cell(self, v: int):
+        """Cell (i, j) of variable v."""
+        return self._cells[v]
 
     def __repr__(self):
         return "TermOrder(%s, %d vars)" % (self.kind, len(self.sequence))
@@ -202,10 +193,12 @@ def freeze(p):
 
 
 def leading_term(p, order: TermOrder):
-    """(monomial, coefficient) of the largest term; error on zero."""
+    """(monomial, coefficient) of the largest term; error on zero.  The
+    monomials of p are over order's variables, so max compares them in
+    order."""
     if not p:
         raise PreconditionError("leading term of the zero polynomial")
-    m = max(p, key=order.key)
+    m = max(p)
     return m, p[m]
 
 
@@ -257,11 +250,10 @@ def _reduce(p, G, table, order, field, quotients=None, used=None):
     """
     remainder = {}
     work = dict(p)
-    key = order.key
     divides, dv, mul, support = mono.divides, mono.div, mono.mul, mono.support
     fadd, fmul, is_zero = field.add, field.mul, field.is_zero
     while work:
-        m = max(work, key=key)
+        m = max(work)
         c = work[m]
         outside = ~support(m)
         for idx, (lm, lc, mask) in enumerate(table):
@@ -357,7 +349,7 @@ def _interreduce(G, table, order, field):
     table; keeps determinism by processing in decreasing leading-monomial
     order.  An element whose tail no kept leading monomial divides is its
     own normal form against the others; only the rest are reduced."""
-    ranked = sorted(zip(G, table), key=lambda e: order.key(e[1][0]), reverse=True)
+    ranked = sorted(zip(G, table), key=lambda e: e[1][0], reverse=True)
     # drop generators whose leading monomial is divisible by another's
     gens, kept = [], []
     for i, (g, entry) in enumerate(ranked):
@@ -442,14 +434,14 @@ def _nonzero_remainders(
                     known = new < named and record.get(frozenset((names[k], names[new])))
                     if not (known and known <= held):
                         l = mono.lcm(lk, lm)
-                        heapq.heappush(heap, (mono.deg(l), order.key(l), k, new, l))
+                        heapq.heappush(heap, (mono.deg(l), l, k, new))
                         continue
                 done.add(k)
                 settled[k].add(new)
             settled.append(done)
         if not heap:
             return
-        _, _, i, j, l = heapq.heappop(heap)
+        _, l, i, j = heapq.heappop(heap)
         # the support of lcm(lm_i, lm_j) is the union of the two masks
         outside = ~(table[i][2] | table[j][2])
         skip = any(
@@ -548,13 +540,15 @@ def is_reduced_groebner(
 # text form
 
 
-def mono_text(m) -> str:
+def mono_text(m, order: TermOrder) -> str:
+    """The monomial m over order's variables, its factors in cell order."""
     if not m:
         return "1"
+    cell = order.cell
     parts = []
-    for i in range(0, len(m), 2):
-        v, e = m[i], m[i + 1]
-        parts.append(var_text(v) if e == 1 else "%s^%d" % (var_text(v), e))
+    for (i, j), e in sorted((cell(m[k]), m[k + 1]) for k in range(0, len(m), 2)):
+        var = "x[%d,%d]" % (i, j)
+        parts.append(var if e == 1 else "%s^%d" % (var, e))
     return "*".join(parts)
 
 
@@ -562,17 +556,16 @@ def poly_text(p, order: TermOrder, field) -> str:
     """Canonical text: terms in decreasing order, explicit coefficients."""
     if not p:
         return "0"
-    terms = sorted(p, key=order.key, reverse=True)
     chunks = []
-    for m in terms:
+    for m in sorted(p, reverse=True):
         c = p[m]
         txt = field.text(c)
         neg = txt.startswith("-")
         mag = txt[1:] if neg else txt
         if m and mag == "1":
-            body = mono_text(m)
+            body = mono_text(m, order)
         elif m:
-            body = "%s*%s" % (mag, mono_text(m))
+            body = "%s*%s" % (mag, mono_text(m, order))
         else:
             body = mag
         if not chunks:

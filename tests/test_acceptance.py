@@ -19,11 +19,10 @@ from laddergb import (
     verify_localization,
 )
 from laddergb.complexes import SimplicialComplex
-from laddergb.matrices import SkewShape, minor, pfaffian
+from laddergb.matrices import SkewShape, minor, order_for, pfaffian
 from laddergb.monomials import MonomialIdeal, hilbert_function_brute, minimalize
 from laddergb.poly import (
     buchberger_reduced,
-    cell_id,
     freeze,
     is_reduced_groebner,
     leading_term,
@@ -45,7 +44,7 @@ def announce(number, title, ok, detail):
 def initial_ideal_of(ladder, field=QQ):
     order = conventional_order(ladder)
     lead = [leading_term(g, order)[0] for g in natural_generators(ladder, field, order)]
-    ambient = [cell_id(i, j) for (i, j) in ladder.variables()]
+    ambient = [order.var(i, j) for (i, j) in ladder.variables()]
     return MonomialIdeal(minimalize(lead), ambient)
 
 
@@ -188,13 +187,14 @@ def test_criterion_07_hilbert_pivot_agrees_with_enumeration():
 
 def test_criterion_08_pfaffian_squares_and_counts():
     shape = SkewShape(7)
+    order = order_for(shape, "antidiagonal")
     ok = True
     tried = 0
     for size in (2, 4, 6):
         for subset in itertools.combinations(range(1, 8), size):
             tried += 1
-            pf = pfaffian(shape, subset, QQ)
-            det = minor(shape, subset, subset, QQ)
+            pf = pfaffian(shape, subset, QQ, order)
+            det = minor(shape, subset, subset, QQ, order)
             if freeze(p_mul(pf, pf, QQ)) != freeze(det):
                 ok = False
             if len(pf) != math.prod(range(size - 1, 0, -2)):

@@ -385,6 +385,30 @@ def test_replay_rejects_a_malformed_certificate(tmp_path, capsys, edit):
 
 
 @pytest.mark.parametrize(
+    "top,message",
+    [
+        (
+            {"family": "onesided", "m": 3, "n": 3, "points": [[5, 1]], "t": [2]},
+            "point outside matrix at (5, 1)",
+        ),
+        ({"family": "maxminors", "m": 1, "n": 64}, "matrix dimension above 63"),
+    ],
+    ids=["onesided-point-outside", "maxminors-1x64"],
+)
+def test_replay_validates_the_top(tmp_path, capsys, top, message):
+    # replay checks a certificate's top as chain checks its instance,
+    # and stops with validate's own diagnostic
+    cert_path, cert = _certificate(tmp_path, capsys)
+    cert["top"] = top
+    cert_path.write_text(json.dumps(cert))
+    code, out, err = run(capsys, ["replay", str(cert_path)])
+    assert code == 2 and out == ""
+    assert message in err
+    _, _, diagnostic = run(capsys, ["validate", write_instance(tmp_path, top)])
+    assert err == diagnostic
+
+
+@pytest.mark.parametrize(
     "vd",
     [
         {"kind": "split"},
@@ -530,20 +554,43 @@ def test_field_flag_reaches_report(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# installed entry point
+# installed entry point and process state
 
 
-def test_console_script_smoke(tmp_path):
-    path = write_instance(tmp_path, MM23)
+def run_alone(argv):
+    """(exit code, stdout, stderr) of the command in a fresh process."""
     # the child must import the same laddergb as this process
     src = os.path.dirname(os.path.dirname(os.path.abspath(laddergb.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "laddergb.cli", "height", path, "--json"],
+        [sys.executable, "-m", "laddergb.cli"] + argv,
         capture_output=True,
         text=True,
         env=env,
     )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["height"] == 2
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_console_script_smoke(tmp_path):
+    path = write_instance(tmp_path, MM23)
+    code, out, _ = run_alone(["height", path, "--json"])
+    assert code == 0
+    assert json.loads(out)["height"] == 2
+
+
+def test_outputs_do_not_depend_on_the_orders_read_before(tmp_path, capsys):
+    # each term order numbers its own ring's variables; one process reads
+    # a one-sided instance under the diagonal order, the anti-diagonal
+    # order and the diagonal order again, and every output is the one
+    # the same command gives alone
+    path = write_instance(tmp_path, ONESIDED[3])
+    commands = [
+        [cmd, path, "--json", "--order", order]
+        for order in ("diag", "antidiag", "diag")
+        for cmd in ("initial", "vd")
+    ]
+    outputs = [run(capsys, argv) for argv in commands]
+    assert outputs[0] != outputs[2]  # the two orders do give different ideals
+    for argv, got in zip(commands, outputs):
+        assert got == run_alone(argv), argv

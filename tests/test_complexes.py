@@ -148,7 +148,7 @@ def brute_transversals(supports):
 def minimal_transversals(supports, ambient):
     """The minimal transversals of the supports, as complements of the
     facets from_squarefree builds."""
-    gens = [tuple(x for v in sorted(s) for x in (v, 1)) for s in supports]
+    gens = [tuple(x for v in sorted(s, reverse=True) for x in (v, 1)) for s in supports]
     cx = SimplicialComplex.from_squarefree(MonomialIdeal(gens, ambient))
     return [frozenset(ambient) - f for f in cx.facets]
 
@@ -181,7 +181,7 @@ def test_minimal_transversals_match_brute_force(supports):
 
 def square_ideal():
     # (x0*x2, x1*x3): the 4-cycle; facets 01, 12, 23, 30
-    return MonomialIdeal([(0, 1, 2, 1), (1, 1, 3, 1)], (0, 1, 2, 3))
+    return MonomialIdeal([(2, 1, 0, 1), (3, 1, 1, 1)], (0, 1, 2, 3))
 
 
 def test_from_squarefree_square():
@@ -266,7 +266,7 @@ vertex_sets = st.frozensets(st.integers(0, VERTS - 1), max_size=VERTS)
 @settings(max_examples=150)
 def test_from_squarefree_matches_frozenset_reference(supports, extra):
     ambient = tuple(sorted(set(extra).union(*supports)))
-    gens = [tuple(x for v in sorted(s) for x in (v, 1)) for s in supports]
+    gens = [tuple(x for v in sorted(s, reverse=True) for x in (v, 1)) for s in supports]
     cx = SimplicialComplex.from_squarefree(MonomialIdeal(gens, ambient))
     ref = ref_from_supports(supports, ambient)
     assert_matches_reference(cx, ref)
@@ -296,7 +296,7 @@ def test_constructor_matches_frozenset_reference(facets):
 )
 @settings(max_examples=80)
 def test_codim_routes_agree(supports):
-    gens = [tuple(x for v in sorted(s) for x in (v, 1)) for s in supports]
+    gens = [tuple(x for v in sorted(s, reverse=True) for x in (v, 1)) for s in supports]
     ideal = MonomialIdeal(gens, tuple(range(5)))
     if ideal.is_unit():
         return

@@ -17,9 +17,10 @@ from laddergb import (
 from laddergb import families, matrices
 from laddergb.fields import PrimeField
 from laddergb.linkage import Chain
-from laddergb.poly import cell_id, freeze, leading_term, p_degree, p_is_zero
+from laddergb.poly import freeze, leading_term, p_degree, p_is_zero
 
 from corpus import CORPUS, NEGATIVE_INSTANCES
+from lexref import lex_key
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +87,11 @@ def test_generator_degrees_match_region_sizes():
 def test_maxminors_leading_monomials_are_diagonals():
     l = MaxMinors(2, 3)
     monos = initial_generators(l)
+    v = conventional_order(l).var
     expect = {
-        (cell_id(1, 1), 1, cell_id(2, 2), 1),
-        (cell_id(1, 1), 1, cell_id(2, 3), 1),
-        (cell_id(1, 2), 1, cell_id(2, 3), 1),
+        (v(1, 1), 1, v(2, 2), 1),
+        (v(1, 1), 1, v(2, 3), 1),
+        (v(1, 2), 1, v(2, 3), 1),
     }
     assert set(monos) == expect
 
@@ -97,11 +99,12 @@ def test_maxminors_leading_monomials_are_diagonals():
 def test_onesided_leading_monomials_are_antidiagonals():
     l = OneSidedLadder(2, 3, [(2, 1)], [2])
     monos = set(initial_generators(l))
+    v = conventional_order(l).var
     # 2-minor on columns (j1 < j2) leads with x[1,j2]*x[2,j1]
     expect = {
-        (cell_id(1, 2), 1, cell_id(2, 1), 1),
-        (cell_id(1, 3), 1, cell_id(2, 1), 1),
-        (cell_id(1, 3), 1, cell_id(2, 2), 1),
+        (v(1, 2), 1, v(2, 1), 1),
+        (v(1, 3), 1, v(2, 1), 1),
+        (v(1, 3), 1, v(2, 2), 1),
     }
     assert monos == expect
 
@@ -110,8 +113,9 @@ def test_pfaffian_leading_monomials():
     l = PfaffianLadder(4, [(1, 4)], [2])
     (g,) = natural_generators(l)
     # pf = x12*x34 - x13*x24 + x14*x23; antidiagonal order leads x14*x23
-    m, c = leading_term(g, conventional_order(l))
-    assert m == (cell_id(1, 4), 1, cell_id(2, 3), 1)
+    order = conventional_order(l)
+    m, c = leading_term(g, order)
+    assert m == (order.var(1, 4), 1, order.var(2, 3), 1)
     assert QQ.eq(c, QQ.one)
 
 
@@ -139,7 +143,7 @@ def test_initial_generators_sorted():
         l = ladder_from_json(data)
         order = conventional_order(l)
         monos = initial_generators(l)
-        assert monos == sorted(monos, key=order.key)
+        assert monos == sorted(monos, key=lambda m: lex_key(m, order))
         assert len(set(monos)) == len(monos)
 
 
@@ -184,14 +188,17 @@ def ref_generators(ladder, field, order, shape):
     out = []
     for key in ref_index_sets(ladder):
         if len(key) == 1:
-            g = matrices.pfaffian(shape, key[0], field)
+            g = matrices.pfaffian(shape, key[0], field, order)
         else:
-            g = matrices.minor(shape, key[0], key[1], field)
+            g = matrices.minor(shape, key[0], key[1], field, order)
         if p_is_zero(g) or freeze(g) in seen:
             continue
         seen.add(freeze(g))
         out.append(g)
-    out.sort(key=lambda g: (p_degree(g), order.key(leading_term(g, order)[0])))
+    def lead_key(g):
+        return lex_key(max(g, key=lambda m: lex_key(m, order)), order)
+
+    out.sort(key=lambda g: (p_degree(g), lead_key(g)))
     return out
 
 

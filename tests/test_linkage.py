@@ -37,7 +37,6 @@ from laddergb.linkage import (
 from laddergb.monomials import MonomialIdeal, hilbert_function_brute
 from laddergb.poly import (
     buchberger_reduced,
-    cell_id,
     freeze,
     leading_term,
     p_term_mul,
@@ -90,8 +89,10 @@ def test_chain_expands_each_index_set_once(monkeypatch):
         for canon in chain.sequence:
             chain.generators(canon)
         shape = chain.shape
-        once = sum(len(cols) for _, cols, _ in shape._minors)
-        once += sum(max(len(idx) - 1, 0) for idx, _ in getattr(shape, "_pf", {}))
+        # the memos hold one table per term order; the chain reads one
+        once = sum(len(cols) for _, cols, _ in shape._minors.get(chain.order, {}))
+        pf = getattr(shape, "_pf", {}).get(chain.order, {})
+        once += sum(max(len(idx) - 1, 0) for idx, _ in pf)
         assert reads[0] > 0 and reads[0] == once
 
 
@@ -515,23 +516,24 @@ FULL33 = OneSidedLadder(3, 3, [(3, 1)], [2])
 
 def test_localization_maps_structure():
     phi, psi = localization_maps(FULL33, (2, 2))
+    v = conventional_order(FULL33).var
     # row 2 and column 2 variables are fixed
     for (i, j) in FULL33.cells():
-        x = cell_id(i, j)
+        x = v(i, j)
         if i == 2 or j == 2:
             assert phi[x] == (p_var(x, QQ), 0)
             assert psi[x] == (p_var(x, QQ), 0)
     # an affected variable picks up the rank-one correction
-    num, e = phi[cell_id(1, 1)]
+    num, e = phi[v(1, 1)]
     assert e == 1
-    uv = cell_id(2, 2)
-    base = p_term_mul(p_var(cell_id(1, 1), QQ), (uv, 1), QQ.one, QQ)
-    corr = p_term_mul(p_var(cell_id(1, 2), QQ), (cell_id(2, 1), 1), QQ.one, QQ)
+    uv = v(2, 2)
+    base = p_term_mul(p_var(v(1, 1), QQ), (uv, 1), QQ.one, QQ)
+    corr = p_term_mul(p_var(v(1, 2), QQ), (v(2, 1), 1), QQ.one, QQ)
     from laddergb.poly import p_add
 
     assert num == p_add(base, corr, QQ)
     # psi carries the opposite sign
-    num2, _ = psi[cell_id(1, 1)]
+    num2, _ = psi[v(1, 1)]
     from laddergb.poly import p_sub
 
     assert num2 == p_sub(base, corr, QQ)
@@ -549,9 +551,10 @@ def test_localization_maps_structure():
 )
 def test_inverse_pair_on_every_variable(ladder, cell):
     phi, psi = localization_maps(ladder, cell)
-    uv = cell_id(*cell)
+    v = conventional_order(ladder).var
+    uv = v(*cell)
     for (i, j) in ladder.cells():
-        x = cell_id(i, j)
+        x = v(i, j)
         for first, second in ((phi, psi), (psi, phi)):
             num, e = first[x]
             num2, e2 = substitute(num, second, uv)

@@ -27,7 +27,17 @@ from laddergb.matrices import (
     pfaffian,
     pfaffian_leading,
 )
-from laddergb.poly import cell_id, leading_term, p_mul, p_scale, p_sub
+from laddergb.poly import leading_term, p_mul, p_scale, p_sub
+
+_RINGS = {}
+
+
+def ring(shape):
+    """The diagonal order of the shape's variables, one per shape object,
+    so that its memos serve every call on that shape."""
+    if shape not in _RINGS:
+        _RINGS[shape] = order_for(shape, "diagonal")
+    return _RINGS[shape]
 
 
 def brute_det(shape, rows, cols, field=QQ):
@@ -42,7 +52,7 @@ def brute_det(shape, rows, cols, field=QQ):
                     sign = -sign
         term = {(): field.of(sign)}
         for r, k in zip(rows, perm):
-            term = p_mul(term, entry_poly(shape, r, cols[k], field), field)
+            term = p_mul(term, entry_poly(shape, r, cols[k], field, ring(shape)), field)
         from laddergb.poly import p_add
 
         out = p_add(out, term, field)
@@ -86,42 +96,42 @@ def test_minor_matches_leibniz_generic(m, n, k):
     s = GenericShape(m, n)
     for rows in itertools.combinations(range(1, m + 1), k):
         for cols in itertools.combinations(range(1, n + 1), k):
-            assert minor(s, rows, cols, QQ) == brute_det(s, rows, cols)
+            assert minor(s, rows, cols, QQ, ring(s)) == brute_det(s, rows, cols)
 
 
 def test_minor_matches_leibniz_symmetric_and_skew():
     for s in (SymmetricShape(4), SkewShape(4)):
         for rows in itertools.combinations(range(1, 5), 2):
             for cols in itertools.combinations(range(1, 5), 2):
-                assert minor(s, rows, cols, QQ) == brute_det(s, rows, cols)
+                assert minor(s, rows, cols, QQ, ring(s)) == brute_det(s, rows, cols)
         rows = cols = (1, 2, 3)
-        assert minor(s, rows, cols, QQ) == brute_det(s, rows, cols)
+        assert minor(s, rows, cols, QQ, ring(s)) == brute_det(s, rows, cols)
 
 
 def test_minor_term_count_is_factorial_for_generic():
     s = GenericShape(4, 4)
-    full = minor(s, (1, 2, 3, 4), (1, 2, 3, 4), QQ)
+    full = minor(s, (1, 2, 3, 4), (1, 2, 3, 4), QQ, ring(s))
     assert len(full) == math.factorial(4)
 
 
 def test_minor_symmetric_under_transpose_of_symmetric_shape():
     s = SymmetricShape(4)
-    assert minor(s, (1, 3), (2, 4), QQ) == minor(s, (2, 4), (1, 3), QQ)
+    assert minor(s, (1, 3), (2, 4), QQ, ring(s)) == minor(s, (2, 4), (1, 3), QQ, ring(s))
 
 
 def test_minor_rejects_bad_indices():
     s = GenericShape(3, 3)
     with pytest.raises(PreconditionError):
-        minor(s, (1, 2), (1,), QQ)
+        minor(s, (1, 2), (1,), QQ, ring(s))
     with pytest.raises(PreconditionError):
-        minor(s, (2, 1), (1, 2), QQ)
+        minor(s, (2, 1), (1, 2), QQ, ring(s))
     with pytest.raises(PreconditionError):
-        minor(s, (1, 4), (1, 2), QQ)
+        minor(s, (1, 4), (1, 2), QQ, ring(s))
 
 
 def test_empty_minor_is_one():
     s = GenericShape(2, 2)
-    assert minor(s, (), (), QQ) == {(): QQ.one}
+    assert minor(s, (), (), QQ, ring(s)) == {(): QQ.one}
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +140,15 @@ def test_empty_minor_is_one():
 
 def test_pfaffian_base_cases():
     s = SkewShape(4)
-    assert pfaffian(s, (), QQ) == {(): QQ.one}
-    assert pfaffian(s, (1, 3), QQ) == {(cell_id(1, 3), 1): QQ.one}
+    assert pfaffian(s, (), QQ, ring(s)) == {(): QQ.one}
+    assert pfaffian(s, (1, 3), QQ, ring(s)) == {(ring(s).var(1, 3), 1): QQ.one}
 
 
 def test_pfaffian_of_four_indices():
     # pf(1,2,3,4) = x12*x34 - x13*x24 + x14*x23
     s = SkewShape(4)
-    p = pfaffian(s, (1, 2, 3, 4), QQ)
-    x = lambda i, j: {(cell_id(i, j), 1): QQ.one}
+    p = pfaffian(s, (1, 2, 3, 4), QQ, ring(s))
+    x = lambda i, j: {(ring(s).var(i, j), 1): QQ.one}
     expected = p_sub(
         p_mul(x(1, 2), x(3, 4), QQ), p_mul(x(1, 3), x(2, 4), QQ), QQ
     )
@@ -156,8 +166,8 @@ def double_factorial(n):
 def test_pfaffian_squared_is_determinant(size):
     s = SkewShape(7)
     for indices in itertools.combinations(range(1, 8), size):
-        pf = pfaffian(s, indices, QQ)
-        det = minor(s, indices, indices, QQ)
+        pf = pfaffian(s, indices, QQ, ring(s))
+        det = minor(s, indices, indices, QQ, ring(s))
         assert p_mul(pf, pf, QQ) == det
         assert len(pf) == double_factorial(size - 1)
 
@@ -165,11 +175,11 @@ def test_pfaffian_squared_is_determinant(size):
 def test_pfaffian_rejects_bad_input():
     s = SkewShape(5)
     with pytest.raises(PreconditionError):
-        pfaffian(s, (1, 2, 3), QQ)
+        pfaffian(s, (1, 2, 3), QQ, ring(s))
     with pytest.raises(PreconditionError):
-        pfaffian(s, (2, 1), QQ)
+        pfaffian(s, (2, 1), QQ, ring(s))
     with pytest.raises(PreconditionError):
-        pfaffian(GenericShape(4, 4), (1, 2), QQ)
+        pfaffian(GenericShape(4, 4), (1, 2), QQ, ring(GenericShape(4, 4)))
 
 
 def test_warm_memo_still_rejects_bad_indices():
@@ -178,8 +188,8 @@ def test_warm_memo_still_rejects_bad_indices():
     s = GenericShape(3, 3)
     for rows in itertools.combinations(range(1, 4), 2):
         for cols in itertools.combinations(range(1, 4), 2):
-            minor(s, rows, cols, QQ)
-    minor(s, (1, 2, 3), (1, 2, 3), QQ)
+            minor(s, rows, cols, QQ, ring(s))
+    minor(s, (1, 2, 3), (1, 2, 3), QQ, ring(s))
     for rows, cols in [
         ((1, 2), (1,)),  # unequal lengths
         ((2, 1), (1, 2)),  # not increasing
@@ -188,14 +198,14 @@ def test_warm_memo_still_rejects_bad_indices():
         ((1, 2), (0, 1)),  # column out of range
     ]:
         with pytest.raises(PreconditionError):
-            minor(s, rows, cols, QQ)
+            minor(s, rows, cols, QQ, ring(s))
     k = SkewShape(5)
     for size in (2, 4):
         for indices in itertools.combinations(range(1, 6), size):
-            pfaffian(k, indices, QQ)
+            pfaffian(k, indices, QQ, ring(k))
     for indices in [(1, 2, 3), (2, 1), (1, 3, 2, 4), (1, 1), (0, 1), (4, 6)]:
         with pytest.raises(PreconditionError):
-            pfaffian(k, indices, QQ)
+            pfaffian(k, indices, QQ, ring(k))
 
 
 def test_memo_is_keyed_by_field_name():
@@ -203,24 +213,24 @@ def test_memo_is_keyed_by_field_name():
     # tell GF(3) from GF(5) by name, and share entries between two objects
     # of the same field.
     s = GenericShape(2, 2)
-    assert minor(s, (1, 2), (1, 2), PrimeField(3)) == brute_det(
+    assert minor(s, (1, 2), (1, 2), PrimeField(3), ring(s)) == brute_det(
         s, (1, 2), (1, 2), PrimeField(3)
     )
     gf5 = brute_det(s, (1, 2), (1, 2), PrimeField(5))
     assert sorted(gf5.values()) == [1, 4]
-    assert minor(s, (1, 2), (1, 2), PrimeField(5)) == gf5
-    assert minor(s, (1, 2), (1, 2), PrimeField(5)) is minor(
-        s, (1, 2), (1, 2), PrimeField(5)
+    assert minor(s, (1, 2), (1, 2), PrimeField(5), ring(s)) == gf5
+    assert minor(s, (1, 2), (1, 2), PrimeField(5), ring(s)) is minor(
+        s, (1, 2), (1, 2), PrimeField(5), ring(s)
     )
     k = SkewShape(4)
-    assert sorted(pfaffian(k, (1, 2, 3, 4), PrimeField(3)).values()) == [1, 1, 2]
-    assert sorted(pfaffian(k, (1, 2, 3, 4), PrimeField(5)).values()) == [1, 1, 4]
+    assert sorted(pfaffian(k, (1, 2, 3, 4), PrimeField(3), ring(k)).values()) == [1, 1, 2]
+    assert sorted(pfaffian(k, (1, 2, 3, 4), PrimeField(5), ring(k)).values()) == [1, 1, 4]
 
 
 def test_odd_skew_determinant_vanishes():
     s = SkewShape(5)
-    assert minor(s, (1, 2, 3), (1, 2, 3), QQ) == {}
-    assert minor(s, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), QQ) == {}
+    assert minor(s, (1, 2, 3), (1, 2, 3), QQ, ring(s)) == {}
+    assert minor(s, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), QQ, ring(s)) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +287,11 @@ def test_leading_rule_matches_expansion(case):
     order = order_for(shape, kind)
     if len(key) == 1:
         lead = pfaffian_leading(shape, key[0], order)
-        g = pfaffian(shape, key[0], field)
+        g = pfaffian(shape, key[0], field, order)
         assert lead is not None  # every pair is its own variable
     else:
         lead = minor_leading(shape, key[0], key[1], order)
-        g = minor(shape, key[0], key[1], field)
+        g = minor(shape, key[0], key[1], field, order)
     if lead is not None:
         m, c = leading_term(g, order)
         assert m == lead
@@ -295,14 +305,21 @@ def test_symmetric_antidiagonal_minor_falls_back():
     s = SymmetricShape(2)
     anti = order_for(s, "antidiagonal")
     assert minor_leading(s, (1, 2), (1, 2), anti) is None
-    assert leading_term(minor(s, (1, 2), (1, 2), QQ), anti)[0] == (cell_id(1, 2), 2)
+    assert leading_term(minor(s, (1, 2), (1, 2), QQ, anti), anti)[0] == (anti.var(1, 2), 2)
     diag = order_for(s, "diagonal")
     assert minor_leading(s, (1, 2), (1, 2), diag) == (
-        cell_id(1, 1), 1, cell_id(2, 2), 1,
+        diag.var(1, 1), 1, diag.var(2, 2), 1,
     )
     # the memo keeps one dict per order object
     assert minor_leading(s, (1, 2), (1, 2), anti) is None
     assert set(s._lead) == {anti, diag}
+    # and so do the expansions: one shape read in two rings
+    assert set(s._minors) == {anti}
+    assert minor(s, (1, 2), (1, 2), QQ, diag) == {
+        (diag.var(1, 1), 1, diag.var(2, 2), 1): 1,
+        (diag.var(1, 2), 2): -1,
+    }
+    assert set(s._minors) == {anti, diag}
 
 
 def test_leading_rule_rejects_bad_indices():

@@ -1,14 +1,30 @@
 """Monomial kernel: algebraic properties.
 
 Monomials are flat tuples (v1, e1, v2, e2, ...) with strictly
-increasing variable ids and positive exponents; () is 1.
+decreasing variable ids and positive exponents; () is 1.  Over a term
+order's variables, Python's comparison of these tuples is the order.
 """
 
+import random
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from laddergb import mono
 from laddergb.mono import deg, div, divides, lcm, mul, support
+from laddergb.poly import TermOrder, antidiagonal_order, cell_id, diagonal_order
+
+from lexref import lex_key
+
+GRID = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+_SHUFFLED = [cell_id(i, j) for (i, j) in GRID]
+random.Random(16).shuffle(_SHUFFLED)
+ORDERS = {
+    "diagonal": diagonal_order(GRID),
+    "antidiagonal": antidiagonal_order(GRID),
+    "custom": TermOrder("custom", _SHUFFLED),
+}
 
 
 def monomials(max_vars=6, max_exp=4):
@@ -16,7 +32,33 @@ def monomials(max_vars=6, max_exp=4):
         st.integers(min_value=0, max_value=max_vars - 1),
         st.integers(min_value=1, max_value=max_exp),
         max_size=max_vars,
-    ).map(lambda d: tuple(x for v in sorted(d) for x in (v, d[v])))
+    ).map(lambda d: tuple(x for v in sorted(d, reverse=True) for x in (v, d[v])))
+
+
+def canonical(m):
+    ids = m[::2]
+    return all(a > b for a, b in zip(ids, ids[1:])) and all(e > 0 for e in m[1::2])
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+@given(st.lists(monomials(len(GRID)), min_size=1, max_size=8))
+def test_comparison_is_lex_on_exponent_vectors(name, ms):
+    order = ORDERS[name]
+    key = lambda m: lex_key(m, order)  # noqa: E731
+    for a in ms:
+        for b in ms:
+            assert (a < b) == (key(a) < key(b))
+            assert (a == b) == (key(a) == key(b))
+    assert max(ms) == max(ms, key=key)
+    assert sorted(ms) == sorted(ms, key=key)
+    assert sorted(ms, reverse=True) == sorted(ms, key=key, reverse=True)
+
+
+@given(monomials(), monomials())
+def test_results_are_canonical(a, b):
+    m = mul(a, b)
+    for out in (m, lcm(a, b), div(m, a), div(m, b)):
+        assert canonical(out)
 
 
 @given(monomials(), monomials())
@@ -91,15 +133,19 @@ def test_support_of_lcm_and_coprimality(a, b):
 def test_representation_is_canonical():
     assert mul((), ()) == ()
     assert mul((3, 1), (3, 1)) == (3, 2)
-    assert mul((1, 2, 5, 1), (3, 4)) == (1, 2, 3, 4, 5, 1)
-    assert div((1, 2, 3, 4), (1, 2)) == (3, 4)
-    assert div((1, 2, 3, 4), (1, 1)) == (1, 1, 3, 4)
-    assert lcm((1, 2), (1, 1, 2, 3)) == (1, 2, 2, 3)
+    assert mul((5, 1, 1, 2), (3, 4)) == (5, 1, 3, 4, 1, 2)
+    assert div((3, 4, 1, 2), (1, 2)) == (3, 4)
+    assert div((3, 4, 1, 2), (1, 1)) == (3, 4, 1, 1)
+    assert lcm((1, 2), (2, 3, 1, 1)) == (2, 3, 1, 2)
     assert not divides((1, 3), (1, 2))
+    assert divides((4, 1), (7, 1, 4, 2, 1, 1))
+    assert not divides((4, 1, 2, 1), (7, 1, 4, 2, 1, 1))
     assert not support((1, 2)) & support((2, 1))
-    assert support((1, 2, 2, 1)) & support((2, 5))
+    assert support((2, 1, 1, 2)) & support((2, 5))
     assert deg(()) == 0
-    assert deg((1, 2, 7, 3)) == 5
+    assert deg((7, 3, 1, 2)) == 5
+    # a larger variable beats any power of smaller ones; a prefix is smaller
+    assert (2, 1) > (1, 9) and (2, 1) < (2, 1, 0, 1) and () < (0, 1)
 
 
 def test_backend_is_python():

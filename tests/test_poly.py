@@ -47,6 +47,7 @@ from laddergb.poly import (
 )
 
 from corpus import CORPUS, NEGATIVE_INSTANCES
+from lexref import lex_key
 
 GRID = [(i, j) for i in range(1, 4) for j in range(1, 4)]
 DIAG = diagonal_order(GRID)
@@ -54,14 +55,20 @@ ANTI = antidiagonal_order(GRID)
 GF7 = PrimeField(7)
 
 
-def x(i, j, field=QQ):
-    return p_var(cell_id(i, j), field)
+def x(i, j, field=QQ, order=DIAG):
+    return p_var(order.var(i, j), field)
 
 
-def polys(field=QQ, max_terms=4, grid=GRID, max_exp=3):
-    cells = st.sampled_from([cell_id(i, j) for (i, j) in grid])
-    monos = st.dictionaries(cells, st.integers(1, max_exp), max_size=3).map(
-        lambda d: tuple(x for v in sorted(d) for x in (v, d[v]))
+def ref_lead(g, order):
+    """Leading monomial of g by the reference lex comparison."""
+    return max(g, key=lambda m: lex_key(m, order))
+
+
+def polys(field=QQ, max_terms=4, order=DIAG, max_exp=3):
+    """Polynomials over the variables of order's ring."""
+    variables = st.sampled_from(range(len(order.sequence)))
+    monos = st.dictionaries(variables, st.integers(1, max_exp), max_size=3).map(
+        lambda d: tuple(x for v in sorted(d, reverse=True) for x in (v, d[v]))
     )
     coeffs = st.integers(-5, 5).filter(bool).map(field.of)
     return st.dictionaries(monos, coeffs, max_size=max_terms)
@@ -86,20 +93,27 @@ def test_order_rank_sequences():
     assert DIAG.sequence[1] == cell_id(1, 2)
     assert ANTI.sequence[0] == cell_id(1, 3)
     assert ANTI.sequence[1] == cell_id(1, 2)
-    assert DIAG.rank(cell_id(1, 1)) > DIAG.rank(cell_id(3, 3))
-    assert ANTI.rank(cell_id(1, 3)) > ANTI.rank(cell_id(1, 1))
+    # variables are numbered by rank: the largest variable has the largest id
+    assert DIAG.var(1, 1) == ANTI.var(1, 3) == len(GRID) - 1
+    assert DIAG.var(1, 1) > DIAG.var(3, 3)
+    assert ANTI.var(1, 3) > ANTI.var(1, 1)
+    for order in (DIAG, ANTI):
+        assert sorted(order.var(*c) for c in GRID) == list(range(len(GRID)))
+        assert all(order.cell(order.var(*c)) == c for c in GRID)
+    with pytest.raises(ValueError):
+        poly.TermOrder("custom", [cell_id(1, 1), cell_id(1, 1)])
 
 
 def test_leading_term_of_minor_is_main_diagonal_or_antidiagonal():
     # x11*x22 - x12*x21: diagonal order picks the diagonal product,
     # antidiagonal order picks the antidiagonal one.
-    minor = p_sub(
-        p_mul(x(1, 1), x(2, 2), QQ), p_mul(x(1, 2), x(2, 1), QQ), QQ
-    )
-    md, _ = leading_term(minor, DIAG)
-    ma, _ = leading_term(minor, ANTI)
-    assert md == (cell_id(1, 1), 1, cell_id(2, 2), 1)
-    assert ma == (cell_id(1, 2), 1, cell_id(2, 1), 1)
+    for order, lead in ((DIAG, ((1, 1), (2, 2))), (ANTI, ((1, 2), (2, 1)))):
+        x_ = lambda i, j: x(i, j, order=order)  # noqa: E731
+        minor = p_sub(p_mul(x_(1, 1), x_(2, 2), QQ), p_mul(x_(1, 2), x_(2, 1), QQ), QQ)
+        m, _ = leading_term(minor, order)
+        (i, j), (k, l) = lead
+        assert m == (order.var(i, j), 1, order.var(k, l), 1)
+        assert m == ref_lead(minor, order)
 
 
 @given(polys(), polys())
@@ -110,16 +124,18 @@ def test_order_multiplicative_on_leading_terms(p, q):
     mq, _ = leading_term(q, DIAG)
     prod = p_mul(p, q, QQ)
     if prod:
-        assert DIAG.compare(leading_term(prod, DIAG)[0], mono.mul(mp, mq)) <= 0
+        assert leading_term(prod, DIAG)[0] == mono.mul(mp, mq)
+        assert ref_lead(prod, DIAG) == mono.mul(ref_lead(p, DIAG), ref_lead(q, DIAG))
 
 
 def test_order_total_on_distinct_monomials():
-    ms = [(cell_id(1, 1), 1), (cell_id(1, 2), 2), (cell_id(2, 1), 1, cell_id(2, 2), 1)]
+    v = DIAG.var
+    ms = [(v(1, 1), 1), (v(1, 2), 2), (v(2, 1), 1, v(2, 2), 1)]
     for a in ms:
         for b in ms:
-            c = DIAG.compare(a, b)
-            assert c == 0 if a == b else c in (-1, 1)
-            assert DIAG.compare(b, a) == -c
+            assert (a < b) == (lex_key(a, DIAG) < lex_key(b, DIAG))
+            assert (a == b) == (lex_key(a, DIAG) == lex_key(b, DIAG))
+    assert ms == sorted(ms, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +204,7 @@ def reference_division(p, G, order, field):
     remainder = {}
     work = dict(p)
     while work:
-        m = max(work, key=order.key)
+        m = ref_lead(work, order)
         c = work[m]
         for idx, (lm, lc) in enumerate(lts):
             if mono.divides(lm, m):
@@ -259,14 +275,14 @@ def test_s_polynomial_cancels_leading_terms():
     lf = leading_term(f, DIAG)[0]
     lg = leading_term(g, DIAG)[0]
     l = mono.lcm(lf, lg)
-    assert all(DIAG.compare(m, l) < 0 for m in s)
+    assert all(lex_key(m, DIAG) < lex_key(l, DIAG) for m in s)
 
 
 def test_buchberger_completes_a_non_basis():
     # x*y - z^2 and y^2 - w^2 with x > y > z > w (lex) need completion
     cells = [(1, 1), (1, 2), (2, 1), (2, 2)]
     order = diagonal_order(cells)
-    xv, yv, zv, wv = (p_var(cell_id(i, j), QQ) for (i, j) in cells)
+    xv, yv, zv, wv = (p_var(order.var(i, j), QQ) for (i, j) in cells)
     f = p_sub(p_mul(xv, yv, QQ), p_mul(zv, zv, QQ), QQ)
     g = p_sub(p_mul(yv, yv, QQ), p_mul(wv, wv, QQ), QQ)
     basis = buchberger_reduced([f, g], order, QQ)
@@ -408,7 +424,7 @@ def test_record_needs_every_reducer_in_the_call(monkeypatch):
     fresh = buchberger_reduced(gens, order, QQ, names=names, record={})
     performed = len(calls)
     del calls[:]
-    stranger = freeze(p_var(cell_id(9, 9), QQ))
+    stranger = freeze(p_var(len(order.sequence), QQ))
     record = {
         frozenset((names[i], names[j])): frozenset((names[i], names[j], stranger))
         for i in range(len(names))
@@ -450,8 +466,8 @@ def test_names_must_line_up_with_the_inputs():
 
 
 def test_reduced_predicate_rejects_redundancy():
-    a = p_var(cell_id(1, 1), QQ)
-    b = p_mul(a, p_var(cell_id(1, 2), QQ), QQ)  # leading term divisible by a
+    a = x(1, 1)
+    b = p_mul(a, x(1, 2), QQ)  # leading term divisible by a
     assert not is_reduced_groebner([a, b], DIAG, QQ)
     two_a = p_scale(a, QQ.of(2), QQ)
     assert not is_reduced_groebner([two_a], DIAG, QQ)  # not monic
@@ -515,7 +531,7 @@ SMALL = [(1, 1), (1, 2), (2, 1)]
 SMALL_ORDER = diagonal_order(SMALL)
 
 
-@given(st.lists(polys(GF7, 3, SMALL, 2), min_size=1, max_size=3))
+@given(st.lists(polys(GF7, 3, SMALL_ORDER, 2), min_size=1, max_size=3))
 @settings(max_examples=200, deadline=None)
 def test_reduced_predicate_matches_reference_on_random_sets(F):
     # a reduced basis minus one element is still monic and interreduced,
@@ -533,8 +549,8 @@ def interreduce_reference(G, order, field):
     decreasing leading monomial, drop every element whose leading
     monomial another's divides (the first of equal ones stays), and
     replace each kept element by its normal form against the others."""
-    ranked = sorted(G, key=lambda g: order.key(leading_term(g, order)[0]), reverse=True)
-    lms = [leading_term(g, order)[0] for g in ranked]
+    ranked = sorted(G, key=lambda g: lex_key(ref_lead(g, order), order), reverse=True)
+    lms = [ref_lead(g, order) for g in ranked]
     kept = [
         g
         for i, g in enumerate(ranked)
@@ -549,7 +565,7 @@ def interreduce_reference(G, order, field):
     ]
 
 
-@given(st.lists(polys(GF7, 3, SMALL, 2).filter(bool), min_size=1, max_size=4))
+@given(st.lists(polys(GF7, 3, SMALL_ORDER, 2).filter(bool), min_size=1, max_size=4))
 @settings(max_examples=200, deadline=None)
 def test_interreduce_matches_reference(F):
     G = [p_monic(f, SMALL_ORDER, GF7) for f in F]
@@ -558,7 +574,7 @@ def test_interreduce_matches_reference(F):
     assert [freeze(g) for g in got] == [freeze(g) for g in want]
 
 
-@given(st.lists(polys(GF7, 3, SMALL, 2), min_size=1, max_size=3))
+@given(st.lists(polys(GF7, 3, SMALL_ORDER, 2), min_size=1, max_size=3))
 @settings(max_examples=200, deadline=None)
 def test_completion_leads_generate_the_initial_ideal(F):
     # the completion starts with the monic nonzero inputs, its table
@@ -580,7 +596,7 @@ def test_completion_leads_generate_the_initial_ideal(F):
 def overlapping_lists(draw):
     """Two generator lists A and B over GF(7) in three variables that
     share some elements, each named by its frozen form."""
-    pool = draw(st.lists(polys(GF7, 3, SMALL, 2), min_size=2, max_size=5))
+    pool = draw(st.lists(polys(GF7, 3, SMALL_ORDER, 2), min_size=2, max_size=5))
     lo = draw(st.integers(0, len(pool) - 1))
     hi = draw(st.integers(lo + 1, len(pool)))
     return pool[:hi], draw(st.permutations(pool[lo:]))
@@ -627,7 +643,7 @@ def test_rational_coefficients_stay_ints():
     # a completion that appends a remainder, from a -1 leading coefficient
     cells = [(1, 1), (1, 2), (2, 1), (2, 2)]
     order = diagonal_order(cells)
-    xv, yv, zv, wv = (p_var(cell_id(i, j), QQ) for (i, j) in cells)
+    xv, yv, zv, wv = (p_var(order.var(i, j), QQ) for (i, j) in cells)
     f = p_sub(p_mul(zv, zv, QQ), p_mul(xv, yv, QQ), QQ)
     g = p_sub(p_mul(yv, yv, QQ), p_mul(wv, wv, QQ), QQ)
     G, _ = poly.groebner_basis([f, g], order, QQ)
@@ -644,9 +660,9 @@ def test_rational_coefficients_stay_ints():
 
 
 def test_text_forms():
-    assert mono_text(()) == "1"
-    assert mono_text((cell_id(1, 2), 1)) == "x[1,2]"
-    assert mono_text((cell_id(1, 2), 3)) == "x[1,2]^3"
+    assert mono_text((), DIAG) == "1"
+    assert mono_text((DIAG.var(1, 2), 1), DIAG) == "x[1,2]"
+    assert mono_text((DIAG.var(1, 2), 3), DIAG) == "x[1,2]^3"
     minor = p_sub(
         p_mul(x(1, 1), x(2, 2), QQ), p_mul(x(1, 2), x(2, 1), QQ), QQ
     )
@@ -655,3 +671,11 @@ def test_text_forms():
     assert poly_text(p_scale(minor, QQ.of(-1), QQ), DIAG, QQ) == (
         "-x[1,1]*x[2,2] + x[1,2]*x[2,1]"
     )
+    # factors are written in cell order, terms in decreasing order, in
+    # every ring
+    x_ = lambda i, j: x(i, j, order=ANTI)  # noqa: E731
+    minor = p_sub(p_mul(x_(1, 1), x_(2, 2), QQ), p_mul(x_(1, 2), x_(2, 1), QQ), QQ)
+    assert mono_text(mono.mul((ANTI.var(2, 1), 2), (ANTI.var(1, 3), 1)), ANTI) == (
+        "x[1,3]*x[2,1]^2"
+    )
+    assert poly_text(minor, ANTI, QQ) == "-x[1,2]*x[2,1] + x[1,1]*x[2,2]"

@@ -18,7 +18,6 @@ from laddergb import OneSidedLadder, PfaffianLadder, QQ, SymmetricLadder
 from laddergb import matrices
 from laddergb.ladders import _absorbed, errors_of
 from laddergb.linkage import Chain
-from laddergb.poly import cell_id
 
 # recorded before the families shared one region enumerator and one
 # normalization path; a change to any chain has to update it on purpose
@@ -126,20 +125,23 @@ def _size_one_cells(ladder):
 
 
 def test_absorbed_regions_have_a_size_one_variable_in_every_term(sweep_chains):
-    shapes = {}
+    rings = {}
     seen = {"onesided": 0, "symmetric": 0, "pfaffian": 0}
     _, _, nodes = sweep_chains
     for ladder in list(sweep_candidates()) + nodes:
         cells = _size_one_cells(ladder)
         if not cells:
             continue
-        size_one = {cell_id(i, j) for (i, j) in cells}
+        if repr(ladder.shape()) not in rings:
+            shape = ladder.shape()
+            rings[repr(shape)] = shape, matrices.order_for(shape, "diagonal")
+        shape, order = rings[repr(ladder.shape())]
+        size_one = {order.var(i, j) for (i, j) in cells}
         # the positions normalization hands _absorbed: outside a generic
         # matrix, entry (j, i) is the variable of cell (i, j) too
         positions = set(cells)
         if ladder.shape().kind != "generic":
             positions |= {(j, i) for (i, j) in cells}
-        shape = shapes.setdefault(repr(ladder.shape()), ladder.shape())
         for point, t in ladder.sizes():
             if t == 1:
                 continue
@@ -147,9 +149,9 @@ def test_absorbed_regions_have_a_size_one_variable_in_every_term(sweep_chains):
             avoiding = False
             for key in ladder.region_keys(point, t):
                 if len(key) == 1:
-                    g = matrices.pfaffian(shape, key[0], QQ)
+                    g = matrices.pfaffian(shape, key[0], QQ, order)
                 else:
-                    g = matrices.minor(shape, key[0], key[1], QQ)
+                    g = matrices.minor(shape, key[0], key[1], QQ, order)
                 for mono in g:
                     if not any(mono[k] in size_one for k in range(0, len(mono), 2)):
                         avoiding = True
