@@ -24,6 +24,7 @@ input or instance; 3 a configured budget ran out.
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring as _encode_str
 
 from .complexes import SimplicialComplex, is_vertex_decomposable
 from .errors import BudgetExceeded, LadderError, PreconditionError
@@ -106,11 +107,62 @@ def _report(ladder, checks):
     }
 
 
+# exact types json writes without its encoder; other scalars (floats,
+# subclasses) go through json.dumps
+_SCALARS = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(doc):
+    """json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False), byte
+    for byte, for a document whose keys are strings.  json.dumps falls
+    back to its pure-Python encoder whenever indent is set; here the
+    layout is written directly, strings go through the C string encoder
+    and any scalar but a str, int, bool or None through json.dumps."""
+    out = []
+    _write_json(doc, "\n", out.append)
+    return "".join(out)
+
+
+def _write_json(value, pad, put):
+    """Put value's text in pieces; pad is the newline and indent of its
+    line.  A container writes its scalar items itself."""
+    if isinstance(value, dict):
+        items, open_, close = sorted(value.items()), "{", "}"
+    elif isinstance(value, (list, tuple)):
+        items, open_, close = value, "[", "]"
+    else:
+        scalar = _SCALARS.get(type(value))
+        put(json.dumps(value) if scalar is None else scalar(value))
+        return
+    if not items:
+        put(open_ + close)
+        return
+    inner = pad + "  "
+    sep = open_ + inner
+    for item in items:
+        if open_ == "{":
+            sep += _encode_str(item[0]) + ": "
+            item = item[1]
+        scalar = _SCALARS.get(type(item))
+        if scalar is None:
+            put(sep)
+            _write_json(item, inner, put)
+        else:
+            put(sep + scalar(item))
+        sep = "," + inner
+    put(pad + close)
+
+
 def _emit(doc, args, lines):
     """Write doc to --out and print it for --json, encoding it only then;
     print the text lines otherwise."""
     if args.out or args.json:
-        text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
+        text = _json_text(doc)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

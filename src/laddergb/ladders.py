@@ -16,12 +16,12 @@ Four instance kinds are supported:
   sizes t_k.
 
 Each ladder knows its cells, its regions as (point, t) pairs (sizes),
-the index sets of each region's generators (region_keys), a validation
-report, a one-step corner removal split (the inductive step of the
-liaison argument: a reduced instance with one size lowered, a middle
-instance with the corner cell removed, and the shedding cell), a
-shifted copy whose variable count is the predicted height, and the
-height formula itself.
+the index sets of each region's generators (region_keys) and what they
+depend on within a chain (region_id), a validation report, a one-step
+corner removal split (the inductive step of the liaison argument: a
+reduced instance with one size lowered, a middle instance with the
+corner cell removed, and the shedding cell), a shifted copy whose
+variable count is the predicted height, and the height formula itself.
 
 The three region families share one split (_Ladder._corner_split): it
 takes the corner of the first largest region; the family states where
@@ -116,14 +116,16 @@ class _Ladder:
     A family gives its regions as (point, t) pairs (sizes), the cells of
     the region at a point (region_cells) and the index sets of a
     region's generators (region_keys): (rows, cols) of a minor,
-    (indices,) of a pfaffian.  A region family splits by _corner_split
-    and states only its geometry: _corner_moves(a, b), the point the
-    corner (a, b) moves to in the reduced ladder and the two points that
-    replace it in the middle ladder; _inside(p, q), whether the region
-    at p lies in the one at q; and _normalize(pairs, corner), its ladder
-    of (point, t) pairs (less the corner cell for a middle ladder), made
-    by _normalized and _rebuild.  Each class still holds its own split
-    and validate attribute: bench/tracer.py wraps them class by class."""
+    (indices,) of a pfaffian; region_id(point, t) determines
+    region_keys(point, t) among the ladders of one chain.  A region
+    family splits by _corner_split and states only its geometry:
+    _corner_moves(a, b), the point the corner (a, b) moves to in the
+    reduced ladder and the two points that replace it in the middle
+    ladder; _inside(p, q), whether the region at p lies in the one at q;
+    and _normalize(pairs, corner), its ladder of (point, t) pairs (less
+    the corner cell for a middle ladder), made by _normalized and
+    _rebuild.  Each class still holds its own split and validate
+    attribute: bench/tracer.py wraps them class by class."""
 
     _sort_key = None  # order of the (point, t) pairs; natural by default
 
@@ -148,11 +150,11 @@ class _Ladder:
     def regions(self):
         return [Region(p, t, self.region_cells(p)) for p, t in self.sizes()]
 
-    def generator_keys(self):
-        """Index sets of the natural generators, region by region; a set
-        two regions share comes once per region."""
-        for point, t in self.sizes():
-            yield from self.region_keys(point, t)
+    def region_id(self, point, t):
+        """What region_keys(point, t) depends on besides the dimensions,
+        which a chain keeps fixed (_rebuild keeps m and n): here the
+        point and the size.  families.RegionTable keys regions by it."""
+        return point, t
 
     def holds_generator(self, point, t):
         """True if the region (point, t) has at least one generator."""
@@ -310,6 +312,10 @@ class MaxMinors(_Ladder):
 
     def region_cells(self, point):
         return frozenset(self.cells())
+
+    def region_id(self, point, t):
+        # a child has fewer columns
+        return self.n, t
 
     def region_keys(self, point, t):
         rows = tuple(range(1, t + 1))
@@ -512,6 +518,10 @@ class SymmetricLadder(_Ladder):
 
     def region_cells(self, point):
         return _upper_cells_below(self.cell_set, *point)
+
+    def region_id(self, point, t):
+        # the cells are the node's own, not a function of the point
+        return self.region_cells(point), t
 
     def region_keys(self, point, t):
         # Row/column selections are restricted to row_i <= col_i pointwise.

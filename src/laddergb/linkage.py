@@ -18,8 +18,10 @@ codimension nor the Hilbert identity does, and the extra variables are
 cone points of the node's complex (see Chain.node_complex).
 
 Verification is deliberately two-route.  The combinatorial route reads
-the leading monomial of every natural generator off its index set
-(families.leading_monomials) and never expands a minor or pfaffian; the
+the leading monomial of every natural generator off its index set and
+never expands a minor or pfaffian: a node's leading monomials are the
+union of its regions' sets in the chain's region table
+(families.RegionTable), which enumerates each region once per chain; the
 oracle route expands the generators and recomputes initial ideals
 from an exact Buchberger completion of each node's generators, which
 reuses the S-pairs other nodes of the chain settled (Chain.oracle_initial)
@@ -57,9 +59,9 @@ from .complexes import (
 )
 from .errors import LadderError, PreconditionError
 from .families import (
+    RegionTable,
     conventional_order,
     expand,
-    index_sets,
     leading_monomials,
     natural_generators,
 )
@@ -113,7 +115,15 @@ class Chain:
     once per chain, and expand it once per chain where the oracle route
     asks for the polynomial.  For the same reason every node's ideals and
     complexes live in one ring, over the top instance's variables
-    (ambient)."""
+    (ambient).
+
+    A node is generated by its regions' minors/pfaffians, and the same
+    few regions recur at almost every node, so the chain keeps one
+    region table (regions, a families.RegionTable): each region's
+    [(index set, leading monomial)] entries and their set of leading
+    monomials, computed once per chain.  leading_monomials(canon) is the
+    union of the node's region sets; the sorted list index_sets(canon)
+    is merged from the same entries when the oracle route first asks."""
 
     def __init__(self, top, field=QQ):
         self.top = top
@@ -123,8 +133,8 @@ class Chain:
         self.ambient = tuple(_ambient(top, self.order))
         self.nodes = {}
         self.sequence = []
+        self.regions = RegionTable(self.order, self.shape, field)
         self._sets_cache = {}
-        self._pairs = {}
         self._ids = {}
         self._gens_cache = {}
         self._lead_cache = {}
@@ -157,18 +167,12 @@ class Chain:
         return [c for c in self.sequence if self.nodes[c].cell is not None]
 
     def index_sets(self, canon):
-        """The node's generator index sets with their leading monomials
-        (families.index_sets), which its generators and leading monomials
-        are both read from.  Cached; nodes share most index sets, so each
-        (index set, monomial) pair is kept once per chain."""
+        """The node's generator index sets with their leading monomials,
+        as families.index_sets lists them, merged from the chain's region
+        table on first use (cached).  Only the oracle route reads them,
+        through generators, names and ids."""
         if canon not in self._sets_cache:
-            pairs = self._pairs
-            self._sets_cache[canon] = [
-                pairs.setdefault(pair[0], pair)
-                for pair in index_sets(
-                    self.nodes[canon].ladder, self.order, self.shape, self.field
-                )
-            ]
+            self._sets_cache[canon] = self.regions.index_sets(self.nodes[canon].ladder)
         return self._sets_cache[canon]
 
     def names(self, canon):
@@ -194,10 +198,14 @@ class Chain:
         return self._gens_cache[canon]
 
     def leading_monomials(self, canon):
-        """Set of the leading monomials of the node's natural generators,
-        read off their index sets without expanding them (cached)."""
+        """Frozenset of the leading monomials of the node's natural
+        generators: the union of its regions' sets in the chain's region
+        table, read off the index sets without expanding them and with no
+        per-node list (cached)."""
         if canon not in self._lead_cache:
-            self._lead_cache[canon] = {lead for _, lead in self.index_sets(canon)}
+            self._lead_cache[canon] = self.regions.leading_monomials(
+                self.nodes[canon].ladder
+            )
         return self._lead_cache[canon]
 
     def initial_ideal(self, canon):

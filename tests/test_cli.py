@@ -12,7 +12,7 @@ import laddergb
 from laddergb import cli, ladder_from_json, poly
 
 from conftest import write_instance
-from corpus import MAXMINORS, NEGATIVE_INSTANCES, ONESIDED, PFAFFIAN, SYMMETRIC
+from corpus import CORPUS, MAXMINORS, NEGATIVE_INSTANCES, ONESIDED, PFAFFIAN, SYMMETRIC
 
 MM23 = {"family": "maxminors", "m": 2, "n": 3}
 MM34 = {"family": "maxminors", "m": 3, "n": 4}
@@ -520,6 +520,35 @@ def test_json_round_trip_and_stable_keys(tmp_path, capsys):
         doc, indent=2, sort_keys=True, ensure_ascii=False
     )
     assert doc == json.loads(json.dumps(doc))
+
+
+def test_json_documents_are_the_bytes_of_json_dumps(tmp_path, capsys, monkeypatch):
+    # cli writes its documents without json.dumps; every subcommand's
+    # --json output and the --out file must still be exactly its bytes
+    docs = []
+    emit = cli._emit
+
+    def recording(doc, args, lines):
+        docs.append(doc)
+        emit(doc, args, lines)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    cert_path = str(tmp_path / "cert.json")
+    commands = [c for c in cli._COMMANDS if c != "replay"]
+    for data in CORPUS:
+        path = write_instance(tmp_path, data)
+        for argv in [[c, path] for c in commands] + [["replay", cert_path]]:
+            if argv[0] == "chain":
+                argv += ["--out", cert_path]
+            docs.clear()
+            code, out, _ = run(capsys, argv + ["--json"])
+            assert code == 0, argv
+            (doc,) = docs
+            want = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
+            assert out == want + "\n", argv
+            if argv[0] == "chain":
+                with open(cert_path, encoding="utf-8") as fh:
+                    assert fh.read() == out
 
 
 def test_out_flag_matches_stdout_json(tmp_path, capsys):

@@ -96,6 +96,33 @@ def test_chain_expands_each_index_set_once(monkeypatch):
         assert reads[0] > 0 and reads[0] == once
 
 
+def test_chain_enumerates_each_region_once(monkeypatch):
+    # pfaffian n=8 unfolds into 263 nodes holding 1009 regions, but only
+    # 36 distinct (corner, t); once built, a chain enumerates a region's
+    # generators once for its certificate and every check of
+    # verify_family together
+    top = PfaffianLadder(8, [(1, 8)], [2])
+    chain = Chain(top)
+    calls = [0]
+    region_keys = PfaffianLadder.region_keys
+
+    def counting(self, corner, t):
+        calls[0] += 1
+        return region_keys(self, corner, t)
+
+    monkeypatch.setattr(PfaffianLadder, "region_keys", counting)
+    chain_certificate(chain)
+    verify_node_groebner(chain, chain.top_canon)
+    for canon in chain.sequence:
+        verify_node_initial(chain, canon)
+    for canon in chain.steps():
+        verify_step(chain, canon)
+    ladders = [chain.nodes[canon].ladder for canon in chain.sequence]
+    assert sum(len(l.sizes()) for l in ladders) == 1009
+    assert len({r for l in ladders for r in l.sizes()}) == 36
+    assert calls[0] == 36
+
+
 # ---------------------------------------------------------------------------
 # chain construction
 

@@ -15,7 +15,7 @@ import itertools
 import pytest
 
 from laddergb import OneSidedLadder, PfaffianLadder, QQ, SymmetricLadder
-from laddergb import matrices
+from laddergb import families, matrices
 from laddergb.ladders import _absorbed, errors_of
 from laddergb.linkage import Chain
 
@@ -55,10 +55,12 @@ def sweep_ladders():
 @pytest.fixture(scope="module")
 def sweep_chains():
     """(number of instances, digest of their chains, every distinct
-    chain node's ladder)."""
+    chain node's ladder, and each such node's canon mapped to the first
+    chain holding it)."""
     ladders = sweep_ladders()
     h = hashlib.sha256()
     nodes = {}
+    chains = {}
     for top in ladders:
         chain = Chain(top)
         for canon in chain.sequence:
@@ -66,11 +68,12 @@ def sweep_chains():
             row = (canon, node.cell, node.reduced, node.middle, chain.names(canon))
             h.update(repr(row).encode())
             nodes[canon] = node.ladder
-    return len(ladders), h.hexdigest(), list(nodes.values())
+            chains.setdefault(canon, chain)
+    return len(ladders), h.hexdigest(), list(nodes.values()), chains
 
 
 def test_every_sweep_chain_is_pinned(sweep_chains):
-    count, digest, _ = sweep_chains
+    count, digest, _, _ = sweep_chains
     assert count == SWEEP_LADDERS
     assert digest == SWEEP_DIGEST
 
@@ -107,8 +110,20 @@ def ref_region_keys(ladder, point, t):
     return out
 
 
+def test_chain_region_table_matches_a_fresh_one_on_every_sweep_node(sweep_chains):
+    # a chain merges every node's generators from one table of regions;
+    # a region identity that let two different regions share entries
+    # would show here, as the table had read the chain's other nodes
+    _, _, _, chains = sweep_chains
+    for canon, chain in chains.items():
+        ladder = chain.nodes[canon].ladder
+        fresh = families.index_sets(ladder, chain.order, chain.shape, chain.field)
+        assert chain.index_sets(canon) == fresh, canon
+        assert chain.leading_monomials(canon) == {lead for _, lead in fresh}, canon
+
+
 def test_region_keys_match_brute_force_on_every_sweep_node(sweep_chains):
-    _, _, nodes = sweep_chains
+    _, _, nodes, _ = sweep_chains
     for ladder in nodes:
         for point, t in ladder.sizes():
             keys = list(ladder.region_keys(point, t))
@@ -127,7 +142,7 @@ def _size_one_cells(ladder):
 def test_absorbed_regions_have_a_size_one_variable_in_every_term(sweep_chains):
     rings = {}
     seen = {"onesided": 0, "symmetric": 0, "pfaffian": 0}
-    _, _, nodes = sweep_chains
+    _, _, nodes, _ = sweep_chains
     for ladder in list(sweep_candidates()) + nodes:
         cells = _size_one_cells(ladder)
         if not cells:
