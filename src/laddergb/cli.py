@@ -39,7 +39,6 @@ from .linkage import (
     initial_ideal,
     replay_chain,
     squarefree_check,
-    vd_cert_to_json,
     vd_checks,
     verify_family,
 )
@@ -292,7 +291,7 @@ def _cmd_vd(args):
     checks, cert = vd_checks(cx, args.budget_faces)
     doc = _report(ladder, checks)
     if cert is not None:
-        doc["certificate"] = vd_cert_to_json(cert)
+        doc["certificate"] = cert
     _emit(doc, args, _check_lines(checks))
     return _exit_from(doc)
 

@@ -85,20 +85,6 @@ def ensure_valid(ladder):
     return ladder
 
 
-# a term order names each cell by poly.cell_id, which packs each row and
-# column index into six bits (the variables themselves are numbered per
-# ring, by rank, so no monomial depends on this bound)
-_MAX_INDEX = 63
-
-
-def _index_limit(*dims):
-    """Every family's error for a dimension a cell id cannot hold."""
-    if max(dims) > _MAX_INDEX:
-        msg = "matrix dimension above %d, the largest index a cell id holds"
-        return [Diagnostic("error", msg % _MAX_INDEX)]
-    return []
-
-
 def _maximal_cells(cells):
     """Cells not dominated componentwise by another cell."""
     return sorted(
@@ -323,15 +309,10 @@ class MaxMinors(_Ladder):
             yield rows, cols
 
     def validate(self):
-        out = _index_limit(self.m, self.n)
         if self.n < self.m:
-            out.append(
-                Diagnostic(
-                    "warning",
-                    "no maximal minors exist (m > n); this is the zero ideal",
-                )
-            )
-        return out
+            msg = "no maximal minors exist (m > n); this is the zero ideal"
+            return [Diagnostic("warning", msg)]
+        return []
 
     def split(self):
         if self.m == 1 or self.n < self.m:
@@ -394,7 +375,7 @@ class PfaffianLadder(_Ladder):
                 yield (idx,)
 
     def validate(self):
-        out = _index_limit(self.n)
+        out = []
         seen = set()
         cells = set(self.cells())
         prev_b = None
@@ -542,7 +523,7 @@ class SymmetricLadder(_Ladder):
                     yield rows, cols
 
     def validate(self):
-        out = _index_limit(self.n)
+        out = []
         cells = self.cell_set
         for (i, j) in cells:
             if not (1 <= i <= j <= self.n):
@@ -692,7 +673,7 @@ class OneSidedLadder(_Ladder):
                     yield rows, cols
 
     def validate(self):
-        out = _index_limit(self.m, self.n)
+        out = []
         cells = set(self.cells())
         seen = set()
         prev = None

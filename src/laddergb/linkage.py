@@ -46,7 +46,6 @@ exact inverse pair of substitution maps plus ideal membership in both
 directions, with denominators cleared by powers of the inverted cell.
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,15 +65,12 @@ from .families import (
     natural_generators,
 )
 from .fields import QQ
-from .ladders import OneSidedLadder, ensure_valid, ladder_from_json
-from .matrices import minor
+from .ladders import OneSidedLadder, _pair, ensure_valid, ladder_from_json
 from .monomials import MonomialIdeal, check_double_link
 from .monomials import codim_by_series, hilbert_numerator, series_add, series_mul
 from .poly import (
     buchberger_reduced,
-    cell_id,
     groebner_basis,
-    id_cell,
     is_reduced_groebner,
     leading_term,
     mono_text,
@@ -537,43 +533,25 @@ def verify_family(top, field=QQ, max_spairs=None, max_faces=None):
 # chain certificates
 
 
-def vd_cert_to_json(node):
-    """The JSON form of a certificate node over cell vertices."""
-    out = {"cone": [list(c) for c in node.get("cone", [])]}
-    if node["kind"] == "leaf":
-        out["kind"] = "leaf"
-        out["facet"] = [list(c) for c in node["facet"]]
-        return out
-    out["kind"] = "split"
-    out["vertex"] = list(node["vertex"])
-    out["deletion"] = vd_cert_to_json(node["deletion"])
-    out["link"] = vd_cert_to_json(node["link"])
-    return out
-
-
 def vd_cert_from_json(data):
     """The certificate node of its JSON form.  Raises LadderError
     "malformed node" unless every node is a leaf or a split with a
-    vertex, a deletion and a link, and every cell is an index pair."""
+    vertex, a deletion and a link, and every cell is a pair of ints (read
+    as the instance reader reads a point)."""
     try:
-        out = {"cone": [_cert_cell(c) for c in data.get("cone", [])], "kind": data.get("kind")}
+        cone = [_pair(c, "cell") for c in data.get("cone", [])]
+        out = {"cone": cone, "kind": data.get("kind")}
         if out["kind"] == "leaf":
-            out["facet"] = sorted(_cert_cell(c) for c in data.get("facet", []))
+            out["facet"] = sorted(_pair(c, "cell") for c in data.get("facet", []))
             return out
         if out["kind"] == "split":
-            out["vertex"] = _cert_cell(data["vertex"])
+            out["vertex"] = _pair(data["vertex"], "cell")
             out["deletion"] = vd_cert_from_json(data["deletion"])
             out["link"] = vd_cert_from_json(data["link"])
             return out
-    except (AttributeError, KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, LadderError, TypeError):
         pass
     raise LadderError("malformed node")
-
-
-def _cert_cell(c):
-    """A certificate's cell as an index pair; cell_id raises on anything
-    else."""
-    return id_cell(cell_id(*c))
 
 
 def chain_certificate(chain, vd_cert=None):
@@ -611,7 +589,7 @@ def chain_certificate(chain, vd_cert=None):
         "nodes": nodes,
     }
     if vd_cert is not None:
-        out["vd"] = vd_cert_to_json(vd_cert)
+        out["vd"] = vd_cert
     return out
 
 
@@ -628,9 +606,10 @@ def replay_chain(cert, field=QQ):
     """Recompute a chain from its certificate's top instance over field
     and check every recorded fact, the field and term order included:
     each recorded node is compared against chain_certificate of the
-    recomputed chain.  Returns a report dict; a document whose top, node
-    list or node ids are malformed, or whose top validate rejects, raises
-    LadderError."""
+    recomputed chain, and node-set fails unless every recomputed node is
+    recorded exactly once.  Returns a report dict; a document whose top,
+    node list or node ids are malformed, or whose top validate rejects,
+    raises LadderError."""
     top = ensure_valid(ladder_from_json(cert.get("top", {})))
     nodes = cert.get("nodes", [])
     if not isinstance(nodes, list) or not all(
@@ -652,8 +631,8 @@ def replay_chain(cert, field=QQ):
         ),
         _check(
             "node-set",
-            set(recorded) == set(chain.sequence),
-            "%d recorded, %d recomputed" % (len(recorded), len(chain.sequence)),
+            sorted(n["id"] for n in nodes) == sorted(chain.sequence),
+            "%d recorded, %d recomputed" % (len(nodes), len(chain.sequence)),
         ),
     ]
     for fresh in chain_certificate(chain)["nodes"]:
@@ -769,38 +748,25 @@ def substitute(p, mapping, uv, field=QQ):
 def localized_ideal_generators(ladder, cell, field=QQ, shape=None, order=None):
     """Generators of the ideal seen after inverting the cell: affected
     regions lose the cell's row and column and drop one minor size,
-    untouched regions keep their minors.  shape and order are read as
-    in natural_generators (ladder.shape() and the conventional order by
-    default)."""
+    untouched regions keep their minors.  The index sets come from
+    ladder.region_keys, each once, in region order; shape and order are
+    read as in natural_generators (ladder.shape() and the conventional
+    order by default)."""
     u, v = cell
     hit = set(_affected_range(ladder, cell))
     if order is None:
         order = conventional_order(ladder)
     if shape is None:
         shape = ladder.shape()
-    seen = set()
-    out = []
-    for k, region in enumerate(ladder.regions()):
-        a, b = region.point
-        t = region.t
-        if k in hit:
-            rows = [i for i in range(1, a + 1) if i != u]
-            cols = [j for j in range(b, ladder.n + 1) if j != v]
-            size = t - 1
-        else:
-            rows = list(range(1, a + 1))
-            cols = list(range(b, ladder.n + 1))
-            size = t
-        if size == 0 or size > len(rows) or size > len(cols):
-            continue
-        for rs in itertools.combinations(rows, size):
-            for cs in itertools.combinations(cols, size):
-                g = minor(shape, rs, cs, field, order)
-                key = freeze(g)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(g)
-    return out
+    keys = {}  # index sets, each once, in the order first met
+    for k, (point, t) in enumerate(ladder.sizes()):
+        if k not in hit:
+            keys.update(dict.fromkeys(ladder.region_keys(point, t)))
+        elif t >= 2:
+            for rows, cols in ladder.region_keys(point, t - 1):
+                if u not in rows and v not in cols:
+                    keys[rows, cols] = None
+    return [expand(shape, key, field, order) for key in keys]
 
 
 def verify_localization(ladder, cell, field=QQ, max_spairs=None, max_power=3):

@@ -49,29 +49,15 @@ from . import mono
 from .errors import BudgetExceeded, PreconditionError
 
 # ---------------------------------------------------------------------------
-# variables
-
-
-def cell_id(i: int, j: int) -> int:
-    """Pack cell (i, j) into one int, the name a term order's sequence
-    gives the cell; indices must fit in six bits."""
-    if not (0 <= i < 64 and 0 <= j < 64):
-        raise ValueError("cell index out of range: (%d, %d)" % (i, j))
-    return (i << 6) | j
-
-
-def id_cell(c: int):
-    return (c >> 6, c & 63)
-
-
-# ---------------------------------------------------------------------------
 # term orders
 
 
 class TermOrder:
-    """Pure lex order determined by a biggest-first sequence of cells
-    (named by cell_id), and the variable numbering of its ring.
+    """Pure lex order determined by a biggest-first sequence of cells,
+    and the variable numbering of its ring.
 
+    sequence holds the cells (i, j) themselves, biggest first; a cell
+    has no other name outside a ring, so its indices are not bounded.
     The variable of the k-th cell of the sequence has id n - 1 - k, its
     rank: the largest variable has the largest id.  Monomials over these
     ids compare as lex with Python's own comparison (see mono).  var and
@@ -85,8 +71,8 @@ class TermOrder:
         self.kind = kind
         self.sequence = tuple(sequence)
         if len(set(self.sequence)) != len(self.sequence):
-            raise ValueError("term order sequence has repeated variables")
-        self._cells = tuple(id_cell(c) for c in reversed(self.sequence))
+            raise ValueError("term order sequence has repeated cells")
+        self._cells = self.sequence[::-1]
         self._var = {c: v for v, c in enumerate(self._cells)}
 
     def var(self, i: int, j: int) -> int:
@@ -103,14 +89,12 @@ class TermOrder:
 
 def diagonal_order(cells) -> TermOrder:
     """Row-major lex order: top row largest, left to right within a row."""
-    seq = [cell_id(i, j) for (i, j) in sorted(cells)]
-    return TermOrder("diagonal", seq)
+    return TermOrder("diagonal", sorted(cells))
 
 
 def antidiagonal_order(cells) -> TermOrder:
     """Row-major lex order with columns reversed within each row."""
-    seq = [cell_id(i, j) for (i, j) in sorted(cells, key=lambda c: (c[0], -c[1]))]
-    return TermOrder("antidiagonal", seq)
+    return TermOrder("antidiagonal", sorted(cells, key=lambda c: (c[0], -c[1])))
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,10 @@ such vectors as tuples is the lex order by definition, and it does not
 read how the order numbers its variables.
 """
 
-from laddergb.poly import cell_id
-
 
 def lex_key(m, order):
     """Dense exponent vector of the monomial m over order.sequence."""
     exps = dict.fromkeys(order.sequence, 0)
     for k in range(0, len(m), 2):
-        exps[cell_id(*order.cell(m[k]))] = m[k + 1]
+        exps[order.cell(m[k])] = m[k + 1]
     return tuple(exps.values())

@@ -333,20 +333,29 @@ def test_malformed_instance_field_is_named(tmp_path, capsys, data, field):
     assert "laddergb: %s must be" % field in err
 
 
-@pytest.mark.parametrize(
-    "data",
-    [
-        {"family": "maxminors", "m": 1, "n": 64},
-        {"family": "onesided", "m": 2, "n": 64, "points": [[2, 63]], "t": [2]},
-        {"family": "pfaffian", "n": 64, "corners": [[1, 4]], "t": [2]},
-        {"family": "symmetric", "n": 64, "points": [[2, 3]], "t": [2]},
-    ],
-    ids=lambda d: d["family"],
-)
-def test_validate_rejects_indices_above_63(tmp_path, capsys, data):
-    code, _, err = run(capsys, ["validate", write_instance(tmp_path, data)])
-    assert code == 2
-    assert "matrix dimension above 63" in err
+INDEX_64 = {
+    "maxminors": {"family": "maxminors", "m": 1, "n": 64},
+    "onesided": {"family": "onesided", "m": 2, "n": 64, "points": [[2, 63]], "t": [2]},
+    "pfaffian": {"family": "pfaffian", "n": 64, "corners": [[1, 4]], "t": [2]},
+    "symmetric": {"family": "symmetric", "n": 64, "points": [[2, 3]], "t": [2]},
+}
+
+
+@pytest.mark.parametrize("family", sorted(INDEX_64))
+def test_index_64_validates_clean(tmp_path, capsys, family):
+    # a cell is its (i, j) pair everywhere, so no index bound applies
+    code, out, err = run(capsys, ["validate", write_instance(tmp_path, INDEX_64[family])])
+    assert code == 0 and err == ""
+    assert "0 error(s), 0 warning(s)" in out
+
+
+@pytest.mark.parametrize("family", ["maxminors", "onesided", "pfaffian"])
+def test_index_64_verifies_and_replays(tmp_path, capsys, family):
+    path = write_instance(tmp_path, INDEX_64[family])
+    assert run(capsys, ["verify", path])[0] == 0
+    cert_path = str(tmp_path / "cert.json")
+    assert run(capsys, ["chain", path, "--out", cert_path])[0] == 0
+    assert run(capsys, ["replay", cert_path])[0] == 0
 
 
 def test_index_63_is_accepted(tmp_path, capsys):
@@ -391,9 +400,12 @@ def test_replay_rejects_a_malformed_certificate(tmp_path, capsys, edit):
             {"family": "onesided", "m": 3, "n": 3, "points": [[5, 1]], "t": [2]},
             "point outside matrix at (5, 1)",
         ),
-        ({"family": "maxminors", "m": 1, "n": 64}, "matrix dimension above 63"),
+        (
+            {"family": "pfaffian", "n": 6, "corners": [[1, 7]], "t": [2]},
+            "corner outside matrix at (1, 7)",
+        ),
     ],
-    ids=["onesided-point-outside", "maxminors-1x64"],
+    ids=["onesided-point-outside", "pfaffian-corner-outside"],
 )
 def test_replay_validates_the_top(tmp_path, capsys, top, message):
     # replay checks a certificate's top as chain checks its instance,

@@ -2,6 +2,7 @@
 certificates and replay, and the localization maps."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -45,7 +46,7 @@ from laddergb.poly import (
 
 from laddergb import matrices, poly
 
-from corpus import CORPUS, NEGATIVE_INSTANCES
+from corpus import CORPUS, NEGATIVE_INSTANCES, ONESIDED
 
 
 def by_name(checks):
@@ -468,6 +469,33 @@ def test_replay_detects_missing_node():
     )
 
 
+def test_replay_checks_a_repeated_node_id():
+    # a second record under an id already recorded must not hide the
+    # first one: the node set counts every record, not every id
+    cert = build_cert(MaxMinors(2, 3))
+    copy = json.loads(json.dumps(cert["nodes"][0]))
+    copy["initial"], copy["height"] = ["x[1,1]"], copy["height"] + 1
+    cert["nodes"].insert(1, copy)
+    report = replay_chain(cert)
+    node_set = [c for c in report["checks"] if c["name"] == "node-set"]
+    detail = "%d recorded, %d recomputed" % (len(cert["nodes"]), len(cert["nodes"]) - 1)
+    assert node_set == [{"name": "node-set", "pass": False, "detail": detail}]
+    assert not report["pass"]
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [[True, 1], [1.0, 2], [1, 2, 3], "12", None],
+    ids=["bool", "float", "triple", "string", "null"],
+)
+def test_replay_fails_a_certificate_cell_that_is_not_an_int_pair(cell):
+    cert = build_cert(OneSidedLadder(3, 3, [(3, 1)], [2]))
+    cert["vd"]["vertex"] = cell
+    report = replay_chain(cert)
+    failing = [c for c in report["checks"] if not c["pass"]]
+    assert failing == [{"name": "vd-replay", "pass": False, "detail": "malformed node"}]
+
+
 def test_replay_detects_edited_shedding_vertex():
     cert = build_cert(OneSidedLadder(3, 3, [(3, 1)], [2]))
     assert "vd" in cert
@@ -626,6 +654,38 @@ def test_localized_generators_drop_one_size():
     assert len(gens) == 4
     degs = {max(map(len, g)) for g in gens}
     assert degs == {2}  # single-variable polynomials
+
+
+def ref_localized_generators(ladder, cell, shape, order):
+    """Each region's minors over its rows and columns, less the cell's
+    row and column and one size down where the region holds the cell,
+    deduplicated by polynomial."""
+    u, v = cell
+    seen, out = set(), []
+    for (a, b), t in ladder.sizes():
+        rows, cols = list(range(1, a + 1)), list(range(b, ladder.n + 1))
+        if u <= a and v >= b:
+            rows, cols, t = [i for i in rows if i != u], [j for j in cols if j != v], t - 1
+        if t == 0:
+            continue
+        for rs in itertools.combinations(rows, t):
+            for cs in itertools.combinations(cols, t):
+                g = matrices.minor(shape, rs, cs, QQ, order)
+                if freeze(g) not in seen:
+                    seen.add(freeze(g))
+                    out.append(g)
+    return out
+
+
+def test_localized_generators_match_a_reference_on_the_corpus():
+    for data in ONESIDED + NEGATIVE_INSTANCES:
+        ladder = ladder_from_json(data)
+        if ladder.family != "onesided":
+            continue
+        shape, order = ladder.shape(), conventional_order(ladder)
+        for cell in sorted(set().union(*(r.cells for r in ladder.regions()))):
+            got = localized_ideal_generators(ladder, cell, QQ, shape, order)
+            assert got == ref_localized_generators(ladder, cell, shape, order), (data, cell)
 
 
 def test_localization_preconditions():

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from laddergb import mono
 from laddergb.mono import deg, div, divides, lcm, mul, support
-from laddergb.poly import TermOrder, antidiagonal_order, cell_id, diagonal_order
+from laddergb.poly import TermOrder, antidiagonal_order, diagonal_order
 
 from lexref import lex_key
 
 GRID = [(i, j) for i in range(1, 4) for j in range(1, 4)]
-_SHUFFLED = [cell_id(i, j) for (i, j) in GRID]
+_SHUFFLED = list(GRID)
 random.Random(16).shuffle(_SHUFFLED)
 ORDERS = {
     "diagonal": diagonal_order(GRID),

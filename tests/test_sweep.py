@@ -7,7 +7,8 @@ with one or two distinguished points (corners) and sizes t <= 3; the
 sweep keeps those that validate accepts without an error.  For every
 node of every chain the digest reads its canon, removed cell, both
 children and its generator index sets, so any change to splitting,
-normalization or generator enumeration shows up."""
+normalization or generator enumeration shows up.  Each instance's
+verdict over GF(32003), its set of failing checks, is pinned too."""
 
 import hashlib
 import itertools
@@ -15,6 +16,7 @@ import itertools
 import pytest
 
 from laddergb import OneSidedLadder, PfaffianLadder, QQ, SymmetricLadder
+from laddergb import field_by_name, verify_family
 from laddergb import families, matrices
 from laddergb.ladders import _absorbed, errors_of
 from laddergb.linkage import Chain
@@ -23,6 +25,12 @@ from laddergb.linkage import Chain
 # normalization path; a change to any chain has to update it on purpose
 SWEEP_DIGEST = "96c3b66df3758f7595ed0eec4e79acbc4e2659b80452e8b690949619a1eb01f2"
 SWEEP_LADDERS = 4812
+# verify_family over GF(32003) on every sweep instance: the digest reads
+# each instance's canon and sorted set of failing check names, and the
+# counts are the failing instances of each family (642 in all).  A change
+# that fixes or breaks a verdict moves both on purpose.
+VERDICT_DIGEST = "8b564a671a3ceb6d03deffef2eef977f6a01e7985eb37ea4525b87b1ba6bfb81"
+VERDICT_FAILURES = {"onesided": 386, "symmetric": 157, "pfaffian": 99}
 
 
 def _with_sizes(points, build):
@@ -76,6 +84,19 @@ def test_every_sweep_chain_is_pinned(sweep_chains):
     count, digest, _, _ = sweep_chains
     assert count == SWEEP_LADDERS
     assert digest == SWEEP_DIGEST
+
+
+def test_every_sweep_verdict_is_pinned():
+    gf = field_by_name("gf:32003")
+    h = hashlib.sha256()
+    failures = dict.fromkeys(VERDICT_FAILURES, 0)
+    for top in sweep_ladders():
+        report, _, _ = verify_family(top, gf)
+        failing = sorted({c["name"] for c in report["checks"] if not c["pass"]})
+        h.update(repr((top.canon(), failing)).encode())
+        failures[top.family] += bool(failing)
+    assert failures == VERDICT_FAILURES
+    assert h.hexdigest() == VERDICT_DIGEST
 
 
 # ---------------------------------------------------------------------------
