@@ -54,7 +54,10 @@ class RegionTable:
     merged from its regions' entries.  A table reads one term order,
     shape and field, and serves the ladders of one set of dimensions
     (region_id leaves them out): the nodes of one chain, or one ladder
-    alone."""
+    alone.  Every leading monomial of a region of size t has degree t, as
+    a t-minor or a 2t-pfaffian is homogeneous of degree t, so a chain
+    builds a node's minimal generators from these sets level by level
+    (linkage.Chain.initial_ideal)."""
 
     def __init__(self, order, shape, field=QQ):
         self.order = order

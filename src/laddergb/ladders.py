@@ -509,11 +509,13 @@ class SymmetricLadder(_Ladder):
         # Minors violating this are linear combinations of the kept ones
         # (e.g. [14|23] = [13|24] - [12|34] in a symmetric matrix), so the
         # unrestricted set is neither minimal nor interreduced for n >= 4.
-        # Columns come only from those whose cells meet every row inside the
-        # region; combinations of that sorted list keep the lexicographic
-        # order of all column sets.
+        # Rows and columns come only from the indices of the region's cells,
+        # as every entry of a kept minor is a region cell, and columns only
+        # from those whose cells meet every row inside the region;
+        # combinations of sorted lists keep the lexicographic order of all
+        # row and column sets, so the cost follows the region, not n.
         region = self.region_cells(point)
-        idx = range(1, self.n + 1)
+        idx = sorted({i for cell in region for i in cell})
         for rows in itertools.combinations(idx, t):
             fits = [
                 c for c in idx if all((min(r, c), max(r, c)) in region for r in rows)

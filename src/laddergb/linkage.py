@@ -66,7 +66,7 @@ from .families import (
 )
 from .fields import QQ
 from .ladders import OneSidedLadder, _pair, ensure_valid, ladder_from_json
-from .monomials import MonomialIdeal, check_double_link
+from .monomials import MonomialIdeal, check_double_link, minimal_levels, minimalize
 from .monomials import codim_by_series, hilbert_numerator, series_add, series_mul
 from .poly import (
     buchberger_reduced,
@@ -111,22 +111,25 @@ class Chain:
     once per chain, and expand it once per chain where the oracle route
     asks for the polynomial.  For the same reason every node's ideals and
     complexes live in one ring, over the top instance's variables
-    (ambient).
+    (ambient, a sorted tuple).
 
     A node is generated by its regions' minors/pfaffians, and the same
     few regions recur at almost every node, so the chain keeps one
     region table (regions, a families.RegionTable): each region's
     [(index set, leading monomial)] entries and their set of leading
     monomials, computed once per chain.  leading_monomials(canon) is the
-    union of the node's region sets; the sorted list index_sets(canon)
-    is merged from the same entries when the oracle route first asks."""
+    union of the node's region sets; initial_ideal(canon) walks the same
+    sets by degree to the minimal generators, in one sorted ambient
+    tuple shared by every ideal of the chain; the sorted list
+    index_sets(canon) is merged from the same entries when the oracle
+    route first asks."""
 
     def __init__(self, top, field=QQ):
         self.top = top
         self.field = field
         self.order = conventional_order(top)
         self.shape = top.shape()
-        self.ambient = tuple(_ambient(top, self.order))
+        self.ambient = tuple(sorted(_ambient(top, self.order)))
         self.nodes = {}
         self.sequence = []
         self.regions = RegionTable(self.order, self.shape, field)
@@ -206,13 +209,24 @@ class Chain:
 
     def initial_ideal(self, canon):
         """The ideal of leading_monomials(canon) in the chain's ring,
-        ambient (cached: it is built once per chain).  Its Hilbert
-        numerator, and so its codimension, is the one it has in the
-        node's own ring: the numerator does not depend on the number of
-        variables."""
+        ambient (cached: it is built once per chain).  A region of size t
+        holds leading monomials of degree t only, so the node's region
+        sets are grouped by t and walked to the minimal generators level
+        by level (monomials.minimal_levels), with no degree computed per
+        monomial.  Its Hilbert numerator, and so its codimension, is the
+        one it has in the node's own ring: the numerator does not depend
+        on the number of variables."""
         if canon not in self._initial_cache:
-            self._initial_cache[canon] = MonomialIdeal(
-                self.leading_monomials(canon), self.ambient
+            ladder = self.nodes[canon].ladder
+            levels = {}
+            for point, t in ladder.sizes():
+                leads = self.regions.region(ladder, point, t)[1]
+                if t in levels:
+                    levels[t] = levels[t] | leads
+                elif leads:
+                    levels[t] = leads
+            self._initial_cache[canon] = MonomialIdeal._minimal(
+                tuple(minimal_levels(levels)), self.ambient
             )
         return self._initial_cache[canon]
 
@@ -262,7 +276,7 @@ class Chain:
         the top is completed once.  Any other node's is read off the
         leading monomials of its completion (poly.groebner_basis), which
         generate the initial ideal as those of any Groebner basis do;
-        MonomialIdeal minimalizes them to the reduced basis's.  No basis
+        minimalize reduces them to the reduced basis's.  No basis
         is kept for such a node.  When the leading monomials found equal
         leading_monomials(canon), the two sets minimalize to the same
         ideal, so initial_ideal(canon) itself is returned."""
@@ -276,7 +290,7 @@ class Chain:
             if leads == self.leading_monomials(canon):
                 ideal = self.initial_ideal(canon)
             else:
-                ideal = MonomialIdeal(leads, self.ambient)
+                ideal = MonomialIdeal._minimal(tuple(minimalize(leads)), self.ambient)
             self._oracle_initial_cache[canon] = ideal
         return self._oracle_initial_cache[canon]
 

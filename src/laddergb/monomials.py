@@ -34,18 +34,44 @@ def _gcd_mono(a, b):
 def minimalize(gens):
     """Minimal generating set: drop monomials divisible by another one.
 
-    Candidates are scanned by increasing degree, and each is tested only
-    against the kept monomials of strictly lower degree: two distinct
-    monomials of the same degree never divide each other."""
+    The distinct monomials are grouped by degree and handed to
+    minimal_levels, so the result is sorted by (degree, monomial)."""
+    levels = {}
+    for m in set(gens):
+        levels.setdefault(mono.deg(m), []).append(m)
+    return minimal_levels(levels)
+
+
+def minimal_levels(levels):
+    """Minimal generators of the union of levels, a dict from a degree d
+    to a nonempty collection of distinct monomials of degree d, sorted by
+    (degree, monomial).
+
+    The degrees are walked upward.  Two distinct monomials of one degree
+    never divide each other, so a candidate is tested only against the
+    kept generators of lower degree, and of those only against the ones
+    filed under a variable of the candidate: each kept generator is filed
+    under its largest variable g[0], which occurs in every monomial it
+    divides.  The unit () has no variable to be filed under; it divides
+    everything, so it is the only generator when it occurs."""
     out = []
-    lower = 0  # out[:lower] are the kept monomials of lower degree
-    d = None
-    for dg, g in sorted((mono.deg(m), m) for m in set(gens)):
-        if dg != d:
-            d = dg
-            lower = len(out)
-        if not any(mono.divides(h, g) for h in itertools.islice(out, lower)):
-            out.append(g)
+    kept = {}  # largest variable -> kept generators with that variable first
+    for d in sorted(levels):
+        level = levels[d]
+        if d == 0:
+            return [()]
+        if kept:
+            level = [
+                m
+                for m in level
+                if not any(
+                    mono.divides(g, m) for v in m[::2] for g in kept.get(v, ())
+                )
+            ]
+        level = sorted(level)
+        for g in level:
+            kept.setdefault(g[0], []).append(g)
+        out.extend(level)
     return out
 
 
@@ -62,6 +88,17 @@ class MonomialIdeal:
                         "generator uses a variable outside the ambient ring"
                     )
         self.gens = tuple(minimalize(gens))
+
+    @classmethod
+    def _minimal(cls, gens, ambient):
+        """The ideal of gens in the ring of ambient, taken as they are:
+        gens a tuple of minimal generators in minimalize order, ambient a
+        sorted tuple of distinct variables holding all of theirs.  Nothing
+        is checked or copied, so ideals built from one ambient share it."""
+        ideal = cls.__new__(cls)
+        ideal.gens = gens
+        ideal.ambient = ambient
+        return ideal
 
     def is_zero(self):
         return not self.gens

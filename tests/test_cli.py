@@ -349,7 +349,7 @@ def test_index_64_validates_clean(tmp_path, capsys, family):
     assert "0 error(s), 0 warning(s)" in out
 
 
-@pytest.mark.parametrize("family", ["maxminors", "onesided", "pfaffian"])
+@pytest.mark.parametrize("family", sorted(INDEX_64))
 def test_index_64_verifies_and_replays(tmp_path, capsys, family):
     path = write_instance(tmp_path, INDEX_64[family])
     assert run(capsys, ["verify", path])[0] == 0

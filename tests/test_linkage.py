@@ -214,24 +214,29 @@ def test_verify_family_interreduces_once_per_chain(monkeypatch):
     assert steps > len(CORPUS + NEGATIVE_INSTANCES)
 
 
+def _count_chain_ideals(monkeypatch):
+    """Record (gens, ambient) of every ideal a chain builds from its
+    region sets (MonomialIdeal._minimal)."""
+    built = []
+    real = MonomialIdeal._minimal.__func__
+
+    def counting(cls, gens, ambient):
+        built.append((gens, ambient))
+        return real(cls, gens, ambient)
+
+    monkeypatch.setattr(MonomialIdeal, "_minimal", classmethod(counting))
+    return built
+
+
 def test_verify_family_builds_each_node_ideal_once(monkeypatch):
     # every ideal lives in the chain's one ring, so a node's initial ideal
     # is built once and shared by its steps; the oracle reuses it when its
     # completion's leading monomials are the node's, as they are here
-    from laddergb import linkage
-
-    built = []
-    real = linkage.MonomialIdeal
-
-    def counting(gens, ambient):
-        built.append(tuple(ambient))
-        return real(gens, ambient)
-
-    monkeypatch.setattr(linkage, "MonomialIdeal", counting)
+    built = _count_chain_ideals(monkeypatch)
     report, chain, _ = verify_family(PfaffianLadder(5, [(1, 4), (2, 5)], [2, 2]))
     assert report["pass"]
     assert len(built) == len(chain.sequence)
-    assert set(built) == {chain.ambient}
+    assert all(ambient is chain.ambient for _, ambient in built)
 
 
 @pytest.mark.parametrize(
@@ -531,21 +536,13 @@ def test_replay_checks_the_field_it_runs_over():
 
 
 def test_replay_builds_each_initial_ideal_once(monkeypatch):
-    from laddergb import linkage
-
     cert = build_cert(PfaffianLadder(5, [(1, 4), (2, 5)], [2, 2]))
-    built = []
-    real = linkage.MonomialIdeal
-
-    def counting(gens, ambient):
-        built.append(frozenset(gens))
-        return real(gens, ambient)
-
-    monkeypatch.setattr(linkage, "MonomialIdeal", counting)
+    built = _count_chain_ideals(monkeypatch)
     report = replay_chain(cert)
     assert report["pass"]
     assert len(built) == len(cert["nodes"])
     chain = Chain(ladder_from_json(cert["top"]))
+    assert {ambient for _, ambient in built} == {chain.ambient}
     canon = chain.top.canon()
     assert chain.initial_ideal(canon) is chain.initial_ideal(canon)
 

@@ -89,6 +89,45 @@ def test_minimalize_matches_all_pairs_reference(gens):
     assert minimalize(gens) == all_pairs_minimalize(gens)
 
 
+def degree_scan_minimalize(gens):
+    """Reference: the scan minimalize ran before the level walk.  Sort by
+    (degree, monomial) and keep a monomial unless a kept one of lower
+    degree divides it, testing every such kept monomial."""
+    from laddergb import mono
+
+    out = []
+    lower = 0
+    d = None
+    for dg, g in sorted((mono.deg(m), m) for m in set(gens)):
+        if dg != d:
+            d = dg
+            lower = len(out)
+        if not any(mono.divides(h, g) for h in out[:lower]):
+            out.append(g)
+    return out
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(
+        st.one_of(
+            st.just(()),
+            monomials(max_vars=8, max_exp=1),
+            monomials(max_vars=8, max_exp=3),
+        ),
+        max_size=20,
+    )
+)
+def test_minimalize_matches_the_degree_scan(gens):
+    # the level walk files kept generators under their largest variable;
+    # many generators over a few variables, squarefree or not, exercise
+    # every bucket against the full scan.  Most drawn lists hold the unit,
+    # which is then the only generator, so each is also checked without it.
+    assert minimalize(gens) == degree_scan_minimalize(gens)
+    nonunit = [g for g in gens if g]
+    assert minimalize(nonunit) == degree_scan_minimalize(nonunit)
+
+
 # ---------------------------------------------------------------------------
 # ideal operations
 

@@ -20,6 +20,7 @@ from laddergb import field_by_name, verify_family
 from laddergb import families, matrices
 from laddergb.ladders import _absorbed, errors_of
 from laddergb.linkage import Chain
+from laddergb.monomials import MonomialIdeal
 
 # recorded before the families shared one region enumerator and one
 # normalization path; a change to any chain has to update it on purpose
@@ -141,6 +142,17 @@ def test_chain_region_table_matches_a_fresh_one_on_every_sweep_node(sweep_chains
         fresh = families.index_sets(ladder, chain.order, chain.shape, chain.field)
         assert chain.index_sets(canon) == fresh, canon
         assert chain.leading_monomials(canon) == {lead for _, lead in fresh}, canon
+
+
+def test_chain_initial_ideal_matches_a_minimalized_one_on_every_sweep_node(sweep_chains):
+    # a node's ideal is walked level by level from its region sets; it must
+    # be the ideal the public constructor minimalizes from the whole set
+    _, _, _, chains = sweep_chains
+    assert len(chains) == 6509
+    for canon, chain in chains.items():
+        got = chain.initial_ideal(canon)
+        want = MonomialIdeal(chain.leading_monomials(canon), chain.ambient)
+        assert (got.gens, got.ambient) == (want.gens, want.ambient), canon
 
 
 def test_region_keys_match_brute_force_on_every_sweep_node(sweep_chains):
