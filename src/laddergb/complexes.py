@@ -17,9 +17,12 @@ antichain.  Only the public constructor, which takes arbitrary facets,
 has to discard non-maximal ones; the other constructors keep an
 antichain by construction: from_squarefree takes complements of minimal
 transversals, link and strip_cones remove vertices every affected facet
-contains, and deletion(v) tests only the facets F - v with v in F
-against the facets that lack v.  The facets attribute is a read-only
-frozenset-of-frozensets view of the masks.
+contains, deletion(v) tests only the facets F - v with v in F against
+the facets that lack v, and double_link, the complex of a basic double
+link A + f*B built from the complexes of A and B with no transversal
+search, takes the facets of B's and cuts the cone point f from the
+facets of A's that B's lacks (see its proof).  The facets attribute is a
+read-only frozenset-of-frozensets view of the masks.
 
 Vertex decomposability is decided recursively: after removing cone
 points, a complex is accepted if it is a single simplex, or if some
@@ -36,6 +39,19 @@ import itertools
 import operator
 
 from .errors import BudgetExceeded, PreconditionError
+
+
+def vertex_naming(ambient, vertex=None):
+    """What SimplicialComplex.from_squarefree reads off the ring of the
+    variables ambient: the vertex tuple, sorted by vertex, the index of
+    each vertex in it, and the bit position of each variable.  vertex
+    maps a variable to its vertex; by default each variable is its own
+    vertex."""
+    named = sorted((v if vertex is None else vertex(v), v) for v in ambient)
+    verts = tuple(u for u, _ in named)
+    index = {u: i for i, u in enumerate(verts)}
+    bit = {v: i for i, (_, v) in enumerate(named)}
+    return verts, index, bit
 
 
 def _bits(mask):
@@ -114,32 +130,81 @@ class SimplicialComplex:
         return out
 
     @classmethod
-    def from_squarefree(cls, ideal, vertex=None):
+    def from_squarefree(cls, ideal, vertex=None, *, _naming=None):
         """The complex of a squarefree ideal.  vertex, when given, maps a
         variable of the ideal's ring to the vertex standing for it (a term
         order's cell), and the vertex tuple is sorted by vertex; by
-        default each variable is its own vertex."""
+        default each variable is its own vertex.  _naming, when given, is
+        vertex_naming(ideal.ambient, vertex), computed once by a caller
+        that builds many complexes in one ring.
+
+        Berge's algorithm runs on the supports of the generators of
+        degree at least 2 only.  The variable of a linear generator lies
+        in no face and, by minimality, in no other generator, so it is in
+        every minimal transversal: those are the linear variables joined
+        to the minimal transversals of the other supports, and a linear
+        ideal costs one mask."""
         if not ideal.is_squarefree():
             raise PreconditionError("ideal is not squarefree")
-        named = sorted((v if vertex is None else vertex(v), v) for v in ideal.ambient)
-        verts = tuple(u for u, _ in named)
-        index = {u: i for i, u in enumerate(verts)}
-        bit = {v: i for i, (_, v) in enumerate(named)}
+        verts, index, bit = _naming or vertex_naming(ideal.ambient, vertex)
         masks = ()
         if not ideal.is_unit():
+            linear = 0
+            places = []
+            for g in ideal.gens:
+                if len(g) == 2:
+                    linear |= 1 << bit[g[0]]
+                else:
+                    places.append(
+                        (len(g) // 2, sorted(bit[g[k]] for k in range(0, len(g), 2)))
+                    )
             # Berge's algorithm takes the supports by size, then by their
             # sorted vertex positions: on ladder complexes it then keeps
             # far fewer partial transversals than in the ring's order
-            places = sorted(
-                (len(g) // 2, sorted(bit[g[k]] for k in range(0, len(g), 2)))
-                for g in ideal.gens
-            )
+            places.sort()
             supports = [sum(1 << i for i in idx) for _, idx in places]
-            full = (1 << len(verts)) - 1
-            masks = (full ^ t for t in _transversal_masks(supports))
+            rest = ((1 << len(verts)) - 1) ^ linear
+            masks = (rest ^ t for t in _transversal_masks(supports))
         out = object.__new__(cls)
         out._set(verts, index, frozenset(masks), verts)
         return out
+
+    @classmethod
+    def double_link(cls, a_cx, b_cx, v):
+        """The complex of C = A + f*B, given a_cx, the complex of A, and
+        b_cx, the complex of B, over one vertex tuple, where f is the
+        variable of vertex v, A is contained in B, and f occurs in no
+        generator of A or B.  Its deletion at v is a_cx.link(v) and its
+        link at v is b_cx.link(v).
+
+        Proof.  As f is in no generator, v is a cone point of Delta(A)
+        and of Delta(B), and A in B gives Delta(B) inside Delta(A).  A
+        set s without v is a face of Delta(C) exactly when it is one of
+        Delta(A).  The set s + v is a face of Delta(C) exactly when s
+        holds no generator of B, since f*b lies in s + v only when b lies
+        in s, and then s holds no generator of A either.  So with L_A and
+        L_B the links of v in Delta(A) and Delta(B), Delta(C) is L_A
+        together with the cone v * L_B = Delta(B), and L_B lies in L_A.
+        Its faces without v form L_A and the link of v is L_B, which
+        gives the deletion and link above.  A facet of Delta(B) is a
+        facet of Delta(C): a face of Delta(C) containing it contains v,
+        so lies in Delta(B).  For a facet F of Delta(A), F - v is a facet
+        of Delta(C) unless it lies in a face of Delta(B); that happens
+        exactly when F is a face of Delta(B), and then F is a facet of
+        Delta(B), as Delta(B) lies in Delta(A).  Hence
+
+            facets(Delta(C)) = facets(Delta(B))
+                               + {F - v : F in facets(Delta(A)) - facets(Delta(B))}.
+
+        This is an antichain by construction: the first part is one, and
+        its sets hold v while the second part's do not; F - v lies in no
+        facet of Delta(B), as F would; and F - v inside F' - v gives
+        F inside F', so F = F' for facets of Delta(A)."""
+        bit = a_cx._bit(v)
+        lifted = b_cx.masks
+        masks = set(lifted)
+        masks.update(m ^ bit for m in a_cx.masks if m not in lifted)
+        return a_cx._derive(masks, ())
 
     @property
     def facets(self):
@@ -233,19 +298,22 @@ def codim_by_cover(ideal):
 # vertex decomposability
 
 
-def check_shedding(cx, v):
+def check_shedding(cx, v, deletion=None, link=None):
     """Conditions making v a usable shedding vertex of cx: cx pure, v a
     non-cone vertex, deletion pure of the same dimension, link pure one
-    dimension lower.  Returns (ok, failed condition names)."""
-    bad, _, _ = _shedding(cx, v)
+    dimension lower.  deletion and link, when given, are the deletion
+    and link of v in cx, as a caller that built cx by
+    SimplicialComplex.double_link already has them.  Returns (ok, failed
+    condition names)."""
+    bad, _, _ = _shedding(cx, v, deletion, link)
     return not bad, bad
 
 
-def _shedding(cx, v):
+def _shedding(cx, v, dele=None, lk=None):
     """check_shedding's failed condition names, with the deletion and
-    link of v it built (None when it stopped before building them), so
-    a search or replay that goes on to recurse into them builds each
-    once."""
+    link of v it built or was given (None when it stopped before
+    building them), so a search or replay that goes on to recurse into
+    them builds each once."""
     if cx.is_void():
         return ["void complex"], None, None
     bad = []
@@ -257,8 +325,10 @@ def _shedding(cx, v):
     if all(m & bit for m in cx.masks):
         return bad + ["cone point"], None, None
     d = cx.dim()
-    dele = cx.deletion(v)
-    lk = cx.link(v)
+    if dele is None:
+        dele = cx.deletion(v)
+    if lk is None:
+        lk = cx.link(v)
     if dele.is_void() or dele.dim() != d:
         bad.append("deletion drops dimension")
     elif not dele.is_pure():

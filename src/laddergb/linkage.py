@@ -40,6 +40,16 @@ checked against the cell count of the shifted ladder, codimensions
 against the pole of the Hilbert series, and shedding conditions at every
 removed corner.
 
+The shedding conditions are read off complexes built in one walk of the
+chain, children first (Chain.shedding).  Where a step's initial ideals
+are a basic double link C = A + f*B with A inside B and f in no
+generator of either (Chain.is_double_link), the complex of C is B's
+together with the facets of A's that B's lacks, cut by f
+(SimplicialComplex.double_link), and the deletion and link of f in it
+are the links of f in A's and B's complexes.  So Berge's algorithm runs
+only on terminal nodes, whose ideals are linear, and on the steps where
+that identity fails.
+
 The localization section implements the coordinate change used to pass
 from a one-sided ladder to a smaller one after inverting a cell: an
 exact inverse pair of substitution maps plus ideal membership in both
@@ -55,6 +65,7 @@ from .complexes import (
     check_shedding,
     is_vertex_decomposable,
     replay_certificate,
+    vertex_naming,
 )
 from .errors import LadderError, PreconditionError
 from .families import (
@@ -122,7 +133,14 @@ class Chain:
     sets by degree to the minimal generators, in one sorted ambient
     tuple shared by every ideal of the chain; the sorted list
     index_sets(canon) is merged from the same entries when the oracle
-    route first asks."""
+    route first asks.
+
+    Complexes follow the chain too.  _build records a children-first
+    order beside sequence, which keeps its order as certificates list
+    it.  The first shedding query walks that order once: it derives each
+    step's complex from its children's where the step is a double link
+    (is_double_link), keeps the verdicts of the steps that fail, drops a
+    child's complex after the last step reading it, and keeps the top's."""
 
     def __init__(self, top, field=QQ):
         self.top = top
@@ -132,6 +150,7 @@ class Chain:
         self.ambient = tuple(sorted(_ambient(top, self.order)))
         self.nodes = {}
         self.sequence = []
+        self._children_first = []
         self.regions = RegionTable(self.order, self.shape, field)
         self._sets_cache = {}
         self._ids = {}
@@ -141,6 +160,7 @@ class Chain:
         self._top_basis = None
         self._oracle_initial_cache = {}
         self._top_complex = None
+        self._verdicts = None
         self.hilbert_memo = {}  # numerators depend only on the generators
         self.spair_record = {}  # S-pairs settled over generator ids
         self.top_canon = self._build(top)
@@ -154,12 +174,14 @@ class Chain:
             node = ChainNode(ladder, canon, None, None, None)
             self.nodes[canon] = node
             self.sequence.append(canon)
+            self._children_first.append(canon)
             return canon
         node = ChainNode(ladder, canon, split.cell, None, None)
         self.nodes[canon] = node
         self.sequence.append(canon)
         node.middle = self._build(split.middle)
         node.reduced = self._build(split.reduced)
+        self._children_first.append(canon)
         return canon
 
     def steps(self):
@@ -237,9 +259,11 @@ class Chain:
         Coning keeps purity and raises the dimension of a complex, and
         of its deletion and link at any other vertex, by the same
         amount, so every shedding verdict is the one of the node's own
-        ring.  Only the top instance's complex is kept: the top step's
-        shedding check and the decomposability search or replay share
-        it."""
+        ring.  Only the top instance's complex is kept: the walk of
+        shedding leaves it here, and the decomposability search or
+        replay reads it.  Any other complex, and the top's before a walk
+        (CLI chain asks for nothing else), is built by Berge's algorithm
+        (SimplicialComplex.from_squarefree)."""
         if canon == self.top_canon and self._top_complex is not None:
             return self._top_complex
         cx = SimplicialComplex.from_squarefree(
@@ -248,6 +272,100 @@ class Chain:
         if canon == self.top_canon:
             self._top_complex = cx
         return cx
+
+    def is_double_link(self, canon):
+        """Whether a step's initial ideals C = in(L), A = in(M) and
+        B = in(L') meet the hypotheses of SimplicialComplex.double_link
+        with C = A + f*B, for the corner variable f: C is squarefree, f is
+        in no generator of A or B, A lies in B, and
+
+            gens(C) = gens(A) + {f*b : b in gens(B) - gens(A)}.
+
+        Given the middle two conditions, the right side is the minimal
+        generating set of A + f*B.  A generator a of A stays minimal, as f
+        divides no generator of A.  A product f*b with b a generator of B
+        is divisible by another f*b' only when b' divides b, so b' = b;
+        and by a generator a of A exactly when a divides b, f being in
+        neither.  Then a, in B, is divisible by some generator of B, which
+        divides b, so it is b and a = b.  Hence f*b is minimal exactly
+        when b is not a generator of A.
+
+        A lies in B when each generator of A is one of B (a set test) or
+        is divisible by one; for the latter the generators of B are filed
+        by their largest variable, as in monomials.minimal_levels.  The
+        walk of shedding decides it once per step."""
+        node = self.nodes[canon]
+        c_ideal = self.initial_ideal(canon)
+        return c_ideal.is_squarefree() and _is_double_link(
+            c_ideal.gens,
+            self.initial_ideal(node.middle).gens,
+            self.initial_ideal(node.reduced).gens,
+            self.order.var(*node.cell),
+        )
+
+    def shedding(self, canon):
+        """A step's shedding-at-corner verdict, (ok, failed condition
+        names) as check_shedding gives them for its corner in
+        node_complex(canon).  The first query computes every step's
+        verdict in one walk of the chain (_walk), and later ones read it.
+        A step whose initial ideal is not squarefree has no verdict
+        there: node_complex raises for it, as it did before any walk."""
+        if self._verdicts is None:
+            self._verdicts = self._walk()
+        bad = self._verdicts.get(canon, ())
+        if bad is None:
+            return check_shedding(self.node_complex(canon), self.nodes[canon].cell)
+        return not bad, list(bad)
+
+    def _walk(self):
+        """Shedding verdicts by one walk over the nodes, children first:
+        a failing step maps to its failed condition names as a tuple, a
+        step left without a complex to None, and a passing step is left
+        out, so a chain that passes keeps nothing per step.
+
+        A step that passes is_double_link takes its complex from its
+        children's (SimplicialComplex.double_link), and the deletion and
+        link of its corner from their links; any other node's complex is
+        built by Berge's algorithm, over one vertex naming.  A node whose
+        ideal is not squarefree gets no complex, so a step reading it
+        falls back to Berge's algorithm."""
+        naming = vertex_naming(self.ambient, self.order.cell)
+        readers = {}
+        for canon in self._children_first:
+            node = self.nodes[canon]
+            if node.cell is not None:
+                for child in (node.middle, node.reduced):
+                    readers[child] = readers.get(child, 0) + 1
+        complexes = {}
+        verdicts = {}
+        for canon in self._children_first:
+            node = self.nodes[canon]
+            v = node.cell
+            cx = bad = None
+            if v is not None:
+                a_cx = complexes.get(node.middle)
+                b_cx = complexes.get(node.reduced)
+                if a_cx is not None and b_cx is not None and self.is_double_link(canon):
+                    cx = SimplicialComplex.double_link(a_cx, b_cx, v)
+                    _, bad = check_shedding(cx, v, a_cx.link(v), b_cx.link(v))
+                for child in (node.middle, node.reduced):
+                    readers[child] -= 1
+                    if not readers[child]:
+                        complexes.pop(child, None)
+            ideal = self.initial_ideal(canon)
+            if cx is None and ideal.is_squarefree():
+                cx = SimplicialComplex.from_squarefree(
+                    ideal, self.order.cell, _naming=naming
+                )
+                if v is not None:
+                    _, bad = check_shedding(cx, v)
+            if cx is not None:
+                complexes[canon] = cx
+            if v is not None and (cx is None or bad):
+                verdicts[canon] = None if cx is None else tuple(bad)
+        if self._top_complex is None:
+            self._top_complex = complexes.get(self.top_canon)
+        return verdicts
 
     def _oracle_args(self, canon, max_spairs):
         """Arguments of the oracle's completion of a node: its generators,
@@ -293,6 +411,30 @@ class Chain:
                 ideal = MonomialIdeal._minimal(tuple(minimalize(leads)), self.ambient)
             self._oracle_initial_cache[canon] = ideal
         return self._oracle_initial_cache[canon]
+
+
+def _is_double_link(c_gens, a_gens, b_gens, fvar):
+    """Chain.is_double_link on minimal generators, C's squarefreeness
+    aside: the variable fvar in no generator of A or B, A inside B, and
+    gens(C) = gens(A) + {f*b : b in gens(B) - gens(A)}."""
+    if any(fvar in g[::2] for g in a_gens) or any(fvar in g[::2] for g in b_gens):
+        return False
+    own = set(b_gens)
+    if () not in own:
+        filed = None
+        for a in a_gens:
+            if a in own:
+                continue
+            if filed is None:
+                filed = {}
+                for b in b_gens:
+                    filed.setdefault(b[0], []).append(b)
+            if not any(mono.divides(b, a) for v in a[::2] for b in filed.get(v, ())):
+                return False
+    common = set(a_gens)
+    f = (fvar, 1)
+    linked = common.union(mono.mul(f, b) for b in b_gens if b not in common)
+    return len(c_gens) == len(linked) and linked.issuperset(c_gens)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +636,7 @@ def verify_step(chain, canon, max_spairs=None):
         )
     out.append(_check("hilbert-identity-oracle", *identity))
 
-    shed_ok, bad = check_shedding(chain.node_complex(canon), node.cell)
+    shed_ok, bad = chain.shedding(canon)
     out.append(
         _check(
             "shedding-at-corner",
@@ -657,8 +799,7 @@ def replay_chain(cert, field=QQ):
             ok = all(rec.get(k) == fresh[k] for k in keys)
             checks.append(_check(name, ok, fresh["id"]))
     for canon in chain.steps():
-        node = chain.nodes[canon]
-        ok, bad = check_shedding(chain.node_complex(canon), node.cell)
+        ok, bad = chain.shedding(canon)
         checks.append(
             _check("shedding-at-corner", ok, canon if ok else ", ".join(bad))
         )

@@ -15,6 +15,7 @@ from laddergb.complexes import (
     is_vertex_decomposable,
     replay_certificate,
 )
+from laddergb import mono
 from laddergb.linkage import Chain
 from laddergb.ladders import ladder_from_json
 from laddergb.monomials import MonomialIdeal, codim_by_series
@@ -273,6 +274,40 @@ def test_from_squarefree_matches_frozenset_reference(supports, extra):
     # derived complexes share the vertex tuple and stay consistent
     for v in cx.vertices():
         assert_matches_reference(cx.link(v), ref_link(ref, v))
+
+
+def _squarefree(support):
+    return tuple(x for v in sorted(support, reverse=True) for x in (v, 1))
+
+
+@given(
+    st.integers(0, VERTS - 1),
+    st.lists(vertex_sets, max_size=4),
+    st.lists(st.tuples(st.integers(0, 3), vertex_sets), max_size=4),
+)
+@settings(max_examples=150)
+def test_double_link_matches_from_squarefree(v, b_supports, a_picks):
+    # A is generated by multiples of B's generators, so A lies in B, and
+    # neither uses v
+    b_supports = [s - {v} for s in b_supports]
+    a_supports = [
+        (b_supports[k % len(b_supports)] | extra) - {v}
+        for k, extra in a_picks
+        if b_supports
+    ]
+    ambient = tuple(range(VERTS))
+    a = MonomialIdeal([_squarefree(s) for s in a_supports], ambient)
+    b = MonomialIdeal([_squarefree(s) for s in b_supports], ambient)
+    c = a.plus(mono.mul((v, 1), g) for g in b.gens)
+    a_cx = SimplicialComplex.from_squarefree(a)
+    b_cx = SimplicialComplex.from_squarefree(b)
+    got = SimplicialComplex.double_link(a_cx, b_cx, v)
+    want = SimplicialComplex.from_squarefree(c)
+    assert (got.masks, got.verts, got.ambient) == (want.masks, want.verts, want.ambient)
+    assert want.deletion(v) == a_cx.link(v)
+    assert want.link(v) == b_cx.link(v)
+    given_parts = check_shedding(got, v, a_cx.link(v), b_cx.link(v))
+    assert given_parts == check_shedding(want, v)
 
 
 @given(st.lists(vertex_sets, max_size=6))

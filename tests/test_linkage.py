@@ -29,6 +29,7 @@ from laddergb import (
 )
 from laddergb.linkage import (
     _hilbert_identity,
+    _is_double_link,
     localized_ideal_generators,
     substitute,
     verify_node_groebner,
@@ -45,6 +46,7 @@ from laddergb.poly import (
 )
 
 from laddergb import matrices, poly
+from laddergb.complexes import SimplicialComplex
 
 from corpus import CORPUS, NEGATIVE_INSTANCES, ONESIDED
 
@@ -237,6 +239,52 @@ def test_verify_family_builds_each_node_ideal_once(monkeypatch):
     assert report["pass"]
     assert len(built) == len(chain.sequence)
     assert all(ambient is chain.ambient for _, ambient in built)
+
+
+X1, X2, X3 = (1, 1), (2, 1), (3, 1)
+X13, X91, X92, X93 = (3, 1, 1, 1), (9, 1, 1, 1), (9, 1, 2, 1), (9, 1, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "c, a, b, want",
+    [
+        # A inside B by divisibility: x1 divides x1*x3
+        ((X13, X91, X92), (X13,), (X1, X2), True),
+        ((X13, X91), (X13,), (X1, X2), False),  # f*x2 is missing
+        ((X3, X91), (X3,), (X1,), False),  # A is not inside B
+        ((X93, X91), (X93,), (X1, X3), False),  # f in a generator of A
+        ((X13, X91, (9, 2, 2, 1)), (X13,), (X1, X92), False),  # f in one of B
+        ((X3, (9, 1)), (X3,), ((),), True),  # B is the unit ideal
+    ],
+)
+def test_double_link_guard_needs_every_condition(c, a, b, want):
+    assert _is_double_link(c, a, b, 9) is want
+
+
+@pytest.mark.parametrize(
+    "top, built",
+    [
+        # 132 terminals; all 131 steps derive their complexes
+        (PfaffianLadder(8, [(1, 8)], [2]), 132),
+        # 43 terminals; one of the 48 steps falls back to Berge's algorithm
+        (OneSidedLadder(5, 5, [(3, 1), (5, 3)], [2, 3]), 44),
+    ],
+)
+def test_shedding_walk_builds_only_terminal_and_fallback_complexes(
+    monkeypatch, top, built
+):
+    calls = []
+    real = SimplicialComplex.from_squarefree.__func__
+
+    def counting(cls, ideal, *args, **kwargs):
+        calls.append(ideal)
+        return real(cls, ideal, *args, **kwargs)
+
+    monkeypatch.setattr(SimplicialComplex, "from_squarefree", classmethod(counting))
+    chain = Chain(top)
+    for canon in chain.steps():
+        chain.shedding(canon)
+    assert len(calls) == built
 
 
 @pytest.mark.parametrize(
