@@ -41,19 +41,6 @@ import operator
 from .errors import BudgetExceeded, PreconditionError
 
 
-def vertex_naming(ambient, vertex=None):
-    """What SimplicialComplex.from_squarefree reads off the ring of the
-    variables ambient: the vertex tuple, sorted by vertex, the index of
-    each vertex in it, and the bit position of each variable.  vertex
-    maps a variable to its vertex; by default each variable is its own
-    vertex."""
-    named = sorted((v if vertex is None else vertex(v), v) for v in ambient)
-    verts = tuple(u for u, _ in named)
-    index = {u: i for i, u in enumerate(verts)}
-    bit = {v: i for i, (_, v) in enumerate(named)}
-    return verts, index, bit
-
-
 def _bits(mask):
     """Indices of the set bits of mask, lowest first."""
     out = []
@@ -130,13 +117,11 @@ class SimplicialComplex:
         return out
 
     @classmethod
-    def from_squarefree(cls, ideal, vertex=None, *, _naming=None):
+    def from_squarefree(cls, ideal, vertex=None):
         """The complex of a squarefree ideal.  vertex, when given, maps a
         variable of the ideal's ring to the vertex standing for it (a term
         order's cell), and the vertex tuple is sorted by vertex; by
-        default each variable is its own vertex.  _naming, when given, is
-        vertex_naming(ideal.ambient, vertex), computed once by a caller
-        that builds many complexes in one ring.
+        default each variable is its own vertex.
 
         Berge's algorithm runs on the supports of the generators of
         degree at least 2 only.  The variable of a linear generator lies
@@ -146,7 +131,10 @@ class SimplicialComplex:
         ideal costs one mask."""
         if not ideal.is_squarefree():
             raise PreconditionError("ideal is not squarefree")
-        verts, index, bit = _naming or vertex_naming(ideal.ambient, vertex)
+        named = sorted((v if vertex is None else vertex(v), v) for v in ideal.ambient)
+        verts = tuple(u for u, _ in named)
+        index = {u: i for i, u in enumerate(verts)}
+        bit = {v: i for i, (_, v) in enumerate(named)}
         masks = ()
         if not ideal.is_unit():
             linear = 0

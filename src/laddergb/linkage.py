@@ -48,7 +48,8 @@ together with the facets of A's that B's lacks, cut by f
 (SimplicialComplex.double_link), and the deletion and link of f in it
 are the links of f in A's and B's complexes.  So Berge's algorithm runs
 only on terminal nodes, whose ideals are linear, and on the steps where
-that identity fails.
+that identity fails.  The same guard settles initial-split-identity and
+basic-double-link; verify_step builds A + f*B only where it fails.
 
 The localization section implements the coordinate change used to pass
 from a one-sided ladder to a smaller one after inverting a cell: an
@@ -65,7 +66,6 @@ from .complexes import (
     check_shedding,
     is_vertex_decomposable,
     replay_certificate,
-    vertex_naming,
 )
 from .errors import LadderError, PreconditionError
 from .families import (
@@ -161,6 +161,7 @@ class Chain:
         self._oracle_initial_cache = {}
         self._top_complex = None
         self._verdicts = None
+        self._double_links = {}
         self.hilbert_memo = {}  # numerators depend only on the generators
         self.spair_record = {}  # S-pairs settled over generator ids
         self.top_canon = self._build(top)
@@ -292,16 +293,19 @@ class Chain:
 
         A lies in B when each generator of A is one of B (a set test) or
         is divisible by one; for the latter the generators of B are filed
-        by their largest variable, as in monomials.minimal_levels.  The
-        walk of shedding decides it once per step."""
-        node = self.nodes[canon]
-        c_ideal = self.initial_ideal(canon)
-        return c_ideal.is_squarefree() and _is_double_link(
-            c_ideal.gens,
-            self.initial_ideal(node.middle).gens,
-            self.initial_ideal(node.reduced).gens,
-            self.order.var(*node.cell),
-        )
+        by their largest variable, as in monomials.minimal_levels.  Each
+        step's answer is kept: the walk of shedding and verify_step both
+        ask."""
+        if canon not in self._double_links:
+            node = self.nodes[canon]
+            c_ideal = self.initial_ideal(canon)
+            self._double_links[canon] = c_ideal.is_squarefree() and _is_double_link(
+                c_ideal.gens,
+                self.initial_ideal(node.middle).gens,
+                self.initial_ideal(node.reduced).gens,
+                self.order.var(*node.cell),
+            )
+        return self._double_links[canon]
 
     def shedding(self, canon):
         """A step's shedding-at-corner verdict, (ok, failed condition
@@ -326,10 +330,9 @@ class Chain:
         A step that passes is_double_link takes its complex from its
         children's (SimplicialComplex.double_link), and the deletion and
         link of its corner from their links; any other node's complex is
-        built by Berge's algorithm, over one vertex naming.  A node whose
-        ideal is not squarefree gets no complex, so a step reading it
-        falls back to Berge's algorithm."""
-        naming = vertex_naming(self.ambient, self.order.cell)
+        built by Berge's algorithm.  A node whose ideal is not squarefree
+        gets no complex, so a step reading it falls back to Berge's
+        algorithm."""
         readers = {}
         for canon in self._children_first:
             node = self.nodes[canon]
@@ -354,9 +357,7 @@ class Chain:
                         complexes.pop(child, None)
             ideal = self.initial_ideal(canon)
             if cx is None and ideal.is_squarefree():
-                cx = SimplicialComplex.from_squarefree(
-                    ideal, self.order.cell, _naming=naming
-                )
+                cx = SimplicialComplex.from_squarefree(ideal, self.order.cell)
                 if v is not None:
                     _, bad = check_shedding(cx, v)
             if cx is not None:
@@ -574,14 +575,25 @@ def verify_step(chain, canon, max_spairs=None):
     c_ideal = chain.initial_ideal(canon)
     a_ideal = chain.initial_ideal(node.middle)
     b_ideal = chain.initial_ideal(node.reduced)
-    # A + f*B, built once, is compared against C by initial-split-identity
-    # and basic-double-link: minimal generating sets in one ring, so the
-    # corner multiples of a region untouched by the removal are absorbed.
-    linked = a_ideal.plus(mono.mul(f, g) for g in b_ideal.gens)
+    # Where the step is a double link (Chain.is_double_link), gens(C) is
+    # the minimal generating set of A + f*B, A is colon-stable along f, as
+    # f is in no generator of A, and A lies in B: both identities below
+    # hold.  Elsewhere A + f*B, built once, is compared against C by both:
+    # minimal generating sets in one ring, so the corner multiples of a
+    # region untouched by the removal are absorbed.
+    link_detail = "C = A + f*B as ideals"
+    if chain.is_double_link(canon):
+        split = linked = True
+    else:
+        split = linked = a_ideal.plus(mono.mul(f, g) for g in b_ideal.gens) == c_ideal
+        try:
+            check_double_link(a_ideal, b_ideal, f)
+        except PreconditionError as e:
+            linked, link_detail = False, str(e)
     out.append(
         _check(
             "initial-split-identity",
-            linked == c_ideal,
+            split,
             "%d = %d + %d monomials (%d minimal)"
             % (len(c_raw), len(a_raw), len(b_raw), len(c_ideal.gens)),
         )
@@ -603,13 +615,7 @@ def verify_step(chain, canon, max_spairs=None):
         )
     )
 
-    try:
-        check_double_link(a_ideal, b_ideal, f)
-        out.append(
-            _check("basic-double-link", linked == c_ideal, "C = A + f*B as ideals")
-        )
-    except PreconditionError as e:
-        out.append(_check("basic-double-link", False, str(e)))
+    out.append(_check("basic-double-link", linked, link_detail))
 
     identity = _hilbert_identity(c_ideal, a_ideal, b_ideal, chain.hilbert_memo)
     out.append(_check("hilbert-identity-combinatorial", *identity))
