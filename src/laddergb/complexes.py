@@ -13,29 +13,29 @@ tuple: vertex verts[i] is bit 1 << i, so a subset test is a & b == a
 and a face's size is a.bit_count().  The tuple is fixed where a complex
 is built and shared by every complex derived from it, so masks of
 related complexes compare directly.  The facets always form an
-antichain.  Only the public constructor, which takes arbitrary facets,
-has to discard non-maximal ones; the other constructors keep an
-antichain by construction: from_squarefree takes complements of minimal
-transversals, link and strip_cones remove vertices every affected facet
-contains, deletion(v) tests only the facets F - v with v in F against
-the facets that lack v, and double_link, the complex of a basic double
-link A + f*B built from the complexes of A and B with no transversal
-search, takes the facets of B's and cuts the cone point f from the
-facets of A's that B's lacks (see its proof).  The facets attribute is a
-read-only frozenset-of-frozensets view of the masks.
+antichain.  The public constructor, which takes arbitrary facets,
+discards the non-maximal ones.  deletion(v) discards too, but only among
+the faces F - v with v in F, each tested against the facets that lack
+v: those facets stay maximal, and no F - v lies in another.  The other
+constructors keep an antichain by construction: from_squarefree takes
+complements of minimal transversals, link and strip_cones remove
+vertices every affected facet contains, and double_link, the complex of
+a basic double link A + f*B built from the complexes of A and B with no
+transversal search, takes the facets of B's and cuts the cone point f
+from the facets of A's that B's lacks (see its proof).  The facets
+attribute is a read-only frozenset-of-frozensets view of the masks.
 
 Vertex decomposability is decided recursively: after removing cone
 points, a complex is accepted if it is a single simplex, or if some
 vertex has a pure link and deletion of the expected dimensions and both
 are themselves decomposable.  The search emits a certificate tree that
-can be replayed against a recomputed complex.
-
-codim_by_cover is an independent route to the codimension (smallest
-vertex cover of the supports), used to cross-check the height formulas.
+can be replayed against a recomputed complex.  On a pure complex the
+shedding test needs no deletion scan: F - v survives in the deletion
+exactly when no facet (F - v) + w lacks v, one set lookup per vertex w
+(see _shedding).
 """
 
 import functools
-import itertools
 import operator
 
 from .errors import BudgetExceeded, PreconditionError
@@ -265,23 +265,6 @@ class SimplicialComplex:
         )
 
 
-def codim_by_cover(ideal):
-    """Smallest vertex cover of the generator supports; equals the
-    codimension of the squarefree ideal.  Brute force."""
-    if ideal.is_unit():
-        raise PreconditionError("unit ideal has no codimension")
-    supports = [frozenset(g[k] for k in range(0, len(g), 2)) for g in ideal.gens]
-    if not supports:
-        return 0
-    verts = sorted(set().union(*supports))
-    for k in range(0, len(verts) + 1):
-        for combo in itertools.combinations(verts, k):
-            cset = set(combo)
-            if all(s & cset for s in supports):
-                return k
-    raise AssertionError("no cover found")
-
-
 # ---------------------------------------------------------------------------
 # vertex decomposability
 
@@ -301,17 +284,43 @@ def _shedding(cx, v, dele=None, lk=None):
     """check_shedding's failed condition names, with the deletion and
     link of v it built or was given (None when it stopped before
     building them), so a search or replay that goes on to recurse into
-    them builds each once."""
+    them builds each once.
+
+    On a pure complex, when no deletion is given, the deletion comes
+    from one set lookup per face F - v and vertex w instead of the scan
+    of SimplicialComplex.deletion.  Proof.  Let cx be pure of dimension
+    d, and v a vertex but not a cone point.  The deletion's facets are
+    the maximal sets among the facets lacking v, of size d + 1, and the
+    faces F - v for the facets F holding v, of size d.  Two distinct
+    sets F - v do not contain one another, having one size, so F - v is
+    dropped exactly when it lies in a facet G lacking v, and then
+    G = (F - v) + w for a vertex w outside F.  If every F - v is
+    dropped so, the deletion is the facets lacking v: pure of dimension
+    d, and not void, as v is no cone point.  Otherwise the deletion
+    holds F - v of size d beside a facet of size d + 1 (again as v is no
+    cone point), so it keeps dimension d and is not pure.  The link, the
+    faces F - v, is an antichain of sets of size d, not void as v is a
+    vertex, so pure of dimension d - 1.  So the only condition that can
+    fail is "deletion not pure", and it fails exactly when some F - v
+    has no such w."""
     if cx.is_void():
         return ["void complex"], None, None
-    bad = []
-    if not cx.is_pure():
-        bad.append("complex not pure")
+    pure = cx.is_pure()
+    bad = [] if pure else ["complex not pure"]
     bit = cx._bit(v)
-    if not any(m & bit for m in cx.masks):
+    cut = [m ^ bit for m in cx.masks if m & bit]
+    if not cut:
         return bad + ["not a vertex"], None, None
-    if all(m & bit for m in cx.masks):
+    if len(cut) == len(cx.masks):
         return bad + ["cone point"], None, None
+    if pure and dele is None:
+        masks = cx.masks
+        others = [1 << i for i in _bits(functools.reduce(operator.or_, masks) ^ bit)]
+        for c in cut:
+            if not any(c | w in masks for w in others if not c & w):
+                return ["deletion not pure"], None, None
+        dele = cx._derive([m for m in masks if not m & bit], (v,))
+        return [], dele, cx._derive(cut, (v,)) if lk is None else lk
     d = cx.dim()
     if dele is None:
         dele = cx.deletion(v)

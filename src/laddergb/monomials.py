@@ -4,8 +4,7 @@ link construction, Hilbert series.
 The Hilbert series of R/I is K(z)/(1-z)^n, and the numerator K comes from
 a pivot recursion (split on a frequently used variable x via the exact
 sequence relating I, I:x and I+(x); Bigatti, JPAA 1997).  The Hilbert
-function in every degree and the codimension are read off K.  A brute-force
-count of standard monomials is kept as a cross-check oracle for small degrees.
+function in every degree and the codimension are read off K.
 """
 
 import itertools
@@ -75,8 +74,15 @@ def minimal_levels(levels):
     return out
 
 
+def _squarefree(gens):
+    """Whether every exponent of every monomial of gens is 1."""
+    return all(all(g[k] == 1 for k in range(1, len(g), 2)) for g in gens)
+
+
 class MonomialIdeal:
-    """Monomial ideal with an explicit ambient variable set."""
+    """Monomial ideal with an explicit ambient variable set.  An ideal is
+    never changed after it is built, so whether it is squarefree is
+    decided once, where it is built."""
 
     def __init__(self, gens, ambient):
         self.ambient = tuple(sorted(set(ambient)))
@@ -88,6 +94,7 @@ class MonomialIdeal:
                         "generator uses a variable outside the ambient ring"
                     )
         self.gens = tuple(minimalize(gens))
+        self._squarefree = _squarefree(self.gens)
 
     @classmethod
     def _minimal(cls, gens, ambient):
@@ -98,6 +105,7 @@ class MonomialIdeal:
         ideal = cls.__new__(cls)
         ideal.gens = gens
         ideal.ambient = ambient
+        ideal._squarefree = _squarefree(gens)
         return ideal
 
     def is_zero(self):
@@ -123,7 +131,7 @@ class MonomialIdeal:
         return self.colon(f) == self
 
     def is_squarefree(self):
-        return all(all(g[k] == 1 for k in range(1, len(g), 2)) for g in self.gens)
+        return self._squarefree
 
     def plus(self, extra):
         return MonomialIdeal(list(self.gens) + list(extra), self.ambient)
@@ -245,20 +253,3 @@ def codim_by_series(ideal, memo):
         codim += 1
     return codim
 
-
-def hilbert_function_brute(ideal, d):
-    """Independent count of standard monomials of degree d, by direct
-    enumeration.  Only viable for small d and few variables."""
-    if d < 0:
-        return 0
-    count = 0
-    for combo in itertools.combinations_with_replacement(ideal.ambient[::-1], d):
-        m = []
-        for v in combo:
-            if m and m[-2] == v:
-                m[-1] += 1
-            else:
-                m.extend((v, 1))
-        if not ideal.contains_monomial(tuple(m)):
-            count += 1
-    return count

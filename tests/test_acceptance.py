@@ -20,7 +20,7 @@ from laddergb import (
 )
 from laddergb.complexes import SimplicialComplex
 from laddergb.matrices import SkewShape, minor, order_for, pfaffian
-from laddergb.monomials import MonomialIdeal, hilbert_function_brute, minimalize
+from laddergb.monomials import MonomialIdeal, minimalize
 from laddergb.poly import (
     buchberger_reduced,
     freeze,
@@ -30,6 +30,7 @@ from laddergb.poly import (
     p_monic,
 )
 
+from brute import hilbert_function_brute
 from corpus import CORPUS, FIELD_SPOT_CHECK, MAXMINORS
 
 from conftest import corpus_ladders

@@ -11,7 +11,6 @@ from laddergb.errors import BudgetExceeded, PreconditionError
 from laddergb.complexes import (
     SimplicialComplex,
     check_shedding,
-    codim_by_cover,
     is_vertex_decomposable,
     replay_certificate,
 )
@@ -20,6 +19,7 @@ from laddergb.linkage import Chain
 from laddergb.ladders import ladder_from_json
 from laddergb.monomials import MonomialIdeal, codim_by_series
 
+from brute import codim_by_cover
 from corpus import CORPUS, NEGATIVE_INSTANCES
 
 
@@ -236,7 +236,9 @@ def test_cone_points_and_strip():
     assert base.strip_cones() == (base, [])
 
 
-def assert_matches_reference(cx, ref):
+def assert_matches_reference(cx, ref, verts=None):
+    """cx against its frozenset reference at every vertex below verts
+    (VERTS by default) and one more, which is not a vertex."""
     assert (cx.facets, cx.ambient) == ref
     assert cx.vertices() == sorted(set().union(*ref[0]))
     stripped, cones = cx.strip_cones()
@@ -246,7 +248,7 @@ def assert_matches_reference(cx, ref):
     assert cx.is_pure() == ref_is_pure(ref)
     if ref[0]:
         assert cx.dim() == ref_dim(ref)
-    for v in range(VERTS + 1):
+    for v in range((VERTS if verts is None else verts) + 1):
         assert check_shedding(cx, v) == ref_check_shedding(ref, v)
         lk, dele = cx.link(v), cx.deletion(v)
         assert (lk.facets, lk.ambient) == ref_link(ref, v)
@@ -316,6 +318,34 @@ def test_constructor_matches_frozenset_reference(facets):
     ambient = tuple(range(VERTS))
     cx = SimplicialComplex(facets, ambient)
     assert_matches_reference(cx, (ref_max(facets), ambient))
+
+
+@st.composite
+def pure_facets(draw):
+    """(facets, number of vertices): k-subsets of 7 or 8 vertices."""
+    n = draw(st.integers(7, 8))
+    k = draw(st.integers(1, n - 1))
+    subsets = st.frozensets(st.integers(0, n - 1), min_size=k, max_size=k)
+    return draw(st.lists(subsets, min_size=1, max_size=12)), n
+
+
+@given(pure_facets())
+@settings(max_examples=100)
+def test_pure_complex_matches_frozenset_reference(drawn):
+    # the shedding test on a pure complex finds its deletion by lookup;
+    # the deletions themselves, mostly impure, take the scan
+    facets, n = drawn
+    ambient = tuple(range(n))
+    cx = SimplicialComplex(facets, ambient)
+    ref = (ref_max(facets), ambient)
+    assert cx.is_pure()
+    assert_matches_reference(cx, ref, n)
+    for v in cx.vertices():
+        assert_matches_reference(cx.deletion(v), ref_deletion(ref, v), n)
+    ok, cert = is_vertex_decomposable(cx)
+    assert ok == ref_vd(ref, float("inf"))
+    if ok:
+        assert replay_certificate(cx, cert) == (True, "ok")
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +488,33 @@ def test_budget_exhaustion():
     cx = SimplicialComplex(facets, tuple(range(6)))
     with pytest.raises(BudgetExceeded):
         is_vertex_decomposable(cx, max_faces=2)
+
+
+PFAFFIAN_8 = {"family": "pfaffian", "n": 8, "corners": [[1, 8]], "t": [2]}
+
+# Complexes the search visits on each top, in the order of
+# CORPUS + NEGATIVE_INSTANCES + [PFAFFIAN_8]: every --budget-faces
+# outcome on these instances follows from them.
+SEARCH_VISITS = (
+    [1, 3, 5, 7, 9]  # maxminors
+    + [3, 7, 15, 5, 5, 7]  # pfaffian
+    + [7, 5, 15, 7, 13, 9]  # symmetric
+    + [5, 11, 7, 11, 11]  # onesided
+    + [7, 3]  # negative instances
+    + [51]  # pfaffian n=8
+)
+
+
+def test_search_visits_are_pinned_on_corpus_tops():
+    instances = CORPUS + NEGATIVE_INSTANCES + [PFAFFIAN_8]
+    assert len(instances) == len(SEARCH_VISITS)
+    for data, visits in zip(instances, SEARCH_VISITS):
+        chain = Chain(ladder_from_json(data))
+        cx = chain.node_complex(chain.top_canon)
+        ok, cert = is_vertex_decomposable(cx, max_faces=visits)
+        assert ok and replay_certificate(cx, cert) == (True, "ok"), data
+        with pytest.raises(BudgetExceeded):
+            is_vertex_decomposable(cx, max_faces=visits - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from laddergb.linkage import (
     verify_node_initial,
     verify_step,
 )
-from laddergb.monomials import MonomialIdeal, hilbert_function_brute
+from laddergb.monomials import MonomialIdeal
 from laddergb.poly import (
     buchberger_reduced,
     freeze,
@@ -48,6 +48,7 @@ from laddergb.poly import (
 from laddergb import matrices, poly
 from laddergb.complexes import SimplicialComplex
 
+from brute import hilbert_function_brute
 from corpus import CORPUS, NEGATIVE_INSTANCES, ONESIDED
 
 

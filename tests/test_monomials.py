@@ -11,12 +11,13 @@ from laddergb.errors import PreconditionError
 from laddergb.monomials import (
     MonomialIdeal,
     basic_double_link,
-    hilbert_function_brute,
     hilbert_numerator,
     minimalize,
     series_add,
     series_mul,
 )
+
+from brute import hilbert_function_brute
 
 AMBIENT = tuple(range(6))
 
