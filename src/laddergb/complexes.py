@@ -410,10 +410,39 @@ def _vd_core(cx, budget):
 
 def replay_certificate(cx, node):
     """Re-run a decomposability certificate against a freshly computed
-    complex.  Returns (ok, reason)."""
+    complex.  Returns (ok, reason).
+
+    The search's certificate repeats a memoized subtree in full wherever
+    its complex recurs, so each distinct complex is replayed once: a node
+    whose cone-stripped complex already accepted an equal subtree (its
+    own cone points aside, which are checked at every node) is accepted
+    without re-deriving it.  Any other node is replayed in full, so a
+    certificate fails at the same node, with the same reason, as a
+    replay of every node would."""
+    return _replay(cx, node, {})
+
+
+def _replay(cx, node, accepted):
+    """replay_certificate's recursion; accepted maps the facet masks of
+    a cone-stripped complex to the node bodies (the node less its cone
+    points) already accepted for it.  Every complex of one replay shares
+    one vertex tuple, so equal masks are equal complexes."""
     stripped, cones = cx.strip_cones()
     if sorted(node.get("cone", [])) != sorted(cones):
         return False, "cone points differ"
+    body = {k: val for k, val in node.items() if k != "cone"}
+    seen = accepted.setdefault(stripped.masks, [])
+    if body in seen:
+        return True, "ok"
+    ok, why = _replay_body(stripped, body, accepted)
+    if ok:
+        seen.append(body)
+    return ok, why
+
+
+def _replay_body(stripped, node, accepted):
+    """Check one node against its cone-stripped complex, recursing
+    through _replay."""
     if node.get("kind") == "leaf":
         if len(stripped.masks) != 1:
             return False, "leaf node but complex is not a simplex"
@@ -426,7 +455,7 @@ def replay_certificate(cx, node):
     bad, dele, lk = _shedding(stripped, v)
     if bad:
         return False, "shedding conditions fail at %s: %s" % (v, ", ".join(bad))
-    ok, why = replay_certificate(dele, node["deletion"])
+    ok, why = _replay(dele, node["deletion"], accepted)
     if not ok:
         return False, why
-    return replay_certificate(lk, node["link"])
+    return _replay(lk, node["link"], accepted)

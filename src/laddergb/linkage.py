@@ -55,6 +55,9 @@ The localization section implements the coordinate change used to pass
 from a one-sided ladder to a smaller one after inverting a cell: an
 exact inverse pair of substitution maps plus ideal membership in both
 directions, with denominators cleared by powers of the inverted cell.
+Membership is proved by division by the target ideal's generators, and
+a Groebner basis is completed only for an image that leaves a remainder
+(see verify_localization).
 """
 
 from dataclasses import dataclass
@@ -95,6 +98,7 @@ from .poly import (
     p_var,
     p_zero,
     freeze,
+    reducers,
 )
 
 
@@ -933,7 +937,24 @@ def localized_ideal_generators(ladder, cell, field=QQ, shape=None, order=None):
 def verify_localization(ladder, cell, field=QQ, max_spairs=None, max_power=3):
     """Checks that the substitution pair is an exact inverse pair and
     that it carries each ideal into the other after clearing
-    denominators (allowing a small extra power of the inverted cell)."""
+    denominators (allowing a small extra power of the inverted cell):
+    forward-membership sends the ladder's generators into the localized
+    ideal, reverse-membership the localized generators into the ladder's
+    ideal.
+
+    Each image p is first divided by the target ideal's own generators
+    (see _memberships), times uv^e for e = 0..max_power, uv the
+    inverted cell's variable.  A zero remainder proves membership
+    whether or not those generators are a Groebner basis: the division
+    wrote uv^e * p as a combination sum(q_i * g_i) of them.  A nonzero
+    remainder proves nothing without a basis, so only when every power
+    leaves one is the target completed (once per check) and the image
+    decided against the completion.  The verdicts are therefore those of
+    completing both ideals before testing any image.  max_spairs bounds
+    the S-pair reductions of each completion that actually runs; where
+    every image divides to zero, as on every passing cell of a ladder
+    whose generators are a Groebner basis, none runs and no budget is
+    spent."""
     order = conventional_order(ladder)
     phi, psi = localization_maps(ladder, cell, field)
     uv = order.var(*cell)
@@ -955,26 +976,18 @@ def verify_localization(ladder, cell, field=QQ, max_spairs=None, max_power=3):
     shape = ladder.shape()
     gens = natural_generators(ladder, field, order, shape)
     hat_gens = localized_ideal_generators(ladder, cell, field, shape, order)
-    hat_gb, hat_table = groebner_basis(hat_gens, order, field, max_spairs)
-    fwd_ok = True
-    fwd_detail = ""
-    for g in gens:
-        num, _ = substitute(g, phi, uv, field)
-        if not _member_with_saturation(num, hat_gb, hat_table, order, field, uv, max_power):
-            fwd_ok = False
-            fwd_detail = "a generator image escapes the localized ideal"
-            break
+    fwd_ok = _memberships(
+        (substitute(g, phi, uv, field)[0] for g in gens),
+        hat_gens, order, field, uv, max_spairs, max_power,
+    )
+    fwd_detail = "" if fwd_ok else "a generator image escapes the localized ideal"
     checks.append(_check("forward-membership", fwd_ok, fwd_detail))
 
-    lad_gb, lad_table = groebner_basis(gens, order, field, max_spairs)
-    rev_ok = True
-    rev_detail = ""
-    for g in hat_gens:
-        num, _ = substitute(g, psi, uv, field)
-        if not _member_with_saturation(num, lad_gb, lad_table, order, field, uv, max_power):
-            rev_ok = False
-            rev_detail = "a localized generator image escapes the ladder ideal"
-            break
+    rev_ok = _memberships(
+        (substitute(g, psi, uv, field)[0] for g in hat_gens),
+        gens, order, field, uv, max_spairs, max_power,
+    )
+    rev_detail = "" if rev_ok else "a localized generator image escapes the ladder ideal"
     checks.append(_check("reverse-membership", rev_ok, rev_detail))
 
     return {
@@ -986,14 +999,36 @@ def verify_localization(ladder, cell, field=QQ, max_spairs=None, max_power=3):
     }
 
 
-def _member_with_saturation(p, gb, table, order, field, uv, max_power):
-    """Whether uv^e * p reduces to zero modulo the Groebner basis gb for
-    some e <= max_power; table is gb's reducer table."""
+def _memberships(images, gens, order, field, uv, max_spairs, max_power):
+    """Whether each polynomial of images, times uv^e for some
+    e <= max_power, lies in ideal(gens); stops at the first that does
+    not.  An image is divided by the nonzero generators first and is in
+    the ideal when a remainder is zero.  The completion of gens (under
+    max_spairs) is computed only when an image leaves a remainder at
+    every power, at most once, and decides that image."""
+    gens = [g for g in gens if g]
+    table = reducers(gens, order)
+    basis = None
+    for p in images:
+        if _member_with_saturation(p, gens, table, order, field, uv, max_power):
+            continue
+        if basis is None:
+            basis = groebner_basis(gens, order, field, max_spairs)
+        if not _member_with_saturation(p, *basis, order, field, uv, max_power):
+            return False
+    return True
+
+
+def _member_with_saturation(p, G, table, order, field, uv, max_power):
+    """Whether uv^e * p leaves a zero remainder on division by G for some
+    e <= max_power; table is G's reducer table.  A zero remainder proves
+    membership in ideal(G); when G is a Groebner basis, so does nothing
+    else."""
     if p_is_zero(p):
         return True
     work = dict(p)
     for _ in range(max_power + 1):
-        if p_is_zero(normal_form(work, gb, order, field, table)):
+        if p_is_zero(normal_form(work, G, order, field, table)):
             return True
         work = p_term_mul(work, (uv, 1), field.one, field)
     return False

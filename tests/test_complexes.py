@@ -2,6 +2,7 @@
 codimension by two routes, shedding, and decomposability certificates."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,8 @@ from laddergb.complexes import (
     is_vertex_decomposable,
     replay_certificate,
 )
-from laddergb import mono
-from laddergb.linkage import Chain
+from laddergb import complexes, mono
+from laddergb.linkage import Chain, vd_cert_from_json
 from laddergb.ladders import ladder_from_json
 from laddergb.monomials import MonomialIdeal, codim_by_series
 
@@ -544,3 +545,89 @@ def test_replay_rejects_malformed_node():
     cx = SimplicialComplex.from_squarefree(square_ideal())
     ok, why = replay_certificate(cx, {"cone": []})
     assert not ok and why == "malformed node"
+
+
+def ref_replay(cx, node, splits):
+    """A certificate replay that re-derives every node, deletions by the
+    scan of SimplicialComplex.deletion: the reference for
+    replay_certificate's verdict and reason.  splits collects the facet
+    masks of each split node's cone-stripped complex, repeats included."""
+    stripped, cones = cx.strip_cones()
+    if sorted(node.get("cone", [])) != sorted(cones):
+        return False, "cone points differ"
+    if node.get("kind") == "leaf":
+        if len(stripped.masks) != 1:
+            return False, "leaf node but complex is not a simplex"
+        if stripped.vertices() != list(node.get("facet", [])):
+            return False, "leaf facet differs"
+        return True, "ok"
+    if node.get("kind") != "split":
+        return False, "malformed node"
+    v = node.get("vertex")
+    ok, bad = check_shedding(stripped, v)
+    if not ok:
+        return False, "shedding conditions fail at %s: %s" % (v, ", ".join(bad))
+    splits.append(stripped.masks)
+    ok, why = ref_replay(stripped.deletion(v), node["deletion"], splits)
+    if not ok:
+        return False, why
+    return ref_replay(stripped.link(v), node["link"], splits)
+
+
+def _cert_nodes(node, path=()):
+    """(path, node) for every node of a certificate tree, in replay order."""
+    yield path, node
+    if node.get("kind") == "split":
+        yield from _cert_nodes(node["deletion"], path + ("deletion",))
+        yield from _cert_nodes(node["link"], path + ("link",))
+
+
+def _json_cert(cert):
+    return vd_cert_from_json(json.loads(json.dumps(cert)))
+
+
+PFAFFIAN_6 = {"family": "pfaffian", "n": 6, "corners": [[1, 6]], "t": [2]}
+
+
+def test_replay_checks_each_distinct_complex_once(monkeypatch):
+    chain = Chain(ladder_from_json(PFAFFIAN_6))
+    cx = chain.node_complex(chain.top_canon)
+    ok, cert = is_vertex_decomposable(cx)
+    cert = _json_cert(cert)
+    splits = []
+    assert ok and ref_replay(cx, cert, splits) == (True, "ok")
+    calls = []
+    shedding = complexes._shedding
+    monkeypatch.setattr(
+        complexes, "_shedding", lambda *args: calls.append(1) or shedding(*args)
+    )
+    assert replay_certificate(cx, cert) == (True, "ok")
+    # the tree repeats memoized subtrees: 13 split nodes, 7 distinct complexes
+    assert (len(splits), len(set(splits)), len(calls)) == (13, 7, 7)
+
+
+def test_replay_of_tampered_copies_gives_the_full_replays_reason():
+    # every node of a JSON-read certificate edited in turn, repeated
+    # subtrees' later copies included: a leaf gains a vertex, a split
+    # swaps its deletion and link
+    chain = Chain(ladder_from_json(PFAFFIAN_6))
+    cx = chain.node_complex(chain.top_canon)
+    _, cert = is_vertex_decomposable(cx)
+    repeats = 0
+    seen = set()
+    for path, node in _cert_nodes(_json_cert(cert)):
+        tampered = _json_cert(cert)
+        target = tampered
+        for key in path:
+            target = target[key]
+        if target["kind"] == "leaf":
+            target["facet"] = target["facet"] + [(99, 99)]
+        else:
+            target["deletion"], target["link"] = target["link"], target["deletion"]
+        want = ref_replay(cx, tampered, [])
+        assert not want[0], path
+        assert replay_certificate(cx, tampered) == want, path
+        body = json.dumps({k: v for k, v in node.items() if k != "cone"})
+        repeats += body in seen
+        seen.add(body)
+    assert repeats > 0

@@ -41,14 +41,17 @@ from laddergb.poly import (
     buchberger_reduced,
     freeze,
     leading_term,
+    normal_form,
+    p_mul,
+    p_sub,
     p_term_mul,
     p_var,
 )
 
-from laddergb import matrices, poly
+from laddergb import linkage, matrices, poly
 from laddergb.complexes import SimplicialComplex
 
-from brute import hilbert_function_brute
+from brute import hilbert_function_brute, localization_complete_first
 from corpus import CORPUS, NEGATIVE_INSTANCES, ONESIDED
 
 
@@ -683,15 +686,91 @@ def test_verify_localization_two_regions():
 
 
 def test_verify_localization_interreduces_no_basis(monkeypatch):
-    # membership needs a Groebner basis, not the reduced one
-    calls = []
-    interreduce = poly._interreduce
+    # the ladder's and the localized generators are Groebner bases, so
+    # every image divides to zero by them: no completion runs, let alone
+    # a reduced basis
+    completions, interreductions = [], []
+    complete, interreduce = linkage.groebner_basis, poly._interreduce
     monkeypatch.setattr(
-        poly, "_interreduce", lambda *args: calls.append(1) or interreduce(*args)
+        linkage, "groebner_basis", lambda *a: completions.append(1) or complete(*a)
     )
-    report = verify_localization(OneSidedLadder(3, 3, [(2, 1), (3, 2)], [2, 2]), (2, 1))
-    assert report["pass"], report["checks"]
-    assert calls == []
+    monkeypatch.setattr(
+        poly, "_interreduce", lambda *a: interreductions.append(1) or interreduce(*a)
+    )
+    for ladder, cell in [
+        (OneSidedLadder(3, 3, [(2, 1), (3, 2)], [2, 2]), (2, 1)),
+        (FULL33, (2, 2)),
+        (OneSidedLadder(4, 4, [(4, 1)], [3]), (2, 2)),
+    ]:
+        report = verify_localization(ladder, cell)
+        assert report["pass"], report["checks"]
+    assert completions == [] and interreductions == []
+
+
+def test_verify_localization_budget_bounds_only_completions_that_run():
+    # completing the ladder's ideal here takes more than one S-pair reduction,
+    # but every image divides to zero by the generators
+    for ladder, cell in [
+        (OneSidedLadder(3, 3, [(2, 1), (3, 2)], [2, 2]), (2, 1)),
+        (OneSidedLadder(4, 4, [(2, 1), (4, 3)], [2, 2]), (4, 3)),
+    ]:
+        assert verify_localization(ladder, cell, max_spairs=1)["pass"]
+
+
+# A target that is not a Groebner basis: a - b, a - c, a - d share their
+# leading variable a, so b - c lies in the ideal but divides to b - c.
+_ORDER22 = conventional_order(OneSidedLadder(2, 2, [(2, 1)], [2]))
+_A, _B, _C, _D = (p_var(v, QQ) for v in (3, 2, 1, 0))
+_NOT_A_BASIS = [p_sub(_A, _B, QQ), p_sub(_A, _C, QQ), p_sub(_A, _D, QQ)]
+
+
+def _member(images, max_spairs=None):
+    return linkage._memberships(images, _NOT_A_BASIS, _ORDER22, QQ, 0, max_spairs, 3)
+
+
+def test_membership_falls_back_to_the_completion_on_a_remainder(monkeypatch):
+    inside = p_sub(_B, _C, QQ)
+    assert normal_form(inside, _NOT_A_BASIS, _ORDER22, QQ)  # a remainder is left
+    completions = []
+    complete = linkage.groebner_basis
+    monkeypatch.setattr(
+        linkage, "groebner_basis", lambda *a: completions.append(1) or complete(*a)
+    )
+    assert _member([inside, p_mul(inside, _D, QQ)])
+    assert completions == [1]  # once per check, not once per image
+    assert not _member([_B])  # outside: a remainder modulo the completion too
+    assert completions == [1, 1]
+
+
+def test_membership_budget_binds_only_in_the_fallback():
+    in_by_division = p_mul(p_sub(_A, _B, QQ), _C, QQ)
+    assert _member([in_by_division], max_spairs=0)
+    with pytest.raises(BudgetExceeded):
+        _member([in_by_division, p_sub(_B, _C, QQ)], max_spairs=1)
+    assert _member([p_sub(_B, _C, QQ)], max_spairs=2)
+
+
+def _report_or_error(verify, ladder, cell, field):
+    try:
+        return verify(ladder, cell, field)
+    except (LadderError, PreconditionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("field_name", ["q", "gf:2"])
+def test_verify_localization_matches_complete_first_on_the_corpus(field_name):
+    field = field_by_name(field_name)
+    reports = 0
+    for data in CORPUS + NEGATIVE_INSTANCES:
+        if data["family"] != "onesided":
+            continue
+        ladder = ladder_from_json(data)
+        for cell in ladder.cells():
+            got = _report_or_error(verify_localization, ladder, cell, field)
+            want = _report_or_error(localization_complete_first, ladder, cell, field)
+            assert got == want, (data, cell)
+            reports += isinstance(got, dict)
+    assert reports == 48
 
 
 def test_localized_generators_drop_one_size():
