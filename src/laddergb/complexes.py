@@ -1,8 +1,12 @@
 """Simplicial complexes attached to squarefree monomial ideals.
 
 A squarefree ideal determines the complex whose faces are the subsets
-of variables containing no generator's support.  Facets are computed as
-complements of minimal transversals of the support hypergraph.  A
+of variables containing no generator's support.  from_squarefree
+computes its facets as complements of minimal transversals of the
+support hypergraph (Berge's algorithm).  A chain of corner removals
+needs that only at its steps that are not basic double links: it builds
+every other complex by double_link from its children's, down to its
+terminals, whose complexes are simplices (see linkage.Chain._walk).  A
 ladder's complex names each variable by its matrix cell (i, j), so its
 vertices, the order the decomposability search tries them in, and the
 certificates it writes do not depend on how a term order numbers the
@@ -12,9 +16,10 @@ A complex stores its facets as int bit masks over one sorted vertex
 tuple: vertex verts[i] is bit 1 << i, so a subset test is a & b == a
 and a face's size is a.bit_count().  The tuple is fixed where a complex
 is built and shared by every complex derived from it, so masks of
-related complexes compare directly.  The facets always form an
-antichain.  The public constructor, which takes arbitrary facets,
-discards the non-maximal ones.  deletion(v) discards too, but only among
+related complexes compare directly; so is the ambient tuple, where the
+derived complex keeps it.  The facets always form an antichain.  The
+public constructor, which takes arbitrary facets, discards the
+non-maximal ones.  deletion(v) discards too, but only among
 the faces F - v with v in F, each tested against the facets that lack
 v: those facets stay maximal, and no F - v lies in another.  The other
 constructors keep an antichain by construction: from_squarefree takes
@@ -106,14 +111,13 @@ class SimplicialComplex:
 
     def _derive(self, masks, drop):
         """Complex over the same vertex tuple whose facet masks are
-        already an antichain; drop is removed from the ambient set."""
+        already an antichain; drop is removed from the ambient set, and
+        when it is empty the ambient tuple is shared."""
+        ambient = self.ambient
+        if drop:
+            ambient = tuple(v for v in ambient if v not in drop)
         out = object.__new__(SimplicialComplex)
-        out._set(
-            self.verts,
-            self._index,
-            frozenset(masks),
-            tuple(v for v in self.ambient if v not in drop),
-        )
+        out._set(self.verts, self._index, frozenset(masks), ambient)
         return out
 
     @classmethod
@@ -121,38 +125,28 @@ class SimplicialComplex:
         """The complex of a squarefree ideal.  vertex, when given, maps a
         variable of the ideal's ring to the vertex standing for it (a term
         order's cell), and the vertex tuple is sorted by vertex; by
-        default each variable is its own vertex.
-
-        Berge's algorithm runs on the supports of the generators of
-        degree at least 2 only.  The variable of a linear generator lies
-        in no face and, by minimality, in no other generator, so it is in
-        every minimal transversal: those are the linear variables joined
-        to the minimal transversals of the other supports, and a linear
-        ideal costs one mask."""
+        default each variable is its own vertex.  The unit ideal has no
+        transversal, so its complex is void.  A chain builds its
+        terminals' complexes, whose ideals are linear, without this (see
+        linkage.Chain._walk)."""
         if not ideal.is_squarefree():
             raise PreconditionError("ideal is not squarefree")
         named = sorted((v if vertex is None else vertex(v), v) for v in ideal.ambient)
         verts = tuple(u for u, _ in named)
         index = {u: i for i, u in enumerate(verts)}
         bit = {v: i for i, (_, v) in enumerate(named)}
-        masks = ()
-        if not ideal.is_unit():
-            linear = 0
-            places = []
-            for g in ideal.gens:
-                if len(g) == 2:
-                    linear |= 1 << bit[g[0]]
-                else:
-                    places.append(
-                        (len(g) // 2, sorted(bit[g[k]] for k in range(0, len(g), 2)))
-                    )
-            # Berge's algorithm takes the supports by size, then by their
-            # sorted vertex positions: on ladder complexes it then keeps
-            # far fewer partial transversals than in the ring's order
-            places.sort()
-            supports = [sum(1 << i for i in idx) for _, idx in places]
-            rest = ((1 << len(verts)) - 1) ^ linear
-            masks = (rest ^ t for t in _transversal_masks(supports))
+        # Berge's algorithm takes the supports by size, then by their
+        # sorted vertex positions: on ladder complexes it then keeps far
+        # fewer partial transversals than in the ring's order, and the
+        # variables of linear generators, which lie in no other, go first
+        # at the cost of one transversal each
+        places = sorted(
+            (len(g) // 2, sorted(bit[g[k]] for k in range(0, len(g), 2)))
+            for g in ideal.gens
+        )
+        supports = [sum(1 << i for i in idx) for _, idx in places]
+        every = (1 << len(verts)) - 1
+        masks = (every ^ t for t in _transversal_masks(supports))
         out = object.__new__(cls)
         out._set(verts, index, frozenset(masks), verts)
         return out

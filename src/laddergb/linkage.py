@@ -15,7 +15,7 @@ once per chain and shared by every step the node takes part in.  Reading
 a node's ideal in a larger ring changes no verdict: the Hilbert
 numerator does not depend on the number of variables, so neither the
 codimension nor the Hilbert identity does, and the extra variables are
-cone points of the node's complex (see Chain.node_complex).
+cone points of the node's complex (see Chain._walk).
 
 Verification is deliberately two-route.  The combinatorial route reads
 the leading monomial of every natural generator off its index set and
@@ -40,16 +40,19 @@ checked against the cell count of the shifted ladder, codimensions
 against the pole of the Hilbert series, and shedding conditions at every
 removed corner.
 
-The shedding conditions are read off complexes built in one walk of the
-chain, children first (Chain.shedding).  Where a step's initial ideals
-are a basic double link C = A + f*B with A inside B and f in no
+Every complex of a chain is built in one walk of it, children first
+(Chain._walk): the shedding conditions of every step are read off it
+(Chain.shedding), and the decomposability search and replay read the
+top instance's complex it keeps (Chain.node_complex).  A terminal's
+ideal is linear, and its complex one simplex.  Where a step's initial
+ideals are a basic double link C = A + f*B with A inside B and f in no
 generator of either (Chain.is_double_link), the complex of C is B's
 together with the facets of A's that B's lacks, cut by f
 (SimplicialComplex.double_link), and the deletion and link of f in it
 are the links of f in A's and B's complexes.  So Berge's algorithm runs
-only on terminal nodes, whose ideals are linear, and on the steps where
-that identity fails.  The same guard settles initial-split-identity and
-basic-double-link; verify_step builds A + f*B only where it fails.
+only on the steps where that identity fails.  The same guard settles
+initial-split-identity and basic-double-link; verify_step builds
+A + f*B only where it fails.
 
 The localization section implements the coordinate change used to pass
 from a one-sided ladder to a smaller one after inverting a cell: an
@@ -141,10 +144,13 @@ class Chain:
 
     Complexes follow the chain too.  _build records a children-first
     order beside sequence, which keeps its order as certificates list
-    it.  The first shedding query walks that order once: it derives each
-    step's complex from its children's where the step is a double link
-    (is_double_link), keeps the verdicts of the steps that fail, drops a
-    child's complex after the last step reading it, and keeps the top's."""
+    it.  The first shedding query, or the first node_complex, walks that
+    order once (_walk): it reads each terminal's complex off its linear
+    generators, derives each step's from its children's where the step
+    is a double link (is_double_link), keeps the verdicts of the steps
+    that fail, drops a child's complex after the last step reading it,
+    and keeps the top's.  The walk is the only way a chain builds a
+    complex."""
 
     def __init__(self, top, field=QQ):
         self.top = top
@@ -258,25 +264,19 @@ class Chain:
         return self._initial_cache[canon]
 
     def node_complex(self, canon):
-        """Simplicial complex of a node's initial ideal, in the chain's
-        ring, on the cells of its variables: the top instance's
-        variables outside the node's ladder are cone points of it.
-        Coning keeps purity and raises the dimension of a complex, and
-        of its deletion and link at any other vertex, by the same
-        amount, so every shedding verdict is the one of the node's own
-        ring.  Only the top instance's complex is kept: the walk of
-        shedding leaves it here, and the decomposability search or
-        replay reads it.  Any other complex, and the top's before a walk
-        (CLI chain asks for nothing else), is built by Berge's algorithm
-        (SimplicialComplex.from_squarefree)."""
-        if canon == self.top_canon and self._top_complex is not None:
-            return self._top_complex
-        cx = SimplicialComplex.from_squarefree(
-            self.initial_ideal(canon), self.order.cell
-        )
-        if canon == self.top_canon:
-            self._top_complex = cx
-        return cx
+        """Simplicial complex of the top instance's initial ideal, on the
+        cells of its variables, as the walk of the chain (_walk) built
+        it; the walk runs here if no shedding query ran it.  Only the top
+        instance's complex is kept, for the decomposability search or
+        replay, so canon must be top_canon.  An initial ideal that is not
+        squarefree has no complex, and raises PreconditionError."""
+        if canon != self.top_canon:
+            raise PreconditionError("only the top instance's complex is kept")
+        if self._verdicts is None:
+            self._verdicts = self._walk()
+        if self._top_complex is None:
+            raise PreconditionError("ideal is not squarefree")
+        return self._top_complex
 
     def is_double_link(self, canon):
         """Whether a step's initial ideals C = in(L), A = in(M) and
@@ -313,63 +313,82 @@ class Chain:
 
     def shedding(self, canon):
         """A step's shedding-at-corner verdict, (ok, failed condition
-        names) as check_shedding gives them for its corner in
-        node_complex(canon).  The first query computes every step's
-        verdict in one walk of the chain (_walk), and later ones read it.
-        A step whose initial ideal is not squarefree has no verdict
-        there: node_complex raises for it, as it did before any walk."""
+        names) as check_shedding gives them for its corner in the complex
+        of the step's initial ideal.  The first query computes every
+        step's verdict in one walk of the chain (_walk), and later ones
+        read it.  A terminal node has no step, and a step whose initial
+        ideal is not squarefree no complex: both raise PreconditionError."""
+        if self.nodes[canon].cell is None:
+            raise PreconditionError("terminal instance has no removal step")
         if self._verdicts is None:
             self._verdicts = self._walk()
         bad = self._verdicts.get(canon, ())
         if bad is None:
-            return check_shedding(self.node_complex(canon), self.nodes[canon].cell)
+            raise PreconditionError("ideal is not squarefree")
         return not bad, list(bad)
 
     def _walk(self):
         """Shedding verdicts by one walk over the nodes, children first:
         a failing step maps to its failed condition names as a tuple, a
         step left without a complex to None, and a passing step is left
-        out, so a chain that passes keeps nothing per step.
+        out, so a chain that passes keeps nothing per step.  The top
+        instance's complex is kept for node_complex.
 
-        A step that passes is_double_link takes its complex from its
-        children's (SimplicialComplex.double_link), and the deletion and
-        link of its corner from their links; any other node's complex is
-        built by Berge's algorithm.  A node whose ideal is not squarefree
-        gets no complex, so a step reading it falls back to Berge's
-        algorithm."""
+        Every complex lives in the chain's ring, on the cells of the top
+        instance's variables, named once for the whole walk: those
+        outside a node's ladder are cone points of its complex.  Coning
+        keeps purity and raises the dimension of a complex, and of its
+        deletion and link at any other vertex, by the same amount, so
+        every shedding verdict is the one of the node's own ring.
+
+        A terminal's complex is one simplex.  split() is None only when
+        no region of size at least 2 holds a generator, so a terminal's
+        generators are all variables (or there are none), and its
+        complex is the simplex on every vertex but their cells, with the
+        full ambient set, as Berge's algorithm would build it.  A step
+        that passes is_double_link takes its complex from its children's
+        (SimplicialComplex.double_link), and the deletion and link of its
+        corner from their links.  Only the other steps run Berge's
+        algorithm (SimplicialComplex.from_squarefree); one whose ideal is
+        not squarefree gets no complex, so a step reading it falls back
+        to Berge's algorithm too."""
         readers = {}
         for canon in self._children_first:
             node = self.nodes[canon]
             if node.cell is not None:
                 for child in (node.middle, node.reduced):
                     readers[child] = readers.get(child, 0) + 1
+        cells = [self.order.cell(x) for x in self.ambient]
+        simplex = SimplicialComplex([cells], cells)
+        (every,) = simplex.masks
         complexes = {}
         verdicts = {}
         for canon in self._children_first:
             node = self.nodes[canon]
             v = node.cell
-            cx = bad = None
-            if v is not None:
-                a_cx = complexes.get(node.middle)
-                b_cx = complexes.get(node.reduced)
-                if a_cx is not None and b_cx is not None and self.is_double_link(canon):
-                    cx = SimplicialComplex.double_link(a_cx, b_cx, v)
-                    _, bad = check_shedding(cx, v, a_cx.link(v), b_cx.link(v))
-                for child in (node.middle, node.reduced):
-                    readers[child] -= 1
-                    if not readers[child]:
-                        complexes.pop(child, None)
             ideal = self.initial_ideal(canon)
-            if cx is None and ideal.is_squarefree():
+            if v is None:
+                cut = sum(simplex._bit(self.order.cell(g[0])) for g in ideal.gens)
+                complexes[canon] = simplex._derive((every ^ cut,), ())
+                continue
+            cx = None
+            a_cx = complexes.get(node.middle)
+            b_cx = complexes.get(node.reduced)
+            if a_cx is not None and b_cx is not None and self.is_double_link(canon):
+                cx = SimplicialComplex.double_link(a_cx, b_cx, v)
+                _, bad = check_shedding(cx, v, a_cx.link(v), b_cx.link(v))
+            elif ideal.is_squarefree():
                 cx = SimplicialComplex.from_squarefree(ideal, self.order.cell)
-                if v is not None:
-                    _, bad = check_shedding(cx, v)
+                _, bad = check_shedding(cx, v)
+            for child in (node.middle, node.reduced):
+                readers[child] -= 1
+                if not readers[child]:
+                    complexes.pop(child, None)
             if cx is not None:
                 complexes[canon] = cx
-            if v is not None and (cx is None or bad):
+            if cx is None or bad:
                 verdicts[canon] = None if cx is None else tuple(bad)
-        if self._top_complex is None:
-            self._top_complex = complexes.get(self.top_canon)
+        self._top_complex = complexes.get(self.top_canon)
         return verdicts
 
     def _oracle_args(self, canon, max_spairs):
@@ -934,7 +953,12 @@ def localized_ideal_generators(ladder, cell, field=QQ, shape=None, order=None):
     return [expand(shape, key, field, order) for key in keys]
 
 
-def verify_localization(ladder, cell, field=QQ, max_spairs=None, max_power=3):
+# the largest power of the inverted cell a membership check multiplies an
+# image by (see verify_localization)
+_MAX_POWER = 3
+
+
+def verify_localization(ladder, cell, field=QQ, max_spairs=None):
     """Checks that the substitution pair is an exact inverse pair and
     that it carries each ideal into the other after clearing
     denominators (allowing a small extra power of the inverted cell):
@@ -943,7 +967,7 @@ def verify_localization(ladder, cell, field=QQ, max_spairs=None, max_power=3):
     ideal.
 
     Each image p is first divided by the target ideal's own generators
-    (see _memberships), times uv^e for e = 0..max_power, uv the
+    (see _memberships), times uv^e for e = 0.._MAX_POWER, uv the
     inverted cell's variable.  A zero remainder proves membership
     whether or not those generators are a Groebner basis: the division
     wrote uv^e * p as a combination sum(q_i * g_i) of them.  A nonzero
@@ -978,14 +1002,14 @@ def verify_localization(ladder, cell, field=QQ, max_spairs=None, max_power=3):
     hat_gens = localized_ideal_generators(ladder, cell, field, shape, order)
     fwd_ok = _memberships(
         (substitute(g, phi, uv, field)[0] for g in gens),
-        hat_gens, order, field, uv, max_spairs, max_power,
+        hat_gens, order, field, uv, max_spairs,
     )
     fwd_detail = "" if fwd_ok else "a generator image escapes the localized ideal"
     checks.append(_check("forward-membership", fwd_ok, fwd_detail))
 
     rev_ok = _memberships(
         (substitute(g, psi, uv, field)[0] for g in hat_gens),
-        gens, order, field, uv, max_spairs, max_power,
+        gens, order, field, uv, max_spairs,
     )
     rev_detail = "" if rev_ok else "a localized generator image escapes the ladder ideal"
     checks.append(_check("reverse-membership", rev_ok, rev_detail))
@@ -999,9 +1023,9 @@ def verify_localization(ladder, cell, field=QQ, max_spairs=None, max_power=3):
     }
 
 
-def _memberships(images, gens, order, field, uv, max_spairs, max_power):
+def _memberships(images, gens, order, field, uv, max_spairs):
     """Whether each polynomial of images, times uv^e for some
-    e <= max_power, lies in ideal(gens); stops at the first that does
+    e <= _MAX_POWER, lies in ideal(gens); stops at the first that does
     not.  An image is divided by the nonzero generators first and is in
     the ideal when a remainder is zero.  The completion of gens (under
     max_spairs) is computed only when an image leaves a remainder at
@@ -1010,24 +1034,24 @@ def _memberships(images, gens, order, field, uv, max_spairs, max_power):
     table = reducers(gens, order)
     basis = None
     for p in images:
-        if _member_with_saturation(p, gens, table, order, field, uv, max_power):
+        if _member_with_saturation(p, gens, table, order, field, uv):
             continue
         if basis is None:
             basis = groebner_basis(gens, order, field, max_spairs)
-        if not _member_with_saturation(p, *basis, order, field, uv, max_power):
+        if not _member_with_saturation(p, *basis, order, field, uv):
             return False
     return True
 
 
-def _member_with_saturation(p, G, table, order, field, uv, max_power):
+def _member_with_saturation(p, G, table, order, field, uv):
     """Whether uv^e * p leaves a zero remainder on division by G for some
-    e <= max_power; table is G's reducer table.  A zero remainder proves
+    e <= _MAX_POWER; table is G's reducer table.  A zero remainder proves
     membership in ideal(G); when G is a Groebner basis, so does nothing
     else."""
     if p_is_zero(p):
         return True
     work = dict(p)
-    for _ in range(max_power + 1):
+    for _ in range(_MAX_POWER + 1):
         if p_is_zero(normal_form(work, G, order, field, table)):
             return True
         work = p_term_mul(work, (uv, 1), field.one, field)

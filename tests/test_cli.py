@@ -144,6 +144,27 @@ def test_chain_and_replay_expand_no_generator(tmp_path, capsys, monkeypatch, dat
     assert calls
 
 
+def test_chain_builds_no_complex_by_berge(tmp_path, capsys, monkeypatch):
+    # every step of this chain is a double link, so the walk, which
+    # builds the top complex for the decomposability search, reads each
+    # terminal's complex off its generators and derives every other one
+    calls = []
+    complex_cls = laddergb.complexes.SimplicialComplex
+    real = complex_cls.from_squarefree.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(complex_cls, "from_squarefree", classmethod(counting))
+    path = write_instance(
+        tmp_path, {"family": "pfaffian", "n": 8, "corners": [[1, 8]], "t": [2]}
+    )
+    code, _, _ = run(capsys, ["chain", path, "--json"])
+    assert code == 0
+    assert calls == []
+
+
 # sha256 of the stdout of `chain --json` and of `replay --json` on its
 # certificate, recorded before complexes moved to bit masks: a change to
 # the complexes or the search must leave certificates byte-identical.

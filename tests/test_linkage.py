@@ -268,15 +268,13 @@ def test_double_link_guard_needs_every_condition(c, a, b, want):
 @pytest.mark.parametrize(
     "top, built",
     [
-        # 132 terminals; all 131 steps derive their complexes
-        (PfaffianLadder(8, [(1, 8)], [2]), 132),
+        # 132 terminals read off as simplices; all 131 steps derive theirs
+        (PfaffianLadder(8, [(1, 8)], [2]), 0),
         # 43 terminals; one of the 48 steps falls back to Berge's algorithm
-        (OneSidedLadder(5, 5, [(3, 1), (5, 3)], [2, 3]), 44),
+        (OneSidedLadder(5, 5, [(3, 1), (5, 3)], [2, 3]), 1),
     ],
 )
-def test_shedding_walk_builds_only_terminal_and_fallback_complexes(
-    monkeypatch, top, built
-):
+def test_shedding_walk_runs_berge_only_at_fallback_steps(monkeypatch, top, built):
     calls = []
     real = SimplicialComplex.from_squarefree.__func__
 
@@ -439,6 +437,11 @@ def test_step_on_terminal_node_raises():
     chain = Chain(MaxMinors(2, 3))
     with pytest.raises(PreconditionError):
         verify_step(chain, "maxminors:m=1,n=2")
+    with pytest.raises(PreconditionError, match="terminal instance has no removal step"):
+        chain.shedding("maxminors:m=1,n=2")
+    # the walk keeps no complex but the top's
+    with pytest.raises(PreconditionError):
+        chain.node_complex("maxminors:m=1,n=2")
 
 
 def test_verify_family_full_pass():
@@ -725,7 +728,7 @@ _NOT_A_BASIS = [p_sub(_A, _B, QQ), p_sub(_A, _C, QQ), p_sub(_A, _D, QQ)]
 
 
 def _member(images, max_spairs=None):
-    return linkage._memberships(images, _NOT_A_BASIS, _ORDER22, QQ, 0, max_spairs, 3)
+    return linkage._memberships(images, _NOT_A_BASIS, _ORDER22, QQ, 0, max_spairs)
 
 
 def test_membership_falls_back_to_the_completion_on_a_remainder(monkeypatch):
