@@ -32,6 +32,7 @@ from .families import natural_generators
 from .fields import field_by_name
 from .ladders import errors_of, ladder_from_json
 from .linkage import (
+    CHAIN_SCHEMAS,
     Chain,
     chain_certificate,
     groebner_checks,
@@ -300,9 +301,14 @@ def _cmd_chain(args):
     ladder = _checked_ladder(args.instance)
     field = field_by_name(args.field)
     chain = Chain(ladder, field)
-    _, cert = is_vertex_decomposable(
-        chain.node_complex(chain.top_canon), args.budget_faces
-    )
+    # the chain is its own decomposability certificate where it can be;
+    # only the top of any other chain is searched, under --budget-faces
+    if chain.certifies_vd()[0]:
+        cert = "chain"
+    else:
+        _, cert = is_vertex_decomposable(
+            chain.node_complex(chain.top_canon), args.budget_faces
+        )
     doc = chain_certificate(chain, cert)
     lines = ["chain with %d nodes (%d steps)" % (len(chain.sequence), len(chain.steps()))]
     for node in doc["nodes"]:
@@ -332,9 +338,9 @@ def _cmd_verify(args):
 
 def _cmd_replay(args):
     cert = _load_json(args.instance)
-    if not isinstance(cert, dict) or cert.get("schema") != "laddergb-chain/1":
+    if not isinstance(cert, dict) or cert.get("schema") not in CHAIN_SCHEMAS:
         raise LadderError(
-            "not a chain certificate (expected schema laddergb-chain/1)"
+            "not a chain certificate (expected schema %s)" % " or ".join(CHAIN_SCHEMAS)
         )
     field = field_by_name(args.field)
     report = replay_chain(cert, field)
@@ -374,7 +380,9 @@ _FLAGS = {
     },
     "--budget-faces": {
         "type": int,
-        "help": "abort decomposability search after visiting this many complexes",
+        "help": "abort the decomposability search after visiting this many "
+        "complexes; chain and verify search only where the chain is not "
+        "itself a certificate",
     },
 }
 _INT_FLAGS = ("--budget-spairs", "--budget-faces")

@@ -26,6 +26,7 @@ the conventional order their leading monomials already differ.
 
 from . import matrices
 from .fields import QQ
+from .monomials import _squarefree
 from .poly import leading_term, p_is_zero
 
 
@@ -49,12 +50,12 @@ class RegionTable:
     pfaffians of its regions, and the same few regions recur at almost
     every node.  The table keys a region by ladder.region_id(point, t)
     and keeps its [(index set, leading monomial)] entries, in
-    region_keys order with zero generators left out, and the frozenset
-    of their leading monomials.  A ladder's natural generators are then
-    merged from its regions' entries.  A table reads one term order,
-    shape and field, and serves the ladders of one set of dimensions
-    (region_id leaves them out): the nodes of one chain, or one ladder
-    alone.  Every leading monomial of a region of size t has degree t, as
+    region_keys order with zero generators left out, the frozenset of
+    their leading monomials, and whether that set is squarefree.  A
+    ladder's natural generators are then merged from its regions'
+    entries.  A table reads one term order, shape and field, and serves
+    the ladders of one set of dimensions (region_id leaves them out): the
+    nodes of one chain, or one ladder alone.  Every leading monomial of a region of size t has degree t, as
     a t-minor or a 2t-pfaffian is homogeneous of degree t, so a chain
     builds a node's minimal generators from these sets level by level
     (linkage.Chain.initial_ideal)."""
@@ -66,10 +67,10 @@ class RegionTable:
         self._regions = {}
 
     def region(self, ladder, point, t):
-        """(entries, leading monomials) of the region (point, t) of the
-        ladder; a leading monomial is read off its index set, and the
-        generator expanded only when that rule is not exact under the
-        table's order."""
+        """(entries, leading monomials, whether they are all squarefree)
+        of the region (point, t) of the ladder; a leading monomial is read
+        off its index set, and the generator expanded only when that rule
+        is not exact under the table's order."""
         ident = ladder.region_id(point, t)
         got = self._regions.get(ident)
         if got is None:
@@ -86,7 +87,8 @@ class RegionTable:
                         continue
                     lead = leading_term(g, order)[0]
                 entries.append((key, lead))
-            got = self._regions[ident] = (entries, frozenset(lead for _, lead in entries))
+            leads = frozenset(lead for _, lead in entries)
+            got = self._regions[ident] = (entries, leads, _squarefree(leads))
         return got
 
     def index_sets(self, ladder):

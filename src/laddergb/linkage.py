@@ -42,17 +42,24 @@ removed corner.
 
 Every complex of a chain is built in one walk of it, children first
 (Chain._walk): the shedding conditions of every step are read off it
-(Chain.shedding), and the decomposability search and replay read the
-top instance's complex it keeps (Chain.node_complex).  A terminal's
-ideal is linear, and its complex one simplex.  Where a step's initial
-ideals are a basic double link C = A + f*B with A inside B and f in no
-generator of either (Chain.is_double_link), the complex of C is B's
-together with the facets of A's that B's lacks, cut by f
-(SimplicialComplex.double_link), and the deletion and link of f in it
-are the links of f in A's and B's complexes.  So Berge's algorithm runs
-only on the steps where that identity fails.  The same guard settles
-initial-split-identity and basic-double-link; verify_step builds
-A + f*B only where it fails.
+(Chain.shedding), and so is the top instance's complex
+(Chain.node_complex).  A terminal's ideal is linear, and its complex one
+simplex.  Where a step's initial ideals are a basic double link
+C = A + f*B with A inside B and f in no generator of either
+(Chain.is_double_link), the complex of C is B's together with the
+facets of A's that B's lacks, cut by f (SimplicialComplex.double_link),
+and the deletion and link of f in it are the links of f in A's and B's
+complexes.  So Berge's algorithm runs only on the steps where that
+identity fails.  The same guard settles initial-split-identity and
+basic-double-link; verify_step builds A + f*B only where it fails.
+
+The walk is also the top complex's decomposability certificate: where
+every step is a double link that passes its shedding conditions, the
+corners are shedding vertices all the way down (Chain.certifies_vd).
+A chain certificate then records "chain" for its vd, replay re-walks
+the recomputed chain, and verify_family passes vertex-decomposable on
+it; the decomposability search (complexes.is_vertex_decomposable) and
+its tree run only on the top of a chain that is not a certificate.
 
 The localization section implements the coordinate change used to pass
 from a one-sided ladder to a smaller one after inverting a cell: an
@@ -144,13 +151,14 @@ class Chain:
 
     Complexes follow the chain too.  _build records a children-first
     order beside sequence, which keeps its order as certificates list
-    it.  The first shedding query, or the first node_complex, walks that
-    order once (_walk): it reads each terminal's complex off its linear
-    generators, derives each step's from its children's where the step
-    is a double link (is_double_link), keeps the verdicts of the steps
-    that fail, drops a child's complex after the last step reading it,
-    and keeps the top's.  The walk is the only way a chain builds a
-    complex."""
+    it.  The first shedding query, node_complex or certifies_vd walks
+    that order once (_walk): it reads each terminal's complex off its
+    linear generators, derives each step's from its children's where the
+    step is a double link (is_double_link), keeps the verdicts of the
+    steps that fail and the first step that keeps the chain from being a
+    decomposability certificate, drops a child's complex after the last
+    step reading it, and keeps the top's.  The walk is the only way a
+    chain builds a complex."""
 
     def __init__(self, top, field=QQ):
         self.top = top
@@ -170,7 +178,8 @@ class Chain:
         self._top_basis = None
         self._oracle_initial_cache = {}
         self._top_complex = None
-        self._verdicts = None
+        self._verdicts = None  # set by _walk, with _vd_breach
+        self._vd_breach = None
         self._double_links = {}
         self.hilbert_memo = {}  # numerators depend only on the generators
         self.spair_record = {}  # S-pairs settled over generator ids
@@ -248,18 +257,23 @@ class Chain:
         by level (monomials.minimal_levels), with no degree computed per
         monomial.  Its Hilbert numerator, and so its codimension, is the
         one it has in the node's own ring: the numerator does not depend
-        on the number of variables."""
+        on the number of variables.  The minimal generators are a subset
+        of the region sets, so the ideal is squarefree when every region
+        set is, as the table records once per region; only otherwise are
+        the generators scanned."""
         if canon not in self._initial_cache:
             ladder = self.nodes[canon].ladder
             levels = {}
+            squarefree = True
             for point, t in ladder.sizes():
-                leads = self.regions.region(ladder, point, t)[1]
+                _, leads, flat = self.regions.region(ladder, point, t)
+                squarefree = squarefree and flat
                 if t in levels:
                     levels[t] = levels[t] | leads
                 elif leads:
                     levels[t] = leads
             self._initial_cache[canon] = MonomialIdeal._minimal(
-                tuple(minimal_levels(levels)), self.ambient
+                tuple(minimal_levels(levels)), self.ambient, squarefree or None
             )
         return self._initial_cache[canon]
 
@@ -272,8 +286,7 @@ class Chain:
         squarefree has no complex, and raises PreconditionError."""
         if canon != self.top_canon:
             raise PreconditionError("only the top instance's complex is kept")
-        if self._verdicts is None:
-            self._verdicts = self._walk()
+        self._walk()
         if self._top_complex is None:
             raise PreconditionError("ideal is not squarefree")
         return self._top_complex
@@ -320,19 +333,63 @@ class Chain:
         ideal is not squarefree no complex: both raise PreconditionError."""
         if self.nodes[canon].cell is None:
             raise PreconditionError("terminal instance has no removal step")
-        if self._verdicts is None:
-            self._verdicts = self._walk()
+        self._walk()
         bad = self._verdicts.get(canon, ())
         if bad is None:
             raise PreconditionError("ideal is not squarefree")
         return not bad, list(bad)
 
+    def certifies_vd(self):
+        """Whether the chain certifies that the top instance's complex is
+        vertex decomposable, as (ok, reason): reason is "ok", or names the
+        first step, children first, that keeps it from doing so.  The walk
+        (_walk) runs here if it has not run yet.  The chain certifies when
+
+        * every step passes is_double_link,
+        * the walk recorded no failed shedding verdict and no step left
+          without a complex,
+        * every terminal's complex is one simplex that is not void, and
+        * the top instance's complex exists.
+
+        The walk builds every terminal's complex as one facet, so the
+        third condition always holds, and the second gives the fourth.
+
+        Proof, by induction over the children-first order; decomposable
+        is meant as complexes.is_vertex_decomposable decides it (_vd_core,
+        after cone points are stripped): a one-facet complex is, and so is
+        a pure complex with a vertex v passing check_shedding whose
+        deletion and link are.  A terminal's complex is one simplex, so it
+        is decomposable.  At a step C = A + f*B that is a double link, the
+        deletion of the corner v in Delta(C) is the link of v in Delta(A),
+        and its link is the link of v in Delta(B) (the proof of
+        SimplicialComplex.double_link).  f is in no generator of A or B,
+        so v is a cone point of Delta(A) and of Delta(B), and a link at a
+        cone point strips only that cone point: the two links are
+        decomposable exactly when Delta(A) and Delta(B) are, which holds
+        by induction.  check_shedding passing gives that Delta(C) is pure,
+        v no cone point of it, the deletion pure of the dimension of
+        Delta(C) and the link pure one lower.  Stripping Delta(C)'s cone
+        points, none of them v, lowers all of these dimensions together
+        and strips the same points from the deletion and the link, so v
+        is a shedding vertex of the stripped complex whose deletion and
+        link are decomposable: Delta(C) is decomposable.  At the top this
+        is the top instance's complex, so the search, which tries every
+        vertex, finds it decomposable too (Provan-Billera, Math. Oper.
+        Res. 5 (1980))."""
+        self._walk()
+        if self._vd_breach is None:
+            return True, "ok"
+        return False, self._vd_breach
+
     def _walk(self):
-        """Shedding verdicts by one walk over the nodes, children first:
-        a failing step maps to its failed condition names as a tuple, a
-        step left without a complex to None, and a passing step is left
-        out, so a chain that passes keeps nothing per step.  The top
-        instance's complex is kept for node_complex.
+        """Walk the nodes once, children first, unless done already.
+        Keeps the shedding verdicts (_verdicts): a failing step maps to
+        its failed condition names as a tuple, a step left without a
+        complex to None, and a passing step is left out, so a chain that
+        passes keeps nothing per step.  Keeps the top instance's complex
+        for node_complex, and the first step that is not a double link
+        passing its shedding conditions (_vd_breach, a reason naming it,
+        or None) for certifies_vd.
 
         Every complex lives in the chain's ring, on the cells of the top
         instance's variables, named once for the whole walk: those
@@ -352,6 +409,8 @@ class Chain:
         algorithm (SimplicialComplex.from_squarefree); one whose ideal is
         not squarefree gets no complex, so a step reading it falls back
         to Berge's algorithm too."""
+        if self._verdicts is not None:
+            return
         readers = {}
         for canon in self._children_first:
             node = self.nodes[canon]
@@ -363,6 +422,7 @@ class Chain:
         (every,) = simplex.masks
         complexes = {}
         verdicts = {}
+        breach = None
         for canon in self._children_first:
             node = self.nodes[canon]
             v = node.cell
@@ -374,7 +434,8 @@ class Chain:
             cx = None
             a_cx = complexes.get(node.middle)
             b_cx = complexes.get(node.reduced)
-            if a_cx is not None and b_cx is not None and self.is_double_link(canon):
+            linked = a_cx is not None and b_cx is not None and self.is_double_link(canon)
+            if linked:
                 cx = SimplicialComplex.double_link(a_cx, b_cx, v)
                 _, bad = check_shedding(cx, v, a_cx.link(v), b_cx.link(v))
             elif ideal.is_squarefree():
@@ -388,8 +449,17 @@ class Chain:
                 complexes[canon] = cx
             if cx is None or bad:
                 verdicts[canon] = None if cx is None else tuple(bad)
+            if breach is None and (cx is None or bad or not linked):
+                if cx is None:
+                    why = "ideal is not squarefree"
+                elif not linked:
+                    why = "not a basic double link"
+                else:
+                    why = "shedding conditions fail: " + ", ".join(bad)
+                breach = "step %s: %s" % (canon, why)
         self._top_complex = complexes.get(self.top_canon)
-        return verdicts
+        self._verdicts = verdicts
+        self._vd_breach = breach
 
     def _oracle_args(self, canon, max_spairs):
         """Arguments of the oracle's completion of a node: its generators,
@@ -680,6 +750,14 @@ def verify_family(top, field=QQ, max_spairs=None, max_faces=None):
     """Full verification run for one instance: reduced-basis status of
     the instance itself, squarefreeness and codimension at every node,
     all per-step checks, plus decomposability of the top complex.
+    Returns (report, chain, decomposability certificate).
+
+    Where the chain certifies decomposability (Chain.certifies_vd), no
+    search runs: vertex-decomposable passes, certificate-replay reads
+    the same predicate as a replay of a "chain" certificate, and the
+    certificate is "chain".  Elsewhere the top complex is searched under
+    max_faces (vd_checks), and the certificate is the search's tree, or
+    None when the complex is not vertex decomposable.
 
     The reduced-basis fixed point is asserted for the top instance only.
     Children of a removal step can present non-interreduced natural
@@ -702,7 +780,16 @@ def verify_family(top, field=QQ, max_spairs=None, max_faces=None):
         add(canon, verify_node_initial(chain, canon))
     for canon in chain.steps():
         add(canon, verify_step(chain, canon, max_spairs))
-    vd, cert = vd_checks(chain.node_complex(root), max_faces)
+    cx = chain.node_complex(root)
+    certified = chain.certifies_vd()
+    if certified[0]:
+        cert = "chain"
+        vd = [
+            _check("vertex-decomposable", True, "%d facets" % len(cx.masks)),
+            _check("certificate-replay", *certified),
+        ]
+    else:
+        vd, cert = vd_checks(cx, max_faces)
     add(root, vd)
     report = {
         "schema": "laddergb-report/1",
@@ -716,6 +803,12 @@ def verify_family(top, field=QQ, max_spairs=None, max_faces=None):
 
 # ---------------------------------------------------------------------------
 # chain certificates
+
+
+# the schema chain_certificate writes, and every one replay_chain reads: a
+# laddergb-chain/1 certificate's vd is always a tree, which /2 also allows
+CHAIN_SCHEMA = "laddergb-chain/2"
+CHAIN_SCHEMAS = ("laddergb-chain/1", CHAIN_SCHEMA)
 
 
 def vd_cert_from_json(data):
@@ -741,7 +834,9 @@ def vd_cert_from_json(data):
 
 def chain_certificate(chain, vd_cert=None):
     """Serializable record of a chain: per-node structure, initial
-    ideals, heights, and optionally a decomposability certificate."""
+    ideals, heights, and optionally a decomposability certificate:
+    "chain" where the chain is one (Chain.certifies_vd), or the tree of
+    complexes.is_vertex_decomposable."""
     texts = {}  # each distinct monomial is rendered once per certificate
 
     def text(m):
@@ -767,7 +862,7 @@ def chain_certificate(chain, vd_cert=None):
             }
         )
     out = {
-        "schema": "laddergb-chain/1",
+        "schema": CHAIN_SCHEMA,
         "field": chain.field.name,
         "order": chain.top.order_kind,
         "top": chain.top.to_json(),
@@ -792,9 +887,14 @@ def replay_chain(cert, field=QQ):
     and check every recorded fact, the field and term order included:
     each recorded node is compared against chain_certificate of the
     recomputed chain, and node-set fails unless every recomputed node is
-    recorded exactly once.  Returns a report dict; a document whose top,
-    node list or node ids are malformed, or whose top validate rejects,
-    raises LadderError."""
+    recorded exactly once.  A recorded vd of "chain" passes vd-replay
+    when the recomputed chain certifies decomposability
+    (Chain.certifies_vd), whose reason names the first step where it
+    does not; any other vd is replayed as the search's tree against the
+    top complex, and fails with "malformed node" unless it parses as
+    one.  Returns a report dict; a document whose top, node list or node
+    ids are malformed, or whose top validate rejects, raises
+    LadderError."""
     top = ensure_valid(ladder_from_json(cert.get("top", {})))
     nodes = cert.get("nodes", [])
     if not isinstance(nodes, list) or not all(
@@ -832,7 +932,9 @@ def replay_chain(cert, field=QQ):
         checks.append(
             _check("shedding-at-corner", ok, canon if ok else ", ".join(bad))
         )
-    if "vd" in cert:
+    if cert.get("vd") == "chain":
+        checks.append(_check("vd-replay", *chain.certifies_vd()))
+    elif "vd" in cert:
         try:
             vd = vd_cert_from_json(cert["vd"])
         except LadderError as e:

@@ -97,15 +97,17 @@ class MonomialIdeal:
         self._squarefree = _squarefree(self.gens)
 
     @classmethod
-    def _minimal(cls, gens, ambient):
+    def _minimal(cls, gens, ambient, squarefree=None):
         """The ideal of gens in the ring of ambient, taken as they are:
         gens a tuple of minimal generators in minimalize order, ambient a
         sorted tuple of distinct variables holding all of theirs.  Nothing
-        is checked or copied, so ideals built from one ambient share it."""
+        is checked or copied, so ideals built from one ambient share it.
+        squarefree is whether gens are, when the caller knows it; gens
+        are scanned only when it is None."""
         ideal = cls.__new__(cls)
         ideal.gens = gens
         ideal.ambient = ambient
-        ideal._squarefree = _squarefree(gens)
+        ideal._squarefree = _squarefree(gens) if squarefree is None else squarefree
         return ideal
 
     def is_zero(self):

@@ -9,13 +9,15 @@ import sys
 import pytest
 
 import laddergb
-from laddergb import cli, ladder_from_json, poly
+from laddergb import Chain, chain_certificate, cli, ladder_from_json, poly
+from laddergb.complexes import is_vertex_decomposable
 
 from conftest import write_instance
 from corpus import CORPUS, MAXMINORS, NEGATIVE_INSTANCES, ONESIDED, PFAFFIAN, SYMMETRIC
 
 MM23 = {"family": "maxminors", "m": 2, "n": 3}
 MM34 = {"family": "maxminors", "m": 3, "n": 4}
+ONESIDED_4x4_T3 = {"family": "onesided", "m": 4, "n": 4, "points": [[4, 1]], "t": [3]}
 OS33 = {"family": "onesided", "m": 3, "n": 3, "points": [[3, 1]], "t": [2]}
 BAD_CORNERS = {
     "family": "pfaffian",
@@ -166,27 +168,30 @@ def test_chain_builds_no_complex_by_berge(tmp_path, capsys, monkeypatch):
 
 
 # sha256 of the stdout of `chain --json` and of `replay --json` on its
-# certificate, recorded before complexes moved to bit masks: a change to
-# the complexes or the search must leave certificates byte-identical.
+# certificate: a change to the complexes or the search must leave both
+# byte-identical.  The replay digests were recorded before complexes moved
+# to bit masks; the chain digests when certificates became laddergb-chain/2
+# and these chains, each its own decomposability certificate, began to
+# record "chain" for their vd instead of the search's tree.
 PINNED_OUTPUTS = [
     (
         MAXMINORS[4],
-        "5a130f77a0658d65f0a238c91b43e2aa6b444b03010b276355161f84ca08750f",
+        "c9dbcbfc8dd2e3bb3e83259fb5b381f208f2f792c565cb566f421ed1dee9adea",
         "033f38f641ae8d3dc1577b28bfca3c2d67f03f5556f014aecb3a86de85e4f713",
     ),
     (
         PFAFFIAN[4],
-        "e01aa258d154c7d7a6d543b1fb51e6242cdec3cbcd6a6d67e62584be6e5c48b9",
+        "cd6938c49bbc7e8bf29fa5218c28c414476347de8abe8f73bd4a1a66f9ab62f2",
         "2a80b394c304a2b2cc8b0001979f5fd3c316397446f8aa71c6852df7b9c3c172",
     ),
     (
         SYMMETRIC[5],
-        "550f4a3b20053a4de66e6b824bd550fe67f405cd545f2298c9e404314f6dc62a",
+        "84da9d23a20484f7420ce0930c899164a4d054ed2c618063c88e09ee9ed64b7f",
         "78344453f13fe22a4ca3510b1e5a75725b1718f42c917667fa4dc9b77caa2588",
     ),
     (
         ONESIDED[3],
-        "b910aece28f38985101c4060b9d91bc985df6f551703289f018cc5b281f549af",
+        "0b855f39b240da989e3a5a82d881819bfaf37dd792a8485b44e331d62f72b6db",
         "9a3653b3425569ff67b19c2ea1ce5734959a0f57340bb37d7d8b9fbe17474935",
     ),
 ]
@@ -245,11 +250,7 @@ def test_cli_checks_match_verify_family(tmp_path, capsys, corpus_reports, data):
 
 
 def test_replay_tampered_certificate(tmp_path, capsys):
-    path = write_instance(tmp_path, OS33)
-    cert_path = tmp_path / "cert.json"
-    code, _, _ = run(capsys, ["chain", path, "--json", "--out", str(cert_path)])
-    assert code == 0
-    cert = json.loads(cert_path.read_text())
+    cert_path, cert = _tree_certificate(tmp_path, capsys, OS33)
     cert["vd"]["vertex"] = [1, 1]
     cert_path.write_text(json.dumps(cert))
     code, out, _ = run(capsys, ["replay", str(cert_path)])
@@ -394,6 +395,23 @@ def _certificate(tmp_path, capsys):
     return cert_path, json.loads(cert_path.read_text())
 
 
+def _tree_certificate(tmp_path, capsys, data, schema=None):
+    """A certificate file of data's chain carrying the decomposability
+    search's tree, as chain writes one for a chain that is not itself a
+    certificate, and one that replays; schema overrides the one
+    recorded."""
+    chain = Chain(ladder_from_json(data))
+    ok, tree = is_vertex_decomposable(chain.node_complex(chain.top_canon))
+    assert ok
+    cert = chain_certificate(chain, tree)
+    if schema is not None:
+        cert["schema"] = schema
+    cert_path = tmp_path / "tree-cert.json"
+    cert_path.write_text(cli._json_text(cert), encoding="utf-8")
+    assert run(capsys, ["replay", str(cert_path)])[0] == 0
+    return cert_path, json.loads(cert_path.read_text())
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -453,12 +471,54 @@ def test_replay_validates_the_top(tmp_path, capsys, top, message):
     ],
 )
 def test_replay_fails_a_malformed_vd_node(tmp_path, capsys, vd):
-    cert_path, cert = _certificate(tmp_path, capsys)
+    cert_path, cert = _tree_certificate(tmp_path, capsys, OS33)
     cert["vd"] = vd
     cert_path.write_text(json.dumps(cert))
     code, out, _ = run(capsys, ["replay", str(cert_path)])
     assert code == 1
     assert "FAIL vd-replay: malformed node" in out.splitlines()
+
+
+def test_chain_writes_chain_for_a_certifying_chain(tmp_path, capsys):
+    cert_path, cert = _certificate(tmp_path, capsys)
+    assert cert["schema"] == "laddergb-chain/2" and cert["vd"] == "chain"
+    code, out, _ = run(capsys, ["replay", str(cert_path)])
+    assert code == 0
+    assert "PASS vd-replay: ok" in out.splitlines()
+
+
+def test_chain_writes_the_tree_where_the_chain_is_not_a_certificate(tmp_path, capsys):
+    # a step of this chain fails shedding at its corner: chain searches
+    # the top, and replay replays the tree, while "chain" fails there
+    path = write_instance(tmp_path, ONESIDED_4x4_T3)
+    cert_path = tmp_path / "cert.json"
+    assert run(capsys, ["chain", path, "--out", str(cert_path)])[0] == 0
+    cert = json.loads(cert_path.read_text())
+    assert cert["vd"]["kind"] == "split"
+    code, out, _ = run(capsys, ["replay", str(cert_path)])
+    assert code == 1
+    assert "PASS vd-replay: ok" in out.splitlines()
+    cert["vd"] = "chain"
+    cert_path.write_text(json.dumps(cert))
+    code, out, _ = run(capsys, ["replay", str(cert_path)])
+    assert code == 1
+    step = "onesided:m=4,n=4;points=(2,2),(3,2),(4,3);t=2,3,3"
+    want = "FAIL vd-replay: step %s: shedding conditions fail: cone point" % step
+    assert want in out.splitlines()
+
+
+def test_replay_reads_a_version_1_certificate(tmp_path, capsys):
+    # laddergb-chain/1 always carried the search's tree
+    cert_path, cert = _tree_certificate(tmp_path, capsys, OS33, "laddergb-chain/1")
+    assert cert["schema"] == "laddergb-chain/1" and cert["vd"]["kind"] == "split"
+    code, out, _ = run(capsys, ["replay", str(cert_path)])
+    assert code == 0
+    assert "PASS vd-replay: ok" in out.splitlines()
+    cert["schema"] = "laddergb-chain/3"
+    cert_path.write_text(json.dumps(cert))
+    code, out, err = run(capsys, ["replay", str(cert_path)])
+    assert code == 2 and out == ""
+    assert "laddergb-chain/1 or laddergb-chain/2" in err
 
 
 def test_nonpositive_budget(tmp_path, capsys):
@@ -527,6 +587,25 @@ def test_spair_budget_outcome_of_verify(tmp_path, capsys):
     assert code == 3
     assert "laddergb:" in err
     assert run(capsys, ["verify", path, "--budget-spairs", "84"])[0] == 0
+
+
+PF6 = {"family": "pfaffian", "n": 6, "corners": [[1, 6]], "t": [2]}
+
+
+@pytest.mark.parametrize("command", ["chain", "verify"])
+def test_face_budget_bounds_only_the_fallback_search(tmp_path, capsys, command):
+    # the pfaffian n=6 chain is its own certificate, so no search runs
+    # and no budget is spent (both exited 3 when the search always ran);
+    # the one-sided 4x4 chain is not, and its top's search visits 25
+    # complexes
+    assert run(capsys, [command, write_instance(tmp_path, PF6), "--budget-faces", "1"])[0] == 0
+    path = write_instance(tmp_path, ONESIDED_4x4_T3, "fallback.json")
+    code, _, err = run(capsys, [command, path, "--budget-faces", "24"])
+    assert code == 3
+    assert "face-budget exhausted" in err
+    assert run(capsys, [command, path, "--budget-faces", "25"])[0] == (
+        0 if command == "chain" else 1
+    )
 
 
 def test_face_budget_exhausted(tmp_path, capsys):

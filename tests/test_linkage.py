@@ -48,8 +48,8 @@ from laddergb.poly import (
     p_var,
 )
 
-from laddergb import linkage, matrices, poly
-from laddergb.complexes import SimplicialComplex
+from laddergb import linkage, matrices, monomials, poly
+from laddergb.complexes import SimplicialComplex, is_vertex_decomposable
 
 from brute import hilbert_function_brute, localization_complete_first
 from corpus import CORPUS, NEGATIVE_INSTANCES, ONESIDED
@@ -226,9 +226,9 @@ def _count_chain_ideals(monkeypatch):
     built = []
     real = MonomialIdeal._minimal.__func__
 
-    def counting(cls, gens, ambient):
+    def counting(cls, gens, ambient, squarefree=None):
         built.append((gens, ambient))
-        return real(cls, gens, ambient)
+        return real(cls, gens, ambient, squarefree)
 
     monkeypatch.setattr(MonomialIdeal, "_minimal", classmethod(counting))
     return built
@@ -484,6 +484,15 @@ def build_cert(top):
     return chain_certificate(chain, cert)
 
 
+def build_tree_cert(top):
+    """A certificate carrying the decomposability search's tree, as one
+    is written for a chain that is not itself a certificate."""
+    chain = Chain(top)
+    ok, tree = is_vertex_decomposable(chain.node_complex(chain.top_canon))
+    assert ok
+    return chain_certificate(chain, tree)
+
+
 def test_certificate_round_trips_and_replays():
     cert = build_cert(PfaffianLadder(5, [(1, 4), (2, 5)], [2, 2]))
     blob = json.dumps(cert, sort_keys=True)
@@ -549,7 +558,7 @@ def test_replay_checks_a_repeated_node_id():
     ids=["bool", "float", "triple", "string", "null"],
 )
 def test_replay_fails_a_certificate_cell_that_is_not_an_int_pair(cell):
-    cert = build_cert(OneSidedLadder(3, 3, [(3, 1)], [2]))
+    cert = build_tree_cert(OneSidedLadder(3, 3, [(3, 1)], [2]))
     cert["vd"]["vertex"] = cell
     report = replay_chain(cert)
     failing = [c for c in report["checks"] if not c["pass"]]
@@ -557,12 +566,76 @@ def test_replay_fails_a_certificate_cell_that_is_not_an_int_pair(cell):
 
 
 def test_replay_detects_edited_shedding_vertex():
-    cert = build_cert(OneSidedLadder(3, 3, [(3, 1)], [2]))
-    assert "vd" in cert
+    cert = build_tree_cert(OneSidedLadder(3, 3, [(3, 1)], [2]))
+    assert replay_chain(cert)["pass"]
     cert["vd"]["vertex"] = [1, 1]
     report = replay_chain(cert)
     failing = {c["name"] for c in report["checks"] if not c["pass"]}
     assert failing == {"vd-replay"}
+
+
+def test_a_certifying_chain_records_chain_and_replays_it():
+    # every step of the one-sided 3x3 chain is a double link that sheds
+    # at its corner, so the chain is the certificate and no search runs
+    top = OneSidedLadder(3, 3, [(3, 1)], [2])
+    report, chain, cert = verify_family(top)
+    assert cert == "chain" and chain.certifies_vd() == (True, "ok")
+    top_checks = by_name([c for c in report["checks"] if c["instance"] == top.canon()])
+    assert [c["detail"] for c in top_checks["certificate-replay"]] == ["ok"]
+    cert = chain_certificate(chain, cert)
+    assert cert["schema"] == "laddergb-chain/2" and cert["vd"] == "chain"
+    vd = [c for c in replay_chain(cert)["checks"] if c["name"] == "vd-replay"]
+    assert vd == [{"name": "vd-replay", "pass": True, "detail": "ok"}]
+
+
+ONESIDED_4x4_T3 = OneSidedLadder(4, 4, [(4, 1)], [3])
+
+
+def test_replay_of_chain_fails_where_the_chain_is_not_a_certificate():
+    # a step of this chain fails shedding at its corner, so the chain
+    # certifies nothing; its top is still decomposable, by the search
+    report, chain, cert = verify_family(ONESIDED_4x4_T3)
+    step = "onesided:m=4,n=4;points=(2,2),(3,2),(4,3);t=2,3,3"
+    why = "step %s: shedding conditions fail: cone point" % step
+    assert chain.certifies_vd() == (False, why)
+    assert isinstance(cert, dict)
+    assert {c["name"] for c in report["checks"] if not c["pass"]} == {
+        "height-step",
+        "shedding-at-corner",
+    }
+    assert replay_chain(chain_certificate(chain, cert))["checks"][-1] == {
+        "name": "vd-replay",
+        "pass": True,
+        "detail": "ok",
+    }
+    forged = chain_certificate(chain, "chain")
+    vd = [c for c in replay_chain(forged)["checks"] if c["name"] == "vd-replay"]
+    assert vd == [{"name": "vd-replay", "pass": False, "detail": why}]
+
+
+def test_replay_fails_an_unknown_vd_string():
+    cert = build_cert(OneSidedLadder(3, 3, [(3, 1)], [2]))
+    cert["vd"] = "tree"
+    failing = [c for c in replay_chain(cert)["checks"] if not c["pass"]]
+    assert failing == [{"name": "vd-replay", "pass": False, "detail": "malformed node"}]
+
+
+def test_every_corpus_chain_certifies_what_the_search_finds():
+    # the chain's verdict is a proof (Chain.certifies_vd); the search
+    # must agree with it
+    for data in CORPUS + NEGATIVE_INSTANCES:
+        chain = Chain(ladder_from_json(data))
+        assert chain.certifies_vd() == (True, "ok"), data
+        assert is_vertex_decomposable(chain.node_complex(chain.top_canon))[0], data
+
+
+def test_region_squarefree_flag_matches_a_scan_on_corpus_nodes():
+    # a node's ideal takes its squarefree flag from its regions' sets
+    for data in CORPUS + NEGATIVE_INSTANCES:
+        chain = Chain(ladder_from_json(data))
+        for canon in chain.sequence:
+            ideal = chain.initial_ideal(canon)
+            assert ideal.is_squarefree() == monomials._squarefree(ideal.gens), canon
 
 
 @pytest.mark.parametrize(

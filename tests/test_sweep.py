@@ -18,11 +18,11 @@ import pytest
 from laddergb import OneSidedLadder, PfaffianLadder, QQ, SymmetricLadder
 from laddergb import field_by_name, verify_family
 from laddergb import families, matrices, mono
-from laddergb.complexes import SimplicialComplex, check_shedding
+from laddergb.complexes import SimplicialComplex, check_shedding, is_vertex_decomposable
 from laddergb.errors import PreconditionError
 from laddergb.ladders import _absorbed, errors_of
 from laddergb.linkage import Chain
-from laddergb.monomials import MonomialIdeal, check_double_link
+from laddergb.monomials import MonomialIdeal, _squarefree, check_double_link
 
 # recorded before the families shared one region enumerator and one
 # normalization path; a change to any chain has to update it on purpose
@@ -195,6 +195,35 @@ def test_shedding_walk_matches_berge_on_every_sweep_step(sweep_chains):
             want.verts,
             want.ambient,
         ), chain.top_canon
+
+
+# sweep instances whose chain is its own decomposability certificate
+# (Chain.certifies_vd); the search runs on the other 408 tops
+CERTIFYING_CHAINS = 4404
+
+
+def test_certifying_chains_are_decomposable_by_the_search():
+    # the chain's verdict is a proof; the search, which tries every
+    # vertex, must find every top it holds on decomposable too
+    certified = 0
+    for top in sweep_ladders():
+        chain = Chain(top)
+        ok, why = chain.certifies_vd()
+        assert ok == (why == "ok"), top.canon()
+        if ok:
+            certified += 1
+            cx = chain.node_complex(chain.top_canon)
+            assert is_vertex_decomposable(cx)[0], top.canon()
+    assert certified == CERTIFYING_CHAINS
+
+
+def test_chain_ideal_squarefree_flag_matches_a_scan_on_every_sweep_node(sweep_chains):
+    # a node's ideal takes its flag from its region sets where they are
+    # all squarefree, and scans its generators only otherwise
+    _, _, _, chains = sweep_chains
+    for canon, chain in chains.items():
+        ideal = chain.initial_ideal(canon)
+        assert ideal.is_squarefree() == _squarefree(ideal.gens), canon
 
 
 def test_region_keys_match_brute_force_on_every_sweep_node(sweep_chains):
