@@ -5,6 +5,13 @@ file, runs one pipeline, prints a human-readable summary to stdout (or
 the JSON document itself with --json) and optionally writes the JSON
 document to --out.  Diagnostics always go to stderr.
 
+The pipelines are the library's: this module handles arguments and
+printing only.  linkage.initial_ideal builds initial, height and vd's
+ideal under either order; linkage.vd_certificate decides chain's
+decomposability certificate, as verify_family does; replay_chain checks
+a certificate's schema; and linkage.report builds every report
+document.
+
 Subcommands:
 
 * validate        structural diagnostics for an instance file
@@ -26,20 +33,21 @@ import json
 import sys
 from json.encoder import encode_basestring as _encode_str
 
-from .complexes import SimplicialComplex, is_vertex_decomposable
+from .complexes import SimplicialComplex
 from .errors import BudgetExceeded, LadderError, PreconditionError
 from .families import natural_generators
 from .fields import field_by_name
 from .ladders import errors_of, ladder_from_json
 from .linkage import (
-    CHAIN_SCHEMAS,
     Chain,
     chain_certificate,
     groebner_checks,
     height_check,
     initial_ideal,
     replay_chain,
+    report,
     squarefree_check,
+    vd_certificate,
     vd_checks,
     verify_family,
 )
@@ -96,15 +104,6 @@ def _instance(args):
 def _initial(args):
     ladder, order, field = _instance(args)
     return ladder, order, initial_ideal(ladder, order, field)
-
-
-def _report(ladder, checks):
-    return {
-        "schema": "laddergb-report/1",
-        "instance": ladder.to_json(),
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
 
 
 # exact types json writes without its encoder; other scalars (floats,
@@ -189,6 +188,14 @@ def _exit_from(doc):
     return 0 if doc["pass"] else 1
 
 
+def _emit_verdict(doc, args):
+    """Emit a report with its check lines and a closing verdict line."""
+    lines = _check_lines(doc["checks"])
+    lines.append("VERDICT: %s" % ("pass" if doc["pass"] else "FAIL"))
+    _emit(doc, args, lines)
+    return _exit_from(doc)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -198,10 +205,10 @@ def _cmd_validate(args):
     diags = ladder.validate()
     for d in diags:
         _warn(d.text())
-    doc = {
-        "schema": "laddergb-report/1",
-        "instance": ladder.to_json(),
-        "diagnostics": [
+    doc = report(
+        ladder.to_json(),
+        None,
+        diagnostics=[
             {
                 "level": d.level,
                 "message": d.message,
@@ -209,8 +216,8 @@ def _cmd_validate(args):
             }
             for d in diags
         ],
-        "pass": not errors_of(diags),
-    }
+    )
+    doc["pass"] = not errors_of(diags)
     lines = [
         "instance %s: %d cells, %d variables, %d regions"
         % (
@@ -229,13 +236,13 @@ def _cmd_validate(args):
 def _cmd_generators(args):
     ladder, order, field = _instance(args)
     gens = natural_generators(ladder, field, order)
-    doc = {
-        "schema": "laddergb-report/1",
-        "instance": ladder.to_json(),
-        "order": order.kind,
-        "field": field.name,
-        "count": len(gens),
-        "generators": [
+    doc = report(
+        ladder.to_json(),
+        None,
+        order=order.kind,
+        field=field.name,
+        count=len(gens),
+        generators=[
             {
                 "degree": p_degree(g),
                 "leading": mono_text(leading_term(g, order)[0], order),
@@ -244,7 +251,7 @@ def _cmd_generators(args):
             }
             for g in gens
         ],
-    }
+    )
     lines = ["%d generators (%s order, field %s)" % (len(gens), order.kind, field.name)]
     for k, g in enumerate(gens):
         lines.append("g%d = %s" % (k + 1, poly_text(g, order, field)))
@@ -256,7 +263,7 @@ def _cmd_groebner_check(args):
     ladder, order, field = _instance(args)
     gens = natural_generators(ladder, field, order)
     checks = groebner_checks(gens, order, field, args.budget_spairs)
-    doc = _report(ladder, checks)
+    doc = report(ladder.to_json(), checks)
     _emit(doc, args, _check_lines(checks))
     return _exit_from(doc)
 
@@ -266,10 +273,10 @@ def _cmd_initial(args):
     check = squarefree_check(ideal)
     check["detail"] = "%d minimal generators" % len(ideal.gens)
     checks = [check]
-    doc = _report(ladder, checks)
-    doc["initial"] = sorted(mono_text(g, order) for g in ideal.gens)
+    initial = sorted(mono_text(g, order) for g in ideal.gens)
+    doc = report(ladder.to_json(), checks, initial=initial)
     lines = ["initial ideal (%s order): %d minimal generators" % (order.kind, len(ideal.gens))]
-    lines.extend("  " + t for t in doc["initial"])
+    lines.extend("  " + t for t in initial)
     lines.extend(_check_lines(checks))
     _emit(doc, args, lines)
     return _exit_from(doc)
@@ -279,9 +286,9 @@ def _cmd_height(args):
     ladder, _, ideal = _initial(args)
     check, codim = height_check(ladder, ideal, {})
     checks = [check]
-    doc = _report(ladder, checks)
-    doc["height"] = ladder.height_formula()
-    doc["codimension"] = codim
+    doc = report(
+        ladder.to_json(), checks, height=ladder.height_formula(), codimension=codim
+    )
     _emit(doc, args, _check_lines(checks))
     return _exit_from(doc)
 
@@ -290,7 +297,7 @@ def _cmd_vd(args):
     ladder, order, ideal = _initial(args)
     cx = SimplicialComplex.from_squarefree(ideal, order.cell)
     checks, cert = vd_checks(cx, args.budget_faces)
-    doc = _report(ladder, checks)
+    doc = report(ladder.to_json(), checks)
     if cert is not None:
         doc["certificate"] = cert
     _emit(doc, args, _check_lines(checks))
@@ -301,15 +308,7 @@ def _cmd_chain(args):
     ladder = _checked_ladder(args.instance)
     field = field_by_name(args.field)
     chain = Chain(ladder, field)
-    # the chain is its own decomposability certificate where it can be;
-    # only the top of any other chain is searched, under --budget-faces
-    if chain.certifies_vd()[0]:
-        cert = "chain"
-    else:
-        _, cert = is_vertex_decomposable(
-            chain.node_complex(chain.top_canon), args.budget_faces
-        )
-    doc = chain_certificate(chain, cert)
+    doc = chain_certificate(chain, vd_certificate(chain, args.budget_faces))
     lines = ["chain with %d nodes (%d steps)" % (len(chain.sequence), len(chain.steps()))]
     for node in doc["nodes"]:
         tag = "terminal" if node["terminal"] else "corner (%d, %d)" % tuple(node["cell"])
@@ -324,30 +323,18 @@ def _cmd_chain(args):
 def _cmd_verify(args):
     ladder = _checked_ladder(args.instance)
     field = field_by_name(args.field)
-    report, _, _ = verify_family(
+    doc, _, _ = verify_family(
         ladder,
         field,
         max_spairs=args.budget_spairs,
         max_faces=args.budget_faces,
     )
-    lines = _check_lines(report["checks"])
-    lines.append("VERDICT: %s" % ("pass" if report["pass"] else "FAIL"))
-    _emit(report, args, lines)
-    return _exit_from(report)
+    return _emit_verdict(doc, args)
 
 
 def _cmd_replay(args):
     cert = _load_json(args.instance)
-    if not isinstance(cert, dict) or cert.get("schema") not in CHAIN_SCHEMAS:
-        raise LadderError(
-            "not a chain certificate (expected schema %s)" % " or ".join(CHAIN_SCHEMAS)
-        )
-    field = field_by_name(args.field)
-    report = replay_chain(cert, field)
-    lines = _check_lines(report["checks"])
-    lines.append("VERDICT: %s" % ("pass" if report["pass"] else "FAIL"))
-    _emit(report, args, lines)
-    return _exit_from(report)
+    return _emit_verdict(replay_chain(cert, field_by_name(args.field)), args)
 
 
 _COMMANDS = {

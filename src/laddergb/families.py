@@ -26,7 +26,7 @@ the conventional order their leading monomials already differ.
 
 from . import matrices
 from .fields import QQ
-from .monomials import _squarefree
+from .monomials import MonomialIdeal, _squarefree, minimal_levels
 from .poly import leading_term, p_is_zero
 
 
@@ -55,10 +55,10 @@ class RegionTable:
     ladder's natural generators are then merged from its regions'
     entries.  A table reads one term order, shape and field, and serves
     the ladders of one set of dimensions (region_id leaves them out): the
-    nodes of one chain, or one ladder alone.  Every leading monomial of a region of size t has degree t, as
-    a t-minor or a 2t-pfaffian is homogeneous of degree t, so a chain
-    builds a node's minimal generators from these sets level by level
-    (linkage.Chain.initial_ideal)."""
+    nodes of one chain, or one ladder alone.  Every leading monomial of a
+    region of size t has degree t, as a t-minor or a 2t-pfaffian is
+    homogeneous of degree t, so a ladder's minimal generators are built
+    from these sets level by level (initial_ideal)."""
 
     def __init__(self, order, shape, field=QQ):
         self.order = order
@@ -106,6 +106,29 @@ class RegionTable:
         generators: the union of its regions' sets."""
         sets = [self.region(ladder, point, t)[1] for point, t in ladder.sizes()]
         return sets[0] if len(sets) == 1 else frozenset().union(*sets)
+
+    def initial_ideal(self, ladder, ambient):
+        """The ideal of leading_monomials(ladder) in the ring of ambient, a
+        sorted tuple of distinct variables holding the ladder's.  A region
+        of size t holds leading monomials of degree t only, so the
+        ladder's region sets are grouped by t and walked to the minimal
+        generators level by level (monomials.minimal_levels), with no
+        degree computed per monomial.  The minimal generators are a subset
+        of the region sets, so the ideal is squarefree when every region
+        set is, as region() records once per region; only otherwise are
+        the generators scanned."""
+        levels = {}
+        squarefree = True
+        for point, t in ladder.sizes():
+            _, leads, flat = self.region(ladder, point, t)
+            squarefree = squarefree and flat
+            if t in levels:
+                levels[t] = levels[t] | leads
+            elif leads:
+                levels[t] = leads
+        return MonomialIdeal._minimal(
+            tuple(minimal_levels(levels)), ambient, squarefree or None
+        )
 
 
 def index_sets(ladder, order=None, shape=None, field=QQ):

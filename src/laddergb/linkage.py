@@ -1,6 +1,6 @@
 """Corner-removal recursion and its verification.
 
-build_chain unfolds an instance into a DAG of nodes: every non-terminal
+Chain unfolds an instance into a DAG of nodes: every non-terminal
 node L splits into a reduced instance (one size lowered, written B
 below) and a middle instance (the corner cell removed, written A), with
 the corner variable f as multiplier.  The driving identity is that the
@@ -56,10 +56,16 @@ basic-double-link; verify_step builds A + f*B only where it fails.
 The walk is also the top complex's decomposability certificate: where
 every step is a double link that passes its shedding conditions, the
 corners are shedding vertices all the way down (Chain.certifies_vd).
-A chain certificate then records "chain" for its vd, replay re-walks
-the recomputed chain, and verify_family passes vertex-decomposable on
-it; the decomposability search (complexes.is_vertex_decomposable) and
-its tree run only on the top of a chain that is not a certificate.
+Which certificate a chain gets is decided in one place (vd_certificate):
+"chain" there, and elsewhere the tree of the decomposability search
+(complexes.is_vertex_decomposable) on the top complex.  A certificate is
+checked in one place too (vd_replay): "chain" by the predicate on the
+chain at hand, a tree by replaying it against the top complex.  CLI
+chain and verify_family both take their certificate from the first, and
+replay_chain and verify_family both check it by the second.
+
+Every report document, of verify_family, replay_chain,
+verify_localization and each CLI subcommand, is built by report.
 
 The localization section implements the coordinate change used to pass
 from a one-sided ladder to a smaller one after inverting a cell: an
@@ -81,16 +87,10 @@ from .complexes import (
     replay_certificate,
 )
 from .errors import LadderError, PreconditionError
-from .families import (
-    RegionTable,
-    conventional_order,
-    expand,
-    leading_monomials,
-    natural_generators,
-)
+from .families import RegionTable, conventional_order, expand, natural_generators
 from .fields import QQ
 from .ladders import OneSidedLadder, _pair, ensure_valid, ladder_from_json
-from .monomials import MonomialIdeal, check_double_link, minimal_levels, minimalize
+from .monomials import MonomialIdeal, check_double_link, minimalize
 from .monomials import codim_by_series, hilbert_numerator, series_add, series_mul
 from .poly import (
     buchberger_reduced,
@@ -144,10 +144,11 @@ class Chain:
     [(index set, leading monomial)] entries and their set of leading
     monomials, computed once per chain.  leading_monomials(canon) is the
     union of the node's region sets; initial_ideal(canon) walks the same
-    sets by degree to the minimal generators, in one sorted ambient
-    tuple shared by every ideal of the chain; the sorted list
-    index_sets(canon) is merged from the same entries when the oracle
-    route first asks.
+    sets by degree to the minimal generators (RegionTable.initial_ideal),
+    in one sorted ambient tuple shared by every ideal of the chain.  The
+    oracle route merges a node's sorted index sets from the same entries
+    once, where it completes the node (_oracle_args), and keeps neither
+    them nor the expanded generators.
 
     Complexes follow the chain too.  _build records a children-first
     order beside sequence, which keeps its order as certificates list
@@ -170,9 +171,7 @@ class Chain:
         self.sequence = []
         self._children_first = []
         self.regions = RegionTable(self.order, self.shape, field)
-        self._sets_cache = {}
         self._ids = {}
-        self._gens_cache = {}
         self._lead_cache = {}
         self._initial_cache = {}
         self._top_basis = None
@@ -210,11 +209,8 @@ class Chain:
     def index_sets(self, canon):
         """The node's generator index sets with their leading monomials,
         as families.index_sets lists them, merged from the chain's region
-        table on first use (cached).  Only the oracle route reads them,
-        through generators, names and ids."""
-        if canon not in self._sets_cache:
-            self._sets_cache[canon] = self.regions.index_sets(self.nodes[canon].ladder)
-        return self._sets_cache[canon]
+        table (not kept: the oracle route merges them once per node)."""
+        return self.regions.index_sets(self.nodes[canon].ladder)
 
     def names(self, canon):
         """The index sets naming the node's generators, in the order of
@@ -226,17 +222,19 @@ class Chain:
         """names(canon) as chain-local ints, given out in order of first
         use: two ids are equal iff their index sets are.  The oracle names
         generators by these, so its record hashes small ints."""
-        ids = self._ids
-        return [ids.setdefault(key, len(ids)) for key in self.names(canon)]
+        return self._interned(self.names(canon))
 
     def generators(self, canon):
-        """The node's natural generators, expanded (cached)."""
-        if canon not in self._gens_cache:
-            self._gens_cache[canon] = [
-                expand(self.shape, key, self.field, self.order)
-                for key, _ in self.index_sets(canon)
-            ]
-        return self._gens_cache[canon]
+        """The node's natural generators, expanded (the shape's memo
+        expands each index set once per chain)."""
+        return self._expanded(self.names(canon))
+
+    def _interned(self, names):
+        ids = self._ids
+        return [ids.setdefault(key, len(ids)) for key in names]
+
+    def _expanded(self, names):
+        return [expand(self.shape, key, self.field, self.order) for key in names]
 
     def leading_monomials(self, canon):
         """Frozenset of the leading monomials of the node's natural
@@ -251,29 +249,14 @@ class Chain:
 
     def initial_ideal(self, canon):
         """The ideal of leading_monomials(canon) in the chain's ring,
-        ambient (cached: it is built once per chain).  A region of size t
-        holds leading monomials of degree t only, so the node's region
-        sets are grouped by t and walked to the minimal generators level
-        by level (monomials.minimal_levels), with no degree computed per
-        monomial.  Its Hilbert numerator, and so its codimension, is the
-        one it has in the node's own ring: the numerator does not depend
-        on the number of variables.  The minimal generators are a subset
-        of the region sets, so the ideal is squarefree when every region
-        set is, as the table records once per region; only otherwise are
-        the generators scanned."""
+        ambient, walked from the node's region sets by the chain's table
+        (RegionTable.initial_ideal; cached: it is built once per chain).
+        Its Hilbert numerator, and so its codimension, is the one it has
+        in the node's own ring: the numerator does not depend on the
+        number of variables."""
         if canon not in self._initial_cache:
-            ladder = self.nodes[canon].ladder
-            levels = {}
-            squarefree = True
-            for point, t in ladder.sizes():
-                _, leads, flat = self.regions.region(ladder, point, t)
-                squarefree = squarefree and flat
-                if t in levels:
-                    levels[t] = levels[t] | leads
-                elif leads:
-                    levels[t] = leads
-            self._initial_cache[canon] = MonomialIdeal._minimal(
-                tuple(minimal_levels(levels)), self.ambient, squarefree or None
+            self._initial_cache[canon] = self.regions.initial_ideal(
+                self.nodes[canon].ladder, self.ambient
             )
         return self._initial_cache[canon]
 
@@ -463,9 +446,18 @@ class Chain:
 
     def _oracle_args(self, canon, max_spairs):
         """Arguments of the oracle's completion of a node: its generators,
-        named by ids(canon), over the chain's shared spair_record."""
-        gens = self.generators(canon)
-        return gens, self.order, self.field, max_spairs, self.ids(canon), self.spair_record
+        named by ids(canon), over the chain's shared spair_record.  The
+        node's index sets are merged once, and both the generators and
+        their ids are read off that one list."""
+        names = self.names(canon)
+        return (
+            self._expanded(names),
+            self.order,
+            self.field,
+            max_spairs,
+            self._interned(names),
+            self.spair_record,
+        )
 
     def oracle_basis(self, canon, max_spairs=None):
         """Reduced basis of the node's ideal: a Buchberger completion of
@@ -539,14 +531,26 @@ def _check(name, ok, detail=""):
     return {"name": name, "pass": bool(ok), "detail": detail}
 
 
+def report(instance, checks, **extra):
+    """A report document (schema laddergb-report/1) on the JSON instance:
+    the extra fields, then the checks, unless None, and their verdict
+    pass."""
+    doc = {"schema": "laddergb-report/1", "instance": instance, **extra}
+    if checks is not None:
+        doc["checks"] = checks
+        doc["pass"] = all(c["pass"] for c in checks)
+    return doc
+
+
 def initial_ideal(ladder, order, field=QQ):
     """Monomial ideal of the leading monomials of the ladder's natural
-    generators under order, in the ladder's own ambient ring.  The
-    monomials are read off the index sets; field is used only where a
-    generator has to be expanded (see families.leading_monomials)."""
-    return MonomialIdeal(
-        set(leading_monomials(ladder, order, field=field)), _ambient(ladder, order)
-    )
+    generators under order, in the ladder's own ambient ring, built as a
+    chain builds a node's (RegionTable.initial_ideal) from a table of the
+    ladder's own.  The monomials are read off the index sets; field is
+    used only where a generator has to be expanded (see
+    families.leading_monomials)."""
+    table = RegionTable(order, ladder.shape(), field)
+    return table.initial_ideal(ladder, tuple(sorted(_ambient(ladder, order))))
 
 
 def groebner_checks(
@@ -600,16 +604,51 @@ def height_check(ladder, ideal, memo):
 
 
 def vd_checks(cx, max_faces=None):
-    """Vertex decomposability of a complex, and a replay of the shedding
-    certificate found.  Returns (checks, certificate); the certificate
-    is None when the complex is not vertex decomposable."""
+    """Vertex decomposability of a complex by the search under max_faces,
+    and a replay of the shedding certificate found.  Returns (checks,
+    certificate); the certificate is None when the complex is not vertex
+    decomposable."""
     _, cert = is_vertex_decomposable(cx, max_faces=max_faces)
+    return _vd_checks(cx, cert, lambda c: replay_certificate(cx, c)), cert
+
+
+def _vd_checks(cx, cert, replay):
+    """vertex-decomposable on the complex cx, passing when there is a
+    certificate cert, and certificate-replay with replay(cert)'s (ok,
+    reason) when there is."""
     detail = "%d facets" % len(cx.masks)
     checks = [_check("vertex-decomposable", cert is not None, detail)]
     if cert is not None:
-        ok, why = replay_certificate(cx, cert)
-        checks.append(_check("certificate-replay", ok, why))
-    return checks, cert
+        checks.append(_check("certificate-replay", *replay(cert)))
+    return checks
+
+
+def vd_certificate(chain, max_faces=None):
+    """The decomposability certificate of the chain's top complex: "chain"
+    where the chain is one (Chain.certifies_vd), and elsewhere the tree of
+    the search on the top complex under max_faces, or None when it is not
+    vertex decomposable.  The top's initial ideal must be squarefree
+    (Chain.node_complex)."""
+    if chain.certifies_vd()[0]:
+        return "chain"
+    return is_vertex_decomposable(chain.node_complex(chain.top_canon), max_faces)[1]
+
+
+def vd_replay(chain, vd):
+    """Check a decomposability certificate of the chain's top complex,
+    as vd_certificate gives it or a chain certificate records it, as
+    (ok, reason).  "chain" is checked by the chain's own predicate
+    (Chain.certifies_vd), whose reason names the first step where it
+    fails; any other value is read as the search's tree
+    (vd_cert_from_json) and replayed against the top complex, and fails
+    with "malformed node" unless it parses as one."""
+    if vd == "chain":
+        return chain.certifies_vd()
+    try:
+        tree = vd_cert_from_json(vd)
+    except LadderError as e:
+        return False, str(e)
+    return replay_certificate(chain.node_complex(chain.top_canon), tree)
 
 
 def verify_node_groebner(chain, canon, max_spairs=None):
@@ -752,12 +791,12 @@ def verify_family(top, field=QQ, max_spairs=None, max_faces=None):
     all per-step checks, plus decomposability of the top complex.
     Returns (report, chain, decomposability certificate).
 
-    Where the chain certifies decomposability (Chain.certifies_vd), no
-    search runs: vertex-decomposable passes, certificate-replay reads
-    the same predicate as a replay of a "chain" certificate, and the
-    certificate is "chain".  Elsewhere the top complex is searched under
-    max_faces (vd_checks), and the certificate is the search's tree, or
-    None when the complex is not vertex decomposable.
+    The certificate is the one CLI chain writes (vd_certificate): "chain"
+    where the chain certifies decomposability, with no search run, and
+    elsewhere the search's tree under max_faces, or None when the top
+    complex is not vertex decomposable.  vertex-decomposable passes when
+    there is one, and certificate-replay checks it as replay_chain checks
+    a recorded one (vd_replay).
 
     The reduced-basis fixed point is asserted for the top instance only.
     Children of a removal step can present non-interreduced natural
@@ -781,24 +820,9 @@ def verify_family(top, field=QQ, max_spairs=None, max_faces=None):
     for canon in chain.steps():
         add(canon, verify_step(chain, canon, max_spairs))
     cx = chain.node_complex(root)
-    certified = chain.certifies_vd()
-    if certified[0]:
-        cert = "chain"
-        vd = [
-            _check("vertex-decomposable", True, "%d facets" % len(cx.masks)),
-            _check("certificate-replay", *certified),
-        ]
-    else:
-        vd, cert = vd_checks(cx, max_faces)
-    add(root, vd)
-    report = {
-        "schema": "laddergb-report/1",
-        "instance": top.to_json(),
-        "field": field.name,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
-    return report, chain, cert
+    cert = vd_certificate(chain, max_faces)
+    add(root, _vd_checks(cx, cert, lambda vd: vd_replay(chain, vd)))
+    return report(top.to_json(), checks, field=field.name), chain, cert
 
 
 # ---------------------------------------------------------------------------
@@ -892,9 +916,14 @@ def replay_chain(cert, field=QQ):
     (Chain.certifies_vd), whose reason names the first step where it
     does not; any other vd is replayed as the search's tree against the
     top complex, and fails with "malformed node" unless it parses as
-    one.  Returns a report dict; a document whose top, node list or node
-    ids are malformed, or whose top validate rejects, raises
-    LadderError."""
+    one (vd_replay).  Returns a report dict; a document that is not a
+    chain certificate of a schema in CHAIN_SCHEMAS, or whose top, node
+    list or node ids are malformed, or whose top validate rejects,
+    raises LadderError."""
+    if not isinstance(cert, dict) or cert.get("schema") not in CHAIN_SCHEMAS:
+        raise LadderError(
+            "not a chain certificate (expected schema %s)" % " or ".join(CHAIN_SCHEMAS)
+        )
     top = ensure_valid(ladder_from_json(cert.get("top", {})))
     nodes = cert.get("nodes", [])
     if not isinstance(nodes, list) or not all(
@@ -932,23 +961,9 @@ def replay_chain(cert, field=QQ):
         checks.append(
             _check("shedding-at-corner", ok, canon if ok else ", ".join(bad))
         )
-    if cert.get("vd") == "chain":
-        checks.append(_check("vd-replay", *chain.certifies_vd()))
-    elif "vd" in cert:
-        try:
-            vd = vd_cert_from_json(cert["vd"])
-        except LadderError as e:
-            ok, why = False, str(e)
-        else:
-            ok, why = replay_certificate(chain.node_complex(chain.top_canon), vd)
-        checks.append(_check("vd-replay", ok, why))
-    return {
-        "schema": "laddergb-report/1",
-        "instance": cert.get("top"),
-        "field": field.name,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
+    if "vd" in cert:
+        checks.append(_check("vd-replay", *vd_replay(chain, cert["vd"])))
+    return report(cert.get("top"), checks, field=field.name)
 
 
 # ---------------------------------------------------------------------------
@@ -1116,13 +1131,7 @@ def verify_localization(ladder, cell, field=QQ, max_spairs=None):
     rev_detail = "" if rev_ok else "a localized generator image escapes the ladder ideal"
     checks.append(_check("reverse-membership", rev_ok, rev_detail))
 
-    return {
-        "schema": "laddergb-report/1",
-        "instance": ladder.to_json(),
-        "cell": list(cell),
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
+    return report(ladder.to_json(), checks, cell=list(cell))
 
 
 def _memberships(images, gens, order, field, uv, max_spairs):

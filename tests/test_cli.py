@@ -521,6 +521,37 @@ def test_replay_reads_a_version_1_certificate(tmp_path, capsys):
     assert "laddergb-chain/1 or laddergb-chain/2" in err
 
 
+# the benchmark chains that are not their own decomposability
+# certificate, and one that is
+FALLBACK_CHAINS = [
+    {"family": "onesided", "m": 5, "n": 5, "points": [[3, 1], [5, 3]], "t": [2, 3]},
+    ONESIDED_4x4_T3,
+    {"family": "symmetric", "n": 5, "points": [[5, 5]], "t": [3]},
+    {"family": "onesided", "m": 4, "n": 5, "points": [[4, 1]], "t": [3]},
+]
+
+
+@pytest.mark.parametrize(
+    "data",
+    FALLBACK_CHAINS + [OS33],
+    ids=["os55-t23", "os44-t3", "sym5-t3", "os45-t3", "os33"],
+)
+def test_verify_and_chain_decide_and_replay_one_certificate(tmp_path, capsys, data):
+    # verify_family returns the certificate CLI chain writes, and checks
+    # it as replay does
+    report, _, cert = laddergb.verify_family(ladder_from_json(data))
+    code, out, _ = run(capsys, ["chain", write_instance(tmp_path, data), "--json"])
+    assert code == 0
+    written = json.loads(out)
+    assert written["vd"] == json.loads(json.dumps(cert))
+    assert (cert == "chain") == (data is OS33)
+    replayed = laddergb.replay_chain(written)
+    (vd_replay,) = [c for c in replayed["checks"] if c["name"] == "vd-replay"]
+    (cert_replay,) = [c for c in report["checks"] if c["name"] == "certificate-replay"]
+    assert vd_replay["pass"] and cert_replay["pass"]
+    assert vd_replay["detail"] == cert_replay["detail"]
+
+
 def test_nonpositive_budget(tmp_path, capsys):
     path = write_instance(tmp_path, MM23)
     for flag in ("--budget-spairs", "--budget-faces"):

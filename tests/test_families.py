@@ -16,7 +16,9 @@ from laddergb import (
 )
 from laddergb import families, matrices
 from laddergb.fields import PrimeField
+from laddergb import linkage
 from laddergb.linkage import Chain
+from laddergb.monomials import MonomialIdeal
 from laddergb.poly import freeze, leading_term, p_degree, p_is_zero
 
 from corpus import CORPUS, NEGATIVE_INSTANCES
@@ -218,7 +220,7 @@ def test_index_set_route_matches_expansion_on_every_chain_node():
                     )
                     assert leads == [leading_term(g, order)[0] for g in ref]
             # the chain reads its generators and leading monomials from
-            # one cached list per node
+            # its region table
             for canon in chain.sequence:
                 ladder = chain.nodes[canon].ladder
                 ref = ref_generators(ladder, field, chain.order, ladder.shape())
@@ -226,3 +228,22 @@ def test_index_set_route_matches_expansion_on_every_chain_node():
                 assert list(map(freeze, gens)) == list(map(freeze, ref))
                 leads = {leading_term(g, chain.order)[0] for g in ref}
                 assert chain.leading_monomials(canon) == leads
+
+
+def test_initial_ideal_route_matches_a_minimalized_one():
+    # linkage.initial_ideal, which CLI initial, height and vd read, walks
+    # the region table as a chain does; the reference minimalizes the
+    # sorted leading monomials as a whole
+    for data in CORPUS + NEGATIVE_INSTANCES:
+        ladder = ladder_from_json(data)
+        for field in (QQ, PrimeField(2)):
+            for kind in ("diagonal", "antidiagonal"):
+                order = matrices.order_for(ladder.shape(), kind)
+                got = linkage.initial_ideal(ladder, order, field)
+                want = MonomialIdeal(
+                    set(families.leading_monomials(ladder, order, field=field)),
+                    [order.var(i, j) for i, j in ladder.variables()],
+                )
+                assert got.gens == want.gens, (data, kind)
+                assert got.ambient == want.ambient, (data, kind)
+                assert got.is_squarefree() == want.is_squarefree(), (data, kind)

@@ -639,6 +639,20 @@ def test_region_squarefree_flag_matches_a_scan_on_corpus_nodes():
 
 
 @pytest.mark.parametrize(
+    "edit",
+    [lambda cert: cert.update(schema="laddergb-chain/3"), lambda cert: [cert]],
+    ids=["unknown-schema", "not-an-object"],
+)
+def test_replay_chain_refuses_a_document_that_is_not_a_chain_certificate(edit):
+    # the library checks the schema itself, before it reads the top
+    cert = chain_certificate(Chain(MaxMinors(2, 3)), "chain")
+    doc = edit(cert) or cert
+    with pytest.raises(LadderError, match="not a chain certificate") as e:
+        replay_chain(doc)
+    assert "laddergb-chain/1 or laddergb-chain/2" in str(e.value)
+
+
+@pytest.mark.parametrize(
     "key, value, check",
     [
         ("field", "gf:7", "certificate-field"),
