@@ -52,6 +52,7 @@ from .linkage import (
     verify_family,
 )
 from .matrices import order_for
+from .monomials import hilbert_numerator
 from .poly import leading_term, mono_text, p_degree, poly_text
 
 _ORDER_KINDS = {"diag": "diagonal", "antidiag": "antidiagonal"}
@@ -284,7 +285,7 @@ def _cmd_initial(args):
 
 def _cmd_height(args):
     ladder, _, ideal = _initial(args)
-    check, codim = height_check(ladder, ideal, {})
+    check, codim = height_check(ladder, hilbert_numerator(ideal.gens))
     checks = [check]
     doc = report(
         ladder.to_json(), checks, height=ladder.height_formula(), codimension=codim

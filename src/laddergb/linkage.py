@@ -30,15 +30,18 @@ monomials of any Groebner basis generate the initial ideal, so a node's
 oracle initial ideal is read off its completion; only the top instance,
 whose generators are checked to be its reduced basis, is interreduced
 (Chain.oracle_basis).  Both routes must satisfy the Hilbert series
-identity HS(R/C) = z HS(R/B) + (1 - z) HS(R/A), checked on the numerators as K_C = z K_B + (1 - z) K_A, which
-covers every degree at once, and the two routes must agree on the
-initial ideal of every instance.  A completion whose leading monomials
-are exactly the ones read off the index sets gives the combinatorial
-ideal itself, and a step whose three oracle ideals all are so reports
-the combinatorial identity's verdict for the oracle route.  Heights are
-checked against the cell count of the shifted ladder, codimensions
-against the pole of the Hilbert series, and shedding conditions at every
-removed corner.
+identity HS(R/C) = z HS(R/B) + (1 - z) HS(R/A), checked on the
+numerators as K_C = z K_B + (1 - z) K_A, which covers every degree at
+once, and the two routes must agree on the initial ideal of every
+instance.  The chain keeps one numerator per node (Chain.numerator):
+where a step is a double link the identity is the numerator's own
+derivation from the children's, and elsewhere the numerator is the
+pivot recursion's on the generators.  A completion whose leading
+monomials are exactly the ones read off the index sets gives the
+combinatorial ideal itself, whose numerator the oracle route reads from
+the chain.  Heights are checked against the cell count of the shifted
+ladder, codimensions against the pole of the Hilbert series, and
+shedding conditions at every removed corner.
 
 Every complex of a chain is built in one walk of it, children first
 (Chain._walk): the shedding conditions of every step are read off it
@@ -150,6 +153,12 @@ class Chain:
     once, where it completes the node (_oracle_args), and keeps neither
     them nor the expanded generators.
 
+    Hilbert numerators follow the chain: the first numerator query sets
+    every node's in one children-first pass (numerator), deriving a
+    double-link step's from its children's, so the pivot recursion runs
+    only on terminals and the other steps, with no memo shared between
+    nodes.
+
     Complexes follow the chain too.  _build records a children-first
     order beside sequence, which keeps its order as certificates list
     it.  The first shedding query, node_complex or certifies_vd walks
@@ -180,7 +189,7 @@ class Chain:
         self._verdicts = None  # set by _walk, with _vd_breach
         self._vd_breach = None
         self._double_links = {}
-        self.hilbert_memo = {}  # numerators depend only on the generators
+        self._numerators = None  # set by numerator
         self.spair_record = {}  # S-pairs settled over generator ids
         self.top_canon = self._build(top)
 
@@ -259,6 +268,37 @@ class Chain:
                 self.nodes[canon].ladder, self.ambient
             )
         return self._initial_cache[canon]
+
+    def numerator(self, canon):
+        """The Hilbert numerator of initial_ideal(canon), the one
+        monomials.hilbert_numerator gives.  The first call sets every
+        node's in one pass, children first: a step that passes
+        is_double_link takes K_C = (1 - z) K_A + z K_B from its children's
+        (_linked_numerator), and a terminal or any other step runs the
+        recursion on its generators.  Nothing else computes a numerator,
+        so chain and replay, which ask for none, do no Hilbert work.
+
+        Proof of the derivation: at such a step C = A + f*B, with A
+        inside B and the variable f in no generator of A or B.  Then
+        C + (f) = A + (f), as f*B lies in (f); and C : f = (A : f) + B =
+        A + B = B, as A : f = A for f in no generator of A.  The exact
+        sequence 0 -> R/(C : f)(-1) -> R/C -> R/(C + (f)) -> 0, whose
+        first map is multiplication by f, gives K_C = K(C + (f)) +
+        z K(C : f), the split hilbert_numerator makes on a variable; and f
+        is regular on R/A, so K(A + (f)) = (1 - z) K_A.  Hence K_C =
+        (1 - z) K_A + z K_B.  That is the identity
+        hilbert-identity-combinatorial checks: it holds by construction at
+        such a step, and is a check at every other one."""
+        if self._numerators is None:
+            ks = {}
+            for c in self._children_first:
+                node = self.nodes[c]
+                if node.cell is not None and self.is_double_link(c):
+                    ks[c] = _linked_numerator(ks[node.middle], ks[node.reduced])
+                else:
+                    ks[c] = hilbert_numerator(self.initial_ideal(c).gens)
+            self._numerators = ks
+        return self._numerators[canon]
 
     def node_complex(self, canon):
         """Simplicial complex of the top instance's initial ideal, on the
@@ -590,14 +630,11 @@ def squarefree_check(ideal):
     return _check("initial-squarefree", ideal.is_squarefree())
 
 
-def height_check(ladder, ideal, memo):
-    """Codimension of the squarefree ideal, read off its Hilbert series
-    (the (1-z)-adic order of the numerator), against the ladder's closed
-    height formula; returns (check, codimension).  memo is a Hilbert
-    numerator memo, as Chain.hilbert_memo."""
-    if not ideal.is_squarefree():
-        raise PreconditionError("ideal is not squarefree")
-    codim = codim_by_series(ideal, memo)
+def height_check(ladder, k):
+    """Codimension of an ideal read off its Hilbert numerator k (the
+    (1-z)-adic order of k, codim_by_series), against the ladder's closed
+    height formula; returns (check, codimension)."""
+    codim = codim_by_series(k)
     h = ladder.height_formula()
     detail = "codim %d, formula %d" % (codim, h)
     return _check("codim-equals-height", codim == h, detail), codim
@@ -670,24 +707,24 @@ def verify_node_groebner(chain, canon, max_spairs=None):
 
 def verify_node_initial(chain, canon):
     """Squarefreeness and the codimension/height agreement of the
-    initial ideal.  The ideal lives in the chain's ring; its codimension
-    is read off the Hilbert numerator, which does not depend on the
-    number of variables, so it is the codimension in the node's own
-    ring."""
-    ideal = chain.initial_ideal(canon)
-    height, _ = height_check(chain.nodes[canon].ladder, ideal, chain.hilbert_memo)
-    return [squarefree_check(ideal), height]
+    initial ideal.  Its codimension is read off the chain's numerator of
+    the node (Chain.numerator), which does not depend on the number of
+    variables, so it is the codimension in the node's own ring."""
+    height, _ = height_check(chain.nodes[canon].ladder, chain.numerator(canon))
+    return [squarefree_check(chain.initial_ideal(canon)), height]
 
 
-def _hilbert_identity(c_ideal, a_ideal, b_ideal, memo):
+def _linked_numerator(k_a, k_b):
+    """z K_B + (1 - z) K_A: the Hilbert numerator of C = A + f*B at a
+    basic double link, from those of A and B (see Chain.numerator)."""
+    return series_add(series_mul((0, 1), k_b), series_mul((1, -1), k_a))
+
+
+def _hilbert_identity(k_c, k_a, k_b):
     """K_C = z K_B + (1 - z) K_A for the Hilbert numerators.  The lowest
     power of z where the two sides differ is the lowest degree where the
     Hilbert functions do."""
-    k_a, k_b, k_c = (
-        hilbert_numerator(i.gens, memo) for i in (a_ideal, b_ideal, c_ideal)
-    )
-    rhs = series_add(series_mul((0, 1), k_b), series_mul((1, -1), k_a))
-    diff = series_add(k_c, series_mul((-1,), rhs))
+    diff = series_add(k_c, series_mul((-1,), _linked_numerator(k_a, k_b)))
     if not diff:
         return True, "every degree"
     return False, "fails at degree %d" % next(d for d, c in enumerate(diff) if c)
@@ -749,14 +786,12 @@ def verify_step(chain, canon, max_spairs=None):
 
     out.append(_check("basic-double-link", linked, link_detail))
 
-    identity = _hilbert_identity(c_ideal, a_ideal, b_ideal, chain.hilbert_memo)
-    out.append(_check("hilbert-identity-combinatorial", *identity))
+    keys = (canon, node.middle, node.reduced)
+    ks = [chain.numerator(key) for key in keys]
+    out.append(_check("hilbert-identity-combinatorial", *_hilbert_identity(*ks)))
 
     # independent route: initial ideals from a Buchberger pass
-    oracle = {
-        key: chain.oracle_initial(key, max_spairs)
-        for key in (canon, node.middle, node.reduced)
-    }
+    oracle = {key: chain.oracle_initial(key, max_spairs) for key in keys}
     # Both sides are minimal generating sets in canonical order in one ring.
     same = all(oracle[key] == chain.initial_ideal(key) for key in oracle)
     out.append(
@@ -766,13 +801,11 @@ def verify_step(chain, canon, max_spairs=None):
             "raw leading terms generate the oracle initial ideal (L, M, L')",
         )
     )
-    # when every oracle ideal is the chain's own, the identity is the one
-    # checked above
-    if any(oracle[key] is not chain.initial_ideal(key) for key in oracle):
-        identity = _hilbert_identity(
-            oracle[canon], oracle[node.middle], oracle[node.reduced], chain.hilbert_memo
-        )
-    out.append(_check("hilbert-identity-oracle", *identity))
+    # an oracle ideal that is the chain's own has the chain's numerator
+    for i, key in enumerate(keys):
+        if oracle[key] is not chain.initial_ideal(key):
+            ks[i] = hilbert_numerator(oracle[key].gens)
+    out.append(_check("hilbert-identity-oracle", *_hilbert_identity(*ks)))
 
     shed_ok, bad = chain.shedding(canon)
     out.append(

@@ -143,7 +143,7 @@ class MonomialIdeal:
         coefficient of z^d in K(z) / (1-z)^n, one prefix sum per variable."""
         if d < 0:
             return 0
-        coeffs = hilbert_numerator(self.gens, {})[: d + 1]
+        coeffs = hilbert_numerator(self.gens)[: d + 1]
         coeffs += (0,) * (d + 1 - len(coeffs))
         for _ in self.ambient:
             coeffs = tuple(itertools.accumulate(coeffs))
@@ -202,11 +202,14 @@ def series_mul(p, q):
     return tuple(out)
 
 
-def hilbert_numerator(gens, memo):
+def hilbert_numerator(gens):
     """K(z) with HS(R/I) = K(z) / (1-z)^n, for I generated by the minimal
     generators gens (in minimalize order, as MonomialIdeal.gens holds them).
-    K does not depend on n, so memo, a dict from generator tuples to
-    numerators, can serve every ideal built from the same variables."""
+    K does not depend on n.  The recursion's memo serves this one call."""
+    return _numerator(gens, {})
+
+
+def _numerator(gens, memo):
     gens = tuple(gens)
     if gens in memo:
         return memo[gens]
@@ -216,7 +219,7 @@ def hilbert_numerator(gens, memo):
     if () in gens:
         out = ()
     elif len(rest) < len(gens):
-        out = hilbert_numerator(rest, memo)
+        out = _numerator(rest, memo)
         for _ in range(len(gens) - len(rest)):
             out = series_mul(out, (1, -1))
     elif all(len(g) == 2 for g in gens):
@@ -236,17 +239,16 @@ def hilbert_numerator(gens, memo):
         colon = minimalize([mono.div(g, _gcd_mono(g, (x, 1))) for g in gens])
         added = minimalize(list(gens) + [(x, 1)])
         out = series_add(
-            hilbert_numerator(added, memo),
-            series_mul((0, 1), hilbert_numerator(colon, memo)),
+            _numerator(added, memo),
+            series_mul((0, 1), _numerator(colon, memo)),
         )
     memo[gens] = out
     return out
 
 
-def codim_by_series(ideal, memo):
-    """Codimension of R/I: the (1-z)-adic order of its Hilbert
-    numerator, which is n minus the pole order of HS at z = 1."""
-    k = hilbert_numerator(ideal.gens, memo)
+def codim_by_series(k):
+    """Codimension of R/I from its Hilbert numerator k: the (1-z)-adic
+    order of k, which is n minus the pole order of HS at z = 1."""
     if not k:
         raise PreconditionError("unit ideal has no codimension")
     codim = 0

@@ -83,6 +83,22 @@ def test_height_closed_form(tmp_path, capsys):
     assert doc["codimension"] == 2
 
 
+def test_height_reads_a_codimension_that_needs_no_squarefree_ideal(tmp_path, capsys):
+    # under the anti-diagonal order this ideal is not squarefree; its
+    # codimension is read off the Hilbert numerator all the same
+    path = write_instance(
+        tmp_path, {"family": "symmetric", "n": 3, "points": [[3, 3]], "t": [2]}
+    )
+    code, out, _ = run(capsys, ["initial", path, "--order", "antidiag", "--json"])
+    assert code == 1
+    assert not json.loads(out)["checks"][0]["pass"]
+    code, out, _ = run(capsys, ["height", path, "--order", "antidiag", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["height"], doc["codimension"]) == (3, 3)
+    assert doc["checks"][0]["detail"] == "codim 3, formula 3"
+
+
 def test_vd_emits_certificate(tmp_path, capsys):
     path = write_instance(tmp_path, OS33)
     code, out, _ = run(capsys, ["vd", path, "--json"])
@@ -165,6 +181,29 @@ def test_chain_builds_no_complex_by_berge(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, ["chain", path, "--json"])
     assert code == 0
     assert calls == []
+
+
+def test_chain_and_replay_do_no_hilbert_work(tmp_path, capsys, monkeypatch):
+    # numerators are computed only where verify asks for one
+    # (Chain.numerator); chain --out and replay ask for none
+    calls = []
+    real = laddergb.monomials.hilbert_numerator
+
+    def counting(gens):
+        calls.append(gens)
+        return real(gens)
+
+    for module in (laddergb.monomials, laddergb.linkage, laddergb.cli):
+        monkeypatch.setattr(module, "hilbert_numerator", counting)
+    path = write_instance(
+        tmp_path, {"family": "pfaffian", "n": 8, "corners": [[1, 8]], "t": [2]}
+    )
+    cert = str(tmp_path / "cert.json")
+    assert run(capsys, ["chain", path, "--out", cert])[0] == 0
+    assert run(capsys, ["replay", cert])[0] == 0
+    assert calls == []
+    assert run(capsys, ["height", path])[0] == 0
+    assert len(calls) == 1
 
 
 # sha256 of the stdout of `chain --json` and of `replay --json` on its

@@ -36,7 +36,7 @@ from laddergb.linkage import (
     verify_node_initial,
     verify_step,
 )
-from laddergb.monomials import MonomialIdeal
+from laddergb.monomials import MonomialIdeal, hilbert_numerator
 from laddergb.poly import (
     buchberger_reduced,
     freeze,
@@ -417,8 +417,9 @@ def test_hilbert_identity_holds_in_every_degree_not_up_to_a_cutoff():
 
     assert all(holds(d) for d in range(11))
     assert not holds(11) and not holds(12)
-    assert _hilbert_identity(c, a, b, {}) == (False, "fails at degree 11")
-    assert _hilbert_identity(c, a, a, {}) == (True, "every degree")
+    k_a, k_b, k_c = (hilbert_numerator(i.gens) for i in (a, b, c))
+    assert _hilbert_identity(k_c, k_a, k_b) == (False, "fails at degree 11")
+    assert _hilbert_identity(k_c, k_a, k_a) == (True, "every degree")
 
 
 # sha256 of the sort_keys JSON of every corpus report over QQ, in corpus

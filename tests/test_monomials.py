@@ -253,7 +253,7 @@ def test_hilbert_additive_along_colon_sequence():
 
 
 def numerator(ideal):
-    return hilbert_numerator(ideal.gens, {})
+    return hilbert_numerator(ideal.gens)
 
 
 def test_numerator_base_cases():

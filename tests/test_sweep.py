@@ -23,6 +23,7 @@ from laddergb.errors import PreconditionError
 from laddergb.ladders import _absorbed, errors_of
 from laddergb.linkage import Chain
 from laddergb.monomials import MonomialIdeal, _squarefree, check_double_link
+from laddergb.monomials import hilbert_numerator
 
 # recorded before the families shared one region enumerator and one
 # normalization path; a change to any chain has to update it on purpose
@@ -195,6 +196,20 @@ def test_shedding_walk_matches_berge_on_every_sweep_step(sweep_chains):
             want.verts,
             want.ambient,
         ), chain.top_canon
+
+
+def test_chain_numerators_match_the_recursion_on_every_sweep_node(sweep_chains):
+    # a double-link step derives its numerator from its children's
+    # (Chain.numerator); every node's must be the pivot recursion's on
+    # its own generators
+    _, _, _, chains = sweep_chains
+    derived = 0
+    for canon, chain in chains.items():
+        want = hilbert_numerator(chain.initial_ideal(canon).gens)
+        assert chain.numerator(canon) == want, canon
+        derived += chain.nodes[canon].cell is not None and chain.is_double_link(canon)
+    # distinct nodes; the other 4 600 run the recursion
+    assert (len(chains), derived) == (6509, 1909)
 
 
 # sweep instances whose chain is its own decomposability certificate
