@@ -3,7 +3,8 @@
 Every subcommand reads a ladder instance (or certificate) from a JSON
 file, runs one pipeline, prints a human-readable summary to stdout (or
 the JSON document itself with --json) and optionally writes the JSON
-document to --out.  Diagnostics always go to stderr.
+document to --out, streaming it a chunk at a time (_stream).
+Diagnostics always go to stderr.
 
 The pipelines are the library's: this module handles arguments and
 printing only.  linkage.initial_ideal builds initial, height and vd's
@@ -29,6 +30,7 @@ input or instance; 3 a configured budget ran out.
 """
 
 import argparse
+import itertools
 import json
 import sys
 from json.encoder import encode_basestring as _encode_str
@@ -62,9 +64,9 @@ def _warn(msg):
     print("laddergb: %s" % msg, file=sys.stderr)
 
 
-def _load_json(path):
+def _load_json(path, object_hook=None):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_hook=object_hook)
 
 
 def _load_ladder(path):
@@ -117,20 +119,10 @@ _SCALARS = {
 }
 
 
-def _json_text(doc):
-    """json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False), byte
-    for byte, for a document whose keys are strings.  json.dumps falls
-    back to its pure-Python encoder whenever indent is set; here the
-    layout is written directly, strings go through the C string encoder
-    and any scalar but a str, int, bool or None through json.dumps."""
-    out = []
-    _write_json(doc, "\n", out.append)
-    return "".join(out)
-
-
-def _write_json(value, pad, put):
+def _write_json(value, pad, put, spill):
     """Put value's text in pieces; pad is the newline and indent of its
-    line.  A container writes its scalar items itself."""
+    line.  A container writes its scalar items itself, and calls spill
+    after each nested one."""
     if isinstance(value, dict):
         items, open_, close = sorted(value.items()), "{", "}"
     elif isinstance(value, (list, tuple)):
@@ -151,38 +143,63 @@ def _write_json(value, pad, put):
         scalar = _SCALARS.get(type(item))
         if scalar is None:
             put(sep)
-            _write_json(item, inner, put)
+            _write_json(item, inner, put, spill)
+            spill()
         else:
             put(sep + scalar(item))
         sep = "," + inner
     put(pad + close)
 
 
+# pieces of JSON text _stream holds before it writes them out
+_CHUNK = 4096
+
+
+def _stream(doc, writes):
+    """Write json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
+    and a newline through each of writes, byte for byte, for a document
+    whose keys are strings.  json.dumps falls back to its pure-Python
+    encoder whenever indent is set; here the layout is written directly,
+    strings go through the C string encoder and any scalar but a str,
+    int, bool or None through json.dumps.  The pieces are joined and
+    written once more than _CHUNK of them wait, which is checked after
+    each nested container, so the text is never held whole."""
+    buf = []
+
+    def spill(least=_CHUNK):
+        if len(buf) > least:
+            text = "".join(buf)
+            buf.clear()
+            for write in writes:
+                write(text)
+
+    _write_json(doc, "\n", buf.append, spill)
+    buf.append("\n")
+    spill(0)
+
+
 def _emit(doc, args, lines):
     """Write doc to --out and print it for --json, encoding it only then;
-    print the text lines otherwise."""
-    if args.out or args.json:
-        text = _json_text(doc)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        if args.json:
-            print(text)
-            return
-    for line in lines:
-        print(line)
+    print the text lines, an iterable read only here, otherwise."""
+    writes = [sys.stdout.write] if args.json else []
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            _stream(doc, [fh.write] + writes)
+    elif writes:
+        _stream(doc, writes)
+    if not writes:
+        for line in lines:
+            print(line)
 
 
 def _check_lines(checks):
-    out = []
     for c in checks:
         line = "%s %s" % ("PASS" if c["pass"] else "FAIL", c["name"])
         if c.get("instance"):
             line += " [%s]" % c["instance"]
         if c.get("detail"):
             line += ": %s" % c["detail"]
-        out.append(line)
-    return out
+        yield line
 
 
 def _exit_from(doc):
@@ -191,9 +208,8 @@ def _exit_from(doc):
 
 def _emit_verdict(doc, args):
     """Emit a report with its check lines and a closing verdict line."""
-    lines = _check_lines(doc["checks"])
-    lines.append("VERDICT: %s" % ("pass" if doc["pass"] else "FAIL"))
-    _emit(doc, args, lines)
+    verdict = "VERDICT: %s" % ("pass" if doc["pass"] else "FAIL")
+    _emit(doc, args, itertools.chain(_check_lines(doc["checks"]), [verdict]))
     return _exit_from(doc)
 
 
@@ -296,8 +312,13 @@ def _cmd_height(args):
 
 def _cmd_vd(args):
     ladder, order, ideal = _initial(args)
-    cx = SimplicialComplex.from_squarefree(ideal, order.cell)
-    checks, cert = vd_checks(cx, args.budget_faces)
+    # an ideal that is not squarefree has no complex: the instance is
+    # valid, so the claim fails, as initial reports it
+    if ideal.is_squarefree():
+        cx = SimplicialComplex.from_squarefree(ideal, order.cell)
+        checks, cert = vd_checks(cx, args.budget_faces)
+    else:
+        checks, cert = [squarefree_check(ideal)], None
     doc = report(ladder.to_json(), checks)
     if cert is not None:
         doc["certificate"] = cert
@@ -310,15 +331,17 @@ def _cmd_chain(args):
     field = field_by_name(args.field)
     chain = Chain(ladder, field)
     doc = chain_certificate(chain, vd_certificate(chain, args.budget_faces))
-    lines = ["chain with %d nodes (%d steps)" % (len(chain.sequence), len(chain.steps()))]
-    for node in doc["nodes"]:
-        tag = "terminal" if node["terminal"] else "corner (%d, %d)" % tuple(node["cell"])
-        lines.append(
-            "  %s: height %d, %d initial monomials, %s"
-            % (node["id"], node["height"], len(node["initial"]), tag)
-        )
-    _emit(doc, args, lines)
+    _emit(doc, args, _chain_lines(chain, doc["nodes"]))
     return 0
+
+
+def _chain_lines(chain, nodes):
+    yield "chain with %d nodes (%d steps)" % (len(chain.sequence), len(chain.steps()))
+    for node in nodes:
+        tag = "terminal" if node["terminal"] else "corner (%d, %d)" % tuple(node["cell"])
+        yield "  %s: height %d, %d initial monomials, %s" % (
+            node["id"], node["height"], len(node["initial"]), tag
+        )
 
 
 def _cmd_verify(args):
@@ -334,8 +357,27 @@ def _cmd_verify(args):
 
 
 def _cmd_replay(args):
-    cert = _load_json(args.instance)
+    cert = _load_json(args.instance, _one_text())
     return _emit_verdict(replay_chain(cert, field_by_name(args.field)), args)
+
+
+def _one_text():
+    """A json.load object_hook that holds each monomial text once, as a
+    chain certificate renders each once: each string of an object's
+    initial list becomes the first equal string it read.  Any other
+    entry, or an initial that is not a list, is left as it is for replay
+    to judge."""
+    texts = {}
+
+    def hook(obj):
+        initial = obj.get("initial")
+        if type(initial) is list:
+            obj["initial"] = [
+                texts.setdefault(t, t) if type(t) is str else t for t in initial
+            ]
+        return obj
+
+    return hook
 
 
 _COMMANDS = {

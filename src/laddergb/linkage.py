@@ -889,12 +889,12 @@ def vd_cert_from_json(data):
     raise LadderError("malformed node")
 
 
-def chain_certificate(chain, vd_cert=None):
-    """Serializable record of a chain: per-node structure, initial
-    ideals, heights, and optionally a decomposability certificate:
-    "chain" where the chain is one (Chain.certifies_vd), or the tree of
-    complexes.is_vertex_decomposable."""
-    texts = {}  # each distinct monomial is rendered once per certificate
+def node_records(chain):
+    """Yield the record of each node of the chain, in chain order: its
+    structure, initial ideal and height, as a chain certificate lists
+    them.  Each distinct monomial is rendered once, and its text shared
+    by every record that holds it."""
+    texts = {}
 
     def text(m):
         t = texts.get(m)
@@ -902,28 +902,32 @@ def chain_certificate(chain, vd_cert=None):
             t = texts[m] = mono_text(m, chain.order)
         return t
 
-    nodes = []
     for canon in chain.sequence:
         node = chain.nodes[canon]
         ideal = chain.initial_ideal(canon)
-        nodes.append(
-            {
-                "id": canon,
-                "instance": node.ladder.to_json(),
-                "terminal": node.cell is None,
-                "cell": list(node.cell) if node.cell else None,
-                "reduced": node.reduced,
-                "middle": node.middle,
-                "initial": sorted(text(g) for g in ideal.gens),
-                "height": node.ladder.height_formula(),
-            }
-        )
+        yield {
+            "id": canon,
+            "instance": node.ladder.to_json(),
+            "terminal": node.cell is None,
+            "cell": list(node.cell) if node.cell else None,
+            "reduced": node.reduced,
+            "middle": node.middle,
+            "initial": sorted(text(g) for g in ideal.gens),
+            "height": node.ladder.height_formula(),
+        }
+
+
+def chain_certificate(chain, vd_cert=None):
+    """Serializable record of a chain: its node_records, and optionally
+    a decomposability certificate: "chain" where the chain is one
+    (Chain.certifies_vd), or the tree of
+    complexes.is_vertex_decomposable."""
     out = {
         "schema": CHAIN_SCHEMA,
         "field": chain.field.name,
         "order": chain.top.order_kind,
         "top": chain.top.to_json(),
-        "nodes": nodes,
+        "nodes": list(node_records(chain)),
     }
     if vd_cert is not None:
         out["vd"] = vd_cert
@@ -931,7 +935,7 @@ def chain_certificate(chain, vd_cert=None):
 
 
 # replay check -> the fields of a node record it compares; with the id
-# they cover every field chain_certificate records
+# they cover every field node_records records
 _NODE_FACTS = (
     ("node-structure", ("instance", "terminal", "cell", "reduced", "middle")),
     ("node-initial", ("initial",)),
@@ -942,10 +946,10 @@ _NODE_FACTS = (
 def replay_chain(cert, field=QQ):
     """Recompute a chain from its certificate's top instance over field
     and check every recorded fact, the field and term order included:
-    each recorded node is compared against chain_certificate of the
-    recomputed chain, and node-set fails unless every recomputed node is
-    recorded exactly once.  A recorded vd of "chain" passes vd-replay
-    when the recomputed chain certifies decomposability
+    each recorded node is compared against the recomputed chain's
+    node_records, one record at a time, and node-set fails unless every
+    recomputed node is recorded exactly once.  A recorded vd of "chain"
+    passes vd-replay when the recomputed chain certifies decomposability
     (Chain.certifies_vd), whose reason names the first step where it
     does not; any other vd is replayed as the search's tree against the
     top complex, and fails with "malformed node" unless it parses as
@@ -982,7 +986,7 @@ def replay_chain(cert, field=QQ):
             "%d recorded, %d recomputed" % (len(nodes), len(chain.sequence)),
         ),
     ]
-    for fresh in chain_certificate(chain)["nodes"]:
+    for fresh in node_records(chain):
         rec = recorded.get(fresh["id"])
         if rec is None:
             continue

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, JSON contracts."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -97,6 +98,23 @@ def test_height_reads_a_codimension_that_needs_no_squarefree_ideal(tmp_path, cap
     doc = json.loads(out)
     assert (doc["height"], doc["codimension"]) == (3, 3)
     assert doc["checks"][0]["detail"] == "codim 3, formula 3"
+
+
+def test_vd_fails_an_initial_ideal_that_is_not_squarefree(tmp_path, capsys):
+    # the instance is valid, so vd reports the claim it cannot check, as
+    # initial does, and does not call the input invalid
+    path = write_instance(
+        tmp_path, {"family": "symmetric", "n": 3, "points": [[3, 3]], "t": [2]}
+    )
+    code, out, _ = run(capsys, ["vd", path, "--order", "antidiag"])
+    assert (code, out) == (1, "FAIL initial-squarefree\n")
+    code, out, _ = run(capsys, ["vd", path, "--order", "antidiag", "--json"])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["checks"] == [
+        {"name": "initial-squarefree", "pass": False, "detail": ""}
+    ]
+    assert "certificate" not in doc
 
 
 def test_vd_emits_certificate(tmp_path, capsys):
@@ -298,6 +316,38 @@ def test_replay_tampered_certificate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "initial",
+    [[1, 2], [["x[1,1]*x[2,2]"]], [], ["x[1,1]*x[2,2]", 3], None, "missing"],
+    ids=["ints", "nested", "empty", "mixed", "null", "missing"],
+)
+def test_replay_judges_initial_lists_it_cannot_read_as_texts(
+    tmp_path, capsys, initial
+):
+    # loading holds each text of an initial list once and leaves every
+    # other entry as it is: the node fails node-initial and nothing raises
+    cert_path, cert = _certificate(tmp_path, capsys)
+    node = cert["nodes"][1]
+    if initial == "missing":
+        del node["initial"]
+    else:
+        node["initial"] = initial
+    cert_path.write_text(json.dumps(cert))
+    code, out, _ = run(capsys, ["replay", str(cert_path), "--json"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    failed = [(c["name"], c["detail"]) for c in checks if not c["pass"]]
+    assert failed == [("node-initial", node["id"])]
+
+
+def test_replay_holds_each_monomial_text_once(tmp_path, capsys):
+    cert_path, _ = _certificate(tmp_path, capsys)
+    cert = cli._load_json(str(cert_path), cli._one_text())
+    texts = [t for node in cert["nodes"] for t in node["initial"]]
+    assert len(texts) > len(set(texts))
+    assert len({id(t) for t in texts}) == len(set(texts))
+
+
+@pytest.mark.parametrize(
     "key, value", [("field", "gf:7"), ("order", "antidiagonal")]
 )
 def test_replay_rejects_edited_field_or_order(tmp_path, capsys, key, value):
@@ -446,7 +496,7 @@ def _tree_certificate(tmp_path, capsys, data, schema=None):
     if schema is not None:
         cert["schema"] = schema
     cert_path = tmp_path / "tree-cert.json"
-    cert_path.write_text(cli._json_text(cert), encoding="utf-8")
+    cert_path.write_text(json.dumps(cert), encoding="utf-8")
     assert run(capsys, ["replay", str(cert_path)])[0] == 0
     return cert_path, json.loads(cert_path.read_text())
 
@@ -731,6 +781,57 @@ def test_json_documents_are_the_bytes_of_json_dumps(tmp_path, capsys, monkeypatc
             if argv[0] == "chain":
                 with open(cert_path, encoding="utf-8") as fh:
                     assert fh.read() == out
+
+
+class _Writes:
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+@pytest.mark.parametrize(
+    "out, as_json", [(True, False), (False, True), (True, True)], ids=["out", "json", "both"]
+)
+def test_streamed_documents_are_the_bytes_of_json_dumps(
+    tmp_path, monkeypatch, out, as_json
+):
+    # several chunks of text; a float and a non-ASCII string take the
+    # json.dumps fallback
+    doc = {
+        "nodes": [
+            {"id": "n%d" % k, "initial": ["x%d" % k, "y"], "name": "é%d" % k, "w": k / 7}
+            for k in range(3 * cli._CHUNK // 8)
+        ],
+        "pass": True,
+        "top": None,
+    }
+    want = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    stdout = _Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+
+    def lines():
+        assert not as_json, "text lines are read under --json"
+        yield "text"
+
+    path = tmp_path / "doc.json"
+    args = argparse.Namespace(out=str(path) if out else None, json=as_json)
+    cli._emit(doc, args, lines())
+    if out:
+        assert path.read_text(encoding="utf-8") == want
+    if not as_json:
+        assert stdout.writes == ["text", "\n"]
+        return
+    assert "".join(stdout.writes) == want
+    # each piece of this document holds one newline, but a float's text,
+    # which follows the piece of its key; the buffer is checked after each
+    # nested item, and at most 6 pieces come between two checks here
+    pieces = [w.count("\n") + w.count('"w": ') for w in stdout.writes]
+    assert len(pieces) >= 3
+    assert max(pieces) <= cli._CHUNK + 6
 
 
 def test_out_flag_matches_stdout_json(tmp_path, capsys):
