@@ -13,17 +13,8 @@ decomposability certificate, as verify_family does; replay_chain checks
 a certificate's schema; and linkage.report builds every report
 document.
 
-Subcommands:
-
-* validate        structural diagnostics for an instance file
-* generators      list the natural generators
-* groebner-check  fixed-point and reduced-basis verdicts
-* initial         minimalized initial ideal and squarefree flag
-* height          closed height formula against the initial codimension
-* vd              vertex-decomposability verdict plus certificate
-* chain           corner-removal chain certificate
-* verify          the full verification report for one instance
-* replay          re-check a previously written chain certificate
+The subcommands, their help and the options each reads are the table
+_COMMANDS.
 
 Exit codes: 0 every check passed; 1 some claim check failed; 2 invalid
 input or instance; 3 a configured budget ran out.
@@ -36,7 +27,7 @@ import sys
 from json.encoder import encode_basestring as _encode_str
 
 from .complexes import SimplicialComplex
-from .errors import BudgetExceeded, LadderError, PreconditionError
+from .errors import BudgetExceeded, LadderError
 from .families import natural_generators
 from .fields import field_by_name
 from .ladders import errors_of, ladder_from_json
@@ -330,17 +321,24 @@ def _cmd_chain(args):
     ladder = _checked_ladder(args.instance)
     field = field_by_name(args.field)
     chain = Chain(ladder, field)
-    doc = chain_certificate(chain, vd_certificate(chain, args.budget_faces))
-    _emit(doc, args, _chain_lines(chain, doc["nodes"]))
+    vd = vd_certificate(chain, args.budget_faces)
+    # the text lines read the chain itself: the certificate, every node's
+    # record with its monomial texts, is built only to be written
+    doc = chain_certificate(chain, vd) if args.json or args.out else None
+    _emit(doc, args, _chain_lines(chain))
     return 0
 
 
-def _chain_lines(chain, nodes):
+def _chain_lines(chain):
     yield "chain with %d nodes (%d steps)" % (len(chain.sequence), len(chain.steps()))
-    for node in nodes:
-        tag = "terminal" if node["terminal"] else "corner (%d, %d)" % tuple(node["cell"])
+    for canon in chain.sequence:
+        node = chain.nodes[canon]
+        tag = "terminal" if node.cell is None else "corner (%d, %d)" % node.cell
         yield "  %s: height %d, %d initial monomials, %s" % (
-            node["id"], node["height"], len(node["initial"]), tag
+            canon,
+            node.ladder.height_formula(),
+            len(chain.initial_ideal(canon).gens),
+            tag,
         )
 
 
@@ -380,21 +378,8 @@ def _one_text():
     return hook
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "generators": _cmd_generators,
-    "groebner-check": _cmd_groebner_check,
-    "initial": _cmd_initial,
-    "height": _cmd_height,
-    "vd": _cmd_vd,
-    "chain": _cmd_chain,
-    "verify": _cmd_verify,
-    "replay": _cmd_replay,
-}
-
-
-# Options that some subcommands take, and the subcommands that read them;
-# any other subcommand rejects them.
+# Options that some subcommands take; _COMMANDS names the ones each reads,
+# and any other subcommand rejects them.
 _FLAGS = {
     "--order": {
         "choices": sorted(_ORDER_KINDS),
@@ -415,18 +400,23 @@ _FLAGS = {
         "itself a certificate",
     },
 }
-_INT_FLAGS = ("--budget-spairs", "--budget-faces")
 _RING = ("--order", "--field")
-_READS = {
-    "validate": (),
-    "generators": _RING,
-    "groebner-check": _RING + ("--budget-spairs",),
-    "initial": _RING,
-    "height": _RING,
-    "vd": _RING + ("--budget-faces",),
-    "chain": ("--field", "--budget-faces"),
-    "verify": ("--field", "--budget-spairs", "--budget-faces"),
-    "replay": ("--field",),
+# subcommand -> (handler, help, the options of _FLAGS it reads)
+_COMMANDS = {
+    "validate": (_cmd_validate, "structural diagnostics for an instance file", ()),
+    "generators": (_cmd_generators, "list the natural generators", _RING),
+    "groebner-check": (_cmd_groebner_check, "fixed-point and reduced-basis verdicts",
+                       _RING + ("--budget-spairs",)),
+    "initial": (_cmd_initial, "minimalized initial ideal and squarefree flag", _RING),
+    "height": (_cmd_height, "height formula against the initial codimension", _RING),
+    "vd": (_cmd_vd, "vertex-decomposability verdict plus certificate",
+           _RING + ("--budget-faces",)),
+    "chain": (_cmd_chain, "corner-removal chain certificate",
+              ("--field", "--budget-faces")),
+    "verify": (_cmd_verify, "full verification report for one instance",
+               ("--field", "--budget-spairs", "--budget-faces")),
+    "replay": (_cmd_replay, "re-check a previously written chain certificate",
+               ("--field",)),
 }
 
 
@@ -445,43 +435,28 @@ def _parser():
         "for ladder determinantal and pfaffian ideals.",
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
-    helps = {
-        "validate": "structural diagnostics for an instance file",
-        "generators": "list the natural generators",
-        "groebner-check": "fixed-point and reduced-basis verdicts",
-        "initial": "minimalized initial ideal and squarefree flag",
-        "height": "height formula against the initial codimension",
-        "vd": "vertex-decomposability verdict plus certificate",
-        "chain": "corner-removal chain certificate",
-        "verify": "full verification report for one instance",
-        "replay": "re-check a previously written chain certificate",
-    }
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name, parents=[common], help=helps[name])
-        for flag in _READS[name]:
+    for name, (_, help_, reads) in _COMMANDS.items():
+        cmd = sub.add_parser(name, parents=[common], help=help_)
+        for flag in reads:
             cmd.add_argument(flag, **_FLAGS[flag])
     return p
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    for flag in _INT_FLAGS:
+    for flag, spec in _FLAGS.items():
         value = getattr(args, flag[2:].replace("-", "_"), None)
-        if value is not None and value <= 0:
+        if spec.get("type") is int and value is not None and value <= 0:
             _warn("%s must be positive" % flag)
             return 2
     try:
-        return _COMMANDS[args.subcommand](args)
+        return _COMMANDS[args.subcommand][0](args)
     except BudgetExceeded as e:
         _warn(str(e))
         return 3
-    except (LadderError, PreconditionError) as e:
-        _warn(str(e))
-        return 2
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
-        _warn(str(e))
-        return 2
-    except ValueError as e:
+    # LadderError, PreconditionError, json.JSONDecodeError and
+    # UnicodeDecodeError are all ValueErrors: invalid input
+    except (OSError, ValueError) as e:
         _warn(str(e))
         return 2
 

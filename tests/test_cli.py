@@ -224,6 +224,45 @@ def test_chain_and_replay_do_no_hilbert_work(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_plain_chain_builds_no_certificate(tmp_path, capsys, monkeypatch):
+    # without --json or --out, chain prints its node lines off the chain
+    # itself: no node record, with its monomial texts, is built
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(cli, "chain_certificate")
+    counting(laddergb.linkage, "chain_certificate")
+    counting(laddergb.linkage, "node_records")
+    for data in CORPUS:
+        code, out, _ = run(capsys, ["chain", write_instance(tmp_path, data)])
+        assert code == 0
+        assert calls == []
+        # the lines as they were read off the certificate's records
+        chain = Chain(ladder_from_json(data))
+        want = [
+            "chain with %d nodes (%d steps)"
+            % (len(chain.sequence), len(chain.steps()))
+        ]
+        for node in chain_certificate(chain)["nodes"]:
+            tag = "terminal"
+            if not node["terminal"]:
+                tag = "corner (%d, %d)" % tuple(node["cell"])
+            want.append(
+                "  %s: height %d, %d initial monomials, %s"
+                % (node["id"], node["height"], len(node["initial"]), tag)
+            )
+        assert out == "\n".join(want) + "\n"
+        calls.clear()
+
+
 # sha256 of the stdout of `chain --json` and of `replay --json` on its
 # certificate: a change to the complexes or the search must leave both
 # byte-identical.  The replay digests were recorded before complexes moved
@@ -405,6 +444,16 @@ def test_malformed_json(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run(capsys, ["height", str(path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "replay"])
+def test_file_that_is_not_utf8(tmp_path, capsys, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"family": "maxminors", "m": 2, "n": 3, "note": "\xe9"}')
+    code, out, err = run(capsys, [command, str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("laddergb: ") and "utf-8" in err
 
 
 def test_bad_field_spec(tmp_path, capsys):
