@@ -25,6 +25,7 @@ import itertools
 import json
 import sys
 from json.encoder import encode_basestring as _encode_str
+from types import GeneratorType
 
 from .complexes import SimplicialComplex
 from .errors import BudgetExceeded, LadderError
@@ -37,6 +38,7 @@ from .linkage import (
     groebner_checks,
     height_check,
     initial_ideal,
+    node_records,
     replay_chain,
     report,
     squarefree_check,
@@ -112,21 +114,19 @@ _SCALARS = {
 
 def _write_json(value, pad, put, spill):
     """Put value's text in pieces; pad is the newline and indent of its
-    line.  A container writes its scalar items itself, and calls spill
-    after each nested one."""
+    line.  A generator is written as the list of what it yields, each
+    item as it comes.  A container writes its scalar items itself, and
+    calls spill after each nested one."""
     if isinstance(value, dict):
         items, open_, close = sorted(value.items()), "{", "}"
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, GeneratorType)):
         items, open_, close = value, "[", "]"
     else:
         scalar = _SCALARS.get(type(value))
         put(json.dumps(value) if scalar is None else scalar(value))
         return
-    if not items:
-        put(open_ + close)
-        return
     inner = pad + "  "
-    sep = open_ + inner
+    first = sep = open_ + inner
     for item in items:
         if open_ == "{":
             sep += _encode_str(item[0]) + ": "
@@ -139,7 +139,7 @@ def _write_json(value, pad, put, spill):
         else:
             put(sep + scalar(item))
         sep = "," + inner
-    put(pad + close)
+    put(open_ + close if sep == first else pad + close)
 
 
 # pieces of JSON text _stream holds before it writes them out
@@ -323,8 +323,11 @@ def _cmd_chain(args):
     chain = Chain(ladder, field)
     vd = vd_certificate(chain, args.budget_faces)
     # the text lines read the chain itself: the certificate, every node's
-    # record with its monomial texts, is built only to be written
-    doc = chain_certificate(chain, vd) if args.json or args.out else None
+    # record with its monomial texts, is built only to be written, and
+    # its node records one at a time, as the writer takes them
+    doc = None
+    if args.json or args.out:
+        doc = chain_certificate(chain, vd, node_records(chain))
     _emit(doc, args, _chain_lines(chain))
     return 0
 

@@ -43,6 +43,7 @@ exactly when no facet (F - v) + w lacks v, one set lookup per vertex w
 import functools
 import operator
 
+from . import mono
 from .errors import BudgetExceeded, PreconditionError
 
 
@@ -141,8 +142,8 @@ class SimplicialComplex:
         # variables of linear generators, which lie in no other, go first
         # at the cost of one transversal each
         places = sorted(
-            (len(g) // 2, sorted(bit[g[k]] for k in range(0, len(g), 2)))
-            for g in ideal.gens
+            (len(vs), sorted(bit[v] for v in vs))
+            for vs in map(mono.variables, ideal.gens)
         )
         supports = [sum(1 << i for i in idx) for _, idx in places]
         every = (1 << len(verts)) - 1

@@ -146,7 +146,10 @@ class Chain:
     region table (regions, a families.RegionTable): each region's
     [(index set, leading monomial)] entries and their set of leading
     monomials, computed once per chain.  leading_monomials(canon) is the
-    union of the node's region sets; initial_ideal(canon) walks the same
+    union of the node's region sets, built where it is asked for: a
+    chain keeps only how many there are and which variables occur in
+    them (lead_summary), as the sets of all nodes together would be the
+    largest thing it holds.  initial_ideal(canon) walks the same
     sets by degree to the minimal generators (RegionTable.initial_ideal),
     in one sorted ambient tuple shared by every ideal of the chain.  The
     oracle route merges a node's sorted index sets from the same entries
@@ -181,7 +184,7 @@ class Chain:
         self._children_first = []
         self.regions = RegionTable(self.order, self.shape, field)
         self._ids = {}
-        self._lead_cache = {}
+        self._lead_summaries = {}
         self._initial_cache = {}
         self._top_basis = None
         self._oracle_initial_cache = {}
@@ -249,12 +252,18 @@ class Chain:
         """Frozenset of the leading monomials of the node's natural
         generators: the union of its regions' sets in the chain's region
         table, read off the index sets without expanding them and with no
-        per-node list (cached)."""
-        if canon not in self._lead_cache:
-            self._lead_cache[canon] = self.regions.leading_monomials(
-                self.nodes[canon].ladder
-            )
-        return self._lead_cache[canon]
+        per-node list (not kept)."""
+        return self.regions.leading_monomials(self.nodes[canon].ladder)
+
+    def lead_summary(self, canon):
+        """(count, occurring) of leading_monomials(canon): how many there
+        are, and the monomial whose variables are those occurring in any
+        of them (mono.occurring).  Kept per node in place of the set."""
+        got = self._lead_summaries.get(canon)
+        if got is None:
+            leads = self.leading_monomials(canon)
+            got = self._lead_summaries[canon] = (len(leads), mono.occurring(leads))
+        return got
 
     def initial_ideal(self, canon):
         """The ideal of leading_monomials(canon) in the chain's ring,
@@ -451,7 +460,7 @@ class Chain:
             v = node.cell
             ideal = self.initial_ideal(canon)
             if v is None:
-                cut = sum(simplex._bit(self.order.cell(g[0])) for g in ideal.gens)
+                cut = sum(simplex._bit(self.order.cell(mono.top(g))) for g in ideal.gens)
                 complexes[canon] = simplex._derive((every ^ cut,), ())
                 continue
             cx = None
@@ -543,10 +552,10 @@ def _is_double_link(c_gens, a_gens, b_gens, fvar):
     """Chain.is_double_link on minimal generators, C's squarefreeness
     aside: the variable fvar in no generator of A or B, A inside B, and
     gens(C) = gens(A) + {f*b : b in gens(B) - gens(A)}."""
-    if any(fvar in g[::2] for g in a_gens) or any(fvar in g[::2] for g in b_gens):
+    if any(mono.exponent(mono.occurring(gens), fvar) for gens in (a_gens, b_gens)):
         return False
     own = set(b_gens)
-    if () not in own:
+    if mono.ONE not in own:
         filed = None
         for a in a_gens:
             if a in own:
@@ -554,11 +563,13 @@ def _is_double_link(c_gens, a_gens, b_gens, fvar):
             if filed is None:
                 filed = {}
                 for b in b_gens:
-                    filed.setdefault(b[0], []).append(b)
-            if not any(mono.divides(b, a) for v in a[::2] for b in filed.get(v, ())):
+                    filed.setdefault(mono.top(b), []).append(b)
+            if not any(
+                mono.divides(b, a) for v in mono.variables(a) for b in filed.get(v, ())
+            ):
                 return False
     common = set(a_gens)
-    f = (fvar, 1)
+    f = mono.var(fvar)
     linked = common.union(mono.mul(f, b) for b in b_gens if b not in common)
     return len(c_gens) == len(linked) and linked.issuperset(c_gens)
 
@@ -735,12 +746,13 @@ def verify_step(chain, canon, max_spairs=None):
     node = chain.nodes[canon]
     if node.cell is None:
         raise PreconditionError("terminal instance has no removal step")
-    f = (chain.order.var(*node.cell), 1)
+    fvar = chain.order.var(*node.cell)
+    f = mono.var(fvar)
     out = []
 
-    c_raw = chain.leading_monomials(canon)
-    a_raw = chain.leading_monomials(node.middle)
-    b_raw = chain.leading_monomials(node.reduced)
+    c_count, _ = chain.lead_summary(canon)
+    a_count, a_vars = chain.lead_summary(node.middle)
+    b_count, _ = chain.lead_summary(node.reduced)
     c_ideal = chain.initial_ideal(canon)
     a_ideal = chain.initial_ideal(node.middle)
     b_ideal = chain.initial_ideal(node.reduced)
@@ -764,13 +776,10 @@ def verify_step(chain, canon, max_spairs=None):
             "initial-split-identity",
             split,
             "%d = %d + %d monomials (%d minimal)"
-            % (len(c_raw), len(a_raw), len(b_raw), len(c_ideal.gens)),
+            % (c_count, a_count, b_count, len(c_ideal.gens)),
         )
     )
-    fvar = f[0]
-    untouched = all(
-        all(g[k] != fvar for k in range(0, len(g), 2)) for g in a_raw
-    )
+    untouched = not mono.exponent(a_vars, fvar)
     out.append(_check("corner-avoids-middle", untouched))
 
     h_l = node.ladder.height_formula()
@@ -917,17 +926,20 @@ def node_records(chain):
         }
 
 
-def chain_certificate(chain, vd_cert=None):
+def chain_certificate(chain, vd_cert=None, nodes=None):
     """Serializable record of a chain: its node_records, and optionally
     a decomposability certificate: "chain" where the chain is one
     (Chain.certifies_vd), or the tree of
-    complexes.is_vertex_decomposable."""
+    complexes.is_vertex_decomposable.  nodes stands for the list of node
+    records when given: CLI chain hands node_records(chain) itself, whose
+    writer renders each record as it is yielded, so the list is never
+    held whole."""
     out = {
         "schema": CHAIN_SCHEMA,
         "field": chain.field.name,
         "order": chain.top.order_kind,
         "top": chain.top.to_json(),
-        "nodes": list(node_records(chain)),
+        "nodes": list(node_records(chain)) if nodes is None else nodes,
     }
     if vd_cert is not None:
         out["vd"] = vd_cert
@@ -1048,8 +1060,10 @@ def localization_maps(ladder, cell, field=QQ):
     for (i, j) in ladder.cells():
         x = var(i, j)
         if (i, j) in affected and i != u and j != v:
-            correction = p_term_mul(p_var(var(i, v), field), (var(u, j), 1), field.one, field)
-            base = p_term_mul(p_var(x, field), (uv, 1), field.one, field)
+            correction = p_term_mul(
+                p_var(var(i, v), field), mono.var(var(u, j)), field.one, field
+            )
+            base = p_term_mul(p_var(x, field), mono.var(uv), field.one, field)
             phi[x] = (p_add(base, correction, field), 1)
             psi[x] = (p_sub(base, correction, field), 1)
         else:
@@ -1064,12 +1078,11 @@ def substitute(p, mapping, uv, field=QQ):
     parts = []
     maxden = 0
     for m, c in p.items():
-        num = {(): c}
+        num = {mono.ONE: c}
         den = 0
-        for k in range(0, len(m), 2):
-            var, exp = m[k], m[k + 1]
+        for var in mono.variables(m):
             img, e = mapping[var]
-            for _ in range(exp):
+            for _ in range(mono.exponent(m, var)):
                 num = p_mul(num, img, field)
                 den += e
         parts.append((num, den))
@@ -1078,7 +1091,7 @@ def substitute(p, mapping, uv, field=QQ):
     for num, den in parts:
         pad = maxden - den
         if pad:
-            num = p_term_mul(num, (uv, pad), field.one, field)
+            num = p_term_mul(num, mono.var(uv, pad), field.one, field)
         total = p_add(total, num, field)
     return total, maxden
 
@@ -1146,7 +1159,7 @@ def verify_localization(ladder, cell, field=QQ, max_spairs=None):
             num2, e2 = substitute(num, second, uv, field)
             want = p_var(x, field)
             if e + e2:
-                want = p_term_mul(want, (uv, e + e2), field.one, field)
+                want = p_term_mul(want, mono.var(uv, e + e2), field.one, field)
             if freeze(num2) != freeze(want):
                 ok = False
     checks.append(_check("inverse-pair", ok, "composition fixes every variable"))
@@ -1202,5 +1215,5 @@ def _member_with_saturation(p, G, table, order, field, uv):
     for _ in range(_MAX_POWER + 1):
         if p_is_zero(normal_form(work, G, order, field, table)):
             return True
-        work = p_term_mul(work, (uv, 1), field.one, field)
+        work = p_term_mul(work, mono.var(uv), field.one, field)
     return False

@@ -27,7 +27,7 @@ first; indices are validated only on a miss, before anything is stored,
 so a key in a memo is always a valid one.
 """
 
-from . import poly
+from . import mono, poly
 from .errors import PreconditionError
 
 
@@ -125,7 +125,7 @@ def entry_poly(shape, i, j, field, order):
     if sign == 0:
         return {}
     c = field.one if sign > 0 else field.neg(field.one)
-    return {(order.var(*cell), 1): c}
+    return {mono.var(order.var(*cell)): c}
 
 
 def _ring_memo(memos, order):
@@ -166,7 +166,7 @@ def minor(shape, rows, cols, field, order):
     _check_indices(rows, shape.m, "rows")
     _check_indices(cols, shape.n, "columns")
     if not rows:
-        out = {(): field.one}
+        out = {mono.ONE: field.one}
     elif len(rows) == 1:
         out = entry_poly(shape, rows[0], cols[0], field, order)
     else:
@@ -207,7 +207,7 @@ def pfaffian(shape, indices, field, order):
     if len(indices) % 2 != 0:
         raise PreconditionError("pfaffian needs an even number of indices")
     if not indices:
-        out = {(): field.one}
+        out = {mono.ONE: field.one}
     elif len(indices) == 2:
         out = entry_poly(shape, indices[0], indices[1], field, order)
     else:
@@ -225,11 +225,6 @@ def pfaffian(shape, indices, field, order):
             out = poly.p_add(out, term, field)
     memo[key] = out
     return out
-
-
-def _monomial(variables):
-    """The squarefree monomial on distinct variables."""
-    return tuple(x for v in sorted(variables, reverse=True) for x in (v, 1))
 
 
 def minor_leading(shape, rows, cols, order):
@@ -281,7 +276,7 @@ def minor_leading(shape, rows, cols, order):
         picked.append(v)
         left_rows.remove(r)
         left_cols.remove(c)
-    out = memo[key] = _monomial(picked)
+    out = memo[key] = mono.from_vars(picked)
     return out
 
 
@@ -312,7 +307,7 @@ def pfaffian_leading(shape, indices, order):
         picked.append(v)
         left.remove(i)
         left.remove(j)
-    out = memo[key] = _monomial(picked)
+    out = memo[key] = mono.from_vars(picked)
     return out
 
 

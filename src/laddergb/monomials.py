@@ -13,23 +13,6 @@ from . import mono
 from .errors import PreconditionError
 
 
-def _gcd_mono(a, b):
-    """Greatest common divisor; ids decrease along a monomial (see mono)."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            out.append(a[i])
-            out.append(min(a[i + 1], b[j + 1]))
-            i += 2
-            j += 2
-        elif a[i] > b[j]:
-            i += 2
-        else:
-            j += 2
-    return tuple(out)
-
-
 def minimalize(gens):
     """Minimal generating set: drop monomials divisible by another one.
 
@@ -50,33 +33,43 @@ def minimal_levels(levels):
     never divide each other, so a candidate is tested only against the
     kept generators of lower degree, and of those only against the ones
     filed under a variable of the candidate: each kept generator is filed
-    under its largest variable g[0], which occurs in every monomial it
-    divides.  The unit () has no variable to be filed under; it divides
+    under its largest variable mono.top(g), which occurs in every monomial
+    it divides.  A candidate that has none of the variables filed under,
+    as its support mask shows, is kept without listing its variables.
+    The unit mono.ONE has no variable to be filed under; it divides
     everything, so it is the only generator when it occurs."""
     out = []
     kept = {}  # largest variable -> kept generators with that variable first
+    last = max(levels, default=None)
     for d in sorted(levels):
         level = levels[d]
         if d == 0:
-            return [()]
+            return [mono.ONE]
         if kept:
+            filed = mono.support(mono.from_vars(kept))
             level = [
                 m
                 for m in level
-                if not any(
-                    mono.divides(g, m) for v in m[::2] for g in kept.get(v, ())
+                if not (
+                    mono.support(m) & filed
+                    and any(
+                        mono.divides(g, m)
+                        for v in mono.variables(m)
+                        for g in kept.get(v, ())
+                    )
                 )
             ]
         level = sorted(level)
-        for g in level:
-            kept.setdefault(g[0], []).append(g)
         out.extend(level)
+        if d != last:
+            for g in level:
+                kept.setdefault(mono.top(g), []).append(g)
     return out
 
 
 def _squarefree(gens):
     """Whether every exponent of every monomial of gens is 1."""
-    return all(all(g[k] == 1 for k in range(1, len(g), 2)) for g in gens)
+    return all(map(mono.is_squarefree, gens))
 
 
 class MonomialIdeal:
@@ -88,11 +81,10 @@ class MonomialIdeal:
         self.ambient = tuple(sorted(set(ambient)))
         avail = set(self.ambient)
         for g in gens:
-            for k in range(0, len(g), 2):
-                if g[k] not in avail:
-                    raise PreconditionError(
-                        "generator uses a variable outside the ambient ring"
-                    )
+            if not avail.issuperset(mono.variables(g)):
+                raise PreconditionError(
+                    "generator uses a variable outside the ambient ring"
+                )
         self.gens = tuple(minimalize(gens))
         self._squarefree = _squarefree(self.gens)
 
@@ -114,7 +106,7 @@ class MonomialIdeal:
         return not self.gens
 
     def is_unit(self):
-        return () in self.gens
+        return mono.ONE in self.gens
 
     def contains_monomial(self, m):
         return any(mono.divides(g, m) for g in self.gens)
@@ -123,9 +115,10 @@ class MonomialIdeal:
         return all(self.contains_monomial(g) for g in other.gens)
 
     def colon(self, f):
-        """(I : f) for a monomial f."""
+        """(I : f) for a monomial f: each generator g becomes
+        g / gcd(g, f) = lcm(g, f) / f."""
         return MonomialIdeal(
-            [mono.div(g, _gcd_mono(g, f)) for g in self.gens], self.ambient
+            [mono.div(mono.lcm(g, f), f) for g in self.gens], self.ambient
         )
 
     def is_colon_stable(self, f):
@@ -168,7 +161,7 @@ def check_double_link(a_ideal, b_ideal, f):
     colon-stable along the nonunit monomial f and contained in B."""
     if a_ideal.ambient != b_ideal.ambient:
         raise PreconditionError("ingredient ideals live in different rings")
-    if f == ():
+    if f == mono.ONE:
         raise PreconditionError("the multiplier must be a nonunit monomial")
     if not a_ideal.is_colon_stable(f):
         raise PreconditionError("first ingredient is not colon-stable along the multiplier")
@@ -215,33 +208,40 @@ def _numerator(gens, memo):
         return memo[gens]
     # degree-1 generators kill their variable: a factor (1-z) each; the
     # remaining generators avoid killed variables by minimality
-    rest = tuple(g for g in gens if not (len(g) == 2 and g[1] == 1))
-    if () in gens:
+    rest = tuple(g for g in gens if not mono.is_var(g))
+    if mono.ONE in gens:
         out = ()
     elif len(rest) < len(gens):
         out = _numerator(rest, memo)
         for _ in range(len(gens) - len(rest)):
             out = series_mul(out, (1, -1))
-    elif all(len(g) == 2 for g in gens):
-        # pure powers (none at all for the zero ideal): the product of (1 - z^e)
-        out = (1,)
-        for g in gens:
-            out = series_mul(out, (1,) + (0,) * (g[1] - 1) + (-1,))
     else:
-        # K(I) = K(I + (x)) + z K(I : x), split on the most used variable,
-        # the largest of those on a tie; every candidate sits in a
-        # generator of degree at least 2, so both branches shrink
-        used = {}
-        for g in gens:
-            for k in range(0, len(g), 2):
-                used[g[k]] = used.get(g[k], 0) + 1
-        x = max(sorted(used, reverse=True), key=lambda v: used[v])
-        colon = minimalize([mono.div(g, _gcd_mono(g, (x, 1))) for g in gens])
-        added = minimalize(list(gens) + [(x, 1)])
-        out = series_add(
-            _numerator(added, memo),
-            series_mul((0, 1), _numerator(colon, memo)),
-        )
+        supports = [mono.variables(g) for g in gens]
+        if all(len(vs) == 1 for vs in supports):
+            # pure powers (none at all for the zero ideal): the product of
+            # (1 - z^e)
+            out = (1,)
+            for g in gens:
+                out = series_mul(out, (1,) + (0,) * (mono.deg(g) - 1) + (-1,))
+        else:
+            # K(I) = K(I + (x)) + z K(I : x), split on the most used
+            # variable, the largest of those on a tie; every candidate
+            # sits in a generator of degree at least 2, so both branches
+            # shrink
+            used = {}
+            for vs in supports:
+                for v in vs:
+                    used[v] = used.get(v, 0) + 1
+            x = max(sorted(used, reverse=True), key=lambda v: used[v])
+            f = mono.var(x)
+            colon = minimalize(
+                [mono.div(g, f) if mono.exponent(g, x) else g for g in gens]
+            )
+            added = minimalize(list(gens) + [f])
+            out = series_add(
+                _numerator(added, memo),
+                series_mul((0, 1), _numerator(colon, memo)),
+            )
     memo[gens] = out
     return out
 

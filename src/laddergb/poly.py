@@ -8,10 +8,10 @@ Either realizes the property that leading terms of minors are their
 (anti-)diagonal products; that property is asserted by tests, not
 assumed here.  A term order also numbers the variables of its ring by
 rank, the largest variable last (TermOrder.var, TermOrder.cell).  A
-monomial is a flat tuple over these ids, largest variable first, handled
-by the mono kernel, and a polynomial is a dict mapping monomial ->
-nonzero coefficient.  Two monomials then compare as lex with Python's
-own <, so leading terms, the S-pair queue and canonical text take
+monomial is the packed exponent vector of the mono kernel over these
+ids, one int, and a polynomial is a dict mapping monomial -> nonzero
+coefficient.  Two monomials then compare as lex with Python's own <,
+so leading terms, the S-pair queue and canonical text take
 monomials as they are, with no sort key and no memo of one.  A
 polynomial is only meaningful together with the order whose ring it was
 built in.
@@ -106,7 +106,7 @@ def p_zero():
 
 
 def p_var(v, field):
-    return {(v, 1): field.one}
+    return {mono.var(v): field.one}
 
 
 def p_add(p, q, field):
@@ -530,7 +530,7 @@ def mono_text(m, order: TermOrder) -> str:
         return "1"
     cell = order.cell
     parts = []
-    for (i, j), e in sorted((cell(m[k]), m[k + 1]) for k in range(0, len(m), 2)):
+    for (i, j), e in sorted((cell(v), mono.exponent(m, v)) for v in mono.variables(m)):
         var = "x[%d,%d]" % (i, j)
         parts.append(var if e == 1 else "%s^%d" % (var, e))
     return "*".join(parts)

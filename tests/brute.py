@@ -10,6 +10,7 @@ where dividing by the generators leaves a remainder.
 
 import itertools
 
+from laddergb import mono
 from laddergb.errors import PreconditionError
 from laddergb.families import conventional_order, natural_generators
 from laddergb.fields import QQ
@@ -19,6 +20,8 @@ from laddergb.linkage import (
     substitute,
 )
 from laddergb.poly import freeze, groebner_basis, normal_form, p_term_mul, p_var
+
+from tupleref import encode
 
 
 def hilbert_function_brute(ideal, d):
@@ -33,7 +36,7 @@ def hilbert_function_brute(ideal, d):
                 m[-1] += 1
             else:
                 m.extend((v, 1))
-        if not ideal.contains_monomial(tuple(m)):
+        if not ideal.contains_monomial(encode(m)):
             count += 1
     return count
 
@@ -43,7 +46,7 @@ def codim_by_cover(ideal):
     codimension of the squarefree ideal."""
     if ideal.is_unit():
         raise PreconditionError("unit ideal has no codimension")
-    supports = [frozenset(g[k] for k in range(0, len(g), 2)) for g in ideal.gens]
+    supports = [frozenset(mono.variables(g)) for g in ideal.gens]
     if not supports:
         return 0
     verts = sorted(set().union(*supports))
@@ -72,7 +75,7 @@ def localization_complete_first(ladder, cell, field=QQ, max_spairs=None, max_pow
             num2, e2 = substitute(num, second, uv, field)
             want = p_var(x, field)
             if e + e2:
-                want = p_term_mul(want, (uv, e + e2), field.one, field)
+                want = p_term_mul(want, encode((uv, e + e2)), field.one, field)
             ok = ok and freeze(num2) == freeze(want)
     checks = [{"name": "inverse-pair", "pass": ok, "detail": "composition fixes every variable"}]
 
@@ -80,7 +83,7 @@ def localization_complete_first(ladder, cell, field=QQ, max_spairs=None, max_pow
         for _ in range(max_power + 1):
             if not normal_form(p, gb, order, field, table):
                 return True
-            p = p_term_mul(p, (uv, 1), field.one, field)
+            p = p_term_mul(p, encode((uv, 1)), field.one, field)
         return False
 
     shape = ladder.shape()

@@ -6,10 +6,12 @@ such vectors as tuples is the lex order by definition, and it does not
 read how the order numbers its variables.
 """
 
+from laddergb import mono
+
 
 def lex_key(m, order):
     """Dense exponent vector of the monomial m over order.sequence."""
     exps = dict.fromkeys(order.sequence, 0)
-    for k in range(0, len(m), 2):
-        exps[order.cell(m[k])] = m[k + 1]
+    for v in mono.variables(m):
+        exps[order.cell(v)] = mono.exponent(m, v)
     return tuple(exps.values())

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from types import GeneratorType
 
 import pytest
 
@@ -805,12 +806,24 @@ def test_json_round_trip_and_stable_keys(tmp_path, capsys):
 
 def test_json_documents_are_the_bytes_of_json_dumps(tmp_path, capsys, monkeypatch):
     # cli writes its documents without json.dumps; every subcommand's
-    # --json output and the --out file must still be exactly its bytes
+    # --json output and the --out file must still be exactly its bytes.
+    # chain's node records come from a generator, which the recording
+    # keeps a copy of as the writer draws on it
     docs = []
     emit = cli._emit
 
+    def kept(items, into):
+        for item in items:
+            into.append(item)
+            yield item
+
     def recording(doc, args, lines):
-        docs.append(doc)
+        copy = dict(doc)
+        for key, value in doc.items():
+            if isinstance(value, GeneratorType):
+                copy[key] = []
+                doc[key] = kept(value, copy[key])
+        docs.append(copy)
         emit(doc, args, lines)
 
     monkeypatch.setattr(cli, "_emit", recording)
@@ -881,6 +894,32 @@ def test_streamed_documents_are_the_bytes_of_json_dumps(
     pieces = [w.count("\n") + w.count('"w": ') for w in stdout.writes]
     assert len(pieces) >= 3
     assert max(pieces) <= cli._CHUNK + 6
+
+
+@pytest.mark.parametrize("size", [0, 1, cli._CHUNK])
+def test_a_generator_streams_as_the_list_it_yields(tmp_path, monkeypatch, size):
+    # chain hands its node records to the writer as a generator; the
+    # records are drawn once, and the text is json.dumps's of the list
+    drawn = []
+
+    def records():
+        for k in range(size):
+            drawn.append(k)
+            yield {"id": "n%d" % k, "initial": ["x%d" % k]}
+
+    doc = {"nodes": records(), "top": {"n": size}}
+    want = json.dumps(
+        {"nodes": [{"id": "n%d" % k, "initial": ["x%d" % k]} for k in range(size)],
+         "top": {"n": size}},
+        sort_keys=True, indent=2, ensure_ascii=False,
+    ) + "\n"
+    stdout = _Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    path = tmp_path / "doc.json"
+    cli._emit(doc, argparse.Namespace(out=str(path), json=True), iter(()))
+    assert "".join(stdout.writes) == want
+    assert path.read_text(encoding="utf-8") == want
+    assert drawn == list(range(size))
 
 
 def test_out_flag_matches_stdout_json(tmp_path, capsys):

@@ -21,6 +21,7 @@ from laddergb.ladders import ladder_from_json
 from laddergb.monomials import MonomialIdeal, codim_by_series, hilbert_numerator
 
 from brute import codim_by_cover
+from tupleref import encode
 from corpus import CORPUS, NEGATIVE_INSTANCES
 
 
@@ -150,7 +151,7 @@ def brute_transversals(supports):
 def minimal_transversals(supports, ambient):
     """The minimal transversals of the supports, as complements of the
     facets from_squarefree builds."""
-    gens = [tuple(x for v in sorted(s, reverse=True) for x in (v, 1)) for s in supports]
+    gens = [encode(tuple(x for v in sorted(s, reverse=True) for x in (v, 1))) for s in supports]
     cx = SimplicialComplex.from_squarefree(MonomialIdeal(gens, ambient))
     return [frozenset(ambient) - f for f in cx.facets]
 
@@ -183,7 +184,7 @@ def test_minimal_transversals_match_brute_force(supports):
 
 def square_ideal():
     # (x0*x2, x1*x3): the 4-cycle; facets 01, 12, 23, 30
-    return MonomialIdeal([(2, 1, 0, 1), (3, 1, 1, 1)], (0, 1, 2, 3))
+    return MonomialIdeal([encode((2, 1, 0, 1)), encode((3, 1, 1, 1))], (0, 1, 2, 3))
 
 
 def test_from_squarefree_square():
@@ -199,7 +200,7 @@ def test_from_squarefree_square():
 
 def test_from_squarefree_rejects_powers():
     with pytest.raises(PreconditionError):
-        SimplicialComplex.from_squarefree(MonomialIdeal([(0, 2)], (0, 1)))
+        SimplicialComplex.from_squarefree(MonomialIdeal([encode((0, 2))], (0, 1)))
 
 
 def test_zero_ideal_gives_full_simplex():
@@ -209,7 +210,7 @@ def test_zero_ideal_gives_full_simplex():
 
 
 def test_unit_ideal_gives_void_complex():
-    cx = SimplicialComplex.from_squarefree(MonomialIdeal([()], (0, 1)))
+    cx = SimplicialComplex.from_squarefree(MonomialIdeal([encode(())], (0, 1)))
     assert cx.is_void()
     with pytest.raises(PreconditionError):
         cx.dim()
@@ -270,7 +271,7 @@ vertex_sets = st.frozensets(st.integers(0, VERTS - 1), max_size=VERTS)
 @settings(max_examples=150)
 def test_from_squarefree_matches_frozenset_reference(supports, extra):
     ambient = tuple(sorted(set(extra).union(*supports)))
-    gens = [tuple(x for v in sorted(s, reverse=True) for x in (v, 1)) for s in supports]
+    gens = [encode(tuple(x for v in sorted(s, reverse=True) for x in (v, 1))) for s in supports]
     cx = SimplicialComplex.from_squarefree(MonomialIdeal(gens, ambient))
     ref = ref_from_supports(supports, ambient)
     assert_matches_reference(cx, ref)
@@ -280,7 +281,7 @@ def test_from_squarefree_matches_frozenset_reference(supports, extra):
 
 
 def _squarefree(support):
-    return tuple(x for v in sorted(support, reverse=True) for x in (v, 1))
+    return encode(tuple(x for v in sorted(support, reverse=True) for x in (v, 1)))
 
 
 @given(
@@ -301,7 +302,7 @@ def test_double_link_matches_from_squarefree(v, b_supports, a_picks):
     ambient = tuple(range(VERTS))
     a = MonomialIdeal([_squarefree(s) for s in a_supports], ambient)
     b = MonomialIdeal([_squarefree(s) for s in b_supports], ambient)
-    c = a.plus(mono.mul((v, 1), g) for g in b.gens)
+    c = a.plus(mono.mul(encode((v, 1)), g) for g in b.gens)
     a_cx = SimplicialComplex.from_squarefree(a)
     b_cx = SimplicialComplex.from_squarefree(b)
     got = SimplicialComplex.double_link(a_cx, b_cx, v)
@@ -362,7 +363,7 @@ def test_pure_complex_matches_frozenset_reference(drawn):
 )
 @settings(max_examples=80)
 def test_codim_routes_agree(supports):
-    gens = [tuple(x for v in sorted(s, reverse=True) for x in (v, 1)) for s in supports]
+    gens = [encode(tuple(x for v in sorted(s, reverse=True) for x in (v, 1))) for s in supports]
     ideal = MonomialIdeal(gens, tuple(range(5)))
     if ideal.is_unit():
         return
@@ -385,7 +386,7 @@ def test_codim_routes_agree_on_corpus_chains():
 
 
 def test_codim_by_cover_rejects_unit():
-    unit = MonomialIdeal([()], (0, 1))
+    unit = MonomialIdeal([encode(())], (0, 1))
     with pytest.raises(PreconditionError):
         codim_by_cover(unit)
     with pytest.raises(PreconditionError):

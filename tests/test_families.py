@@ -23,6 +23,7 @@ from laddergb.poly import freeze, leading_term, p_degree, p_is_zero
 
 from corpus import CORPUS, NEGATIVE_INSTANCES
 from lexref import lex_key
+from tupleref import encode
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +92,9 @@ def test_maxminors_leading_monomials_are_diagonals():
     monos = initial_generators(l)
     v = conventional_order(l).var
     expect = {
-        (v(1, 1), 1, v(2, 2), 1),
-        (v(1, 1), 1, v(2, 3), 1),
-        (v(1, 2), 1, v(2, 3), 1),
+        encode((v(1, 1), 1, v(2, 2), 1)),
+        encode((v(1, 1), 1, v(2, 3), 1)),
+        encode((v(1, 2), 1, v(2, 3), 1)),
     }
     assert set(monos) == expect
 
@@ -104,9 +105,9 @@ def test_onesided_leading_monomials_are_antidiagonals():
     v = conventional_order(l).var
     # 2-minor on columns (j1 < j2) leads with x[1,j2]*x[2,j1]
     expect = {
-        (v(1, 2), 1, v(2, 1), 1),
-        (v(1, 3), 1, v(2, 1), 1),
-        (v(1, 3), 1, v(2, 2), 1),
+        encode((v(1, 2), 1, v(2, 1), 1)),
+        encode((v(1, 3), 1, v(2, 1), 1)),
+        encode((v(1, 3), 1, v(2, 2), 1)),
     }
     assert monos == expect
 
@@ -117,7 +118,7 @@ def test_pfaffian_leading_monomials():
     # pf = x12*x34 - x13*x24 + x14*x23; antidiagonal order leads x14*x23
     order = conventional_order(l)
     m, c = leading_term(g, order)
-    assert m == (order.var(1, 4), 1, order.var(2, 3), 1)
+    assert m == encode((order.var(1, 4), 1, order.var(2, 3), 1))
     assert QQ.eq(c, QQ.one)
 
 

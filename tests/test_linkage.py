@@ -52,6 +52,7 @@ from laddergb import linkage, matrices, monomials, poly
 from laddergb.complexes import SimplicialComplex, is_vertex_decomposable
 
 from brute import hilbert_function_brute, localization_complete_first
+from tupleref import decode, encode
 from corpus import CORPUS, NEGATIVE_INSTANCES, ONESIDED
 
 
@@ -245,8 +246,10 @@ def test_verify_family_builds_each_node_ideal_once(monkeypatch):
     assert all(ambient is chain.ambient for _, ambient in built)
 
 
-X1, X2, X3 = (1, 1), (2, 1), (3, 1)
-X13, X91, X92, X93 = (3, 1, 1, 1), (9, 1, 1, 1), (9, 1, 2, 1), (9, 1, 3, 1)
+X1, X2, X3 = encode((1, 1)), encode((2, 1)), encode((3, 1))
+X13, X91, X92, X93 = (
+    encode(t) for t in ((3, 1, 1, 1), (9, 1, 1, 1), (9, 1, 2, 1), (9, 1, 3, 1))
+)
 
 
 @pytest.mark.parametrize(
@@ -257,8 +260,8 @@ X13, X91, X92, X93 = (3, 1, 1, 1), (9, 1, 1, 1), (9, 1, 2, 1), (9, 1, 3, 1)
         ((X13, X91), (X13,), (X1, X2), False),  # f*x2 is missing
         ((X3, X91), (X3,), (X1,), False),  # A is not inside B
         ((X93, X91), (X93,), (X1, X3), False),  # f in a generator of A
-        ((X13, X91, (9, 2, 2, 1)), (X13,), (X1, X92), False),  # f in one of B
-        ((X3, (9, 1)), (X3,), ((),), True),  # B is the unit ideal
+        ((X13, X91, encode((9, 2, 2, 1))), (X13,), (X1, X92), False),  # f in one of B
+        ((X3, encode((9, 1))), (X3,), (encode(()),), True),  # B is the unit ideal
     ],
 )
 def test_double_link_guard_needs_every_condition(c, a, b, want):
@@ -406,7 +409,7 @@ def test_hilbert_identity_holds_in_every_degree_not_up_to_a_cutoff():
     # In k[x,y], C = A = (x) and B = (x, y^10): H(R/C, d) = H(R/B, d-1)
     # + H(R/A, d) - H(R/A, d-1) holds in degrees 0..10 and fails from
     # degree 11 on, so a per-degree check with a small cutoff passes.
-    x, y10 = (0, 1), (1, 10)
+    x, y10 = encode((0, 1)), encode((1, 10))
     ring = (0, 1)
     a = c = MonomialIdeal([x], ring)
     b = MonomialIdeal([x, y10], ring)
@@ -722,8 +725,8 @@ def test_localization_maps_structure():
     num, e = phi[v(1, 1)]
     assert e == 1
     uv = v(2, 2)
-    base = p_term_mul(p_var(v(1, 1), QQ), (uv, 1), QQ.one, QQ)
-    corr = p_term_mul(p_var(v(1, 2), QQ), (v(2, 1), 1), QQ.one, QQ)
+    base = p_term_mul(p_var(v(1, 1), QQ), encode((uv, 1)), QQ.one, QQ)
+    corr = p_term_mul(p_var(v(1, 2), QQ), encode((v(2, 1), 1)), QQ.one, QQ)
     from laddergb.poly import p_add
 
     assert num == p_add(base, corr, QQ)
@@ -755,7 +758,7 @@ def test_inverse_pair_on_every_variable(ladder, cell):
             num2, e2 = substitute(num, second, uv)
             want = p_var(x, QQ)
             if e + e2:
-                want = p_term_mul(want, (uv, e + e2), QQ.one, QQ)
+                want = p_term_mul(want, encode((uv, e + e2)), QQ.one, QQ)
             assert freeze(num2) == freeze(want)
 
 
@@ -868,7 +871,7 @@ def test_localized_generators_drop_one_size():
     gens = localized_ideal_generators(FULL33, (2, 2))
     # 1-minors on rows {1,3} x cols {1,3}: four variables
     assert len(gens) == 4
-    degs = {max(map(len, g)) for g in gens}
+    degs = {max(len(decode(m)) for m in g) for g in gens}
     assert degs == {2}  # single-variable polynomials
 
 

@@ -18,6 +18,7 @@ from laddergb.monomials import (
 )
 
 from brute import hilbert_function_brute
+from tupleref import encode as E
 
 AMBIENT = tuple(range(6))
 
@@ -28,7 +29,7 @@ def monomials(max_vars=6, max_exp=3):
         st.integers(min_value=1, max_value=max_exp),
         min_size=1,
         max_size=3,
-    ).map(lambda d: tuple(x for v in sorted(d, reverse=True) for x in (v, d[v])))
+    ).map(lambda d: E(tuple(x for v in sorted(d, reverse=True) for x in (v, d[v]))))
 
 
 def ideals():
@@ -42,14 +43,14 @@ def ideals():
 
 
 def test_minimalize_examples():
-    x, y = (0, 1), (1, 1)
-    xy = (1, 1, 0, 1)
-    x2 = (0, 2)
+    x, y = E((0, 1)), E((1, 1))
+    xy = E((1, 1, 0, 1))
+    x2 = E((0, 2))
     assert minimalize([x, xy]) == [x]
     assert minimalize([x2, xy, x]) == [x]
     assert minimalize([x2, xy]) == sorted([x2, xy], key=lambda m: (2, m))
     assert minimalize([]) == []
-    assert minimalize([(), x]) == [()]
+    assert minimalize([E(()), x]) == [E(())]
 
 
 @given(st.lists(monomials(), max_size=6))
@@ -82,7 +83,7 @@ def all_pairs_minimalize(gens):
 @settings(max_examples=300)
 @given(
     st.lists(
-        st.one_of(st.just(()), monomials(max_vars=3), monomials(max_vars=4, max_exp=2)),
+        st.one_of(st.just(E(())), monomials(max_vars=3), monomials(max_vars=4, max_exp=2)),
         max_size=10,
     )
 )
@@ -112,7 +113,7 @@ def degree_scan_minimalize(gens):
 @given(
     st.lists(
         st.one_of(
-            st.just(()),
+            st.just(E(())),
             monomials(max_vars=8, max_exp=1),
             monomials(max_vars=8, max_exp=3),
         ),
@@ -134,36 +135,36 @@ def test_minimalize_matches_the_degree_scan(gens):
 
 
 def test_containment_and_membership():
-    ideal = MonomialIdeal([(1, 1, 0, 1), (2, 2)], AMBIENT)
-    assert ideal.contains_monomial((3, 4, 1, 1, 0, 1))
-    assert ideal.contains_monomial((2, 3))
-    assert not ideal.contains_monomial((0, 1))
-    assert not ideal.contains_monomial(())
-    smaller = MonomialIdeal([(1, 1, 0, 2)], AMBIENT)
+    ideal = MonomialIdeal([E((1, 1, 0, 1)), E((2, 2))], AMBIENT)
+    assert ideal.contains_monomial(E((3, 4, 1, 1, 0, 1)))
+    assert ideal.contains_monomial(E((2, 3)))
+    assert not ideal.contains_monomial(E((0, 1)))
+    assert not ideal.contains_monomial(E(()))
+    smaller = MonomialIdeal([E((1, 1, 0, 2))], AMBIENT)
     assert ideal.contains_ideal(smaller)
     assert not smaller.contains_ideal(ideal)
 
 
 def test_zero_and_unit():
     assert MonomialIdeal([], AMBIENT).is_zero()
-    assert MonomialIdeal([()], AMBIENT).is_unit()
-    assert not MonomialIdeal([(0, 1)], AMBIENT).is_zero()
+    assert MonomialIdeal([E(())], AMBIENT).is_unit()
+    assert not MonomialIdeal([E((0, 1))], AMBIENT).is_zero()
 
 
 def test_ambient_is_enforced():
     with pytest.raises(PreconditionError):
-        MonomialIdeal([(9, 1)], AMBIENT)
+        MonomialIdeal([E((9, 1))], AMBIENT)
 
 
 def test_colon_examples():
     # (x^2*y, z) : x = (x*y, z)
-    ideal = MonomialIdeal([(1, 1, 0, 2), (2, 1)], AMBIENT)
-    colon = ideal.colon((0, 1))
-    assert set(colon.gens) == {(1, 1, 0, 1), (2, 1)}
+    ideal = MonomialIdeal([E((1, 1, 0, 2)), E((2, 1))], AMBIENT)
+    colon = ideal.colon(E((0, 1)))
+    assert set(colon.gens) == {E((1, 1, 0, 1)), E((2, 1))}
     # colon by a variable not involved: unchanged
-    assert ideal.colon((4, 1)) == ideal
-    assert ideal.is_colon_stable((4, 1))
-    assert not ideal.is_colon_stable((0, 1))
+    assert ideal.colon(E((4, 1))) == ideal
+    assert ideal.is_colon_stable(E((4, 1)))
+    assert not ideal.is_colon_stable(E((0, 1)))
 
 
 @given(ideals(), monomials())
@@ -178,8 +179,8 @@ def test_colon_contains_ideal(ideal, f):
 
 
 def test_squarefree():
-    assert MonomialIdeal([(1, 1, 0, 1)], AMBIENT).is_squarefree()
-    assert not MonomialIdeal([(0, 2)], AMBIENT).is_squarefree()
+    assert MonomialIdeal([E((1, 1, 0, 1))], AMBIENT).is_squarefree()
+    assert not MonomialIdeal([E((0, 2))], AMBIENT).is_squarefree()
     assert MonomialIdeal([], AMBIENT).is_squarefree()
 
 
@@ -189,25 +190,25 @@ def test_squarefree():
 
 def test_basic_double_link_example():
     # A = (y), B = (x, y), f = z: C = (y, x*z) after minimalization
-    a = MonomialIdeal([(1, 1)], AMBIENT)
-    b = MonomialIdeal([(0, 1), (1, 1)], AMBIENT)
-    c = basic_double_link(a, b, (2, 1))
-    assert set(c.gens) == {(1, 1), (2, 1, 0, 1)}
+    a = MonomialIdeal([E((1, 1))], AMBIENT)
+    b = MonomialIdeal([E((0, 1)), E((1, 1))], AMBIENT)
+    c = basic_double_link(a, b, E((2, 1)))
+    assert set(c.gens) == {E((1, 1)), E((2, 1, 0, 1))}
 
 
 def test_basic_double_link_preconditions():
-    a = MonomialIdeal([(1, 1)], AMBIENT)
-    b = MonomialIdeal([(0, 1), (1, 1)], AMBIENT)
+    a = MonomialIdeal([E((1, 1))], AMBIENT)
+    b = MonomialIdeal([E((0, 1)), E((1, 1))], AMBIENT)
     with pytest.raises(PreconditionError):
-        basic_double_link(a, b, ())  # unit multiplier
+        basic_double_link(a, b, E(()))  # unit multiplier
     with pytest.raises(PreconditionError):
-        basic_double_link(a, b, (1, 1))  # A not colon-stable along f
-    small = MonomialIdeal([(3, 1)], AMBIENT)
+        basic_double_link(a, b, E((1, 1)))  # A not colon-stable along f
+    small = MonomialIdeal([E((3, 1))], AMBIENT)
     with pytest.raises(PreconditionError):
-        basic_double_link(small, b, (2, 1))  # A not contained in B
-    other = MonomialIdeal([(1, 1)], (0, 1, 2))
+        basic_double_link(small, b, E((2, 1)))  # A not contained in B
+    other = MonomialIdeal([E((1, 1))], (0, 1, 2))
     with pytest.raises(PreconditionError):
-        basic_double_link(other, b, (2, 1))  # different ambient rings
+        basic_double_link(other, b, E((2, 1)))  # different ambient rings
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +224,13 @@ def test_hilbert_free_ring():
 
 def test_hilbert_hypersurface():
     # one generator of degree 2 in 2 variables: 1, 2, 2, 2, ...
-    ideal = MonomialIdeal([(0, 2)], (0, 1))
+    ideal = MonomialIdeal([E((0, 2))], (0, 1))
     assert [ideal.hilbert_function(d) for d in range(5)] == [1, 2, 2, 2, 2]
 
 
 def test_hilbert_of_unit_and_of_linear():
-    assert MonomialIdeal([()], AMBIENT).hilbert_function(0) == 0
-    linear = MonomialIdeal([(0, 1)], (0, 1))
+    assert MonomialIdeal([E(())], AMBIENT).hilbert_function(0) == 0
+    linear = MonomialIdeal([E((0, 1))], (0, 1))
     assert [linear.hilbert_function(d) for d in range(4)] == [1, 1, 1, 1]
 
 
@@ -242,8 +243,8 @@ def test_hilbert_pivot_equals_brute(ideal):
 
 def test_hilbert_additive_along_colon_sequence():
     # H(R/I, d) = H(R/(I:x), d-1) + H(R/(I+x), d) for any variable x
-    ideal = MonomialIdeal([(1, 2, 0, 1), (2, 1, 1, 1), (3, 2)], AMBIENT)
-    x = (1, 1)
+    ideal = MonomialIdeal([E((1, 2, 0, 1)), E((2, 1, 1, 1)), E((3, 2))], AMBIENT)
+    x = E((1, 1))
     colon = ideal.colon(x)
     added = ideal.plus([x])
     for d in range(7):
@@ -259,25 +260,25 @@ def numerator(ideal):
 def test_numerator_base_cases():
     assert series_mul((1, -1), (1, 1)) == (1, 0, -1)
     assert series_add((1, 0, -1), (0, 0, 1)) == (1,)
-    assert numerator(MonomialIdeal([()], AMBIENT)) == ()
+    assert numerator(MonomialIdeal([E(())], AMBIENT)) == ()
     assert numerator(MonomialIdeal([], AMBIENT)) == (1,)
     # two killed variables: (1 - z)^2
-    assert numerator(MonomialIdeal([(0, 1), (1, 1)], AMBIENT)) == (1, -2, 1)
+    assert numerator(MonomialIdeal([E((0, 1)), E((1, 1))], AMBIENT)) == (1, -2, 1)
     # pure powers x^2, y^3: (1 - z^2)(1 - z^3)
-    assert numerator(MonomialIdeal([(0, 2), (1, 3)], AMBIENT)) == (1, 0, -1, -1, 0, 1)
+    assert numerator(MonomialIdeal([E((0, 2)), E((1, 3))], AMBIENT)) == (1, 0, -1, -1, 0, 1)
 
 
 @given(ideals(), st.integers(min_value=0, max_value=len(AMBIENT) - 1))
 @settings(max_examples=100, deadline=None)
 def test_numerator_additive_along_colon_sequence(ideal, v):
     # K(I) = K(I + (x)) + z K(I : x), the pivot step, for any variable x
-    x = (v, 1)
+    x = E((v, 1))
     assert numerator(ideal) == series_add(
         numerator(ideal.plus([x])), series_mul((0, 1), numerator(ideal.colon(x)))
     )
 
 
 def test_brute_force_standalone():
-    ideal = MonomialIdeal([(1, 1, 0, 1)], (0, 1))
+    ideal = MonomialIdeal([E((1, 1, 0, 1))], (0, 1))
     # standard monomials: all x^a*y^b with a = 0 or b = 0
     assert [hilbert_function_brute(ideal, d) for d in range(5)] == [1, 2, 2, 2, 2]

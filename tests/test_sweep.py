@@ -25,6 +25,8 @@ from laddergb.linkage import Chain
 from laddergb.monomials import MonomialIdeal, _squarefree, check_double_link
 from laddergb.monomials import hilbert_numerator
 
+from tupleref import encode
+
 # recorded before the families shared one region enumerator and one
 # normalization path; a change to any chain has to update it on purpose
 SWEEP_DIGEST = "96c3b66df3758f7595ed0eec4e79acbc4e2659b80452e8b690949619a1eb01f2"
@@ -172,14 +174,15 @@ def test_shedding_walk_matches_berge_on_every_sweep_step(sweep_chains):
         c, a, b = (chain.initial_ideal(k) for k in (canon, node.middle, node.reduced))
         berge = SimplicialComplex.from_squarefree(c, chain.order.cell)
         assert chain.shedding(canon) == check_shedding(berge, node.cell), canon
-        f = (chain.order.var(*node.cell), 1)
+        fvar = chain.order.var(*node.cell)
+        f = encode((fvar, 1))
         try:
             check_double_link(a, b, f)
         except PreconditionError:
             linked = False
         else:
             linked = a.plus(mono.mul(f, g) for g in b.gens) == c
-        linked = linked and not any(f[0] in g[::2] for g in b.gens)
+        linked = linked and not any(fvar in mono.variables(g) for g in b.gens)
         assert chain.is_double_link(canon) == linked, canon
         steps += 1
         derived += linked
@@ -286,8 +289,8 @@ def test_absorbed_regions_have_a_size_one_variable_in_every_term(sweep_chains):
                     g = matrices.pfaffian(shape, key[0], QQ, order)
                 else:
                     g = matrices.minor(shape, key[0], key[1], QQ, order)
-                for mono in g:
-                    if not any(mono[k] in size_one for k in range(0, len(mono), 2)):
+                for m in g:
+                    if size_one.isdisjoint(mono.variables(m)):
                         avoiding = True
             if absorbed:
                 seen[ladder.family] += 1
