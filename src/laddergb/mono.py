@@ -28,12 +28,17 @@ field:
 
 Where every exponent is 0 or 1, a monomial is the set of its variables,
 one bit each: there the lcm is a | b, the degree a.bit_count() and the
-support a itself, which the kernel tests for first.
+support a itself, which the kernel tests for first.  The leading
+monomials of minors and pfaffians are squarefree, and so are nearly all
+operands of these three functions; BENCH_29.json measures each shortcut.
 
 Only this module reads the layout.  The rest of the package builds
 monomials with var and from_vars and takes them apart with variables,
-top, exponent, is_var, is_squarefree and occurring.  A variable
-id must lie below MAX_VARS, the number of fields the guard mask covers.
+top, exponent, is_var, is_squarefree and occurring.  The guard masks
+cover the fields of the variable ids var has been given, and var
+widens them for a larger id: any id is accepted, the masks span 64
+fields or at most twice the largest id, and every monomial is built
+from var so that mul sees an overflow in any of its fields.
 
 These functions are the hot path of Buchberger reduction and of the
 Hilbert recursion.  Call sites use `from laddergb import mono` and
@@ -52,12 +57,23 @@ BACKEND = "python"
 
 W = 8
 MAX_EXP = (1 << (W - 1)) - 1
-MAX_VARS = 1 << 16
 ONE = 0
 
-# the guard bit of every field, and every bit of a field but its lowest
-_GUARD = int.from_bytes(bytes([1 << (W - 1)]) * MAX_VARS, "little")
-_ABOVE_ONE = int.from_bytes(bytes([(1 << W) - 2]) * MAX_VARS, "little")
+# the guard bit of every field, and every bit of a field but its lowest,
+# over the first _FIELDS fields; var widens them
+_FIELDS = _GUARD = _ABOVE_ONE = 0
+
+
+def _cover(v):
+    """Widen the masks to cover the field of variable id v, at least
+    doubling them so that they are rebuilt only a few times."""
+    global _FIELDS, _GUARD, _ABOVE_ONE
+    _FIELDS = max(v + 1, 2 * _FIELDS)
+    _GUARD = int.from_bytes(bytes([1 << (W - 1)]) * _FIELDS, "little")
+    _ABOVE_ONE = int.from_bytes(bytes([(1 << W) - 2]) * _FIELDS, "little")
+
+
+_cover(63)
 
 
 def _guards(n):
@@ -127,8 +143,10 @@ def support(a):
 
 def var(v, e=1):
     """The monomial x_v^e."""
-    if not 0 <= v < MAX_VARS:
-        raise PreconditionError("variable id %d outside 0..%d" % (v, MAX_VARS - 1))
+    if v >= _FIELDS:
+        _cover(v)
+    elif v < 0:
+        raise PreconditionError("negative variable id %d" % v)
     if not 0 <= e <= MAX_EXP:
         raise PreconditionError("exponent %d outside 0..%d" % (e, MAX_EXP))
     return e << (W * v)
@@ -142,13 +160,6 @@ def from_vars(variables):
 def variables(a):
     """The variable ids of a monomial, largest first."""
     out = []
-    if not a & _ABOVE_ONE:
-        # one bit per variable
-        while a:
-            high = a.bit_length() - 1
-            out.append(high // W)
-            a ^= 1 << high
-        return out
     while a:
         v = (a.bit_length() - 1) // W
         out.append(v)

@@ -34,10 +34,8 @@ def minimal_levels(levels):
     kept generators of lower degree, and of those only against the ones
     filed under a variable of the candidate: each kept generator is filed
     under its largest variable mono.top(g), which occurs in every monomial
-    it divides.  A candidate that has none of the variables filed under,
-    as its support mask shows, is kept without listing its variables.
-    The unit mono.ONE has no variable to be filed under; it divides
-    everything, so it is the only generator when it occurs."""
+    it divides.  The unit mono.ONE has no variable to be filed under; it
+    divides everything, so it is the only generator when it occurs."""
     out = []
     kept = {}  # largest variable -> kept generators with that variable first
     last = max(levels, default=None)
@@ -46,17 +44,13 @@ def minimal_levels(levels):
         if d == 0:
             return [mono.ONE]
         if kept:
-            filed = mono.support(mono.from_vars(kept))
             level = [
                 m
                 for m in level
-                if not (
-                    mono.support(m) & filed
-                    and any(
-                        mono.divides(g, m)
-                        for v in mono.variables(m)
-                        for g in kept.get(v, ())
-                    )
+                if not any(
+                    mono.divides(g, m)
+                    for v in mono.variables(m)
+                    for g in kept.get(v, ())
                 )
             ]
         level = sorted(level)

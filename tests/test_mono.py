@@ -179,8 +179,8 @@ def test_support_of_lcm_and_coprimality(a, b):
     assert support(lcm(pa, pb)) == support(pa) | support(pb)
     shared = set(a[::2]) & set(b[::2])
     assert (support(pa) & support(pb) == 0) == (not shared)
-    # one bit per variable
-    assert bin(support(pa)).count("1") == len(a) // 2
+    # one bit per variable: the lowest bit of its field
+    assert support(pa) == sum(1 << (mono.W * v) for v in a[::2])
 
 
 def test_representation_is_canonical():
@@ -229,11 +229,12 @@ def test_exponent_overflow_raises():
     with pytest.raises(PreconditionError):
         mono.var(0, top + 1)
     with pytest.raises(PreconditionError):
-        mono.var(mono.MAX_VARS)
-    # the guard covers every variable id the builders accept
-    last = mono.MAX_VARS - 1
+        mono.var(-1)
+    # the guard covers every variable id var has built, however large
+    far = 5_000
+    assert mul(mono.var(far, top - 1), mono.var(far)) == mono.var(far, top)
     with pytest.raises(PreconditionError):
-        mul(mono.var(last, top), mono.var(last))
+        mul(mono.var(far, top), mono.var(far))
 
 
 def test_backend_is_python():
