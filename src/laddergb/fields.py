@@ -103,9 +103,13 @@ class PrimeField:
         return (-a) % self.p
 
     def inv(self, a):
-        if a % self.p == 0:
+        p = self.p
+        a %= p
+        if a == 1 or a == p - 1:
+            return a  # +-1 is its own inverse
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, p - 2, p)
 
     def div(self, a, b):
         return (a * self.inv(b)) % self.p

@@ -34,12 +34,15 @@ into the reduced basis; buchberger_reduced is the two in sequence.
 Completion and the reduced-basis predicate share one S-pair loop.  It
 takes pairs in the normal selection order (increasing lcm degree) and
 settles a pair without reducing it in three ways: the product criterion,
-Buchberger's chain criterion, and a recorded standard representation.  The last applies when the caller names the generators
-and hands in a record of earlier calls: a pair whose S-polynomial
-reduced to zero over a set U of named generators is settled in any call
-holding U.  The first and the last settle a pair as it is formed, before
-it costs an lcm or a place in the queue.  A budget counts the reductions
-the loop performs.  All results are deterministic.
+Buchberger's chain criterion, and a recorded standard representation.
+The last applies when the caller names the generators and hands in a
+record of earlier calls: a pair whose S-polynomial reduced to zero over
+a set U of named generators is settled in any call holding U.  An index
+of the leading monomials by variable pairs each element only with those
+sharing a variable with it, so a coprime pair, which the product
+criterion settles, is never formed, and a recorded pair is settled
+before it costs an lcm or a place in the queue.  A budget counts the
+reductions the loop performs.  All results are deterministic.
 """
 
 import heapq
@@ -372,15 +375,27 @@ def _nonzero_remainders(
     join the queue.  Pairs are taken in the normal selection order: by lcm
     degree, then by the lcm monomial and the pair indices, for
     determinism.  A pair is settled once it is reduced or skipped, and two
-    criteria skip a pair (i, j) without reducing it: the product criterion
-    (the support masks of lm_i and lm_j share no bit), tested as the pair
-    is formed, and Buchberger's chain criterion (some lm_k divides
+    criteria skip a pair (i, j) without reducing it.  The product
+    criterion (lm_i and lm_j share no variable) holds by construction: a
+    new element forms pairs only with its neighbours, the elements whose
+    leading monomial holds one of its variables, read off a per-call index
+    of variables.  Buchberger's chain criterion (some lm_k divides
     lcm(lm_i, lm_j) while the pairs (i, k) and (j, k) are both settled;
-    Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, section 2.10),
-    tested as it leaves the queue.  Either way the S-polynomial has a
-    standard representation, so G is a Groebner basis exactly when the
-    generator ends without yielding.  Raises BudgetExceeded when a
-    reduction would exceed max_spairs performed reductions.
+    Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, section 2.10) is
+    tested as the pair leaves the queue.  settled[i] holds only the
+    neighbours k whose pair with i is settled, so a k coprime to lm_i or
+    lm_j is not in settled[i] & settled[j].  Such a k still qualifies when
+    it is coprime to lm_j, say, settled with i and divides the lcm; but
+    lm_j adds nothing in lm_k's variables, so then lm_k | lm_i.  Each
+    element therefore keeps its divisors, the k != i with lm_k | lm_i,
+    which are neighbours and are found as the pairs are formed, and the
+    candidates are settled[i] & settled[j] plus the settled divisors of i
+    and j.  A k coprime to both divides the lcm only when lm_k = 1, and a
+    leading monomial 1 ends the loop: that k settles every pair.  Either
+    way the S-polynomial has a standard representation, so G is a Groebner
+    basis exactly when the generator ends without yielding.  Raises
+    BudgetExceeded when a reduction would exceed max_spairs performed
+    reductions.
 
     names, when given, names the elements G holds on entry (names[k] is
     G[k]'s; equal names must mean equal polynomials), and record maps an
@@ -404,36 +419,64 @@ def _nonzero_remainders(
         held = frozenset(names)
         if record is None:
             record = {}
-    settled = []  # settled[i]: the k with (i, k) reduced or skipped
+    holders = {}  # holders[v]: bit k set when lm_k holds variable v
+    settled = []  # settled[i]: bit k set when k is a neighbour and (i, k) settled
+    divisors = []  # divisors[i]: bit k set when k != i and lm_k | lm_i
     heap = []
     spent = 0
+    divides = mono.divides
     while True:
         table.extend(reducers(G[len(table) :], order))
         for new in range(len(settled), len(G)):
             lm, _, mask = table[new]
-            done = set()
-            for k in range(new):
+            if not lm:
+                return
+            near = 0
+            for v in mono.variables(lm):
+                bits = holders.get(v, 0)
+                near |= bits
+                holders[v] = bits | 1 << new
+            done = below = 0
+            while near:
+                bit = near & -near
+                near ^= bit
+                k = bit.bit_length() - 1
                 lk, _, mk = table[k]
-                if mk & mask:
-                    known = new < named and record.get(frozenset((names[k], names[new])))
-                    if not (known and known <= held):
-                        l = mono.lcm(lk, lm)
-                        heapq.heappush(heap, (mono.deg(l), l, k, new))
-                        continue
-                done.add(k)
-                settled[k].add(new)
+                if not mk & ~mask and divides(lk, lm):
+                    below |= bit
+                if not mask & ~mk and divides(lm, lk):
+                    divisors[k] |= 1 << new
+                known = new < named and record.get(frozenset((names[k], names[new])))
+                if known and known <= held:
+                    done |= bit
+                    settled[k] |= 1 << new
+                else:
+                    l = mono.lcm(lk, lm)
+                    heapq.heappush(heap, (mono.deg(l), l, k, new))
             settled.append(done)
+            divisors.append(below)
         if not heap:
             return
         _, l, i, j = heapq.heappop(heap)
-        # the support of lcm(lm_i, lm_j) is the union of the two masks
-        outside = ~(table[i][2] | table[j][2])
-        skip = any(
-            not table[k][2] & outside and mono.divides(table[k][0], l)
-            for k in settled[i] & settled[j]
-        )
-        settled[i].add(j)
-        settled[j].add(i)
+        si, sj = settled[i], settled[j]
+        mi, mj = table[i][2], table[j][2]
+        # the support of lcm(lm_i, lm_j) is the union of the two masks; a
+        # k settled with i and coprime to lm_j divides l iff lm_k | lm_i
+        outside = ~(mi | mj)
+        cand = si & (sj | divisors[i]) | sj & divisors[j]
+        skip = False
+        while cand and not skip:
+            bit = cand & -cand
+            cand ^= bit
+            lk, _, mk = table[bit.bit_length() - 1]
+            skip = (
+                (si & bit or not mk & mi)
+                and (sj & bit or not mk & mj)
+                and not mk & outside
+                and divides(lk, l)
+            )
+        settled[i] = si | 1 << j
+        settled[j] = sj | 1 << i
         if skip:
             continue
         if max_spairs is not None and spent >= max_spairs:

@@ -106,6 +106,18 @@ def test_inverse_of_zero_raises():
         GF7.inv(14)
 
 
+@pytest.mark.parametrize("field", [PrimeField(2), GF7, GF32003], ids=str)
+def test_prime_field_inverts_plus_minus_one_as_itself(field):
+    p = field.p
+    for a, want in ((1, 1), (p - 1, p - 1), (-1, p - 1), (p + 1, 1)):
+        assert field.inv(a) == want == pow(a, p - 2, p)
+        assert field.div(3, a) == field.mul(3, want)
+    with pytest.raises(ZeroDivisionError):
+        field.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        field.div(1, p)
+
+
 def test_field_by_name():
     assert field_by_name("q") is QQ
     gf = field_by_name("gf:32003")

@@ -5,6 +5,8 @@ divisible by a leading monomial) is the load-bearing invariant; the
 Buchberger checks rest on it.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,7 @@ from laddergb.poly import (
 
 from corpus import CORPUS, NEGATIVE_INSTANCES
 from lexref import lex_key
+from spairref import nonzero_remainders as reference_remainders
 from tupleref import encode
 
 GRID = [(i, j) for i in range(1, 4) for j in range(1, 4)]
@@ -601,6 +604,78 @@ def test_completions_sharing_a_record_match_fresh_ones(lists):
         )
         fresh = buchberger_reduced(F, SMALL_ORDER, GF7)
         assert {freeze(g) for g in got} == {freeze(g) for g in fresh}
+
+
+FIVE = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
+FIVE_ORDER = diagonal_order(FIVE)
+SPAIR_CAP = 30
+
+
+@st.composite
+def spair_inputs(draw):
+    """Two generator lists over GF(7) in five variables, the second drawn
+    from the first, and whether to name them.  The first may hold a
+    constant, a multiple of another element (its leading monomial is then
+    divisible by the other's) and a repeated element."""
+    pool = draw(st.lists(polys(GF7, 3, FIVE_ORDER, 2).filter(bool), min_size=1, max_size=5))
+    extras = draw(st.sets(st.sampled_from(["constant", "multiple", "repeat"])))
+    if "multiple" in extras:
+        v = draw(st.integers(0, len(FIVE) - 1))
+        pool.append(p_mul(p_var(v, GF7), draw(st.sampled_from(pool)), GF7))
+    if "repeat" in extras:
+        pool.append(dict(draw(st.sampled_from(pool))))
+    if "constant" in extras:
+        pool.append({mono.ONE: GF7.of(draw(st.integers(1, 6)))})
+    pool = draw(st.permutations(pool))
+    second = draw(st.permutations(pool))[: draw(st.integers(1, len(pool)))]
+    return pool, second, draw(st.booleans())
+
+
+def _spair_run(loop, F, names, record, max_spairs):
+    """Complete F as groebner_basis does, with the S-pair loop loop: the
+    (i, j) of every reduction in order, the frozen completion, and
+    whether the budget ran out."""
+    G = [p_monic(f, FIVE_ORDER, GF7) for f in F]
+    pairs = []
+    real = poly.s_polynomial
+
+    def spy(f, g, *rest):
+        pairs.append(tuple(next(k for k, h in enumerate(G) if h is e) for e in (f, g)))
+        return real(f, g, *rest)
+
+    with mock.patch.object(poly, "s_polynomial", spy):
+        try:
+            for r in loop(G, [], FIVE_ORDER, GF7, max_spairs, names, record):
+                G.append(p_monic(r, FIVE_ORDER, GF7))
+        except BudgetExceeded:
+            return pairs, [freeze(g) for g in G], True
+    return pairs, [freeze(g) for g in G], False
+
+
+@given(spair_inputs())
+@settings(max_examples=200, deadline=None)
+def test_spair_loop_matches_the_reference_loop(inputs):
+    # the variable index, the neighbour-only settled sets, the divisor
+    # lists and the stop at a unit reduce the pairs the full scan of
+    # tests/spairref.py reduces, in its order, and record what it records;
+    # a budget of the exact count suffices and one less runs out there
+    first, second, named = inputs
+    new_record, ref_record = {}, {}
+    for F in (first, second):
+        names = [freeze(f) for f in F] if named else None
+        before = dict(new_record)
+        got = _spair_run(poly._nonzero_remainders, F, names, new_record, SPAIR_CAP)
+        want = _spair_run(reference_remainders, F, names, ref_record, SPAIR_CAP)
+        assert got == want
+        assert new_record == ref_record
+        if got[2]:
+            continue
+        count = len(got[0])
+        for cap in {count, max(count - 1, 0)}:
+            got = _spair_run(poly._nonzero_remainders, F, names, dict(before), cap)
+            want = _spair_run(reference_remainders, F, names, dict(before), cap)
+            assert got == want
+            assert got[2] == (cap < count)
 
 
 def test_buchberger_over_prime_field_matches_rationals_here():
