@@ -93,7 +93,7 @@ from .errors import LadderError, PreconditionError
 from .families import RegionTable, conventional_order, expand, natural_generators
 from .fields import QQ
 from .ladders import OneSidedLadder, _pair, ensure_valid, ladder_from_json
-from .monomials import MonomialIdeal, check_double_link, minimalize
+from .monomials import DivisorIndex, MonomialIdeal, check_double_link, minimalize
 from .monomials import codim_by_series, hilbert_numerator, series_add, series_mul
 from .poly import (
     buchberger_reduced,
@@ -341,10 +341,9 @@ class Chain:
         when b is not a generator of A.
 
         A lies in B when each generator of A is one of B (a set test) or
-        is divisible by one; for the latter the generators of B are filed
-        by their largest variable, as in monomials.minimal_levels.  Each
-        step's answer is kept: the walk of shedding and verify_step both
-        ask."""
+        is divisible by one, which one monomials.DivisorIndex of B decides
+        for all the rest.  Each step's answer is kept: the walk of
+        shedding and verify_step both ask."""
         if canon not in self._double_links:
             node = self.nodes[canon]
             c_ideal = self.initial_ideal(canon)
@@ -555,19 +554,9 @@ def _is_double_link(c_gens, a_gens, b_gens, fvar):
     if any(mono.exponent(mono.occurring(gens), fvar) for gens in (a_gens, b_gens)):
         return False
     own = set(b_gens)
-    if mono.ONE not in own:
-        filed = None
-        for a in a_gens:
-            if a in own:
-                continue
-            if filed is None:
-                filed = {}
-                for b in b_gens:
-                    filed.setdefault(mono.top(b), []).append(b)
-            if not any(
-                mono.divides(b, a) for v in mono.variables(a) for b in filed.get(v, ())
-            ):
-                return False
+    outside = [a for a in a_gens if a not in own]
+    if outside and DivisorIndex(b_gens).survivors(outside):
+        return False
     common = set(a_gens)
     f = mono.var(fvar)
     linked = common.union(mono.mul(f, b) for b in b_gens if b not in common)

@@ -27,38 +27,64 @@ def minimalize(gens):
 def minimal_levels(levels):
     """Minimal generators of the union of levels, a dict from a degree d
     to a nonempty collection of distinct monomials of degree d, sorted by
-    (degree, monomial).
-
-    The degrees are walked upward.  Two distinct monomials of one degree
-    never divide each other, so a candidate is tested only against the
-    kept generators of lower degree, and of those only against the ones
-    filed under a variable of the candidate: each kept generator is filed
-    under its largest variable mono.top(g), which occurs in every monomial
-    it divides.  The unit mono.ONE has no variable to be filed under; it
-    divides everything, so it is the only generator when it occurs."""
+    (degree, monomial).  The degrees are walked upward: two distinct
+    monomials of one degree never divide each other, so each level keeps
+    the survivors of a DivisorIndex of the lower ones."""
     out = []
-    kept = {}  # largest variable -> kept generators with that variable first
+    index = DivisorIndex()
     last = max(levels, default=None)
     for d in sorted(levels):
-        level = levels[d]
         if d == 0:
             return [mono.ONE]
-        if kept:
-            level = [
-                m
-                for m in level
-                if not any(
-                    mono.divides(g, m)
-                    for v in mono.variables(m)
-                    for g in kept.get(v, ())
-                )
-            ]
-        level = sorted(level)
+        level = sorted(index.survivors(levels[d]))
         out.extend(level)
         if d != last:
-            for g in level:
-                kept.setdefault(mono.top(g), []).append(g)
+            index.add(level)
     return out
+
+
+class DivisorIndex:
+    """Monomials indexed to tell which candidates none of them divides.
+    A variable is its own support mask, and divides m exactly when its
+    bit is in mono.support(m), so the single variables are ORed into one
+    mask that decides a candidate with one AND.  Every other monomial g
+    is filed under its largest variable mono.top(g), which occurs in
+    every monomial g divides, so g is tested only against candidates
+    holding that variable.  The unit divides everything."""
+
+    def __init__(self, gens=()):
+        self.linear = 0
+        self.filed = {}
+        self.unit = False
+        self.add(gens)
+
+    def add(self, gens):
+        is_var, top, file = mono.is_var, mono.top, self.filed.setdefault
+        for g in gens:
+            if is_var(g):
+                self.linear |= g
+            elif g == mono.ONE:
+                self.unit = True
+            else:
+                file(top(g), []).append(g)
+
+    def survivors(self, ms):
+        """The monomials of ms that no indexed monomial divides, as a
+        list in the order of ms."""
+        if self.unit:
+            return []
+        linear, filed = self.linear, self.filed
+        if linear:
+            support = mono.support
+            ms = [m for m in ms if not support(m) & linear]
+        if filed:
+            divides, variables, get = mono.divides, mono.variables, filed.get
+            ms = [
+                m
+                for m in ms
+                if not any(divides(g, m) for v in variables(m) for g in get(v, ()))
+            ]
+        return ms if linear or filed else list(ms)
 
 
 def _squarefree(gens):
@@ -106,7 +132,7 @@ class MonomialIdeal:
         return any(mono.divides(g, m) for g in self.gens)
 
     def contains_ideal(self, other):
-        return all(self.contains_monomial(g) for g in other.gens)
+        return not DivisorIndex(self.gens).survivors(other.gens)
 
     def colon(self, f):
         """(I : f) for a monomial f: each generator g becomes

@@ -50,6 +50,7 @@ from typing import Iterable
 
 from . import mono
 from .errors import BudgetExceeded, PreconditionError
+from .monomials import DivisorIndex, minimalize
 
 # ---------------------------------------------------------------------------
 # term orders
@@ -323,41 +324,27 @@ def s_polynomial(f, g, order, field, lead_f=None, lead_g=None):
 # Buchberger
 
 
-def _divisible(m, table):
-    """Whether the leading monomial of some entry of the reducer table
-    divides m; an entry whose mask has a bit outside support(m) is passed
-    over without calling mono.divides."""
-    outside = ~mono.support(m)
-    return any(not mask & outside and mono.divides(lm, m) for lm, _, mask in table)
-
-
 def _interreduce(G, table, order, field):
     """Minimal, tail-reduced basis from the monic list G and its reducer
-    table; keeps determinism by processing in decreasing leading-monomial
-    order.  An element whose tail no kept leading monomial divides is its
-    own normal form against the others; only the rest are reduced."""
+    table, in decreasing leading-monomial order for determinism.  An
+    element is kept when its leading monomial is minimal (the first of
+    equal ones).  One DivisorIndex of the kept leading monomials finds
+    the elements with a divisible tail monomial; only those are reduced,
+    each against the others, and keep their leading term, so the result
+    is monic and stays in that order."""
     ranked = sorted(zip(G, table), key=lambda e: e[1][0], reverse=True)
-    # drop generators whose leading monomial is divisible by another's
+    minimal = set(minimalize([lm for lm, _, _ in table]))
     gens, kept = [], []
-    for i, (g, entry) in enumerate(ranked):
-        mi, _, si = entry
-        outside = ~si
-        redundant = False
-        for j, (_, (mj, _, sj)) in enumerate(ranked):
-            if j == i or sj & outside:
-                continue
-            if mono.divides(mj, mi) and (mj != mi or j < i):
-                redundant = True
-                break
-        if not redundant:
+    for g, entry in ranked:
+        if entry[0] in minimal:
+            minimal.discard(entry[0])
             gens.append(g)
             kept.append(entry)
-    # tail-reduce each against the others; the leading terms stay, so the
-    # result is monic and still in decreasing leading-monomial order
+    index = DivisorIndex(lm for lm, _, _ in kept)
     out = []
     for i, g in enumerate(gens):
-        lm = kept[i][0]
-        if any(m != lm and _divisible(m, kept) for m in g):
+        tails = [m for m in g if m != kept[i][0]]
+        if len(index.survivors(tails)) < len(tails):
             rest = gens[:i] + gens[i + 1 :]
             g = normal_form(g, rest, order, field, kept[:i] + kept[i + 1 :])
         out.append(g)
@@ -538,11 +525,11 @@ def is_reduced_groebner(
     G, order: TermOrder, field, max_spairs=None, names=None, record=None
 ) -> bool:
     """True iff G is exactly the reduced Groebner basis of ideal(G):
-    monic, interreduced (no leading monomial divides another, no tail
-    monomial divisible by any leading monomial), and every S-polynomial
-    reduces to zero.  S-pairs settled by the product or the chain
-    criterion, or by record over names (as in buchberger_reduced), are
-    not reduced; max_spairs bounds the reductions performed, as in
+    monic, interreduced (the leading monomials are their own minimalize,
+    and a DivisorIndex of them keeps every tail monomial), and every
+    S-polynomial reduces to zero.  S-pairs settled by the product or the
+    chain criterion, or by record over names (as in buchberger_reduced),
+    are not reduced; max_spairs bounds the reductions performed, as in
     buchberger_reduced.  One reducer table serves every check."""
     G = [dict(g) for g in G]
     if any(not g for g in G):
@@ -550,14 +537,12 @@ def is_reduced_groebner(
     table = reducers(G, order)
     if any(not field.eq(lc, field.one) for _, lc, _ in table):
         return False
-    # no leading monomial divides another element's leading monomial, nor
-    # any tail monomial of its own or another element
-    for i, g in enumerate(G):
-        lm = table[i][0]
-        if _divisible(lm, table[:i] + table[i + 1 :]) or any(
-            m != lm and _divisible(m, table) for m in g
-        ):
-            return False
+    leads = [lm for lm, _, _ in table]
+    if len(minimalize(leads)) < len(leads):
+        return False
+    tails = [m for g, lm in zip(G, leads) for m in g if m != lm]
+    if len(DivisorIndex(leads).survivors(tails)) < len(tails):
+        return False
     for _ in _nonzero_remainders(G, table, order, field, max_spairs, names, record):
         return False
     return True

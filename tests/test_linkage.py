@@ -6,6 +6,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laddergb import (
     BudgetExceeded,
@@ -36,7 +38,7 @@ from laddergb.linkage import (
     verify_node_initial,
     verify_step,
 )
-from laddergb.monomials import MonomialIdeal, hilbert_numerator
+from laddergb.monomials import MonomialIdeal, check_double_link, hilbert_numerator
 from laddergb.poly import (
     buchberger_reduced,
     freeze,
@@ -48,7 +50,7 @@ from laddergb.poly import (
     p_var,
 )
 
-from laddergb import linkage, matrices, monomials, poly
+from laddergb import linkage, matrices, mono, monomials, poly
 from laddergb.complexes import SimplicialComplex, is_vertex_decomposable
 
 from brute import hilbert_function_brute, localization_complete_first
@@ -266,6 +268,51 @@ X13, X91, X92, X93 = (
 )
 def test_double_link_guard_needs_every_condition(c, a, b, want):
     assert _is_double_link(c, a, b, 9) is want
+
+
+def double_link_reference(c, a, b, fvar):
+    """Brute force: check_double_link accepts A, B and f, f is in no
+    generator of B, each generator of A has a divisor among B's, and
+    gens(C) are those of A + f*B."""
+    ambient = range(6)
+    a_ideal, b_ideal = MonomialIdeal(a, ambient), MonomialIdeal(b, ambient)
+    f = mono.var(fvar)
+    try:
+        check_double_link(a_ideal, b_ideal, f)
+    except PreconditionError:
+        return False
+    return (
+        b_ideal.is_colon_stable(f)
+        and all(b_ideal.contains_monomial(g) for g in a_ideal.gens)
+        and set(c) == set(a_ideal.plus([mono.mul(f, g) for g in b_ideal.gens]).gens)
+    )
+
+
+SQUAREFREE = st.sets(st.integers(min_value=0, max_value=4), max_size=3).map(
+    mono.from_vars
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(SQUAREFREE, max_size=4),
+    st.lists(SQUAREFREE, max_size=4),
+    st.booleans(),
+    st.integers(min_value=3, max_value=5),
+    st.lists(SQUAREFREE, max_size=2),
+    st.integers(min_value=0, max_value=5),
+)
+def test_double_link_guard_matches_the_reference(a, extra, nested, fvar, c_extra, drop):
+    # B holds A when nested; C is A + f*B, with a few generators more or
+    # one fewer; f is x3, x4 or x5, and only x5 occurs in no generator
+    a_gens = MonomialIdeal(a, range(6)).gens
+    b_gens = MonomialIdeal(extra + (a if nested else []), range(6)).gens
+    f = mono.var(fvar)
+    linked = [mono.mul(f, g) for g in b_gens] + list(a_gens) + c_extra
+    c_gens = MonomialIdeal(linked, range(6)).gens
+    c_gens = c_gens[:drop] + c_gens[drop + 1 :] if drop < 3 else c_gens
+    want = double_link_reference(c_gens, a_gens, b_gens, fvar)
+    assert _is_double_link(c_gens, a_gens, b_gens, fvar) is want
 
 
 @pytest.mark.parametrize(

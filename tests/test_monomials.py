@@ -1,17 +1,21 @@
 """Monomial ideal algebra: minimal generators, colons, the basic double
 link, and the Hilbert series against a brute-force count."""
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laddergb import mono
 from laddergb.errors import PreconditionError
 from laddergb.monomials import (
+    DivisorIndex,
     MonomialIdeal,
     basic_double_link,
     hilbert_numerator,
+    minimal_levels,
     minimalize,
     series_add,
     series_mul,
@@ -60,8 +64,6 @@ def test_minimalize_is_minimal_and_equivalent(gens):
     # same ideal
     assert MonomialIdeal(mins, AMBIENT) == ideal
     # no internal divisibility
-    from laddergb import mono
-
     for a in mins:
         for b in mins:
             if a != b:
@@ -73,8 +75,6 @@ def test_minimalize_is_minimal_and_equivalent(gens):
 
 def all_pairs_minimalize(gens):
     """Reference: keep g unless some other generator divides it."""
-    from laddergb import mono
-
     gens = set(gens)
     kept = [g for g in gens if not any(h != g and mono.divides(h, g) for h in gens)]
     return sorted(kept, key=lambda m: (mono.deg(m), m))
@@ -95,8 +95,6 @@ def degree_scan_minimalize(gens):
     """Reference: the scan minimalize ran before the level walk.  Sort by
     (degree, monomial) and keep a monomial unless a kept one of lower
     degree divides it, testing every such kept monomial."""
-    from laddergb import mono
-
     out = []
     lower = 0
     d = None
@@ -121,13 +119,64 @@ def degree_scan_minimalize(gens):
     )
 )
 def test_minimalize_matches_the_degree_scan(gens):
-    # the level walk files kept generators under their largest variable;
-    # many generators over a few variables, squarefree or not, exercise
-    # every bucket against the full scan.  Most drawn lists hold the unit,
+    # the level walk keeps lower levels in a DivisorIndex; many generators
+    # over a few variables, squarefree or not, exercise its mask and every
+    # bucket against the full scan.  Most drawn lists hold the unit,
     # which is then the only generator, so each is also checked without it.
     assert minimalize(gens) == degree_scan_minimalize(gens)
     nonunit = [g for g in gens if g]
     assert minimalize(nonunit) == degree_scan_minimalize(nonunit)
+
+
+def index_monomials():
+    """The unit, single variables, powers of one variable (x^2 is not
+    linear), and mixed-degree monomials, squarefree or not."""
+    return st.one_of(
+        st.just(E(())),
+        st.integers(min_value=0, max_value=5).map(mono.var),
+        st.builds(mono.var, st.integers(0, 5), st.integers(2, 3)),
+        monomials(max_exp=1),
+        monomials(max_exp=3),
+    )
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(index_monomials(), max_size=8),
+    st.lists(index_monomials(), max_size=12),
+    st.lists(st.integers(min_value=0, max_value=8), max_size=3),
+)
+def test_divisor_index_matches_the_pairwise_test(gens, ms, cuts):
+    # most drawn lists hold the unit, so each is also checked without it
+    for gens in (gens, [g for g in gens if g]):
+        want = [m for m in ms if not any(mono.divides(g, m) for g in gens)]
+        index = DivisorIndex(gens)
+        assert index.survivors(ms) == want
+        # an index built by add in batches is the same index
+        batched = DivisorIndex()
+        bounds = [0] + sorted(min(c, len(gens)) for c in cuts) + [len(gens)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            batched.add(gens[lo:hi])
+        assert vars(batched) == vars(index)
+        assert batched.survivors(ms) == want
+
+
+def test_minimal_levels_lists_no_variables_against_linear_generators(monkeypatch):
+    # a level of variables decides every product by one mask: no
+    # candidate's variables are listed
+    calls = []
+    real = mono.variables
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(mono, "variables", counting)
+    xs = [mono.var(v) for v in (0, 2, 4)]
+    products = [mono.from_vars(p) for p in itertools.combinations(range(6), 2)]
+    free = sorted(mono.from_vars(p) for p in itertools.combinations((1, 3, 5), 2))
+    assert minimal_levels({1: xs, 2: products}) == xs + free
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +221,6 @@ def test_colon_contains_ideal(ideal, f):
     colon = ideal.colon(f)
     assert colon.contains_ideal(ideal)
     # definition check on a few witnesses: g in (I : f) iff f*g in I
-    from laddergb import mono
-
     for g in colon.gens:
         assert ideal.contains_monomial(mono.mul(f, g))
 
