@@ -292,11 +292,10 @@ def _cmd_initial(args):
 
 def _cmd_height(args):
     ladder, _, ideal = _initial(args)
-    check, codim = height_check(ladder, hilbert_numerator(ideal.gens))
+    height = ladder.height_formula()
+    check, codim = height_check(height, hilbert_numerator(ideal.gens))
     checks = [check]
-    doc = report(
-        ladder.to_json(), checks, height=ladder.height_formula(), codimension=codim
-    )
+    doc = report(ladder.to_json(), checks, height=height, codimension=codim)
     _emit(doc, args, _check_lines(checks))
     return _exit_from(doc)
 
@@ -339,7 +338,7 @@ def _chain_lines(chain):
         tag = "terminal" if node.cell is None else "corner (%d, %d)" % node.cell
         yield "  %s: height %d, %d initial monomials, %s" % (
             canon,
-            node.ladder.height_formula(),
+            node.height,
             len(chain.initial_ideal(canon).gens),
             tag,
         )

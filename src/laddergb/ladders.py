@@ -39,15 +39,13 @@ as cell carriers.  These rules never change the ideal.
 """
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import LadderError
 from .matrices import GenericShape, SkewShape, SymmetricShape
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     level: str  # "error" | "warning"
     message: str
     cell: Optional[tuple] = None
@@ -57,8 +55,7 @@ class Diagnostic:
         return "%s: %s%s" % (self.level, self.message, loc)
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """One generating region: its distinguished point (or corner), the
     minor/pfaffian size t, and the variable cells available to it."""
 
@@ -67,8 +64,7 @@ class Region:
     cells: frozenset
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     reduced: object  # sizes lowered at the chosen region
     middle: object  # corner cell removed, size duplicated
     cell: tuple  # the removed corner (shedding cell)

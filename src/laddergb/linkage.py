@@ -79,10 +79,9 @@ a Groebner basis is completed only for an image that leaves a remainder
 (see verify_localization).
 """
 
-from dataclasses import dataclass
-from typing import Optional
+import itertools
 
-from . import mono
+from . import mono, poly
 from .complexes import (
     SimplicialComplex,
     check_shedding,
@@ -96,7 +95,9 @@ from .ladders import OneSidedLadder, _pair, ensure_valid, ladder_from_json
 from .monomials import DivisorIndex, MonomialIdeal, check_double_link, minimalize
 from .monomials import codim_by_series, hilbert_numerator, series_add, series_mul
 from .poly import (
+    _monic_entry,
     buchberger_reduced,
+    complete,
     groebner_basis,
     is_reduced_groebner,
     leading_term,
@@ -120,13 +121,23 @@ def _ambient(ladder, order):
     return [order.var(i, j) for (i, j) in ladder.variables()]
 
 
-@dataclass
 class ChainNode:
-    ladder: object
-    canon: str
-    cell: Optional[tuple]  # removed corner, None for terminal nodes
-    reduced: Optional[str]  # canon of the size-lowered child
-    middle: Optional[str]  # canon of the cell-removed child
+    """One node of a chain: its ladder and canon, the removed corner cell
+    (None for a terminal), the canons of its size-lowered child (reduced)
+    and cell-removed child (middle), and the ladder's height formula,
+    computed once here for every check and record that reads it."""
+
+    __slots__ = ("ladder", "canon", "cell", "reduced", "middle", "height")
+
+    def __init__(self, ladder, canon, cell=None):
+        self.ladder = ladder
+        self.canon = canon
+        self.cell = cell
+        self.reduced = self.middle = None  # set once the children are built
+        self.height = ladder.height_formula()
+
+    def __repr__(self):
+        return "ChainNode(%s)" % self.canon
 
 
 class Chain:
@@ -151,10 +162,17 @@ class Chain:
     them (lead_summary), as the sets of all nodes together would be the
     largest thing it holds.  initial_ideal(canon) walks the same
     sets by degree to the minimal generators (RegionTable.initial_ideal),
-    in one sorted ambient tuple shared by every ideal of the chain.  The
-    oracle route merges a node's sorted index sets from the same entries
-    once, where it completes the node (_oracle_args), and keeps neither
-    them nor the expanded generators.
+    in one sorted ambient tuple shared by every ideal of the chain.
+
+    The oracle route names generators by chain ids (ids), and keeps one
+    generator store, a list indexed by id: the generator made monic and
+    its reducer entry (lm, one, mask), built once per chain by
+    poly._monic_entry from the expanded minor or pfaffian, or None for a
+    zero generator.  Every completion of the chain starts from copies of
+    its node's entries, so no generator is made monic or searched for its
+    leading term twice.  The store's leading monomials come from the
+    expansions alone, never from the region table or minor_leading, so
+    the oracle stays independent of the combinatorial route.
 
     Hilbert numerators follow the chain: the first numerator query sets
     every node's in one children-first pass (numerator), deriving a
@@ -184,6 +202,7 @@ class Chain:
         self._children_first = []
         self.regions = RegionTable(self.order, self.shape, field)
         self._ids = {}
+        self._store = []  # generator store: entry of each id, by id
         self._lead_summaries = {}
         self._initial_cache = {}
         self._top_basis = None
@@ -202,12 +221,12 @@ class Chain:
             return canon
         split = ladder.split()
         if split is None:
-            node = ChainNode(ladder, canon, None, None, None)
+            node = ChainNode(ladder, canon)
             self.nodes[canon] = node
             self.sequence.append(canon)
             self._children_first.append(canon)
             return canon
-        node = ChainNode(ladder, canon, split.cell, None, None)
+        node = ChainNode(ladder, canon, split.cell)
         self.nodes[canon] = node
         self.sequence.append(canon)
         node.middle = self._build(split.middle)
@@ -233,20 +252,29 @@ class Chain:
     def ids(self, canon):
         """names(canon) as chain-local ints, given out in order of first
         use: two ids are equal iff their index sets are.  The oracle names
-        generators by these, so its record hashes small ints."""
+        generators by these, so its record hashes small ints, and reads
+        their entries in the generator store by them."""
         return self._interned(self.names(canon))
 
     def generators(self, canon):
         """The node's natural generators, expanded (the shape's memo
         expands each index set once per chain)."""
-        return self._expanded(self.names(canon))
+        shape, field, order = self.shape, self.field, self.order
+        return [expand(shape, key, field, order) for key in self.names(canon)]
 
     def _interned(self, names):
-        ids = self._ids
-        return [ids.setdefault(key, len(ids)) for key in names]
-
-    def _expanded(self, names):
-        return [expand(self.shape, key, self.field, self.order) for key in names]
+        """The ids of the index sets names; a new id gets its generator
+        store entry, from the generator's expansion."""
+        ids, store = self._ids, self._store
+        out = []
+        for key in names:
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(store)
+                g = expand(self.shape, key, self.field, self.order)
+                store.append(_monic_entry(g, self.order, self.field) if g else None)
+            out.append(i)
+        return out
 
     def leading_monomials(self, canon):
         """Frozenset of the leading monomials of the node's natural
@@ -492,19 +520,28 @@ class Chain:
         self._verdicts = verdicts
         self._vd_breach = breach
 
-    def _oracle_args(self, canon, max_spairs):
-        """Arguments of the oracle's completion of a node: its generators,
-        named by ids(canon), over the chain's shared spair_record.  The
-        node's index sets are merged once, and both the generators and
-        their ids are read off that one list."""
-        names = self.names(canon)
-        return (
-            self._expanded(names),
-            self.order,
-            self.field,
-            max_spairs,
-            self._interned(names),
-            self.spair_record,
+    def monic_generators(self, canon):
+        """(ids, monic generators, reducer table) of the node's nonzero
+        generators, in the order of generators(canon), as fresh lists
+        read off the generator store: a zero generator is dropped with
+        its id."""
+        ids, gens, table = [], [], []
+        store = self._store
+        for i in self.ids(canon):
+            entry = store[i]
+            if entry is not None:
+                ids.append(i)
+                gens.append(entry[0])
+                table.append(entry[1])
+        return ids, gens, table
+
+    def _complete(self, canon, max_spairs):
+        """The oracle's completion of a node (poly.complete): its monic
+        generators from the store, named by their ids, over the chain's
+        shared spair_record.  Returns (G, table)."""
+        ids, gens, table = self.monic_generators(canon)
+        return complete(
+            gens, table, self.order, self.field, max_spairs, ids, self.spair_record
         )
 
     def oracle_basis(self, canon, max_spairs=None):
@@ -517,7 +554,8 @@ class Chain:
         read (by verify_node_groebner), and only it is cached."""
         if canon == self.top_canon and self._top_basis is not None:
             return self._top_basis
-        basis = buchberger_reduced(*self._oracle_args(canon, max_spairs))
+        gb, table = self._complete(canon, max_spairs)
+        basis = poly._interreduce(gb, table, self.order, self.field)
         if canon == self.top_canon:
             self._top_basis = basis
         return basis
@@ -526,7 +564,7 @@ class Chain:
         """The node's initial ideal by the oracle route, in the chain's
         ring (cached).  The top instance's is read off oracle_basis, so
         the top is completed once.  Any other node's is read off the
-        leading monomials of its completion (poly.groebner_basis), which
+        leading monomials of its completion (poly.complete), which
         generate the initial ideal as those of any Groebner basis do;
         minimalize reduces them to the reduced basis's.  No basis
         is kept for such a node.  When the leading monomials found equal
@@ -537,7 +575,7 @@ class Chain:
                 gb = self.oracle_basis(canon, max_spairs=max_spairs)
                 leads = {leading_term(g, self.order)[0] for g in gb}
             else:
-                _, table = groebner_basis(*self._oracle_args(canon, max_spairs))
+                _, table = self._complete(canon, max_spairs)
                 leads = {lm for lm, _, _ in table}
             if leads == self.leading_monomials(canon):
                 ideal = self.initial_ideal(canon)
@@ -593,29 +631,32 @@ def initial_ideal(ladder, order, field=QQ):
     return table.initial_ideal(ladder, tuple(sorted(_ambient(ladder, order))))
 
 
-def groebner_checks(
-    gens, order, field, max_spairs=None, basis=None, names=None, record=None
-):
+def groebner_checks(gens, order, field, max_spairs=None):
     """The generators must be a Buchberger fixed point: the reduced
     basis of their ideal is the generators themselves (up to scaling),
-    and they pass the reduced-basis predicate.  basis is that reduced
-    basis when the caller already has it, and names and record the names
-    and S-pair record its completion used; the predicate reads them (see
-    poly.is_reduced_groebner), so the S-pairs the completion reduced to
-    zero are not reduced again.  Without a basis the generators are
-    completed here, named by position, over a fresh record."""
-    if basis is None:
-        names, record = range(len(gens)), {}
-        basis = buchberger_reduced(
-            gens, order, field, max_spairs=max_spairs, names=names, record=record
-        )
+    and they pass the reduced-basis predicate.  The generators are
+    completed here, named by position, over a fresh record, which the
+    predicate reads (_fixed_point_checks)."""
+    names, record = range(len(gens)), {}
+    basis = buchberger_reduced(
+        gens, order, field, max_spairs=max_spairs, names=names, record=record
+    )
     monic = [p_monic(g, order, field) for g in gens]
+    return _fixed_point_checks(monic, basis, order, field, max_spairs, names, record)
+
+
+def _fixed_point_checks(monic, basis, order, field, max_spairs, names, record):
+    """groebner-fixed-point and reduced-basis-predicate on the monic
+    generators, against their reduced basis.  names and record are the
+    names and S-pair record the basis's completion used; the predicate
+    reads them (see poly.is_reduced_groebner), so the S-pairs the
+    completion reduced to zero are not reduced again."""
     same = {freeze(g) for g in monic} == {freeze(g) for g in basis}
     return [
         _check(
             "groebner-fixed-point",
             same,
-            "%d generators, %d basis elements" % (len(gens), len(basis)),
+            "%d generators, %d basis elements" % (len(monic), len(basis)),
         ),
         _check(
             "reduced-basis-predicate",
@@ -630,12 +671,11 @@ def squarefree_check(ideal):
     return _check("initial-squarefree", ideal.is_squarefree())
 
 
-def height_check(ladder, k):
+def height_check(h, k):
     """Codimension of an ideal read off its Hilbert numerator k (the
-    (1-z)-adic order of k, codim_by_series), against the ladder's closed
-    height formula; returns (check, codimension)."""
+    (1-z)-adic order of k, codim_by_series), against h, the ladder's
+    closed height formula; returns (check, codimension)."""
     codim = codim_by_series(k)
-    h = ladder.height_formula()
     detail = "codim %d, formula %d" % (codim, h)
     return _check("codim-equals-height", codim == h, detail), codim
 
@@ -689,19 +729,15 @@ def vd_replay(chain, vd):
 
 
 def verify_node_groebner(chain, canon, max_spairs=None):
-    """groebner_checks on a node's natural generators, against the
-    chain's oracle basis (computed once per node and shared with the
-    oracle route of verify_step).  The predicate reads the chain's
-    S-pair record, so it does not repeat the completion's reductions."""
+    """groebner_checks' two checks on a node's natural generators, made
+    monic in the chain's generator store, against the chain's oracle
+    basis (computed once per node and shared with the oracle route of
+    verify_step).  The predicate reads the chain's S-pair record, so it
+    does not repeat the completion's reductions."""
     basis = chain.oracle_basis(canon, max_spairs=max_spairs)
-    return groebner_checks(
-        chain.generators(canon),
-        chain.order,
-        chain.field,
-        max_spairs,
-        basis,
-        chain.ids(canon),
-        chain.spair_record,
+    ids, monic, _ = chain.monic_generators(canon)
+    return _fixed_point_checks(
+        monic, basis, chain.order, chain.field, max_spairs, ids, chain.spair_record
     )
 
 
@@ -710,14 +746,16 @@ def verify_node_initial(chain, canon):
     initial ideal.  Its codimension is read off the chain's numerator of
     the node (Chain.numerator), which does not depend on the number of
     variables, so it is the codimension in the node's own ring."""
-    height, _ = height_check(chain.nodes[canon].ladder, chain.numerator(canon))
+    height, _ = height_check(chain.nodes[canon].height, chain.numerator(canon))
     return [squarefree_check(chain.initial_ideal(canon)), height]
 
 
 def _linked_numerator(k_a, k_b):
-    """z K_B + (1 - z) K_A: the Hilbert numerator of C = A + f*B at a
-    basic double link, from those of A and B (see Chain.numerator)."""
-    return series_add(series_mul((0, 1), k_b), series_mul((1, -1), k_a))
+    """z K_B + (1 - z) K_A = K_A + z (K_B - K_A): the Hilbert numerator
+    of C = A + f*B at a basic double link, from those of A and B (see
+    Chain.numerator), by one subtraction shifted up one degree."""
+    diff = [b - a for a, b in itertools.zip_longest(k_a, k_b, fillvalue=0)]
+    return series_add(k_a, [0] + diff)
 
 
 def _hilbert_identity(k_c, k_a, k_b):
@@ -771,9 +809,9 @@ def verify_step(chain, canon, max_spairs=None):
     untouched = not mono.exponent(a_vars, fvar)
     out.append(_check("corner-avoids-middle", untouched))
 
-    h_l = node.ladder.height_formula()
-    h_m = chain.nodes[node.middle].ladder.height_formula()
-    h_r = chain.nodes[node.reduced].ladder.height_formula()
+    h_l = node.height
+    h_m = chain.nodes[node.middle].height
+    h_r = chain.nodes[node.reduced].height
     out.append(
         _check(
             "height-step",
@@ -911,7 +949,7 @@ def node_records(chain):
             "reduced": node.reduced,
             "middle": node.middle,
             "initial": sorted(text(g) for g in ideal.gens),
-            "height": node.ladder.height_formula(),
+            "height": node.height,
         }
 
 

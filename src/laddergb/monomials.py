@@ -8,6 +8,7 @@ function in every degree and the codimension are read off K.
 """
 
 import itertools
+import math
 
 from . import mono
 from .errors import PreconditionError
@@ -226,15 +227,16 @@ def _numerator(gens, memo):
     gens = tuple(gens)
     if gens in memo:
         return memo[gens]
-    # degree-1 generators kill their variable: a factor (1-z) each; the
+    # degree-1 generators kill their variable: a factor (1-z) each, so
+    # (1-z)^k for k of them, multiplied in once by its binomial row; the
     # remaining generators avoid killed variables by minimality
     rest = tuple(g for g in gens if not mono.is_var(g))
     if mono.ONE in gens:
         out = ()
     elif len(rest) < len(gens):
-        out = _numerator(rest, memo)
-        for _ in range(len(gens) - len(rest)):
-            out = series_mul(out, (1, -1))
+        k = len(gens) - len(rest)
+        row = tuple((-1) ** i * math.comb(k, i) for i in range(k + 1))
+        out = series_mul(_numerator(rest, memo), row)
     else:
         supports = [mono.variables(g) for g in gens]
         if all(len(vs) == 1 for vs in supports):

@@ -25,11 +25,14 @@ each reduction step subtracts its multiple of the reducer from the work
 polynomial in place.  Neither changes the result: reduction always picks
 the reducer with the smallest index whose leading monomial divides.
 
-Buchberger's algorithm runs in two stages.  Completion (groebner_basis)
-appends every nonzero S-pair remainder to the monic inputs and returns
-that Groebner basis with its reducer table; its leading monomials
-generate the initial ideal already.  Reduction (_interreduce) turns it
-into the reduced basis; buchberger_reduced is the two in sequence.
+Buchberger's algorithm runs in two stages.  Completion (complete)
+appends every nonzero S-pair remainder to a monic list and its reducer
+table, and returns that Groebner basis; its leading monomials generate
+the initial ideal already.  groebner_basis makes its inputs monic and
+completes them; a caller that keeps monic generators with their table
+(a corner-removal chain does) completes copies of them directly.
+Reduction (_interreduce) turns a completion into the reduced basis;
+buchberger_reduced is groebner_basis followed by it.
 
 Completion and the reduced-basis predicate share one S-pair loop.  It
 takes pairs in the normal selection order (increasing lcm degree) and
@@ -385,8 +388,9 @@ def _nonzero_remainders(
     reductions.
 
     names, when given, names the elements G holds on entry (names[k] is
-    G[k]'s; equal names must mean equal polynomials), and record maps an
-    unordered pair of names to a set U of names over which the pair's
+    G[k]'s; equal names must mean equal polynomials, and names must be
+    orderable), and record maps a pair of names, the ordered tuple (a, b)
+    with a <= b, to a frozenset U of names over which the pair's
     S-polynomial reduced to zero in an earlier call.  Such a division is
     a standard representation over U, and it stays one over any list
     holding U, so a named pair whose recorded U lies inside names is
@@ -433,7 +437,7 @@ def _nonzero_remainders(
                     below |= bit
                 if not mask & ~mk and divides(lm, lk):
                     divisors[k] |= 1 << new
-                known = new < named and record.get(frozenset((names[k], names[new])))
+                known = new < named and record.get(_pair_key(names[k], names[new]))
                 if known and known <= held:
                     done |= bit
                     settled[k] |= 1 << new
@@ -470,13 +474,37 @@ def _nonzero_remainders(
             raise BudgetExceeded("buchberger S-pairs", max_spairs)
         spent += 1
         s = s_polynomial(G[i], G[j], order, field, table[i], table[j])
-        pair = frozenset((names[i], names[j])) if j < named else None
-        used = set() if pair is not None else None
+        used = set() if j < named else None
         r = normal_form(s, G, order, field, table, used=used)
         if r:
             yield r
-        elif pair is not None and all(u < named for u in used):
-            record[pair] = pair.union(names[u] for u in used)
+        elif used is not None and all(u < named for u in used):
+            key = _pair_key(names[i], names[j])
+            record[key] = frozenset(key).union(names[u] for u in used)
+
+
+def _pair_key(a, b):
+    """The record's key of the pair of names a and b: (a, b) ordered."""
+    return (a, b) if a <= b else (b, a)
+
+
+def complete(G, table, order: TermOrder, field, max_spairs=None, names=None, record=None):
+    """Buchberger completion of ideal(G) for a list G of monic nonzero
+    polynomials and its reducer table: appends every monic nonzero
+    S-pair remainder to G and its entry to table, and returns (G, table).
+    G is then a Groebner basis, so its leading monomials generate the
+    initial ideal, but it is not interreduced.
+
+    Pairs that the product or the chain criterion settles, or that
+    record settles over names (see _nonzero_remainders; names[k] names
+    G[k]), are never reduced.  Raises BudgetExceeded when max_spairs
+    S-pair reductions have been performed and another is due.
+    """
+    for r in _nonzero_remainders(G, table, order, field, max_spairs, names, record):
+        g, entry = _monic_entry(r, order, field)
+        G.append(g)
+        table.append(entry)
+    return G, table
 
 
 def groebner_basis(
@@ -484,14 +512,8 @@ def groebner_basis(
 ):
     """Buchberger completion of ideal(F): returns (G, table), the monic
     nonzero inputs followed by the monic nonzero S-pair remainders, and
-    their reducer table.  G is a Groebner basis, so its leading monomials
-    generate the initial ideal, but it is not interreduced.
-
-    Pairs that the product or the chain criterion settles, or that
-    record settles over names (see _nonzero_remainders), are never
-    reduced.  names[k] names F[k]; a zero input is dropped with its name.
-    Raises BudgetExceeded when max_spairs S-pair reductions have been
-    performed and another is due.
+    their reducer table, as complete gives them.  names[k] names F[k]; a
+    zero input is dropped with its name.
     """
     F = list(F)
     if names is not None:
@@ -504,11 +526,7 @@ def groebner_basis(
             g, entry = _monic_entry(dict(f), order, field)
             G.append(g)
             table.append(entry)
-    for r in _nonzero_remainders(G, table, order, field, max_spairs, names, record):
-        g, entry = _monic_entry(r, order, field)
-        G.append(g)
-        table.append(entry)
-    return G, table
+    return complete(G, table, order, field, max_spairs, names, record)
 
 
 def buchberger_reduced(

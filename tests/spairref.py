@@ -41,7 +41,7 @@ def nonzero_remainders(G, table, order, field, max_spairs=None, names=None, reco
             for k in range(new):
                 lk, _, mk = table[k]
                 if mk & mask:
-                    known = new < named and record.get(frozenset((names[k], names[new])))
+                    known = new < named and record.get(tuple(sorted((names[k], names[new]))))
                     if not (known and known <= held):
                         l = mono.lcm(lk, lm)
                         heapq.heappush(heap, (mono.deg(l), l, k, new))
@@ -66,10 +66,10 @@ def nonzero_remainders(G, table, order, field, max_spairs=None, names=None, reco
             raise BudgetExceeded("buchberger S-pairs", max_spairs)
         spent += 1
         s = poly.s_polynomial(G[i], G[j], order, field, table[i], table[j])
-        pair = frozenset((names[i], names[j])) if j < named else None
+        pair = tuple(sorted((names[i], names[j]))) if j < named else None
         used = set() if pair is not None else None
         r = poly.normal_form(s, G, order, field, table, used=used)
         if r:
             yield r
         elif pair is not None and all(u < named for u in used):
-            record[pair] = pair.union(names[u] for u in used)
+            record[pair] = frozenset(pair).union(names[u] for u in used)

@@ -6,7 +6,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laddergb import (
@@ -39,6 +39,7 @@ from laddergb.linkage import (
     verify_step,
 )
 from laddergb.monomials import MonomialIdeal, check_double_link, hilbert_numerator
+from laddergb.monomials import series_add, series_mul
 from laddergb.poly import (
     buchberger_reduced,
     freeze,
@@ -195,11 +196,9 @@ def _count_calls(monkeypatch, name, modules):
 
 
 def test_verify_family_computes_each_basis_once(monkeypatch):
-    # one completion per touched node: the top's through buchberger_reduced,
-    # every other node's directly
-    from laddergb import linkage
-
-    calls = _count_calls(monkeypatch, "groebner_basis", (poly, linkage))
+    # one completion per touched node, every node's, the top's included,
+    # through the one completion entry
+    calls = _count_calls(monkeypatch, "complete", (poly, linkage))
     top = PfaffianLadder(5, [(1, 4), (2, 5)], [2, 2])
     report, chain, _ = verify_family(top)
     assert report["pass"]
@@ -208,6 +207,26 @@ def test_verify_family_computes_each_basis_once(monkeypatch):
         node = chain.nodes[canon]
         touched |= {canon, node.middle, node.reduced}
     assert len(calls) == len(touched)
+
+
+def test_generator_store_makes_each_generator_monic_once(monkeypatch):
+    # every completion of a chain reads its monic generators and their
+    # reducer entries from the chain's store, which makes each nonzero
+    # generator monic once; on these instances every S-pair reduces to
+    # zero, so no completion appends a remainder to make monic either
+    calls = _count_calls(monkeypatch, "_monic_entry", (poly, linkage))
+    for top in (
+        PfaffianLadder(5, [(1, 4), (2, 5)], [2, 2]),
+        MaxMinors(3, 5),
+        OneSidedLadder(4, 4, [(2, 1), (4, 3)], [2, 2]),
+    ):
+        calls.clear()
+        report, chain, _ = verify_family(top)
+        assert report["pass"]
+        made = [g for g, _, _ in calls]
+        assert len(made) == len(chain._store) > 0
+        assert len({freeze(g) for g in made}) == len(made)
+        assert all(entry is not None for entry in chain._store)
 
 
 def test_verify_family_interreduces_once_per_chain(monkeypatch):
@@ -375,7 +394,9 @@ def test_chain_ids_intern_index_sets(corpus_reports):
         assert len(set(named.values())) == len(named), canon
         assert sorted(named) == list(range(len(named))), canon
         for pair, used in chain.spair_record.items():
-            assert all(type(n) is int for n in pair | used), canon
+            a, b = pair
+            assert type(a) is int and type(b) is int and a <= b, canon
+            assert all(type(n) is int for n in used) and {a, b} <= used, canon
         recorded += len(chain.spair_record)
     assert recorded
 
@@ -450,6 +471,20 @@ def test_step_checks_pass_and_cover_all_claims(subtests=None):
     ]
     for c in checks:
         assert c["pass"], c
+
+
+NUMERATORS = st.lists(st.integers(min_value=-30, max_value=30), max_size=6).map(tuple)
+
+
+@given(NUMERATORS, NUMERATORS)
+@example((), ())
+@example((1, -2, 1), ())
+@settings(max_examples=200, deadline=None)
+def test_linked_numerator_is_the_series_combination(k_a, k_b):
+    # K_A + z (K_B - K_A) is z K_B + (1 - z) K_A as the series products
+    # form it, trailing zeros trimmed; () is the zero numerator
+    want = series_add(series_mul((0, 1), k_b), series_mul((1, -1), k_a))
+    assert linkage._linked_numerator(k_a, k_b) == want
 
 
 def test_hilbert_identity_holds_in_every_degree_not_up_to_a_cutoff():

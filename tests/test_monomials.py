@@ -304,6 +304,21 @@ def numerator(ideal):
     return hilbert_numerator(ideal.gens)
 
 
+@given(ideals(), st.sets(st.integers(min_value=0, max_value=5)), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_linear_generators_enter_the_numerator_as_one_power(ideal, linear, unit):
+    # k variables among the minimal generators multiply the numerator of
+    # the others by the binomial row of (1 - z)^k, as k products by
+    # (1 - z) did; the unit ideal's numerator is zero, ()
+    extra = [mono.var(v) for v in linear] + ([E(())] if unit else [])
+    gens = minimalize(list(ideal.gens) + extra)
+    rest = [g for g in gens if not mono.is_var(g)]
+    want = hilbert_numerator(rest)
+    for _ in range(len(gens) - len(rest)):
+        want = series_mul(want, (1, -1))
+    assert hilbert_numerator(gens) == want
+
+
 def test_numerator_base_cases():
     assert series_mul((1, -1), (1, 1)) == (1, 0, -1)
     assert series_add((1, 0, -1), (0, 0, 1)) == (1,)
