@@ -43,9 +43,11 @@ the chain.  Heights are checked against the cell count of the shifted
 ladder, codimensions against the pole of the Hilbert series, and
 shedding conditions at every removed corner.
 
-Every complex of a chain is built in one walk of it, children first
-(Chain._walk): the shedding conditions of every step are read off it
-(Chain.shedding), and so is the top instance's complex
+A chain is walked once, children first, when it is built (Chain._walk).
+The walk sets what every pipeline reads of a node on its one record
+(ChainNode): its initial ideal, and at a step the double-link and
+shedding verdicts (Chain.is_double_link, Chain.shedding).  It builds
+every complex of the chain on the way and keeps the top instance's
 (Chain.node_complex).  A terminal's ideal is linear, and its complex one
 simplex.  Where a step's initial ideals are a basic double link
 C = A + f*B with A inside B and f in no generator of either
@@ -122,12 +124,39 @@ def _ambient(ladder, order):
 
 
 class ChainNode:
-    """One node of a chain: its ladder and canon, the removed corner cell
-    (None for a terminal), the canons of its size-lowered child (reduced)
-    and cell-removed child (middle), and the ladder's height formula,
-    computed once here for every check and record that reads it."""
+    """One node of a chain, and the chain's one record of it: every fact
+    kept about a node lives here, in no table on Chain keyed by canon.
 
-    __slots__ = ("ladder", "canon", "cell", "reduced", "middle", "height")
+    Set when the chain is built: the ladder and canon, the removed corner
+    cell (None for a terminal), the canons of its size-lowered child
+    (reduced) and cell-removed child (middle), the ladder's height
+    formula, parents (how many times a step names the node as a child,
+    counted by Chain._build) and, by the walk (Chain._walk), its initial
+    ideal (initial) and, at a step, whether the step is a basic double
+    link (linked) and its shedding verdict (shedding: the failed
+    condition names as a tuple, empty when all hold, or None when the
+    step's ideal is not squarefree).
+
+    Left None until verify first asks: the lead summary (summary, see
+    Chain.lead_summary), the Hilbert numerator (numerator, see
+    Chain.numerator) and the oracle initial ideal (oracle, see
+    Chain.oracle_initial).  CLI chain and replay ask for none of them."""
+
+    __slots__ = (
+        "ladder",
+        "canon",
+        "cell",
+        "reduced",
+        "middle",
+        "height",
+        "parents",
+        "initial",
+        "linked",
+        "shedding",
+        "summary",
+        "numerator",
+        "oracle",
+    )
 
     def __init__(self, ladder, canon, cell=None):
         self.ladder = ladder
@@ -135,6 +164,9 @@ class ChainNode:
         self.cell = cell
         self.reduced = self.middle = None  # set once the children are built
         self.height = ladder.height_formula()
+        self.parents = 0
+        self.initial = self.linked = self.shedding = None  # set by the walk
+        self.summary = self.numerator = self.oracle = None  # set on first query
 
     def __repr__(self):
         return "ChainNode(%s)" % self.canon
@@ -142,7 +174,8 @@ class ChainNode:
 
 class Chain:
     """Corner-removal DAG of an instance, with the term order, field and
-    matrix shape shared by every node.
+    matrix shape shared by every node (nodes: canon -> ChainNode, each
+    node's one record).
 
     Every node's minors/pfaffians are read from the top instance's shape:
     a node's indices lie inside the top matrix and name the same entries
@@ -160,9 +193,10 @@ class Chain:
     union of the node's region sets, built where it is asked for: a
     chain keeps only how many there are and which variables occur in
     them (lead_summary), as the sets of all nodes together would be the
-    largest thing it holds.  initial_ideal(canon) walks the same
-    sets by degree to the minimal generators (RegionTable.initial_ideal),
-    in one sorted ambient tuple shared by every ideal of the chain.
+    largest thing it holds.  A node's initial ideal is walked from the
+    same sets by degree to the minimal generators
+    (RegionTable.initial_ideal), in one sorted ambient tuple shared by
+    every ideal of the chain.
 
     The oracle route names generators by chain ids (ids), and keeps one
     generator store, a list indexed by id: the generator made monic and
@@ -174,22 +208,24 @@ class Chain:
     expansions alone, never from the region table or minor_leading, so
     the oracle stays independent of the combinatorial route.
 
-    Hilbert numerators follow the chain: the first numerator query sets
-    every node's in one children-first pass (numerator), deriving a
-    double-link step's from its children's, so the pivot recursion runs
-    only on terminals and the other steps, with no memo shared between
-    nodes.
+    The chain is walked once, children first, as it is built (_walk):
+    _build records that order beside sequence, which keeps its order as
+    certificates list it, and counts each node's parents; the
+    constructor then sets every node's initial ideal and every step's
+    double-link and shedding verdicts, builds every complex on the way,
+    and keeps the top's complex and the first step that keeps the chain
+    from being a decomposability certificate.  Every pipeline that
+    builds a chain (verify_family, CLI chain, replay_chain) reads them,
+    so initial_ideal, is_double_link, shedding, node_complex and
+    certifies_vd are plain reads.  The walk is the only way a chain
+    builds a complex.
 
-    Complexes follow the chain too.  _build records a children-first
-    order beside sequence, which keeps its order as certificates list
-    it.  The first shedding query, node_complex or certifies_vd walks
-    that order once (_walk): it reads each terminal's complex off its
-    linear generators, derives each step's from its children's where the
-    step is a double link (is_double_link), keeps the verdicts of the
-    steps that fail and the first step that keeps the chain from being a
-    decomposability certificate, drops a child's complex after the last
-    step reading it, and keeps the top's.  The walk is the only way a
-    chain builds a complex."""
+    Lead summaries, Hilbert numerators and oracle initial ideals are left
+    to the first query, as only verify asks for them.  The first
+    numerator query sets every node's in one children-first pass
+    (numerator), deriving a double-link step's from its children's, so
+    the pivot recursion runs only on terminals and the other steps, with
+    no memo shared between nodes."""
 
     def __init__(self, top, field=QQ):
         self.top = top
@@ -199,40 +235,33 @@ class Chain:
         self.ambient = tuple(sorted(_ambient(top, self.order)))
         self.nodes = {}
         self.sequence = []
-        self._children_first = []
+        self._children_first = []  # the nodes themselves, children first
         self.regions = RegionTable(self.order, self.shape, field)
         self._ids = {}
         self._store = []  # generator store: entry of each id, by id
-        self._lead_summaries = {}
-        self._initial_cache = {}
         self._top_basis = None
-        self._oracle_initial_cache = {}
-        self._top_complex = None
-        self._verdicts = None  # set by _walk, with _vd_breach
-        self._vd_breach = None
-        self._double_links = {}
-        self._numerators = None  # set by numerator
         self.spair_record = {}  # S-pairs settled over generator ids
-        self.top_canon = self._build(top)
+        self.top_canon = self._build(top).canon
+        self._walk()
 
     def _build(self, ladder):
+        """The node of the ladder, built with its children unless the
+        chain holds it already."""
         canon = ladder.canon()
-        if canon in self.nodes:
-            return canon
+        node = self.nodes.get(canon)
+        if node is not None:
+            return node
         split = ladder.split()
-        if split is None:
-            node = ChainNode(ladder, canon)
-            self.nodes[canon] = node
-            self.sequence.append(canon)
-            self._children_first.append(canon)
-            return canon
-        node = ChainNode(ladder, canon, split.cell)
-        self.nodes[canon] = node
+        node = self.nodes[canon] = ChainNode(ladder, canon, split and split.cell)
         self.sequence.append(canon)
-        node.middle = self._build(split.middle)
-        node.reduced = self._build(split.reduced)
-        self._children_first.append(canon)
-        return canon
+        if split is not None:
+            middle = self._build(split.middle)
+            reduced = self._build(split.reduced)
+            middle.parents += 1
+            reduced.parents += 1
+            node.middle, node.reduced = middle.canon, reduced.canon
+        self._children_first.append(node)
+        return node
 
     def steps(self):
         return [c for c in self.sequence if self.nodes[c].cell is not None]
@@ -286,25 +315,20 @@ class Chain:
     def lead_summary(self, canon):
         """(count, occurring) of leading_monomials(canon): how many there
         are, and the monomial whose variables are those occurring in any
-        of them (mono.occurring).  Kept per node in place of the set."""
-        got = self._lead_summaries.get(canon)
-        if got is None:
+        of them (mono.occurring).  Kept on the node in place of the set."""
+        node = self.nodes[canon]
+        if node.summary is None:
             leads = self.leading_monomials(canon)
-            got = self._lead_summaries[canon] = (len(leads), mono.occurring(leads))
-        return got
+            node.summary = (len(leads), mono.occurring(leads))
+        return node.summary
 
     def initial_ideal(self, canon):
         """The ideal of leading_monomials(canon) in the chain's ring,
-        ambient, walked from the node's region sets by the chain's table
-        (RegionTable.initial_ideal; cached: it is built once per chain).
-        Its Hilbert numerator, and so its codimension, is the one it has
-        in the node's own ring: the numerator does not depend on the
-        number of variables."""
-        if canon not in self._initial_cache:
-            self._initial_cache[canon] = self.regions.initial_ideal(
-                self.nodes[canon].ladder, self.ambient
-            )
-        return self._initial_cache[canon]
+        ambient, as the walk set it when the chain was built.  Its Hilbert
+        numerator, and so its codimension, is the one it has in the node's
+        own ring: the numerator does not depend on the number of
+        variables."""
+        return self.nodes[canon].initial
 
     def numerator(self, canon):
         """The Hilbert numerator of initial_ideal(canon), the one
@@ -326,30 +350,37 @@ class Chain:
         (1 - z) K_A + z K_B.  That is the identity
         hilbert-identity-combinatorial checks: it holds by construction at
         such a step, and is a check at every other one."""
-        if self._numerators is None:
-            ks = {}
-            for c in self._children_first:
-                node = self.nodes[c]
-                if node.cell is not None and self.is_double_link(c):
-                    ks[c] = _linked_numerator(ks[node.middle], ks[node.reduced])
+        node = self.nodes[canon]
+        if node.numerator is None:
+            nodes = self.nodes
+            for n in self._children_first:
+                if n.linked:
+                    n.numerator = _linked_numerator(
+                        nodes[n.middle].numerator, nodes[n.reduced].numerator
+                    )
                 else:
-                    ks[c] = hilbert_numerator(self.initial_ideal(c).gens)
-            self._numerators = ks
-        return self._numerators[canon]
+                    n.numerator = hilbert_numerator(n.initial.gens)
+        return node.numerator
 
     def node_complex(self, canon):
         """Simplicial complex of the top instance's initial ideal, on the
         cells of its variables, as the walk of the chain (_walk) built
-        it; the walk runs here if no shedding query ran it.  Only the top
-        instance's complex is kept, for the decomposability search or
-        replay, so canon must be top_canon.  An initial ideal that is not
-        squarefree has no complex, and raises PreconditionError."""
+        it.  Only the top instance's complex is kept, for the
+        decomposability search or replay, so canon must be top_canon.  An
+        initial ideal that is not squarefree has no complex, and raises
+        PreconditionError."""
         if canon != self.top_canon:
             raise PreconditionError("only the top instance's complex is kept")
-        self._walk()
         if self._top_complex is None:
             raise PreconditionError("ideal is not squarefree")
         return self._top_complex
+
+    def _step(self, canon):
+        """The node of a step; a terminal raises PreconditionError."""
+        node = self.nodes[canon]
+        if node.cell is None:
+            raise PreconditionError("terminal instance has no removal step")
+        return node
 
     def is_double_link(self, canon):
         """Whether a step's initial ideals C = in(L), A = in(M) and
@@ -370,30 +401,20 @@ class Chain:
 
         A lies in B when each generator of A is one of B (a set test) or
         is divisible by one, which one monomials.DivisorIndex of B decides
-        for all the rest.  Each step's answer is kept: the walk of
-        shedding and verify_step both ask."""
-        if canon not in self._double_links:
-            node = self.nodes[canon]
-            c_ideal = self.initial_ideal(canon)
-            self._double_links[canon] = c_ideal.is_squarefree() and _is_double_link(
-                c_ideal.gens,
-                self.initial_ideal(node.middle).gens,
-                self.initial_ideal(node.reduced).gens,
-                self.order.var(*node.cell),
-            )
-        return self._double_links[canon]
+        for all the rest.  The walk decides every step as the chain is
+        built (node.linked), and the complexes, the numerators and
+        verify_step read that verdict.  A terminal node has no step and
+        raises PreconditionError."""
+        return self._step(canon).linked
 
     def shedding(self, canon):
         """A step's shedding-at-corner verdict, (ok, failed condition
         names) as check_shedding gives them for its corner in the complex
-        of the step's initial ideal.  The first query computes every
-        step's verdict in one walk of the chain (_walk), and later ones
-        read it.  A terminal node has no step, and a step whose initial
-        ideal is not squarefree no complex: both raise PreconditionError."""
-        if self.nodes[canon].cell is None:
-            raise PreconditionError("terminal instance has no removal step")
-        self._walk()
-        bad = self._verdicts.get(canon, ())
+        of the step's initial ideal, as the walk recorded it when the
+        chain was built.  A terminal node has no step, and a step whose
+        initial ideal is not squarefree no complex: both raise
+        PreconditionError."""
+        bad = self._step(canon).shedding
         if bad is None:
             raise PreconditionError("ideal is not squarefree")
         return not bad, list(bad)
@@ -401,8 +422,8 @@ class Chain:
     def certifies_vd(self):
         """Whether the chain certifies that the top instance's complex is
         vertex decomposable, as (ok, reason): reason is "ok", or names the
-        first step, children first, that keeps it from doing so.  The walk
-        (_walk) runs here if it has not run yet.  The chain certifies when
+        first step, children first, that keeps it from doing so, as the
+        walk (_walk) recorded it.  The chain certifies when
 
         * every step passes is_double_link,
         * the walk recorded no failed shedding verdict and no step left
@@ -435,20 +456,23 @@ class Chain:
         is the top instance's complex, so the search, which tries every
         vertex, finds it decomposable too (Provan-Billera, Math. Oper.
         Res. 5 (1980))."""
-        self._walk()
         if self._vd_breach is None:
             return True, "ok"
         return False, self._vd_breach
 
     def _walk(self):
-        """Walk the nodes once, children first, unless done already.
-        Keeps the shedding verdicts (_verdicts): a failing step maps to
-        its failed condition names as a tuple, a step left without a
-        complex to None, and a passing step is left out, so a chain that
-        passes keeps nothing per step.  Keeps the top instance's complex
-        for node_complex, and the first step that is not a double link
+        """Walk the nodes once, children first; the constructor calls it,
+        and nothing else does.  At each node it sets the initial ideal
+        (node.initial), walked from the node's region sets by the chain's
+        table (RegionTable.initial_ideal), and at each step, from the
+        children's ideals set before it, the double-link verdict
+        (node.linked, see is_double_link) and the shedding verdict
+        (node.shedding).  It keeps the top instance's complex for
+        node_complex, and the first step that is not a double link
         passing its shedding conditions (_vd_breach, a reason naming it,
-        or None) for certifies_vd.
+        or None) for certifies_vd.  The complexes live only while a step
+        still has to read them: a child's is dropped after the last of its
+        parents' steps.
 
         Every complex lives in the chain's ring, on the cells of the top
         instance's variables, named once for the whole walk: those
@@ -464,50 +488,45 @@ class Chain:
         full ambient set, as Berge's algorithm would build it.  A step
         that passes is_double_link takes its complex from its children's
         (SimplicialComplex.double_link), and the deletion and link of its
-        corner from their links.  Only the other steps run Berge's
-        algorithm (SimplicialComplex.from_squarefree); one whose ideal is
-        not squarefree gets no complex, so a step reading it falls back
-        to Berge's algorithm too."""
-        if self._verdicts is not None:
-            return
-        readers = {}
-        for canon in self._children_first:
-            node = self.nodes[canon]
-            if node.cell is not None:
-                for child in (node.middle, node.reduced):
-                    readers[child] = readers.get(child, 0) + 1
-        cells = [self.order.cell(x) for x in self.ambient]
+        corner from their links.  Both children have one: C is
+        squarefree, so are the generators of A, which are C's, and of B,
+        each of which is one of A's or divides one of C's, and a node
+        whose ideal is squarefree always gets a complex.  Only the other
+        steps run Berge's algorithm (SimplicialComplex.from_squarefree);
+        one whose ideal is not squarefree gets no complex."""
+        nodes, order, regions = self.nodes, self.order, self.regions
+        unread = {node.canon: node.parents for node in self._children_first}
+        cells = [order.cell(x) for x in self.ambient]
         simplex = SimplicialComplex([cells], cells)
         (every,) = simplex.masks
         complexes = {}
-        verdicts = {}
         breach = None
-        for canon in self._children_first:
-            node = self.nodes[canon]
-            v = node.cell
-            ideal = self.initial_ideal(canon)
+        for node in self._children_first:
+            canon, v = node.canon, node.cell
+            ideal = node.initial = regions.initial_ideal(node.ladder, self.ambient)
             if v is None:
-                cut = sum(simplex._bit(self.order.cell(mono.top(g))) for g in ideal.gens)
+                cut = sum(simplex._bit(order.cell(mono.top(g))) for g in ideal.gens)
                 complexes[canon] = simplex._derive((every ^ cut,), ())
                 continue
+            a, b = nodes[node.middle], nodes[node.reduced]
+            linked = node.linked = ideal.is_squarefree() and _is_double_link(
+                ideal.gens, a.initial.gens, b.initial.gens, order.var(*v)
+            )
             cx = None
-            a_cx = complexes.get(node.middle)
-            b_cx = complexes.get(node.reduced)
-            linked = a_cx is not None and b_cx is not None and self.is_double_link(canon)
             if linked:
+                a_cx, b_cx = complexes[a.canon], complexes[b.canon]
                 cx = SimplicialComplex.double_link(a_cx, b_cx, v)
                 _, bad = check_shedding(cx, v, a_cx.link(v), b_cx.link(v))
             elif ideal.is_squarefree():
-                cx = SimplicialComplex.from_squarefree(ideal, self.order.cell)
+                cx = SimplicialComplex.from_squarefree(ideal, order.cell)
                 _, bad = check_shedding(cx, v)
-            for child in (node.middle, node.reduced):
-                readers[child] -= 1
-                if not readers[child]:
+            for child in (a.canon, b.canon):
+                unread[child] -= 1
+                if not unread[child]:
                     complexes.pop(child, None)
             if cx is not None:
                 complexes[canon] = cx
-            if cx is None or bad:
-                verdicts[canon] = None if cx is None else tuple(bad)
+            node.shedding = None if cx is None else tuple(bad)
             if breach is None and (cx is None or bad or not linked):
                 if cx is None:
                     why = "ideal is not squarefree"
@@ -517,7 +536,6 @@ class Chain:
                     why = "shedding conditions fail: " + ", ".join(bad)
                 breach = "step %s: %s" % (canon, why)
         self._top_complex = complexes.get(self.top_canon)
-        self._verdicts = verdicts
         self._vd_breach = breach
 
     def monic_generators(self, canon):
@@ -562,15 +580,16 @@ class Chain:
 
     def oracle_initial(self, canon, max_spairs=None):
         """The node's initial ideal by the oracle route, in the chain's
-        ring (cached).  The top instance's is read off oracle_basis, so
-        the top is completed once.  Any other node's is read off the
-        leading monomials of its completion (poly.complete), which
-        generate the initial ideal as those of any Groebner basis do;
-        minimalize reduces them to the reduced basis's.  No basis
-        is kept for such a node.  When the leading monomials found equal
+        ring, kept on the node.  The top instance's is read off
+        oracle_basis, so the top is completed once.  Any other node's is
+        read off the leading monomials of its completion (poly.complete),
+        which generate the initial ideal as those of any Groebner basis
+        do; minimalize reduces them to the reduced basis's.  No basis is
+        kept for such a node.  When the leading monomials found equal
         leading_monomials(canon), the two sets minimalize to the same
         ideal, so initial_ideal(canon) itself is returned."""
-        if canon not in self._oracle_initial_cache:
+        node = self.nodes[canon]
+        if node.oracle is None:
             if canon == self.top_canon:
                 gb = self.oracle_basis(canon, max_spairs=max_spairs)
                 leads = {leading_term(g, self.order)[0] for g in gb}
@@ -578,11 +597,12 @@ class Chain:
                 _, table = self._complete(canon, max_spairs)
                 leads = {lm for lm, _, _ in table}
             if leads == self.leading_monomials(canon):
-                ideal = self.initial_ideal(canon)
+                node.oracle = node.initial
             else:
-                ideal = MonomialIdeal._minimal(tuple(minimalize(leads)), self.ambient)
-            self._oracle_initial_cache[canon] = ideal
-        return self._oracle_initial_cache[canon]
+                node.oracle = MonomialIdeal._minimal(
+                    tuple(minimalize(leads)), self.ambient
+                )
+        return node.oracle
 
 
 def _is_double_link(c_gens, a_gens, b_gens, fvar):
@@ -770,9 +790,7 @@ def _hilbert_identity(k_c, k_a, k_b):
 
 def verify_step(chain, canon, max_spairs=None):
     """All checks tied to one corner removal L -> (A, B, f)."""
-    node = chain.nodes[canon]
-    if node.cell is None:
-        raise PreconditionError("terminal instance has no removal step")
+    node = chain._step(canon)
     fvar = chain.order.var(*node.cell)
     f = mono.var(fvar)
     out = []

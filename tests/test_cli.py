@@ -202,6 +202,42 @@ def test_chain_builds_no_complex_by_berge(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_no_complex_is_built_after_the_chain(tmp_path, capsys, monkeypatch):
+    # building a chain walks it, and the walk builds every complex the
+    # chain has: verify_family, chain --out and replay read the verdicts
+    # and the top complex it left, and build none once Chain.__init__
+    # has returned
+    building, calls = [0], []
+    real_init = Chain.__init__
+
+    def init(self, *args, **kwargs):
+        building[0] += 1
+        try:
+            real_init(self, *args, **kwargs)
+        finally:
+            building[0] -= 1
+
+    monkeypatch.setattr(Chain, "__init__", init)
+    complex_cls = laddergb.complexes.SimplicialComplex
+    for name in ("double_link", "from_squarefree"):
+        real = getattr(complex_cls, name).__func__
+
+        def counted(cls, *args, real=real, name=name, **kwargs):
+            calls.append((name, building[0] > 0))
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(complex_cls, name, classmethod(counted))
+    data = {"family": "pfaffian", "n": 6, "corners": [[1, 6]], "t": [2]}
+    report, _, _ = laddergb.verify_family(ladder_from_json(data))
+    assert report["pass"]
+    path = write_instance(tmp_path, data)
+    cert = str(tmp_path / "cert.json")
+    assert run(capsys, ["chain", path, "--out", cert])[0] == 0
+    assert run(capsys, ["replay", cert])[0] == 0
+    assert ("double_link", True) in calls
+    assert [call for call in calls if not call[1]] == []
+
+
 def test_chain_and_replay_do_no_hilbert_work(tmp_path, capsys, monkeypatch):
     # numerators are computed only where verify asks for one
     # (Chain.numerator); chain --out and replay ask for none

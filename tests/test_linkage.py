@@ -52,6 +52,7 @@ from laddergb.poly import (
 )
 
 from laddergb import linkage, matrices, mono, monomials, poly
+from laddergb.families import RegionTable
 from laddergb.complexes import SimplicialComplex, is_vertex_decomposable
 
 from brute import hilbert_function_brute, localization_complete_first
@@ -109,19 +110,30 @@ def test_chain_expands_each_index_set_once(monkeypatch):
 
 def test_chain_enumerates_each_region_once(monkeypatch):
     # pfaffian n=8 unfolds into 263 nodes holding 1009 regions, but only
-    # 36 distinct (corner, t); once built, a chain enumerates a region's
-    # generators once for its certificate and every check of
-    # verify_family together
+    # 36 distinct (corner, t); building a chain walks it, and the region
+    # table enumerates a region's generators once for the build, its
+    # certificate and every check of verify_family together.  After the
+    # build nothing enumerates a region at all.
     top = PfaffianLadder(8, [(1, 8)], [2])
-    chain = Chain(top)
-    calls = [0]
-    region_keys = PfaffianLadder.region_keys
+    inside, built, by_table, late = [False], [False], [0], [0]
+    region, region_keys = RegionTable.region, PfaffianLadder.region_keys
+
+    def in_table(self, *args):
+        inside[0] = True
+        try:
+            return region(self, *args)
+        finally:
+            inside[0] = False
 
     def counting(self, corner, t):
-        calls[0] += 1
+        by_table[0] += inside[0]
+        late[0] += built[0]
         return region_keys(self, corner, t)
 
+    monkeypatch.setattr(RegionTable, "region", in_table)
     monkeypatch.setattr(PfaffianLadder, "region_keys", counting)
+    chain = Chain(top)
+    built[0] = True
     chain_certificate(chain)
     verify_node_groebner(chain, chain.top_canon)
     for canon in chain.sequence:
@@ -131,7 +143,8 @@ def test_chain_enumerates_each_region_once(monkeypatch):
     ladders = [chain.nodes[canon].ladder for canon in chain.sequence]
     assert sum(len(l.sizes()) for l in ladders) == 1009
     assert len({r for l in ladders for r in l.sizes()}) == 36
-    assert calls[0] == 36
+    assert by_table[0] == 36
+    assert late[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +541,23 @@ def test_step_on_terminal_node_raises():
     # the walk keeps no complex but the top's
     with pytest.raises(PreconditionError):
         chain.node_complex("maxminors:m=1,n=2")
+
+
+def test_is_double_link_on_a_terminal_raises():
+    # a terminal takes no step, so it has no double-link verdict: asking
+    # for one raises as shedding and verify_step do, never reads a blank
+    for data in CORPUS:
+        chain = Chain(ladder_from_json(data))
+        terminals = [c for c in chain.sequence if chain.nodes[c].cell is None]
+        assert terminals
+        for canon in terminals:
+            for ask in (chain.is_double_link, chain.shedding):
+                with pytest.raises(
+                    PreconditionError, match="terminal instance has no removal step"
+                ):
+                    ask(canon)
+        for canon in chain.steps():
+            assert chain.is_double_link(canon) in (True, False)
 
 
 def test_verify_family_full_pass():

@@ -300,3 +300,20 @@ def test_absorbed_regions_have_a_size_one_variable_in_every_term(sweep_chains):
                 # distinct monomials, so an avoiding term survives
                 assert avoiding or not ladder.holds_generator(point, t)
     assert all(seen.values()), seen
+
+
+def test_node_parents_count_the_steps_naming_them_on_every_sweep_chain(sweep_chains):
+    # _build counts each node's parents once, as the chain is built; the
+    # walk drops a child's complex after that many steps have read it
+    _, _, _, chains = sweep_chains
+    shared = 0
+    for chain in {id(chain): chain for chain in chains.values()}.values():
+        named = dict.fromkeys(chain.sequence, 0)
+        for canon in chain.steps():
+            node = chain.nodes[canon]
+            named[node.middle] += 1
+            named[node.reduced] += 1
+        assert {c: chain.nodes[c].parents for c in chain.sequence} == named
+        assert named[chain.top_canon] == 0
+        shared += any(count > 1 for count in named.values())
+    assert shared
