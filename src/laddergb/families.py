@@ -8,8 +8,11 @@ RegionTable pairs each index set with its leading monomial, read off the
 index set (matrices.minor_leading, pfaffian_leading) without expanding
 anything unless that rule is not exact for the order at hand, once per
 region: a chain keeps one table for all its nodes (linkage.Chain), and
-index_sets makes one for a ladder alone.  A ladder's list merges its
-regions' entries.  Two routes read that list:
+index_sets makes one for a ladder alone.  The same table answers the
+corner split's questions about a region: its cells, whether it holds a
+generator and which of its generators are absorbed by the size-one
+cells (absorbed_keys).  A ladder's list merges its regions' entries.
+Two routes read that list:
 
 * natural_generators expands the index sets into polynomials, for the
   Buchberger oracle and for localization;
@@ -58,13 +61,53 @@ class RegionTable:
     nodes of one chain, or one ladder alone.  Every leading monomial of a
     region of size t has degree t, as a t-minor or a 2t-pfaffian is
     homogeneous of degree t, so a ladder's minimal generators are built
-    from these sets level by level (initial_ideal)."""
+    from these sets level by level (initial_ideal).
 
-    def __init__(self, order, shape, field=QQ):
+    The table also answers the corner split (ladders._Ladder.split):
+    each region's cells and whether it holds a generator (facts), and
+    which of its generators keep a term free of the size-one cells
+    (absorbed_keys), each found once per region_id, as they depend on
+    nothing else among the ladders the table serves.  These read no
+    term order, shape or field, so a table made for splits alone (a
+    ladder's split() with no table) leaves them None."""
+
+    def __init__(self, order=None, shape=None, field=QQ):
         self.order = order
         self.shape = shape
         self.field = field
         self._regions = {}
+        self._facts = {}  # region_id -> (region_id, cells, holds a generator)
+        self._absorbed = {}  # (region_id, positions among its cells) -> index sets
+
+    def facts(self, ladder, point, t):
+        """(region_id, cells, whether it holds a generator) of the region
+        (point, t) of the ladder, found once per region: region_id fixes
+        both among the ladders the table serves, as it fixes
+        region_keys."""
+        ident = ladder.region_id(point, t)
+        got = self._facts.get(ident)
+        if got is None:
+            cells = ladder.region_cells(point)
+            got = self._facts[ident] = (ident, cells, ladder.holds_generator(point, t))
+        return got
+
+    def absorbed_keys(self, ladder, point, t, positions):
+        """absorbed_keys of the region (point, t) for the cells positions
+        (each cell once, not mirrored), kept under the region_id and the
+        positions among the region's cells: every variable of a
+        generator's term lies at a region cell, so no other position can
+        meet a term.  Outside a generic matrix entry (j, i) holds the
+        variable of cell (i, j), so the mirror of each position is
+        added."""
+        ident, cells, _ = self.facts(ladder, point, t)
+        near = cells & positions
+        got = self._absorbed.get((ident, near))
+        if got is None:
+            grid = near
+            if ladder.shape().kind != "generic":
+                grid = near | {(j, i) for (i, j) in near}
+            got = self._absorbed[ident, near] = absorbed_keys(ladder, point, t, grid)
+        return got
 
     def region(self, ladder, point, t):
         """(entries, leading monomials, whether they are all squarefree)
@@ -129,6 +172,51 @@ class RegionTable:
         return MonomialIdeal._minimal(
             tuple(minimal_levels(levels)), ambient, squarefree or None
         )
+
+
+def _bijection_avoiding(rows, cols, forbidden):
+    """True if some bijection rows -> cols uses no forbidden (row, col)
+    pair."""
+    if not rows:
+        return True
+    r = rows[0]
+    for i, c in enumerate(cols):
+        if (r, c) not in forbidden:
+            if _bijection_avoiding(rows[1:], cols[:i] + cols[i + 1 :], forbidden):
+                return True
+    return False
+
+
+def _matching_avoiding(elems, forbidden):
+    """True if some perfect matching of elems uses no forbidden edge
+    (edges are sorted pairs)."""
+    if not elems:
+        return True
+    a = elems[0]
+    for i in range(1, len(elems)):
+        b = elems[i]
+        if (a, b) not in forbidden:
+            if _matching_avoiding(elems[1:i] + elems[i + 1 :], forbidden):
+                return True
+    return False
+
+
+def absorbed_keys(ladder, point, t, positions):
+    """The index sets of the region (point, t), in region_keys order,
+    whose generator has a term with no variable at one of positions
+    (entries (row, col) of the matrix).  A term of a minor is a bijection
+    rows -> cols, one of a pfaffian a perfect matching of its indices.
+    The region is absorbed by the positions when it holds a generator and
+    this is empty."""
+    free = []
+    for key in ladder.region_keys(point, t):
+        if len(key) == 1:
+            avoids = _matching_avoiding(list(key[0]), positions)
+        else:
+            avoids = _bijection_avoiding(list(key[0]), list(key[1]), positions)
+        if avoids:
+            free.append(key)
+    return tuple(free)
 
 
 def index_sets(ladder, order=None, shape=None, field=QQ):

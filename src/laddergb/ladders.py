@@ -36,12 +36,19 @@ re-expresses points at genuine maximal cells of their regions and drops
 regions too small to hold a minor (its cell set is stored explicitly,
 so this never changes the cells); the other families keep such regions
 as cell carriers.  These rules never change the ideal.
+
+A split reads every per-region fact it needs, a region's cells, whether
+it holds a generator and which of its generators keep a term free of the
+size-one cells, from a families.RegionTable, which finds each once per
+region_id: split(table) takes the chain's table (linkage.Chain hands
+down its own), and split() makes one for the ladder alone.
 """
 
 import itertools
 from typing import NamedTuple, Optional
 
 from .errors import LadderError
+from .families import RegionTable
 from .matrices import GenericShape, SkewShape, SymmetricShape
 
 
@@ -104,9 +111,12 @@ class _Ladder:
     _corner_moves(a, b), the point the corner (a, b) moves to in the
     reduced ladder and the two points that replace it in the middle
     ladder; _inside(p, q), whether the region at p lies in the one at q;
-    and _normalize(pairs, corner), its ladder of (point, t) pairs (less
-    the corner cell for a middle ladder), made by _normalized and
-    _rebuild.  Each class still holds its own split and validate
+    and _normalize(pairs, table, corner), its ladder of (point, t) pairs
+    (less the corner cell for a middle ladder), made by _normalized and
+    _rebuild.  The split, _normalize, _normalized and _rebuild read every
+    per-region fact from one region table (families.RegionTable), so a
+    chain that hands its own to split(table) finds each fact once per
+    region.  Each class still holds its own split and validate
     attribute: bench/tracer.py wraps them class by class."""
 
     _sort_key = None  # order of the (point, t) pairs; natural by default
@@ -133,9 +143,10 @@ class _Ladder:
         return [Region(p, t, self.region_cells(p)) for p, t in self.sizes()]
 
     def region_id(self, point, t):
-        """What region_keys(point, t) depends on besides the dimensions,
-        which a chain keeps fixed (_rebuild keeps m and n): here the
-        point and the size.  families.RegionTable keys regions by it."""
+        """What region_keys(point, t) and region_cells(point) depend on
+        besides the dimensions, which a chain keeps fixed (_rebuild keeps
+        m and n): here the point and the size.  families.RegionTable keys
+        regions by it."""
         return point, t
 
     def holds_generator(self, point, t):
@@ -145,19 +156,23 @@ class _Ladder:
     def height_formula(self):
         return len(self.tilde())
 
-    def _split_index(self):
+    def _split_index(self, table):
         """Index in sizes() of the region a split removes the corner of:
         the first region of largest size t >= 2 that holds a generator,
         or None when there is none."""
         best, best_t = None, 1
         for k, (point, t) in enumerate(self.sizes()):
-            if t > best_t and self.holds_generator(point, t):
+            if t > best_t and table.facts(self, point, t)[2]:
                 best, best_t = k, t
         return best
 
-    def _corner_split(self):
-        """The split of a region family at the corner of _split_index()."""
-        k = self._split_index()
+    def _corner_split(self, table=None):
+        """The split of a region family at the corner of _split_index(),
+        with every region fact read from table (a families.RegionTable:
+        the chain's, or a new one for a ladder split alone)."""
+        if table is None:
+            table = RegionTable()
+        k = self._split_index(table)
         if k is None:
             return None
         sizes = self.sizes()
@@ -165,12 +180,12 @@ class _Ladder:
         inward, halves = self._corner_moves(*corner)
         rest = sizes[:k] + sizes[k + 1 :]
         return SplitResult(
-            reduced=self._normalize(rest + [(inward, t - 1)]),
-            middle=self._normalize(rest + [(p, t) for p in halves], corner),
+            reduced=self._normalize(rest + [(inward, t - 1)], table),
+            middle=self._normalize(rest + [(p, t) for p in halves], table, corner),
             cell=corner,
         )
 
-    def _normalized(self, pairs, cells=None):
+    def _normalized(self, pairs, table, cells=None):
         """The ladder of the (point, t) pairs without redundant regions.
 
         Each point keeps its smallest size.  A region inside an equal-size
@@ -178,9 +193,13 @@ class _Ladder:
         no generators.  A region whose generators have, in every term, a
         variable of a size-one region adds nothing to the ideal; keeping
         it would later remove a corner that is a cone point of the
-        complex.  _rebuild(pairs, cells) makes the ladder: cells is the
-        argument, or, once absorbed regions are dropped, the cells of the
-        regions kept."""
+        complex.  The table answers, once per region, its cells, whether
+        it holds a generator and which of its generators keep a term free
+        of the size-one cells (RegionTable.absorbed_keys).
+        _rebuild(pairs, table, cells) makes the ladder: cells is the
+        argument, or, once absorbed regions are dropped, None, which a
+        family that stores its cells reads as the cells of the regions
+        kept."""
         best = {}
         for point, t in pairs:
             if point not in best or t < best[point]:
@@ -193,21 +212,24 @@ class _Ladder:
         ]
         if not outer:
             raise LadderError("normalization removed every region")
-        ladder = self._rebuild(outer, cells)
+        ladder = self._rebuild(outer, table, cells)
         sizes = ladder.sizes()
         positions = set()
         for point, t in sizes:
             if t == 1:
-                positions |= ladder.region_cells(point)
+                positions |= table.facts(ladder, point, t)[1]
         if not positions:
             return ladder
-        # outside a generic matrix entry (j, i) holds the variable of (i, j)
-        if ladder.shape().kind != "generic":
-            positions |= {(j, i) for (i, j) in positions}
-        kept = [r for r in sizes if r[1] == 1 or not _absorbed(ladder, r, positions)]
+        kept = [
+            (point, t)
+            for point, t in sizes
+            if t == 1
+            or not table.facts(ladder, point, t)[2]
+            or table.absorbed_keys(ladder, point, t, positions)
+        ]
         if len(kept) == len(sizes):
             return ladder
-        return self._rebuild(kept, set().union(*(ladder.region_cells(p) for p, _ in kept)))
+        return ladder._rebuild(kept, table)
 
     def is_terminal(self):
         return self.split() is None
@@ -221,50 +243,6 @@ class _Ladder:
     def __repr__(self):
         fields = list(self.to_json().items())[1:]
         return "%s(%s)" % (type(self).__name__, ", ".join("%s=%s" % f for f in fields))
-
-
-def _bijection_avoiding(rows, cols, forbidden):
-    """True if some bijection rows -> cols uses no forbidden (row, col)
-    pair."""
-    if not rows:
-        return True
-    r = rows[0]
-    for i, c in enumerate(cols):
-        if (r, c) not in forbidden:
-            if _bijection_avoiding(rows[1:], cols[:i] + cols[i + 1 :], forbidden):
-                return True
-    return False
-
-
-def _matching_avoiding(elems, forbidden):
-    """True if some perfect matching of elems uses no forbidden edge
-    (edges are sorted pairs)."""
-    if not elems:
-        return True
-    a = elems[0]
-    for i in range(1, len(elems)):
-        b = elems[i]
-        if (a, b) not in forbidden:
-            if _matching_avoiding(elems[1:i] + elems[i + 1 :], forbidden):
-                return True
-    return False
-
-
-def _absorbed(ladder, region, positions):
-    """True if the region (point, t) has generators and every term of
-    each of them contains a variable at one of positions.  A term of a
-    minor is a bijection rows -> cols, one of a pfaffian a perfect
-    matching of its indices."""
-    found = False
-    for key in ladder.region_keys(*region):
-        found = True
-        if len(key) == 1:
-            free = _matching_avoiding(list(key[0]), positions)
-        else:
-            free = _bijection_avoiding(list(key[0]), list(key[1]), positions)
-        if free:
-            return False
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +288,8 @@ class MaxMinors(_Ladder):
             return [Diagnostic("warning", msg)]
         return []
 
-    def split(self):
+    def split(self, table=None):
+        # the recipe needs no region fact, so the table goes unread
         if self.m == 1 or self.n < self.m:
             return None
         return SplitResult(
@@ -414,14 +393,15 @@ class PfaffianLadder(_Ladder):
     def _inside(p, q):
         return q[0] <= p[0] and p[1] <= q[1]
 
-    def _normalize(self, pairs, corner=None):
+    def _normalize(self, pairs, table, corner=None):
         # blocks with no off-diagonal cell go, the rest are clamped to the matrix
         n = self.n
         return self._normalized(
-            [((max(1, a), min(n, b)), t) for (a, b), t in pairs if a < b and b >= 1 and a <= n]
+            [((max(1, a), min(n, b)), t) for (a, b), t in pairs if a < b and b >= 1 and a <= n],
+            table,
         )
 
-    def _rebuild(self, pairs, cells):
+    def _rebuild(self, pairs, table, cells=None):
         return PfaffianLadder(self.n, *zip(*pairs))
 
     def tilde(self):
@@ -576,7 +556,7 @@ class SymmetricLadder(_Ladder):
     def _inside(p, q):
         return p[0] <= q[0] and p[1] <= q[1]
 
-    def _normalize(self, pairs, corner=None):
+    def _normalize(self, pairs, table, corner=None):
         """The ladder of pairs inside this ladder's cells, less corner if
         given (a middle ladder), else the cells of the pairs' regions."""
         if corner is None:
@@ -588,14 +568,19 @@ class SymmetricLadder(_Ladder):
         # the region's maximal cells
         return self._normalized(
             [(c, t) for (v, w), t in pairs for c in _maximal_cells(_upper_cells_below(cells, v, w))],
+            table,
             cells,
         )
 
-    def _rebuild(self, pairs, cells):
+    def _rebuild(self, pairs, table, cells=None):
+        """The ladder of pairs on cells, by default the cells of the
+        pairs' regions in this ladder."""
+        if cells is None:
+            cells = frozenset().union(*(self.region_cells(p) for p, _ in pairs))
         ladder = SymmetricLadder(self.n, *zip(*pairs), cells)
         # drop the regions that cannot hold a minor, unless none can;
         # cells are explicit, so this never changes them
-        fits = [r for r in ladder.sizes() if ladder.holds_generator(*r)]
+        fits = [r for r in ladder.sizes() if table.facts(ladder, *r)[2]]
         if fits and len(fits) < len(pairs):
             ladder = SymmetricLadder(self.n, *zip(*fits), ladder.cell_set)
         return ladder
@@ -725,14 +710,15 @@ class OneSidedLadder(_Ladder):
     def _inside(p, q):
         return p[0] <= q[0] and p[1] >= q[1]
 
-    def _normalize(self, pairs, corner=None):
+    def _normalize(self, pairs, table, corner=None):
         # regions with no cell go, the rest are clamped to the matrix
         m, n = self.m, self.n
         return self._normalized(
-            [((min(a, m), max(b, 1)), t) for (a, b), t in pairs if a >= 1 and b <= n]
+            [((min(a, m), max(b, 1)), t) for (a, b), t in pairs if a >= 1 and b <= n],
+            table,
         )
 
-    def _rebuild(self, pairs, cells):
+    def _rebuild(self, pairs, table, cells=None):
         return OneSidedLadder(self.m, self.n, *zip(*pairs))
 
     def tilde(self):

@@ -189,7 +189,11 @@ class Chain:
     few regions recur at almost every node, so the chain keeps one
     region table (regions, a families.RegionTable): each region's
     [(index set, leading monomial)] entries and their set of leading
-    monomials, computed once per chain.  leading_monomials(canon) is the
+    monomials, computed once per chain.  _build hands the same table to
+    every split (ladder.split(regions)), so the facts a split asks of a
+    region (its cells, whether it holds a generator, which generators the
+    size-one cells absorb) are found once per chain too.
+    leading_monomials(canon) is the
     union of the node's region sets, built where it is asked for: a
     chain keeps only how many there are and which variables occur in
     them (lead_summary), as the sets of all nodes together would be the
@@ -251,7 +255,7 @@ class Chain:
         node = self.nodes.get(canon)
         if node is not None:
             return node
-        split = ladder.split()
+        split = ladder.split(self.regions)
         node = self.nodes[canon] = ChainNode(ladder, canon, split and split.cell)
         self.sequence.append(canon)
         if split is not None:

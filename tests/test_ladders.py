@@ -12,6 +12,7 @@ from laddergb import (
     ensure_valid,
     ladder_from_json,
 )
+from laddergb.families import RegionTable
 from laddergb.ladders import errors_of
 
 from corpus import CORPUS
@@ -22,8 +23,9 @@ def diag_messages(ladder, level=None):
 
 
 def normalized(ladder):
-    """The ladder its own family rebuilds from its (point, t) pairs."""
-    return ladder._normalize(ladder.sizes())
+    """The ladder its own family rebuilds from its (point, t) pairs,
+    with a region table of its own, as a split alone makes."""
+    return ladder._normalize(ladder.sizes(), RegionTable())
 
 
 # ---------------------------------------------------------------------------

@@ -112,10 +112,13 @@ def test_chain_enumerates_each_region_once(monkeypatch):
     # pfaffian n=8 unfolds into 263 nodes holding 1009 regions, but only
     # 36 distinct (corner, t); building a chain walks it, and the region
     # table enumerates a region's generators once for the build, its
-    # certificate and every check of verify_family together.  After the
-    # build nothing enumerates a region at all.
+    # certificate and every check of verify_family together.  The splits
+    # read the same table, so outside RegionTable.region the build
+    # enumerates each region once to see whether it holds a generator
+    # and once per absorption key.  After the build nothing enumerates a
+    # region at all.
     top = PfaffianLadder(8, [(1, 8)], [2])
-    inside, built, by_table, late = [False], [False], [0], [0]
+    inside, built, by_table, by_split, late = [False], [False], [0], [0], [0]
     region, region_keys = RegionTable.region, PfaffianLadder.region_keys
 
     def in_table(self, *args):
@@ -127,6 +130,7 @@ def test_chain_enumerates_each_region_once(monkeypatch):
 
     def counting(self, corner, t):
         by_table[0] += inside[0]
+        by_split[0] += not (inside[0] or built[0])
         late[0] += built[0]
         return region_keys(self, corner, t)
 
@@ -134,6 +138,9 @@ def test_chain_enumerates_each_region_once(monkeypatch):
     monkeypatch.setattr(PfaffianLadder, "region_keys", counting)
     chain = Chain(top)
     built[0] = True
+    region_ids, absorption_keys = len(chain.regions._facts), len(chain.regions._absorbed)
+    assert absorption_keys > 0
+    assert 0 < by_split[0] <= region_ids + absorption_keys
     chain_certificate(chain)
     verify_node_groebner(chain, chain.top_canon)
     for canon in chain.sequence:
@@ -149,6 +156,53 @@ def test_chain_enumerates_each_region_once(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # chain construction
+
+
+# chains that drop regions absorbed by a size-one region
+ABSORBING = [
+    {"family": "onesided", "m": 5, "n": 5, "points": [[3, 1], [5, 3]], "t": [1, 2]},
+    {"family": "pfaffian", "n": 7, "corners": [[1, 5], [2, 7]], "t": [1, 2]},
+    {"family": "symmetric", "n": 5, "points": [[2, 5], [5, 5]], "t": [1, 2]},
+]
+
+
+def _alone(top):
+    """(sequence, {canon: (cell, cells, middle, reduced)}) of the chain
+    of top, each ladder split with a region table of its own."""
+    sequence, rows = [], {}
+
+    def build(ladder):
+        canon = ladder.canon()
+        if canon in rows:
+            return
+        split = ladder.split()
+        rows[canon] = (split and split.cell, ladder.cells(), None, None)
+        sequence.append(canon)
+        if split is not None:
+            build(split.middle)
+            build(split.reduced)
+            rows[canon] = rows[canon][:2] + (split.middle.canon(), split.reduced.canon())
+
+    build(top)
+    return sequence, rows
+
+
+def test_chain_splits_with_its_table_as_each_ladder_alone():
+    dropped = 0
+    for data in CORPUS + NEGATIVE_INSTANCES + ABSORBING:
+        top = ladder_from_json(data)
+        chain = Chain(top)
+        sequence, rows = _alone(top)
+        assert chain.sequence == sequence, data
+        for canon in sequence:
+            node = chain.nodes[canon]
+            row = (node.cell, node.ladder.cells(), node.middle, node.reduced)
+            assert row == rows[canon], (data, canon)
+        if data in ABSORBING:
+            # some region with a generator had no term free of the
+            # size-one cells, so normalization dropped it
+            dropped += any(not keys for keys in chain.regions._absorbed.values())
+    assert dropped == len(ABSORBING)
 
 
 def test_chain_structure_maxminors():

@@ -20,7 +20,7 @@ from laddergb import field_by_name, verify_family
 from laddergb import families, matrices, mono
 from laddergb.complexes import SimplicialComplex, check_shedding, is_vertex_decomposable
 from laddergb.errors import PreconditionError
-from laddergb.ladders import _absorbed, errors_of
+from laddergb.ladders import errors_of
 from laddergb.linkage import Chain
 from laddergb.monomials import MonomialIdeal, _squarefree, check_double_link
 from laddergb.monomials import hilbert_numerator
@@ -106,7 +106,7 @@ def test_every_sweep_verdict_is_pinned():
 
 
 # ---------------------------------------------------------------------------
-# region_keys and _absorbed against references
+# region_keys and absorbed_keys against references
 
 
 def ref_region_keys(ladder, point, t):
@@ -274,15 +274,23 @@ def test_absorbed_regions_have_a_size_one_variable_in_every_term(sweep_chains):
             rings[repr(shape)] = shape, matrices.order_for(shape, "diagonal")
         shape, order = rings[repr(ladder.shape())]
         size_one = {order.var(i, j) for (i, j) in cells}
-        # the positions normalization hands _absorbed: outside a generic
-        # matrix, entry (j, i) is the variable of cell (i, j) too
+        # the positions of the size-one cells: outside a generic matrix,
+        # entry (j, i) is the variable of cell (i, j) too
+        mirrored = ladder.shape().kind != "generic"
         positions = set(cells)
-        if ladder.shape().kind != "generic":
+        if mirrored:
             positions |= {(j, i) for (i, j) in cells}
         for point, t in ladder.sizes():
             if t == 1:
                 continue
-            absorbed = _absorbed(ladder, (point, t), positions)
+            free = families.absorbed_keys(ladder, point, t, positions)
+            absorbed = ladder.holds_generator(point, t) and not free
+            # the key RegionTable.absorbed_keys keeps it under: the
+            # positions among the region's cells, plus their mirror
+            near = cells & ladder.region_cells(point)
+            if mirrored:
+                near |= {(j, i) for (i, j) in near}
+            assert families.absorbed_keys(ladder, point, t, near) == free, (ladder, point, t)
             avoiding = False
             for key in ladder.region_keys(point, t):
                 if len(key) == 1:
