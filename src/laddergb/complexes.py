@@ -40,6 +40,7 @@ exactly when no facet (F - v) + w lacks v, one set lookup per vertex w
 (see _shedding).
 """
 
+import bisect
 import functools
 import operator
 
@@ -113,9 +114,15 @@ class SimplicialComplex:
     def _derive(self, masks, drop):
         """Complex over the same vertex tuple whose facet masks are
         already an antichain; drop is removed from the ambient set, and
-        when it is empty the ambient tuple is shared."""
+        when it is empty the ambient tuple is shared.  The ambient tuple
+        is sorted, so one dropped vertex (a link or deletion) is found by
+        bisection and sliced out."""
         ambient = self.ambient
-        if drop:
+        if len(drop) == 1:
+            i = bisect.bisect_left(ambient, *drop)
+            if ambient[i : i + 1] == tuple(drop):
+                ambient = ambient[:i] + ambient[i + 1 :]
+        elif drop:
             ambient = tuple(v for v in ambient if v not in drop)
         out = object.__new__(SimplicialComplex)
         out._set(self.verts, self._index, frozenset(masks), ambient)
@@ -212,10 +219,10 @@ class SimplicialComplex:
     def dim(self):
         if self.is_void():
             raise PreconditionError("the void complex has no dimension")
-        return max(m.bit_count() for m in self.masks) - 1
+        return max(map(int.bit_count, self.masks)) - 1
 
     def is_pure(self):
-        return len({m.bit_count() for m in self.masks}) <= 1
+        return len(set(map(int.bit_count, self.masks))) <= 1
 
     def codimension(self):
         """Codimension of the face ring inside the ambient polynomial

@@ -11,7 +11,9 @@ region: a chain keeps one table for all its nodes (linkage.Chain), and
 index_sets makes one for a ladder alone.  The same table answers the
 corner split's questions about a region: its cells, whether it holds a
 generator and which of its generators are absorbed by the size-one
-cells (absorbed_keys).  A ladder's list merges its regions' entries.
+cells (absorbed_keys), and the height formula's: the cell masks each
+region adds to it (shifted).  A ladder's list merges its regions'
+entries.
 Two routes read that list:
 
 * natural_generators expands the index sets into polynomials, for the
@@ -67,9 +69,12 @@ class RegionTable:
     each region's cells and whether it holds a generator (facts), and
     which of its generators keep a term free of the size-one cells
     (absorbed_keys), each found once per region_id, as they depend on
-    nothing else among the ladders the table serves.  These read no
-    term order, shape or field, so a table made for splits alone (a
-    ladder's split() with no table) leaves them None."""
+    nothing else among the ladders the table serves.  It also keeps, once
+    per (point, t), the int cell masks the region adds to the ladder's
+    height formula (shifted, see ladders._Ladder.tilde).  These read no
+    term order, shape or field, so a table made for splits or heights
+    alone (a ladder's split() or height_formula() with no table) leaves
+    them None."""
 
     def __init__(self, order=None, shape=None, field=QQ):
         self.order = order
@@ -78,6 +83,7 @@ class RegionTable:
         self._regions = {}
         self._facts = {}  # region_id -> (region_id, cells, holds a generator)
         self._absorbed = {}  # (region_id, positions among its cells) -> index sets
+        self._shifted = {}  # (point, t) -> the region's shifted cells, as masks
 
     def facts(self, ladder, point, t):
         """(region_id, cells, whether it holds a generator) of the region
@@ -107,6 +113,16 @@ class RegionTable:
             if ladder.shape().kind != "generic":
                 grid = near | {(j, i) for (i, j) in near}
             got = self._absorbed[ident, near] = absorbed_keys(ladder, point, t, grid)
+        return got
+
+    def shifted(self, ladder, point, t):
+        """ladder._shifted(point, t), the cell masks the region (point, t)
+        adds to the ladder's height formula (ladders._Ladder.tilde), kept
+        under (point, t): once a chain fixes the dimensions they depend on
+        nothing else."""
+        got = self._shifted.get((point, t))
+        if got is None:
+            got = self._shifted[point, t] = ladder._shifted(point, t)
         return got
 
     def region(self, ladder, point, t):

@@ -20,8 +20,12 @@ the index sets of each region's generators (region_keys) and what they
 depend on within a chain (region_id), a validation report, a one-step
 corner removal split (the inductive step of the liaison argument: a
 reduced instance with one size lowered, a middle instance with the
-corner cell removed, and the shedding cell), a shifted copy whose
-variable count is the predicted height, and the height formula itself.
+corner cell removed, and the shedding cell), and the cells of a
+shifted copy (tilde), whose count is the predicted height
+(height_formula).  Both read one int mask of cells: the union of the
+regions' shifted cells for the pfaffian and one-sided families, and for
+the symmetric family the ladder's cells under a conjunction of size-shift
+constraints, each region's part kept in the region table.
 
 The three region families share one split (_Ladder._corner_split): it
 takes the corner of the first largest region; the family states where
@@ -41,10 +45,12 @@ A split reads every per-region fact it needs, a region's cells, whether
 it holds a generator and which of its generators keep a term free of the
 size-one cells, from a families.RegionTable, which finds each once per
 region_id: split(table) takes the chain's table (linkage.Chain hands
-down its own), and split() makes one for the ladder alone.
+down its own), and split() makes one for the ladder alone.  So do
+height_formula(table) and tilde(table).
 """
 
 import itertools
+import operator
 from typing import NamedTuple, Optional
 
 from .errors import LadderError
@@ -89,10 +95,15 @@ def ensure_valid(ladder):
 
 
 def _maximal_cells(cells):
-    """Cells not dominated componentwise by another cell."""
-    return sorted(
-        c for c in cells if not any(d != c and d[0] >= c[0] and d[1] >= c[1] for d in cells)
-    )
+    """Cells not dominated componentwise by another cell, sorted.  Walked
+    from the largest cell down, a cell is dominated exactly when an
+    earlier one reaches its column."""
+    out, reach = [], None
+    for i, j in sorted(cells, reverse=True):
+        if reach is None or j > reach:
+            out.append((i, j))
+            reach = j
+    return out[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +124,9 @@ class _Ladder:
     ladder; _inside(p, q), whether the region at p lies in the one at q;
     and _normalize(pairs, table, corner), its ladder of (point, t) pairs
     (less the corner cell for a middle ladder), made by _normalized and
-    _rebuild.  The split, _normalize, _normalized and _rebuild read every
+    _rebuild.  For the height it states _shifted(point, t), the cell
+    masks a region adds, or a _tilde_mask of its own.  The split,
+    _normalize, _normalized, _rebuild and the height read every
     per-region fact from one region table (families.RegionTable), so a
     chain that hands its own to split(table) finds each fact once per
     region.  Each class still holds its own split and validate
@@ -123,15 +136,15 @@ class _Ladder:
 
     def _set_sizes(self, points, t, noun="point"):
         """Keep the regions as sorted (point, t) pairs; return the points."""
-        points = [tuple(p) for p in points]
+        points = list(map(tuple, points))
         t = list(t)
         if len(points) != len(t):
             raise LadderError("%s list and size vector differ in length" % noun)
         if not points:
             raise LadderError("a %s ladder needs at least one %s" % (self.family, noun))
         self._sizes = tuple(sorted(zip(points, t), key=self._sort_key))
-        self.t = tuple(x for _, x in self._sizes)
-        return tuple(p for p, _ in self._sizes)
+        points, self.t = zip(*self._sizes)
+        return points
 
     def sizes(self):
         return list(self._sizes)
@@ -153,8 +166,32 @@ class _Ladder:
         """True if the region (point, t) has at least one generator."""
         return next(self.region_keys(point, t), None) is not None
 
-    def height_formula(self):
-        return len(self.tilde())
+    def height_formula(self, table=None):
+        """The predicted height: the number of cells of tilde(table), the
+        bit count of their mask."""
+        return self._tilde_mask(table or RegionTable()).bit_count()
+
+    def tilde(self, table=None):
+        """The cells of the shifted ladder, sorted: their number is the
+        predicted height.  Both read one mask (_tilde_mask) built from the
+        regions' shifted cells, which table (a families.RegionTable, the
+        chain's or a new one) finds once per (point, t)."""
+        mask, n = self._tilde_mask(table or RegionTable()), self.n
+        return [(k // n + 1, k % n + 1) for k in range(mask.bit_length()) if mask >> k & 1]
+
+    def _mask(self, cells):
+        """The int mask of cells of the n-column matrix: cell (i, j) is
+        bit (i - 1) * n + j - 1, so the bits ascend in sorted cell order."""
+        n = self.n
+        return sum(1 << ((i - 1) * n + j - 1) for i, j in cells)
+
+    def _tilde_mask(self, table):
+        """The mask of the shifted ladder: the union of the regions'
+        shifted cells (_shifted)."""
+        mask = 0
+        for point, t in self._sizes:
+            mask |= table.shifted(self, point, t)
+        return mask
 
     def _split_index(self, table):
         """Index in sizes() of the region a split removes the corner of:
@@ -190,10 +227,10 @@ class _Ladder:
 
         Each point keeps its smallest size.  A region inside an equal-size
         region (_inside(p, q): the region at p lies in the one at q) adds
-        no generators.  A region whose generators have, in every term, a
-        variable of a size-one region adds nothing to the ideal; keeping
-        it would later remove a corner that is a cone point of the
-        complex.  The table answers, once per region, its cells, whether
+        no generators; _outer drops those in one plain scan of the pairs.
+        A region whose generators have, in every term, a variable of a
+        size-one region adds nothing to the ideal; keeping it would later
+        remove a corner that is a cone point of the complex.  The table answers, once per region, its cells, whether
         it holds a generator and which of its generators keep a term free
         of the size-one cells (RegionTable.absorbed_keys).
         _rebuild(pairs, table, cells) makes the ladder: cells is the
@@ -204,12 +241,7 @@ class _Ladder:
         for point, t in pairs:
             if point not in best or t < best[point]:
                 best[point] = t
-        pairs = sorted(best.items())
-        outer = [
-            (p, t)
-            for p, t in pairs
-            if not any(s == t and q != p and self._inside(p, q) for q, s in pairs)
-        ]
+        outer = self._outer(sorted(best.items()))
         if not outer:
             raise LadderError("normalization removed every region")
         ladder = self._rebuild(outer, table, cells)
@@ -230,6 +262,19 @@ class _Ladder:
         if len(kept) == len(sizes):
             return ladder
         return ladder._rebuild(kept, table)
+
+    def _outer(self, pairs):
+        """The (point, t) pairs whose region lies inside no other region of
+        equal size (_inside), in the order of pairs."""
+        inside = self._inside
+        outer = []
+        for p, t in pairs:
+            for q, s in pairs:
+                if s == t and q != p and inside(p, q):
+                    break
+            else:
+                outer.append((p, t))
+        return outer
 
     def is_terminal(self):
         return self.split() is None
@@ -298,11 +343,9 @@ class MaxMinors(_Ladder):
             cell=(self.m, self.n),
         )
 
-    def tilde(self):
+    def _tilde_mask(self, table):
         # the top-right band of width n-m+1 realizes the height count
-        if self.n < self.m:
-            return []
-        return [(1, j) for j in range(self.m, self.n + 1)]
+        return self._mask((1, j) for j in range(self.m, self.n + 1))
 
     def canon(self):
         return "maxminors:m=%d,n=%d" % (self.m, self.n)
@@ -404,17 +447,14 @@ class PfaffianLadder(_Ladder):
     def _rebuild(self, pairs, table, cells=None):
         return PfaffianLadder(self.n, *zip(*pairs))
 
-    def tilde(self):
-        """Strictly upper cells of the shifted ladder: the height count."""
-        cells = set()
-        for (a, b), tk in self._sizes:
-            lo, hi = max(1, a + tk - 1), min(self.n, b - tk + 1)
-            cells |= {(i, j) for i in range(lo, hi + 1) for j in range(i + 1, hi + 1)}
-        return sorted(cells)
+    def _shifted(self, corner, t):
+        # the strict upper triangle on [a + t - 1, b - t + 1], in the matrix
+        a, b = corner
+        return self._mask(self.region_cells((max(1, a + t - 1), min(self.n, b - t + 1))))
 
     def canon(self):
-        cs = ",".join("(%d,%d)" % c for c in self.corners)
-        ts = ",".join(str(x) for x in self.t)
+        cs = ",".join(map("(%d,%d)".__mod__, self.corners))
+        ts = ",".join(map(str, self.t))
         return "pfaffian:n=%d;corners=%s;t=%s" % (self.n, cs, ts)
 
     def to_json(self):
@@ -487,17 +527,22 @@ class SymmetricLadder(_Ladder):
         # unrestricted set is neither minimal nor interreduced for n >= 4.
         # Rows and columns come only from the indices of the region's cells,
         # as every entry of a kept minor is a region cell, and columns only
-        # from those whose cells meet every row inside the region;
-        # combinations of sorted lists keep the lexicographic order of all
-        # row and column sets, so the cost follows the region, not n.
+        # from those whose cells meet every row inside the region: the
+        # columns of row r are a mask over idx (reach[r], found on first
+        # use); combinations of sorted lists keep the lexicographic order of
+        # all row and column sets, so the cost follows the region, not n.
         region = self.region_cells(point)
         idx = sorted({i for cell in region for i in cell})
+        reach = {}
         for rows in itertools.combinations(idx, t):
-            fits = [
-                c for c in idx if all((min(r, c), max(r, c)) in region for r in rows)
-            ]
+            common = -1
+            for r in rows:
+                if r not in reach:
+                    reach[r] = sum(1 << k for k, c in enumerate(idx) if (min(r, c), max(r, c)) in region)
+                common &= reach[r]
+            fits = [c for k, c in enumerate(idx) if common >> k & 1]
             for cols in itertools.combinations(fits, t):
-                if all(r <= c for r, c in zip(rows, cols)):
+                if all(map(operator.le, rows, cols)):
                     yield rows, cols
 
     def validate(self):
@@ -585,22 +630,28 @@ class SymmetricLadder(_Ladder):
             ladder = SymmetricLadder(self.n, *zip(*fits), ladder.cell_set)
         return ladder
 
-    def tilde(self):
-        """Cells surviving the size-shift constraints; their count is the
-        predicted height."""
-        low = [(v - tk + 1, w - tk + 1) for (v, w), tk in self._sizes]
-        return [
-            (i, j)
-            for (i, j) in sorted(self.cell_set)
-            if j <= low[0][1]
-            and i <= low[-1][0]
-            and all(i <= low[k - 1][0] or j <= low[k][1] for k in range(1, len(low)))
-        ]
+    def _shifted(self, point, t):
+        """The masks of the upper-triangle cells (i, j) with i <= v' and of
+        those with j <= w', where (v', w') = (v - t + 1, w - t + 1)."""
+        v, w = point[0] - t + 1, point[1] - t + 1
+        upper = [(i, j) for i in range(1, self.n + 1) for j in range(i, self.n + 1)]
+        return self._mask(c for c in upper if c[0] <= v), self._mask(c for c in upper if c[1] <= w)
+
+    def _tilde_mask(self, table):
+        """The ladder's cells surviving the size-shift constraints: with
+        (v'_k, w'_k) the shifted points, a cell (i, j) needs j <= w'_0,
+        i <= v'_last and, for each k >= 1, i <= v'_(k-1) or j <= w'_k.
+        This is a conjunction, not a union of shifted regions."""
+        rows, cols = zip(*(table.shifted(self, p, t) for p, t in self._sizes))
+        mask = self._mask(self.cell_set) & cols[0] & rows[-1]
+        for k in range(1, len(rows)):
+            mask &= rows[k - 1] | cols[k]
+        return mask
 
     def canon(self):
-        ps = ",".join("(%d,%d)" % p for p in self.points)
-        ts = ",".join(str(x) for x in self.t)
-        cs = ",".join("(%d,%d)" % c for c in sorted(self.cell_set))
+        ps = ",".join(map("(%d,%d)".__mod__, self.points))
+        ts = ",".join(map(str, self.t))
+        cs = ",".join(map("(%d,%d)".__mod__, sorted(self.cell_set)))
         return "symmetric:n=%d;points=%s;t=%s;cells=%s" % (self.n, ps, ts, cs)
 
     def to_json(self):
@@ -721,15 +772,13 @@ class OneSidedLadder(_Ladder):
     def _rebuild(self, pairs, table, cells=None):
         return OneSidedLadder(self.m, self.n, *zip(*pairs))
 
-    def tilde(self):
-        out = set()
-        for (a, b), tk in self._sizes:
-            out |= self.region_cells((a - tk + 1, b + tk - 1))
-        return sorted(out)
+    def _shifted(self, point, t):
+        a, b = point
+        return self._mask(self.region_cells((a - t + 1, b + t - 1)))
 
     def canon(self):
-        ps = ",".join("(%d,%d)" % p for p in self.points)
-        ts = ",".join(str(x) for x in self.t)
+        ps = ",".join(map("(%d,%d)".__mod__, self.points))
+        ts = ",".join(map(str, self.t))
         return "onesided:m=%d,n=%d;points=%s;t=%s" % (self.m, self.n, ps, ts)
 
     def to_json(self):

@@ -130,12 +130,13 @@ class ChainNode:
     Set when the chain is built: the ladder and canon, the removed corner
     cell (None for a terminal), the canons of its size-lowered child
     (reduced) and cell-removed child (middle), the ladder's height
-    formula, parents (how many times a step names the node as a child,
-    counted by Chain._build) and, by the walk (Chain._walk), its initial
-    ideal (initial) and, at a step, whether the step is a basic double
-    link (linked) and its shedding verdict (shedding: the failed
-    condition names as a tuple, empty when all hold, or None when the
-    step's ideal is not squarefree).
+    formula (read with the chain's region table), parents (how many
+    times a step names the node as a child, counted by Chain._build)
+    and, by the walk (Chain._walk), its initial ideal (initial) and, at a
+    step, whether the step is a basic double link (linked) and its
+    shedding verdict (shedding: the failed condition names as a tuple,
+    empty when all hold, or None when the step's ideal is not
+    squarefree).
 
     Left None until verify first asks: the lead summary (summary, see
     Chain.lead_summary), the Hilbert numerator (numerator, see
@@ -158,12 +159,12 @@ class ChainNode:
         "oracle",
     )
 
-    def __init__(self, ladder, canon, cell=None):
+    def __init__(self, ladder, canon, cell=None, table=None):
         self.ladder = ladder
         self.canon = canon
         self.cell = cell
         self.reduced = self.middle = None  # set once the children are built
-        self.height = ladder.height_formula()
+        self.height = ladder.height_formula(table)
         self.parents = 0
         self.initial = self.linked = self.shedding = None  # set by the walk
         self.summary = self.numerator = self.oracle = None  # set on first query
@@ -256,7 +257,7 @@ class Chain:
         if node is not None:
             return node
         split = ladder.split(self.regions)
-        node = self.nodes[canon] = ChainNode(ladder, canon, split and split.cell)
+        node = self.nodes[canon] = ChainNode(ladder, canon, split and split.cell, self.regions)
         self.sequence.append(canon)
         if split is not None:
             middle = self._build(split.middle)
@@ -503,13 +504,15 @@ class Chain:
         cells = [order.cell(x) for x in self.ambient]
         simplex = SimplicialComplex([cells], cells)
         (every,) = simplex.masks
+        # a terminal's generators are variables: each one's vertex bit
+        vertex = {mono.var(x): simplex._bit(order.cell(x)) for x in self.ambient}
         complexes = {}
         breach = None
         for node in self._children_first:
             canon, v = node.canon, node.cell
             ideal = node.initial = regions.initial_ideal(node.ladder, self.ambient)
             if v is None:
-                cut = sum(simplex._bit(order.cell(mono.top(g))) for g in ideal.gens)
+                cut = sum(map(vertex.__getitem__, ideal.gens))
                 complexes[canon] = simplex._derive((every ^ cut,), ())
                 continue
             a, b = nodes[node.middle], nodes[node.reduced]

@@ -29,17 +29,23 @@ def minimal_levels(levels):
     """Minimal generators of the union of levels, a dict from a degree d
     to a nonempty collection of distinct monomials of degree d, sorted by
     (degree, monomial).  The degrees are walked upward: two distinct
-    monomials of one degree never divide each other, so each level keeps
-    the survivors of a DivisorIndex of the lower ones."""
+    monomials of one degree never divide each other, so the lowest level
+    is kept whole and each later one keeps the survivors of a
+    DivisorIndex of the lower ones.  The monomials of degree 1 are
+    variables, so that level enters the index as one mask."""
     out = []
     index = DivisorIndex()
-    last = max(levels, default=None)
-    for d in sorted(levels):
+    degrees = sorted(levels)
+    for d in degrees:
         if d == 0:
             return [mono.ONE]
-        level = sorted(index.survivors(levels[d]))
+        level = sorted(index.survivors(levels[d]) if out else levels[d])
         out.extend(level)
-        if d != last:
+        if d == degrees[-1]:
+            break
+        if d == 1:
+            index.linear = mono.occurring(level)
+        else:
             index.add(level)
     return out
 

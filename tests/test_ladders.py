@@ -15,6 +15,7 @@ from laddergb import (
 from laddergb.families import RegionTable
 from laddergb.ladders import errors_of
 
+import ladderref
 from corpus import CORPUS
 
 
@@ -60,6 +61,14 @@ def test_maxminors_terminal_cases():
 def test_maxminors_rejects_bad_dimensions():
     with pytest.raises(LadderError):
         MaxMinors(0, 3)
+
+
+def test_maxminors_tilde_is_the_top_right_band():
+    for m in range(1, 5):
+        for n in range(1, 7):
+            l = MaxMinors(m, n)
+            assert l.tilde() == ladderref.tilde(l)
+            assert l.height_formula() == max(0, n - m + 1)
 
 
 def test_maxminors_row_case_height_is_variable_count():

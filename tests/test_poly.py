@@ -8,7 +8,7 @@ Buchberger checks rest on it.
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laddergb import (
@@ -593,17 +593,44 @@ def overlapping_lists(draw):
     return pool[:hi], draw(st.permutations(pool[lo:]))
 
 
+def _small(*terms):
+    """A polynomial over GF(7) in SMALL_ORDER's variables a > b > c (ids
+    2, 1, 0), from (flat exponent tuple, coefficient) terms."""
+    return {encode(m): GF7.of(c) for m, c in terms}
+
+
+# a draw whose reduced basis cannot be computed: tail reduction pushes an
+# exponent of its completion past mono.MAX_EXP on every route
+OVERFLOWING = [
+    _small(((2, 1, 0, 2), 1), ((2, 2, 1, 1, 0, 1), 1), ((2, 2), 1)),
+    _small(((1, 1, 0, 1), 1), ((2, 2, 1, 1, 0, 2), 1)),
+    _small(((2, 1, 1, 2, 0, 1), 1), ((2, 2), 1), ((), 1)),
+]
+
+
+def test_overflowing_draw_raises_the_overflow_error():
+    with pytest.raises(PreconditionError, match="exponent overflow"):
+        buchberger_reduced(OVERFLOWING, SMALL_ORDER, GF7)
+
+
+def _reduced_outcome(F, **named):
+    """The frozen reduced basis of F, or the PreconditionError raised."""
+    try:
+        return {freeze(g) for g in buchberger_reduced(F, SMALL_ORDER, GF7, **named)}
+    except PreconditionError as e:
+        return ("PreconditionError", str(e))
+
+
 @given(overlapping_lists())
+@example((OVERFLOWING, OVERFLOWING[::-1]))
 @settings(max_examples=200, deadline=None)
 def test_completions_sharing_a_record_match_fresh_ones(lists):
+    # both routes give equal bases, or raise the same PreconditionError
     A, B = lists
     record = {}
     for F in (A, B):
-        got = buchberger_reduced(
-            F, SMALL_ORDER, GF7, names=[freeze(f) for f in F], record=record
-        )
-        fresh = buchberger_reduced(F, SMALL_ORDER, GF7)
-        assert {freeze(g) for g in got} == {freeze(g) for g in fresh}
+        got = _reduced_outcome(F, names=[freeze(f) for f in F], record=record)
+        assert got == _reduced_outcome(F)
 
 
 FIVE = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]

@@ -1,5 +1,6 @@
 """A small exhaustive sweep of instances: pinned chains, and region
-enumeration and absorption against independent references.
+enumeration, absorption, heights and the nested-region scan against
+independent references.
 
 The candidates are every one-sided ladder with m, n <= 4, every
 symmetric ladder with n <= 4 and every pfaffian ladder with n <= 6, each
@@ -20,11 +21,12 @@ from laddergb import field_by_name, verify_family
 from laddergb import families, matrices, mono
 from laddergb.complexes import SimplicialComplex, check_shedding, is_vertex_decomposable
 from laddergb.errors import PreconditionError
-from laddergb.ladders import errors_of
+from laddergb.ladders import _Ladder, errors_of
 from laddergb.linkage import Chain
 from laddergb.monomials import MonomialIdeal, _squarefree, check_double_link
 from laddergb.monomials import hilbert_numerator
 
+import ladderref
 from tupleref import encode
 
 # recorded before the families shared one region enumerator and one
@@ -69,25 +71,37 @@ def sweep_ladders():
 @pytest.fixture(scope="module")
 def sweep_chains():
     """(number of instances, digest of their chains, every distinct
-    chain node's ladder, and each such node's canon mapped to the first
-    chain holding it)."""
+    chain node's ladder, each such node's canon mapped to the first
+    chain holding it, and the nested-region scans of the builds: each
+    distinct (family, pairs) that _Ladder._outer was called on, mapped to
+    (a ladder that called it, the list it returned))."""
     ladders = sweep_ladders()
     h = hashlib.sha256()
     nodes = {}
     chains = {}
-    for top in ladders:
-        chain = Chain(top)
-        for canon in chain.sequence:
-            node = chain.nodes[canon]
-            row = (canon, node.cell, node.reduced, node.middle, chain.names(canon))
-            h.update(repr(row).encode())
-            nodes[canon] = node.ladder
-            chains.setdefault(canon, chain)
-    return len(ladders), h.hexdigest(), list(nodes.values()), chains
+    scans = {}
+    outer = _Ladder._outer
+
+    def recorded(ladder, pairs):
+        got = outer(ladder, pairs)
+        scans.setdefault((ladder.family, tuple(pairs)), (ladder, got))
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Ladder, "_outer", recorded)
+        for top in ladders:
+            chain = Chain(top)
+            for canon in chain.sequence:
+                node = chain.nodes[canon]
+                row = (canon, node.cell, node.reduced, node.middle, chain.names(canon))
+                h.update(repr(row).encode())
+                nodes[canon] = node.ladder
+                chains.setdefault(canon, chain)
+    return len(ladders), h.hexdigest(), list(nodes.values()), chains, scans
 
 
 def test_every_sweep_chain_is_pinned(sweep_chains):
-    count, digest, _, _ = sweep_chains
+    count, digest, _, _, _ = sweep_chains
     assert count == SWEEP_LADDERS
     assert digest == SWEEP_DIGEST
 
@@ -103,6 +117,35 @@ def test_every_sweep_verdict_is_pinned():
         failures[top.family] += bool(failing)
     assert failures == VERDICT_FAILURES
     assert h.hexdigest() == VERDICT_DIGEST
+
+
+def test_heights_match_the_set_reference_on_every_sweep_node(sweep_chains):
+    # heights and tilde() read one mask built from the table's shifted
+    # cells; they must be the set-based reference's on every node, alone
+    # and with the chain's table.  The symmetric height is a conjunction
+    # of constraints: the sweep reaches 111 nodes where a union of
+    # shifted regions would differ from it
+    _, _, _, chains, _ = sweep_chains
+    symmetric = differ = 0
+    for canon, chain in chains.items():
+        node = chain.nodes[canon]
+        ladder = node.ladder
+        want = ladderref.tilde(ladder)
+        assert ladder.tilde() == ladder.tilde(chain.regions) == want, canon
+        assert node.height == ladder.height_formula() == len(want), canon
+        if ladder.family == "symmetric":
+            symmetric += 1
+            differ += ladderref.rectangles(ladder) != want
+    assert (symmetric, differ) == (469, 111)
+
+
+def test_nested_scans_match_the_reference_on_every_sweep_build(sweep_chains):
+    # every pairs list _normalized scanned for nested regions while the
+    # sweep chains were built gives the reference comprehension's list
+    _, _, _, _, scans = sweep_chains
+    assert {family for family, _ in scans} == {"onesided", "symmetric", "pfaffian"}
+    for (family, pairs), (ladder, got) in scans.items():
+        assert got == ladderref.outer(ladder, list(pairs)), (family, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +184,7 @@ def test_chain_region_table_matches_a_fresh_one_on_every_sweep_node(sweep_chains
     # a chain merges every node's generators from one table of regions;
     # a region identity that let two different regions share entries
     # would show here, as the table had read the chain's other nodes
-    _, _, _, chains = sweep_chains
+    _, _, _, chains, _ = sweep_chains
     for canon, chain in chains.items():
         ladder = chain.nodes[canon].ladder
         fresh = families.index_sets(ladder, chain.order, chain.shape, chain.field)
@@ -152,7 +195,7 @@ def test_chain_region_table_matches_a_fresh_one_on_every_sweep_node(sweep_chains
 def test_chain_initial_ideal_matches_a_minimalized_one_on_every_sweep_node(sweep_chains):
     # a node's ideal is walked level by level from its region sets; it must
     # be the ideal the public constructor minimalizes from the whole set
-    _, _, _, chains = sweep_chains
+    _, _, _, chains, _ = sweep_chains
     assert len(chains) == 6509
     for canon, chain in chains.items():
         got = chain.initial_ideal(canon)
@@ -165,7 +208,7 @@ def test_shedding_walk_matches_berge_on_every_sweep_step(sweep_chains):
     # step is a double link (Chain.is_double_link); every verdict must be
     # check_shedding's on a complex built by Berge's algorithm, and the
     # guard the double link that basic-double-link checks
-    _, _, _, chains = sweep_chains
+    _, _, _, chains, _ = sweep_chains
     steps = derived = 0
     for canon, chain in chains.items():
         node = chain.nodes[canon]
@@ -205,7 +248,7 @@ def test_chain_numerators_match_the_recursion_on_every_sweep_node(sweep_chains):
     # a double-link step derives its numerator from its children's
     # (Chain.numerator); every node's must be the pivot recursion's on
     # its own generators
-    _, _, _, chains = sweep_chains
+    _, _, _, chains, _ = sweep_chains
     derived = 0
     for canon, chain in chains.items():
         want = hilbert_numerator(chain.initial_ideal(canon).gens)
@@ -238,14 +281,14 @@ def test_certifying_chains_are_decomposable_by_the_search():
 def test_chain_ideal_squarefree_flag_matches_a_scan_on_every_sweep_node(sweep_chains):
     # a node's ideal takes its flag from its region sets where they are
     # all squarefree, and scans its generators only otherwise
-    _, _, _, chains = sweep_chains
+    _, _, _, chains, _ = sweep_chains
     for canon, chain in chains.items():
         ideal = chain.initial_ideal(canon)
         assert ideal.is_squarefree() == _squarefree(ideal.gens), canon
 
 
 def test_region_keys_match_brute_force_on_every_sweep_node(sweep_chains):
-    _, _, nodes, _ = sweep_chains
+    _, _, nodes, _, _ = sweep_chains
     for ladder in nodes:
         for point, t in ladder.sizes():
             keys = list(ladder.region_keys(point, t))
@@ -264,7 +307,7 @@ def _size_one_cells(ladder):
 def test_absorbed_regions_have_a_size_one_variable_in_every_term(sweep_chains):
     rings = {}
     seen = {"onesided": 0, "symmetric": 0, "pfaffian": 0}
-    _, _, nodes, _ = sweep_chains
+    _, _, nodes, _, _ = sweep_chains
     for ladder in list(sweep_candidates()) + nodes:
         cells = _size_one_cells(ladder)
         if not cells:
@@ -313,7 +356,7 @@ def test_absorbed_regions_have_a_size_one_variable_in_every_term(sweep_chains):
 def test_node_parents_count_the_steps_naming_them_on_every_sweep_chain(sweep_chains):
     # _build counts each node's parents once, as the chain is built; the
     # walk drops a child's complex after that many steps have read it
-    _, _, _, chains = sweep_chains
+    _, _, _, chains, _ = sweep_chains
     shared = 0
     for chain in {id(chain): chain for chain in chains.values()}.values():
         named = dict.fromkeys(chain.sequence, 0)
